@@ -23,7 +23,7 @@ from .dynamics import (
     propagate,
     zero_state,
 )
-from .fisher import Povm, cfi, qfi, qfi_bloch, sld, terminal_derivative
+from .fisher import Povm, cfi, qfi, qfi_bloch, sld
 from .grape import (
     AscentConfig,
     AscentReport,
@@ -33,6 +33,5 @@ from .grape import (
     finite_difference_gradient,
     gradient_cfi,
     gradient_qfi,
-    m_operators,
     qfi_objective,
 )

@@ -4,13 +4,14 @@ Subcommands::
 
     qgrape simulate --config FILE [--schedule FILE] [--dt X]
     qgrape optimize --config FILE [--out DIR] [--seed N]
-    qgrape sweep    --config FILE --out DIR [--seed N] [--workers N]
+    qgrape sweep    --config FILE --out DIR [--seed N]
     qgrape oracle   MODEL [--gamma X] [--gamma-plus X] [--gamma-minus X]
                     [--omega0 X] [--horizon X] [--t0 X]
     qgrape energy   --schedule FILE [--out DIR]
 
-Exit status: 0 on success, 1 on configuration errors (missing files, bad
-keys or values), 2 on numerical failures during propagation/optimization.
+Exit status: 0 on success, 1 on usage and configuration errors (unknown
+flags, missing files, bad keys or values), 2 on numerical failures during
+propagation/optimization.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 from . import experiments, oracles
 from .dynamics import ControlGrid, propagate
 from .errors import ConfigError, QGrapeError, ValidationError
-from .fisher import cfi, qfi, terminal_derivative
+from .fisher import cfi, qfi
 from .grape import ascend
 from .experiments import (
     ScenarioConfig,
@@ -43,13 +44,21 @@ def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -
     parser.add_argument("--config", required=config_required, help="scenario config file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override ascent seed")
-    parser.add_argument("--workers", type=int, default=None, help="parallel sweep workers")
     parser.add_argument("--dt", type=float, default=None, help="override control step width")
     parser.add_argument("--verbose", action="store_true")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on usage errors: argparse's own status 2 is this CLI's code for
+    numerical failures."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qgrape",
         description="Control-pulse optimization for qubit frequency estimation",
     )
@@ -92,8 +101,6 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
         config = replace(
             config, dt=args.dt, ascent=replace(config.ascent, dt=args.dt)
         )
-    if getattr(args, "workers", None) is not None:
-        config = replace(config, workers=args.workers)
     return config
 
 
@@ -106,7 +113,7 @@ def _cmd_simulate(args) -> int:
         m = experiments._steps_for(config.horizon, config.dt)
         grid = ControlGrid.zeros(m, problem.n_controls, config.dt)
     traj = propagate(problem, grid, x=config.omega0_true)
-    drho = terminal_derivative(traj)
+    drho = traj.final_state_derivative
     q = qfi(traj.final_state, drho)
     c = cfi(traj.final_state, drho, config.povm())
     print(f"qfi = {q:.6g}")

@@ -36,8 +36,7 @@ uncontrolled_qfi`` after the sweep-axis column (12 significant digits, ``.``
 radix, ``\n`` line endings; absent metrics hold ``nan``), one ``manifest.txt``
 with the config snapshot, seed, versions and wall clock, and the optimized
 schedules as ``step_index, t_start, V_1..V_p`` CSV files.  Identical configs
-and seeds reproduce identical bytes, whether points run serially or in
-parallel.
+and seeds reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from __future__ import annotations
 import math
 import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -67,7 +65,7 @@ from .dynamics import (
     zero_state,
 )
 from .errors import ConfigError, QGrapeError
-from .fisher import Povm, cfi, qfi, terminal_derivative
+from .fisher import Povm, cfi, qfi
 from .grape import AscentConfig, Objective, ascend, cfi_objective, qfi_objective
 
 __all__ = [
@@ -77,10 +75,6 @@ __all__ = [
     "load_config",
     "parse_config_text",
     "config_snapshot",
-    "run_theta_sweep",
-    "run_time_scan",
-    "run_robustness_scan",
-    "run_pulse_scan",
     "run_sweep",
     "energy_cost",
     "write_run",
@@ -115,7 +109,6 @@ class ScenarioConfig:
     sweep_start: float = 0.0
     sweep_stop: float = 1.0
     sweep_points: int = 11
-    workers: int = 1
 
     def __post_init__(self):
         if self.noise_kind not in ("dephasing", "spontaneous", "none"):
@@ -384,7 +377,7 @@ def _qfi_cfi_of_grid(
     problem: EstimationProblem, grid: ControlGrid, povm: Povm, x: float | None = None
 ) -> tuple[float, float]:
     traj = propagate(problem, grid, x=x)
-    drho = terminal_derivative(traj)
+    drho = traj.final_state_derivative
     return qfi(traj.final_state, drho), cfi(traj.final_state, drho, povm)
 
 
@@ -410,92 +403,74 @@ def _metric_row(axis_value: float, horizon: float, **metrics) -> dict:
     return row
 
 
-def _map_points(config: ScenarioConfig, worker, n_points: int) -> list:
-    """Evaluate sweep points serially or with a thread pool; results are
-    collected in index order either way, so output bytes do not depend on
-    the worker count."""
-    if config.workers <= 1:
-        return [worker(i) for i in range(n_points)]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(worker, range(n_points)))
+def _optimized_metrics(
+    config: ScenarioConfig,
+    problem: EstimationProblem,
+    m: int,
+    povm: Povm,
+    index: int,
+    oracle_qfi: float,
+) -> tuple[dict, np.ndarray]:
+    """Metrics and schedule of one optimized point: free evolution, then the
+    schedule optimized with point ``index``'s seed, both evaluated at the true
+    frequency."""
+    free = ControlGrid.zeros(m, problem.n_controls, config.dt)
+    q_free, _ = _qfi_cfi_of_grid(problem, free, povm, x=config.omega0_true)
+    grid, _ = _optimize(problem, config, _point_seed(config.ascent.seed, index))
+    q_opt, c_opt = _qfi_cfi_of_grid(problem, grid, povm, x=config.omega0_true)
+    metrics = dict(qfi=q_opt, cfi=c_opt, oracle_qfi=oracle_qfi, uncontrolled_qfi=q_free)
+    return metrics, grid.amplitudes
 
 
-def _guarded(fn, arg, flagged: list[str], label: str):
-    try:
-        return fn(arg)
-    except QGrapeError as exc:
-        flagged.append(f"{label}: {type(exc).__name__}: {exc}")
-        return None
-
-
-def run_theta_sweep(config: ScenarioConfig) -> RunRecord:
+def _theta_axis(config: ScenarioConfig):
     """Optimized vs uncontrolled information across dephasing-axis angles.
 
-    Produces one table per probe (|+> and |0>): optimized information in
+    One table per probe (|+> and |0>): optimized information in
     ``qfi``/``cfi``, free evolution of the same probe in ``uncontrolled_qfi``,
     and the noiseless reference T^2 in ``oracle_qfi``.
     """
-    if config.sweep_axis != "theta":
-        raise ConfigError("theta sweep requires sweep = theta")
     if config.noise_kind != "dephasing":
         raise ConfigError("theta sweep requires dephasing noise")
-    start = time.perf_counter()
-    grid_angles = config.sweep_grid()
-    horizon = config.horizon
-    m = _steps_for(horizon, config.dt)
+    m = _steps_for(config.horizon, config.dt)
     povm = config.povm()
     probes = {"theta_probe_plus": plus_state(), "theta_probe_zero": zero_state()}
-    tables: dict[str, list[dict]] = {name: [] for name in probes}
-    schedules: dict[str, np.ndarray] = {}
-    flagged: list[str] = []
 
-    def run_point(index):
-        theta = float(grid_angles[index])
-        out = {}
+    def point(index: int, theta: float):
+        metrics, schedules = {}, {}
         for name, probe in probes.items():
             problem = _scenario_problem(
                 config, config.design_frequency, theta=theta, probe=probe
             )
-            free = ControlGrid.zeros(m, problem.n_controls, config.dt)
-            q_free, _ = _qfi_cfi_of_grid(problem, free, povm, x=config.omega0_true)
-            grid, _ = _optimize(problem, config, _point_seed(config.ascent.seed, index))
-            q_opt, c_opt = _qfi_cfi_of_grid(problem, grid, povm, x=config.omega0_true)
-            out[name] = (q_opt, c_opt, q_free, grid.amplitudes)
-        return out
-
-    results = _map_points(
-        config,
-        lambda i: _guarded(run_point, i, flagged, f"theta={grid_angles[i]:.6g}"),
-        len(grid_angles),
-    )
-    for index, (theta, result) in enumerate(zip(grid_angles, results)):
-        for name in probes:
-            if result is None:
-                tables[name].append(_metric_row(theta, horizon))
-                continue
-            q_opt, c_opt, q_free, amps = result[name]
-            tables[name].append(
-                _metric_row(
-                    theta,
-                    horizon,
-                    qfi=q_opt,
-                    cfi=c_opt,
-                    oracle_qfi=horizon**2,
-                    uncontrolled_qfi=q_free,
-                )
+            metrics[name], schedules[f"schedule_{name}_{index:03d}"] = _optimized_metrics(
+                config, problem, m, povm, index, oracle_qfi=config.horizon**2
             )
-            schedules[f"schedule_{name}_{index:03d}"] = amps
-    return RunRecord(
-        axis_name="theta",
-        tables=tables,
-        config_snapshot=config_snapshot(config),
-        seed=config.ascent.seed,
-        wall_clock=time.perf_counter() - start,
-        versions=_versions(),
-        schedules=schedules,
-        schedule_dt=config.dt,
-        flagged=flagged,
+        return metrics, schedules
+
+    return tuple(probes), point, {}
+
+
+def _single_pulse_qfi(config: ScenarioConfig, t0: float, horizon: float) -> float:
+    """Closed-form information of one instantaneous pulse at t0: the parallel
+    dephasing oracle for dephasing noise, the decay oracle otherwise.  Each
+    oracle reads only its own rate fields of the plan."""
+    plan = oracles.SinglePulsePlan(
+        t0=t0,
+        horizon=horizon,
+        omega0=config.omega0_true,
+        gamma=config.noise_gamma,
+        gamma_plus=config.noise_gamma_plus,
+        gamma_minus=config.noise_gamma_minus,
     )
+    if config.noise_kind == "dephasing":
+        return oracles.parallel_single_pulse_qfi(plan)
+    return oracles.spontaneous_single_pulse_qfi(plan)
+
+
+def _best_single_pulse(config: ScenarioConfig, horizon: float, n_grid: int = 400) -> float:
+    best = -math.inf
+    for t0 in np.linspace(0.0, horizon, n_grid):
+        best = max(best, _single_pulse_qfi(config, float(t0), horizon))
+    return best
 
 
 def _oracle_curve(config: ScenarioConfig, horizon: float) -> float:
@@ -513,159 +488,56 @@ def _oracle_curve(config: ScenarioConfig, horizon: float) -> float:
     return _best_single_pulse(config, horizon)
 
 
-def _best_single_pulse(config: ScenarioConfig, horizon: float, n_grid: int = 400) -> float:
-    best = -math.inf
-    for t0 in np.linspace(0.0, horizon, n_grid):
-        if config.noise_kind == "dephasing":
-            value = oracles.parallel_single_pulse_qfi(
-                oracles.SinglePulsePlan(
-                    t0=float(t0),
-                    horizon=horizon,
-                    omega0=config.omega0_true,
-                    gamma=config.noise_gamma,
-                )
-            )
-        else:
-            value = oracles.spontaneous_single_pulse_qfi(
-                oracles.SinglePulsePlan(
-                    t0=float(t0),
-                    horizon=horizon,
-                    omega0=config.omega0_true,
-                    gamma_plus=config.noise_gamma_plus,
-                    gamma_minus=config.noise_gamma_minus,
-                )
-            )
-        best = max(best, value)
-    return best
-
-
-def run_time_scan(config: ScenarioConfig) -> RunRecord:
-    """Uncontrolled and re-optimized information at each horizon in the grid.
+def _horizon_axis(config: ScenarioConfig):
+    """Uncontrolled and re-optimized information at each horizon in the grid,
+    against the reference curve of :func:`_oracle_curve`.
 
     Each horizon is optimized independently (no warm starts: maxima need not
     vary smoothly with the horizon).
     """
-    if config.sweep_axis != "horizon":
-        raise ConfigError("time scan requires sweep = horizon")
-    start = time.perf_counter()
-    horizons = config.sweep_grid()
     povm = config.povm()
-    rows: list[dict] = []
-    schedules: dict[str, np.ndarray] = {}
-    flagged: list[str] = []
 
-    def run_point(index):
-        horizon = float(horizons[index])
+    def point(index: int, horizon: float):
         m = _steps_for(horizon, config.dt)
         problem = _scenario_problem(config, config.design_frequency, horizon=horizon)
-        free = ControlGrid.zeros(m, problem.n_controls, config.dt)
-        q_free, c_free = _qfi_cfi_of_grid(problem, free, povm, x=config.omega0_true)
-        grid, _ = _optimize(problem, config, _point_seed(config.ascent.seed, index))
-        q_opt, c_opt = _qfi_cfi_of_grid(problem, grid, povm, x=config.omega0_true)
-        return q_opt, c_opt, q_free, c_free, grid.amplitudes
-
-    results = _map_points(
-        config,
-        lambda i: _guarded(run_point, i, flagged, f"T={horizons[i]:.6g}"),
-        len(horizons),
-    )
-    for index, (horizon, result) in enumerate(zip(horizons, results)):
-        if result is None:
-            rows.append(_metric_row(horizon, horizon))
-            continue
-        q_opt, c_opt, q_free, c_free, amps = result
-        rows.append(
-            _metric_row(
-                horizon,
-                horizon,
-                qfi=q_opt,
-                cfi=c_opt,
-                oracle_qfi=_oracle_curve(config, float(horizon)),
-                uncontrolled_qfi=q_free,
-            )
+        metrics, amplitudes = _optimized_metrics(
+            config, problem, m, povm, index, oracle_qfi=_oracle_curve(config, horizon)
         )
-        schedules[f"schedule_horizon_{index:03d}"] = amps
-    return RunRecord(
-        axis_name="horizon",
-        tables={"horizon_scan": rows},
-        config_snapshot=config_snapshot(config),
-        seed=config.ascent.seed,
-        wall_clock=time.perf_counter() - start,
-        versions=_versions(),
-        schedules=schedules,
-        schedule_dt=config.dt,
-        flagged=flagged,
-    )
+        return {"horizon_scan": metrics}, {f"schedule_horizon_{index:03d}": amplitudes}
+
+    return ("horizon_scan",), point, {}
 
 
-def run_robustness_scan(config: ScenarioConfig) -> RunRecord:
+def _omega_hat_axis(config: ScenarioConfig):
     """Fixed controls under mismatched dynamics.
 
     Controls are optimized once at the design frequency, then evaluated with
     the true frequency swept across the grid; the uncontrolled baseline is
     evaluated at the same true frequencies.
     """
-    if config.sweep_axis != "omega_hat":
-        raise ConfigError("robustness scan requires sweep = omega_hat")
-    start = time.perf_counter()
-    freqs = config.sweep_grid()
     m = _steps_for(config.horizon, config.dt)
     povm = config.povm()
     design_problem = _scenario_problem(config, config.design_frequency)
     grid, _ = _optimize(design_problem, config, config.ascent.seed)
     free = ControlGrid.zeros(m, design_problem.n_controls, config.dt)
-    rows: list[dict] = []
-    flagged: list[str] = []
 
-    def run_point(i):
-        omega = float(freqs[i])
+    def point(index: int, omega: float):
         problem = _scenario_problem(config, omega)
         q_ctl, c_ctl = _qfi_cfi_of_grid(problem, grid, povm)
         q_free, _ = _qfi_cfi_of_grid(problem, free, povm)
-        return q_ctl, c_ctl, q_free
+        return {"robustness_scan": dict(qfi=q_ctl, cfi=c_ctl, uncontrolled_qfi=q_free)}, {}
 
-    results = _map_points(
-        config, lambda i: _guarded(run_point, i, flagged, f"omega0={freqs[i]:.6g}"), len(freqs)
-    )
-    for omega, result in zip(freqs, results):
-        if result is None:
-            rows.append(_metric_row(omega, config.horizon))
-            continue
-        q_ctl, c_ctl, q_free = result
-        rows.append(
-            _metric_row(
-                omega,
-                config.horizon,
-                qfi=q_ctl,
-                cfi=c_ctl,
-                uncontrolled_qfi=q_free,
-            )
-        )
-    return RunRecord(
-        axis_name="omega0",
-        tables={"robustness_scan": rows},
-        config_snapshot=config_snapshot(config),
-        seed=config.ascent.seed,
-        wall_clock=time.perf_counter() - start,
-        versions=_versions(),
-        schedules={"schedule_design": grid.amplitudes},
-        schedule_dt=config.dt,
-        flagged=flagged,
-    )
+    return ("robustness_scan",), point, {"schedule_design": grid.amplitudes}
 
 
-def run_pulse_scan(config: ScenarioConfig) -> RunRecord:
+def _t0_axis(config: ScenarioConfig):
     """Closed-form single-pulse information as a function of the pulse time,
     with the free-evolution value as the horizontal reference."""
-    if config.sweep_axis != "t0":
-        raise ConfigError("pulse scan requires sweep = t0")
     if config.noise_kind == "dephasing" and abs(config.noise_theta) > 1e-9:
         raise ConfigError("single-pulse analysis covers parallel dephasing (theta = 0)")
     if config.noise_kind == "none":
         raise ConfigError("single-pulse analysis requires a noise model")
-    start = time.perf_counter()
-    pulse_times = config.sweep_grid()
-    if pulse_times[0] < 0 or pulse_times[-1] > config.horizon:
+    if config.sweep_start < 0 or config.sweep_stop > config.horizon:
         raise ConfigError("t0 grid must lie within [0, T]")
     if config.noise_kind == "dephasing":
         reference = oracles.parallel_free_qfi(config.noise_gamma, config.horizon)
@@ -673,58 +545,60 @@ def run_pulse_scan(config: ScenarioConfig) -> RunRecord:
         reference = oracles.spontaneous_free_qfi(
             config.noise_gamma_plus, config.noise_gamma_minus, config.horizon
         )
-    rows: list[dict] = []
-    for t0 in pulse_times:
-        if config.noise_kind == "dephasing":
-            value = oracles.parallel_single_pulse_qfi(
-                oracles.SinglePulsePlan(
-                    t0=float(t0),
-                    horizon=config.horizon,
-                    omega0=config.omega0_true,
-                    gamma=config.noise_gamma,
-                )
-            )
-        else:
-            value = oracles.spontaneous_single_pulse_qfi(
-                oracles.SinglePulsePlan(
-                    t0=float(t0),
-                    horizon=config.horizon,
-                    omega0=config.omega0_true,
-                    gamma_plus=config.noise_gamma_plus,
-                    gamma_minus=config.noise_gamma_minus,
-                )
-            )
-        rows.append(
-            _metric_row(
-                float(t0),
-                config.horizon,
-                oracle_qfi=value,
-                uncontrolled_qfi=reference,
-            )
-        )
-    return RunRecord(
-        axis_name="t0",
-        tables={"pulse_scan": rows},
-        config_snapshot=config_snapshot(config),
-        seed=config.ascent.seed if config.ascent else 0,
-        wall_clock=time.perf_counter() - start,
-        versions=_versions(),
-    )
+
+    def point(index: int, t0: float):
+        value = _single_pulse_qfi(config, t0, config.horizon)
+        return {"pulse_scan": dict(oracle_qfi=value, uncontrolled_qfi=reference)}, {}
+
+    return ("pulse_scan",), point, {}
 
 
-_SWEEP_RUNNERS = {
-    "theta": run_theta_sweep,
-    "horizon": run_time_scan,
-    "omega_hat": run_robustness_scan,
-    "t0": run_pulse_scan,
+# Each axis checks its preconditions, runs any set-up shared by all points,
+# and returns (table names, point function, schedules written once).  A point
+# function maps (index, axis value) to ({table: metrics}, {name: schedule}).
+_SWEEP_AXES = {
+    "theta": _theta_axis,
+    "horizon": _horizon_axis,
+    "omega_hat": _omega_hat_axis,
+    "t0": _t0_axis,
 }
 
 
 def run_sweep(config: ScenarioConfig) -> RunRecord:
-    """Dispatch on the configured sweep axis."""
+    """Run the sweep declared by ``config.sweep_axis``.
+
+    Points are evaluated in grid order.  A point whose evaluation raises a
+    :class:`QGrapeError` is listed under the manifest's flagged points and
+    leaves a row of ``nan`` and no schedule, instead of aborting the sweep.
+    """
     if config.sweep_axis is None:
         raise ConfigError("config declares no sweep axis")
-    return _SWEEP_RUNNERS[config.sweep_axis](config)
+    start = time.perf_counter()
+    table_names, point, schedules = _SWEEP_AXES[config.sweep_axis](config)
+    label = "T" if config.sweep_axis == "horizon" else AXIS_NAMES[config.sweep_axis]
+    tables: dict[str, list[dict]] = {name: [] for name in table_names}
+    flagged: list[str] = []
+    for index, value in enumerate(config.sweep_grid().tolist()):
+        try:
+            metrics, point_schedules = point(index, value)
+        except QGrapeError as exc:
+            flagged.append(f"{label}={value:.6g}: {type(exc).__name__}: {exc}")
+            metrics, point_schedules = dict.fromkeys(table_names, {}), {}
+        horizon = value if config.sweep_axis == "horizon" else config.horizon
+        for name in table_names:
+            tables[name].append(_metric_row(value, horizon, **metrics[name]))
+        schedules.update(point_schedules)
+    return RunRecord(
+        axis_name=AXIS_NAMES[config.sweep_axis],
+        tables=tables,
+        config_snapshot=config_snapshot(config),
+        seed=config.ascent.seed if config.ascent else 0,
+        wall_clock=time.perf_counter() - start,
+        versions=_versions(),
+        schedules=schedules,
+        schedule_dt=config.dt,
+        flagged=flagged,
+    )
 
 
 def energy_cost(grid: ControlGrid) -> list[tuple[float, float]]:
@@ -792,23 +666,41 @@ def write_schedule(path: str | Path, grid: ControlGrid) -> None:
 
 
 def read_schedule(path: str | Path) -> ControlGrid:
-    """Load a schedule CSV written by :func:`write_schedule`."""
+    """Load a schedule CSV written by :func:`write_schedule`.
+
+    Every row must hold as many numeric cells as the header, and ``t_start``
+    must advance by one uniform ``dt``.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"schedule file not found: {path}")
     lines = path.read_text(encoding="utf-8").strip().splitlines()
     if not lines or not lines[0].startswith("step_index,t_start"):
         raise ConfigError(f"{path}: not a schedule file")
+    width = len(lines[0].split(","))
     rows = []
-    starts = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        starts.append(float(cells[1]))
-        rows.append([float(c) for c in cells[2:]])
+        if len(cells) != width:
+            raise ConfigError(f"{path}:{lineno}: expected {width} cells, got {len(cells)}")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: malformed value: {exc}") from exc
     if len(rows) < 2:
         raise ConfigError(f"{path}: schedule needs at least two rows to infer dt")
-    dt = starts[1] - starts[0]
-    return ControlGrid(np.asarray(rows), dt)
+    table = np.asarray(rows)
+    starts = table[:, 1]
+    dt = float(starts[1] - starts[0])
+    # cells carry 12 significant digits, far inside this tolerance
+    expected = starts[0] + dt * np.arange(len(starts))
+    uneven = np.flatnonzero(np.abs(starts - expected) > 1e-9 * np.maximum(1.0, np.abs(expected)))
+    if uneven.size:
+        row = uneven[0]
+        raise ConfigError(
+            f"{path}:{row + 2}: t_start {starts[row]:.12g} breaks the uniform step dt = {dt:.12g}"
+        )
+    return ControlGrid(table[:, 2:], dt)
 
 
 def check_output_schema(path: str | Path) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, Trajectory, validate_density
+from .dynamics import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, validate_density
 from .errors import InconsistentInputError, SingularOutcomeError, ValidationError
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "qfi_bloch",
     "Povm",
     "cfi",
-    "terminal_derivative",
 ]
 
 DERIVATIVE_TOL = 1e-10
@@ -170,8 +169,3 @@ def cfi(rho: np.ndarray, drho: np.ndarray, povm: Povm) -> float:
         total += dp * dp / p
     return float(total)
 
-
-def terminal_derivative(traj: Trajectory) -> np.ndarray:
-    """``d(rho(T))/dx`` of the discretized evolution, from the cached
-    sensitivity accumulator."""
-    return np.array(traj.final_state_derivative)

@@ -18,7 +18,7 @@ effect sums ``sum_y (dln p_y)^2 E_y`` and ``sum_y (dln p_y) E_y``.
 
 The discretized dynamics at fixed ``dt`` (exact step exponentials plus the
 sensitivity recursion of :func:`qgrape.dynamics.propagate`) is the exact
-optimization target.  Three gradient evaluations are provided:
+optimization target.  Two gradient evaluations are provided:
 
 * ``exact`` (default): the true gradient of that target.  The per-step
   derivative of ``exp(dt L_j)`` with respect to an amplitude is evaluated
@@ -28,15 +28,12 @@ optimization target.  Three gradient evaluations are provided:
   derivative by its leading term ``-i dt [H_k, .] exp(dt L_j)``.  It is exact
   only to first order in ``dt`` (error ``O(dt)`` relative, set by commutator
   scales) but needs one backward sweep and no extra exponentials; gradient
-  ascent uses it.
-* ``naive``: the same first-order identity, accumulated by the literal
-  operator sums (quadratic in the step count); the reference the fast path is
-  tested against.
+  ascent uses it.  The test suite checks it against the literal operator sums
+  above.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +58,6 @@ __all__ = [
     "cfi_objective",
     "objective_value",
     "evaluate_objective",
-    "m_operators",
     "gradient_qfi",
     "gradient_cfi",
     "finite_difference_gradient",
@@ -70,9 +66,6 @@ __all__ = [
     "ascend",
 ]
 
-logger = logging.getLogger(__name__)
-
-HERMITICITY_WARN_TOL = 1e-8
 CONVERGENCE_WINDOW = 10
 MAX_BACKTRACK_HALVINGS = 20
 
@@ -122,55 +115,6 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def _warn_if_not_hermitian(mat: np.ndarray, label: str) -> None:
-    dev = np.abs(mat - mat.conj().T).max()
-    if dev > HERMITICITY_WARN_TOL:
-        logger.warning("%s deviates from Hermitian by %.3e", label, dev)
-
-
-def _suffix_propagators(traj: Trajectory) -> np.ndarray:
-    """``S[j] = D_{j+1}^m`` for j = 0..m (``S[m]`` is the identity)."""
-    m = traj.n_steps
-    suffix = np.empty((m + 1, 4, 4), dtype=complex)
-    suffix[m] = np.eye(4, dtype=complex)
-    for j in range(m, 0, -1):
-        suffix[j - 1] = suffix[j] @ traj.step_propagators[j - 1]
-    return suffix
-
-
-def m_operators(
-    traj: Trajectory,
-    problem: EstimationProblem,
-    j: int,
-    k: int,
-    _suffix: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three Hermitian gradient operators for step j (1-based) and
-    control k, evaluated by the literal sums."""
-    m = traj.n_steps
-    if not 1 <= j <= m:
-        raise ValidationError(f"step index must satisfy 1 <= j <= {m}, got {j}")
-    if not 0 <= k < problem.n_controls:
-        raise ValidationError(f"control index must satisfy 0 <= k < {problem.n_controls}")
-    suffix = _suffix_propagators(traj) if _suffix is None else _suffix
-    h_k = problem.control_generators[k]
-    dh0 = problem.free_hamiltonian_derivative(traj.x)
-    rho_j = traj.states[j]
-
-    m1 = 1j * unvectorize(suffix[j] @ vectorize(_commutator(h_k, rho_j)))
-    # phi stores -i [dH0, .] accumulations, so the Hermitian form carries i
-    m2 = 1j * unvectorize(suffix[j] @ vectorize(_commutator(h_k, traj.phi[j])))
-    m3 = np.zeros((2, 2), dtype=complex)
-    w = vectorize(_commutator(h_k, rho_j))
-    for i in range(j + 1, m + 1):
-        w = traj.step_propagators[i - 1] @ w
-        m3 += unvectorize(suffix[i] @ vectorize(_commutator(dh0, unvectorize(w))))
-
-    for label, op in (("M1", m1), ("M2", m2), ("M3", m3)):
-        _warn_if_not_hermitian(op, label)
-    return m1, m2, m3
-
-
 def _objective_weights(
     traj: Trajectory, objective: Objective
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -194,23 +138,6 @@ def _objective_weights(
         w1 += ratio * effect
         w2 += ratio * ratio * effect
     return w1, w2
-
-
-def _gradient_naive(
-    traj: Trajectory, problem: EstimationProblem, w1: np.ndarray, w2: np.ndarray
-) -> np.ndarray:
-    m, p = traj.n_steps, problem.n_controls
-    dt = traj.dt
-    suffix = _suffix_propagators(traj)
-    grad = np.empty((m, p))
-    for j in range(1, m + 1):
-        for k in range(p):
-            m1, m2, m3 = m_operators(traj, problem, j, k, _suffix=suffix)
-            grad[j - 1, k] = (
-                dt * np.trace(w2 @ m1).real
-                - 2.0 * dt * dt * np.trace(w1 @ (m2 + m3)).real
-            )
-    return grad
 
 
 def _backward_weights(
@@ -342,8 +269,6 @@ def _dispatch_gradient(traj, problem, w1, w2, method) -> np.ndarray:
         return _gradient_exact(traj, problem, w1, w2)
     if method == "adjoint":
         return _gradient_adjoint(traj, problem, w1, w2)
-    if method == "naive":
-        return _gradient_naive(traj, problem, w1, w2)
     raise ValidationError(f"unknown gradient method {method!r}")
 
 

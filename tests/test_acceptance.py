@@ -56,7 +56,7 @@ def held_at_plus_controls(n_steps, dt, design_omega):
 
 def pipeline_qfi(problem, grid, x=None):
     traj = dyn.propagate(problem, grid, x=x)
-    return fisher.qfi(traj.final_state, fisher.terminal_derivative(traj))
+    return fisher.qfi(traj.final_state, traj.final_state_derivative)
 
 
 def qfi_along_trajectory(traj, stride):
@@ -272,7 +272,7 @@ def test_criterion_09_cfi_bounded_and_saturating():
     )
     result = grape.ascend(problem, config, grape.cfi_objective(povm))
     traj = dyn.propagate(problem, result.final_grid)
-    drho = fisher.terminal_derivative(traj)
+    drho = traj.final_state_derivative
     cfi_value = fisher.cfi(traj.final_state, drho, povm)
     qfi_value = fisher.qfi(traj.final_state, drho)
     ok = violations == 0 and cfi_value >= 0.98 * qfi_value

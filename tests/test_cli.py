@@ -22,6 +22,29 @@ sweep.stop = 1.05
 sweep.points = 3
 """
 
+# one tiny sweep per axis, and the table each one writes
+AXIS_SWEEPS = {
+    "theta": (
+        SWEEP_CONFIG.replace("sweep = omega_hat", "sweep = theta")
+        .replace("sweep.stop = 1.05", "sweep.stop = 3.0"),
+        ("theta_probe_plus.csv", "theta_probe_zero.csv"),
+    ),
+    "horizon": (
+        SWEEP_CONFIG.replace("sweep = omega_hat", "sweep = horizon")
+        .replace("sweep.start = 0.95", "sweep.start = 1.0")
+        .replace("sweep.stop = 1.05", "sweep.stop = 2.0"),
+        ("horizon_scan.csv",),
+    ),
+    "omega_hat": (SWEEP_CONFIG, ("robustness_scan.csv",)),
+    "t0": (
+        SWEEP_CONFIG.replace("noise.theta = 1.5707963267948966", "noise.theta = 0.0")
+        .replace("sweep = omega_hat", "sweep = t0")
+        .replace("sweep.start = 0.95", "sweep.start = 0.0")
+        .replace("sweep.stop = 1.05", "sweep.stop = 2.0"),
+        ("pulse_scan.csv",),
+    ),
+}
+
 
 def test_oracle_transverse_prints_six_significant_digits(capsys):
     assert main(["oracle", "transverse", "--gamma", "0.1", "--horizon", "5"]) == 0
@@ -86,15 +109,21 @@ def test_optimize_writes_schedule_and_history(tmp_path, capsys):
     assert len(history) == 12  # header + initial + 10 iterations
 
 
-def test_sweep_writes_deterministic_outputs(tmp_path):
+@pytest.mark.parametrize("axis", sorted(AXIS_SWEEPS))
+def test_sweep_writes_deterministic_outputs(tmp_path, axis):
+    text, tables = AXIS_SWEEPS[axis]
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(SWEEP_CONFIG)
+    cfg.write_text(text)
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     assert main(["sweep", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["sweep", "--config", str(cfg), "--out", str(out2)]) == 0
-    name = "robustness_scan.csv"
-    assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    exp.check_output_schema(out1 / name)
+    csvs = sorted(path.name for path in out1.glob("*.csv"))
+    assert set(tables) <= set(csvs)
+    assert csvs == sorted(path.name for path in out2.glob("*.csv"))
+    for name in csvs:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    for name in tables:
+        exp.check_output_schema(out1 / name)
     assert (out1 / "manifest.txt").read_text().startswith("[versions]")
 
 
@@ -102,6 +131,24 @@ def test_sweep_without_out_dir_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CONFIG)
     assert main(["sweep", "--config", str(cfg)]) == 1
+
+
+def test_usage_errors_exit_one(tmp_path, capsys):
+    # 2 is reserved for numerical failures
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG)
+    out = str(tmp_path / "run")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg), "--out", out, "--workers", "2"])
+    assert exc.value.code == 1
+    assert "--workers" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--out", out])
+    assert exc.value.code == 1
+    assert "--config" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
 
 
 def test_seed_override_changes_outputs(tmp_path):
@@ -148,6 +195,23 @@ def test_energy_command(tmp_path, capsys):
     t_final, e_final = (float(x) for x in lines[-1].split(","))
     assert t_final == pytest.approx(10.0)
     assert e_final == pytest.approx(2.5, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "rows, bad_line",
+    [
+        ("0,0.0,0,0,1\n1,0.5,0,x,1\n", 3),  # non-numeric cell
+        ("0,0.0,0,0,1\n1,0.5,0,0\n", 3),  # ragged row
+        ("0,0.0,0,0,1\n1\n", 3),  # step index only
+        ("0,0.0,0,0,1\n1,0.5,0,0,1\n2,0.7,0,0,1\n", 4),  # non-uniform t_start
+    ],
+    ids=["non_numeric", "ragged", "index_only", "non_uniform"],
+)
+def test_malformed_schedule_is_config_error(tmp_path, capsys, rows, bad_line):
+    sched = tmp_path / "bad.csv"
+    sched.write_text("step_index,t_start,V_1,V_2,V_3\n" + rows)
+    assert main(["energy", "--schedule", str(sched)]) == 1
+    assert f"bad.csv:{bad_line}:" in capsys.readouterr().err
 
 
 def test_simulate_with_schedule_file(tmp_path, capsys):

@@ -115,7 +115,7 @@ class TestEnergyCost:
 
 @pytest.fixture(scope="module")
 def record():
-    return exp.run_theta_sweep(small_sweep_config())
+    return exp.run_sweep(small_sweep_config())
 
 
 class TestThetaSweep:
@@ -133,14 +133,10 @@ class TestThetaSweep:
 
     def test_noiseless_limit_matches_reference(self):
         config = small_sweep_config(noise_gamma=0.0, sweep_points=2)
-        record = exp.run_theta_sweep(config)
+        record = exp.run_sweep(config)
         for row in record.tables["theta_probe_plus"]:
             assert row["qfi"] == pytest.approx(4.0, abs=1e-6)
             assert row["uncontrolled_qfi"] == pytest.approx(4.0, abs=1e-6)
-
-    def test_wrong_axis_rejected(self):
-        with pytest.raises(ConfigError):
-            exp.run_theta_sweep(small_sweep_config(sweep_axis="t0", sweep_stop=1.0))
 
 
 class TestTimeScan:
@@ -148,7 +144,7 @@ class TestTimeScan:
         config = small_sweep_config(
             sweep_axis="horizon", sweep_start=1.0, sweep_stop=2.0, sweep_points=2
         )
-        record = exp.run_time_scan(config)
+        record = exp.run_sweep(config)
         rows = record.tables["horizon_scan"]
         assert [row["axis"] for row in rows] == [1.0, 2.0]
         for row in rows:
@@ -171,7 +167,7 @@ class TestTimeScan:
             sweep_stop=2.0,
             sweep_points=2,
         )
-        record = exp.run_time_scan(config)
+        record = exp.run_sweep(config)
         for row in record.tables["horizon_scan"]:
             assert row["qfi"] >= 0.95 * row["oracle_qfi"]
 
@@ -181,7 +177,7 @@ class TestRobustnessScan:
         config = small_sweep_config(
             sweep_axis="omega_hat", sweep_start=0.9, sweep_stop=1.1, sweep_points=3
         )
-        record = exp.run_robustness_scan(config)
+        record = exp.run_sweep(config)
         rows = record.tables["robustness_scan"]
         assert len(rows) == 3
         assert "schedule_design" in record.schedules
@@ -193,7 +189,7 @@ class TestRobustnessScan:
         config = small_sweep_config(
             sweep_axis="omega_hat", sweep_start=0.9, sweep_stop=1.1, sweep_points=3
         )
-        record = exp.run_robustness_scan(config)
+        record = exp.run_sweep(config)
         problem = exp._scenario_problem(config, config.design_frequency)
         grid, value = exp._optimize(problem, config, config.ascent.seed)
         assert record.tables["robustness_scan"][1]["qfi"] == pytest.approx(value, abs=1e-10)
@@ -209,7 +205,7 @@ class TestPulseScan:
             sweep_stop=15.0,
             sweep_points=31,
         )
-        record = exp.run_pulse_scan(config)
+        record = exp.run_sweep(config)
         rows = record.tables["pulse_scan"]
         reference = oracles.parallel_free_qfi(0.1, 15.0)
         assert all(row["uncontrolled_qfi"] == pytest.approx(reference) for row in rows)
@@ -218,7 +214,7 @@ class TestPulseScan:
     def test_transverse_pulse_scan_rejected(self):
         config = small_sweep_config(sweep_axis="t0", sweep_stop=1.0)
         with pytest.raises(ConfigError):
-            exp.run_pulse_scan(config)
+            exp.run_sweep(config)
 
     def test_spontaneous_pulse_scan_shows_gain_only_for_long_horizons(self):
         def scan(horizon):
@@ -232,7 +228,7 @@ class TestPulseScan:
                 sweep_stop=horizon,
                 sweep_points=81,
             )
-            rows = exp.run_pulse_scan(config).tables["pulse_scan"]
+            rows = exp.run_sweep(config).tables["pulse_scan"]
             gain = max(row["oracle_qfi"] - row["uncontrolled_qfi"] for row in rows)
             return gain
 
@@ -246,8 +242,8 @@ class TestOutputFiles:
             sweep_axis="omega_hat", sweep_start=0.95, sweep_stop=1.05, sweep_points=3
         )
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
-        exp.write_run(exp.run_robustness_scan(config), out1)
-        exp.write_run(exp.run_robustness_scan(config), out2)
+        exp.write_run(exp.run_sweep(config), out1)
+        exp.write_run(exp.run_sweep(config), out2)
         csv1 = (out1 / "robustness_scan.csv").read_bytes()
         csv2 = (out2 / "robustness_scan.csv").read_bytes()
         assert csv1 == csv2
@@ -256,24 +252,6 @@ class TestOutputFiles:
         sched1 = (out1 / "schedule_design.csv").read_bytes()
         sched2 = (out2 / "schedule_design.csv").read_bytes()
         assert sched1 == sched2
-
-    def test_parallel_workers_do_not_change_bytes(self, tmp_path):
-        serial = small_sweep_config(
-            sweep_axis="omega_hat", sweep_start=0.95, sweep_stop=1.05, sweep_points=3
-        )
-        threaded = small_sweep_config(
-            sweep_axis="omega_hat",
-            sweep_start=0.95,
-            sweep_stop=1.05,
-            sweep_points=3,
-            workers=3,
-        )
-        out1, out2 = tmp_path / "serial", tmp_path / "threads"
-        exp.write_run(exp.run_robustness_scan(serial), out1)
-        exp.write_run(exp.run_robustness_scan(threaded), out2)
-        assert (out1 / "robustness_scan.csv").read_bytes() == (
-            out2 / "robustness_scan.csv"
-        ).read_bytes()
 
     def test_csv_has_12_significant_digits_and_lf_endings(self, tmp_path):
         config = small_sweep_config(
@@ -284,7 +262,7 @@ class TestOutputFiles:
             sweep_stop=15.0,
             sweep_points=4,
         )
-        exp.write_run(exp.run_pulse_scan(config), tmp_path)
+        exp.write_run(exp.run_sweep(config), tmp_path)
         raw = (tmp_path / "pulse_scan.csv").read_bytes()
         assert b"\r" not in raw
         first_oracle_cell = raw.decode().splitlines()[1].split(",")[5]
@@ -315,7 +293,7 @@ class TestOutputFiles:
         config = small_sweep_config(
             sweep_axis="omega_hat", sweep_start=0.95, sweep_stop=1.05, sweep_points=3
         )
-        record = exp.run_robustness_scan(config)
+        record = exp.run_sweep(config)
         assert record.flagged == []
         # poison one evaluation point
         calls = {"n": 0}
@@ -328,7 +306,7 @@ class TestOutputFiles:
             return real(problem, grid, povm, x=x)
 
         monkeypatch.setattr(exp, "_qfi_cfi_of_grid", flaky)
-        record = exp.run_robustness_scan(config)
+        record = exp.run_sweep(config)
         assert len(record.flagged) == 1
         rows = record.tables["robustness_scan"]
         assert len(rows) == 3

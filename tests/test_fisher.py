@@ -78,7 +78,7 @@ class TestQfi:
         noise = dyn.Dephasing(theta=0.0, phi=0.0, gamma=gamma)
         prob = dyn.frequency_estimation_problem(1.0, noise, dyn.plus_state(), t)
         traj = dyn.propagate(prob, dyn.ControlGrid.zeros(int(t / 1e-3), 3, 1e-3))
-        value = fisher.qfi(traj.final_state, fisher.terminal_derivative(traj))
+        value = fisher.qfi(traj.final_state, traj.final_state_derivative)
         assert value == pytest.approx(oracles.parallel_free_qfi(gamma, t), rel=1e-6)
         assert value == pytest.approx(100.0 * math.exp(-2.0), rel=1e-6)
 
@@ -92,14 +92,14 @@ class TestQfi:
         m = int(t / 1e-3)
         detuned = dyn.ControlGrid.constant([0.0, 0.0, -0.5 * (1 + 1e-4)], m, 1e-3)
         traj = dyn.propagate(prob, detuned)
-        value = fisher.qfi(traj.final_state, fisher.terminal_derivative(traj))
+        value = fisher.qfi(traj.final_state, traj.final_state_derivative)
         target = oracles.transverse_controlled_qfi(gamma, t)
         assert target == pytest.approx(21.3061, abs=1e-4)
         assert value == pytest.approx(target, rel=1e-4)
 
         exact = dyn.ControlGrid.constant([0.0, 0.0, -0.5], m, 1e-3)
         traj0 = dyn.propagate(prob, exact)
-        at_point = fisher.qfi(traj0.final_state, fisher.terminal_derivative(traj0))
+        at_point = fisher.qfi(traj0.final_state, traj0.final_state_derivative)
         lower_branch = ((1 - math.exp(-gamma * t)) / gamma) ** 2
         assert at_point == pytest.approx(lower_branch, rel=1e-3)
 
@@ -178,7 +178,7 @@ class TestCfi:
         m = int(round(t / dt))
         detuned = dyn.ControlGrid.constant([0.0, 0.0, -0.5 * (1 + 1e-4)], m, dt)
         traj = dyn.propagate(prob, detuned)
-        drho = fisher.terminal_derivative(traj)
+        drho = traj.final_state_derivative
         q = fisher.qfi(traj.final_state, drho)
         c = fisher.cfi(traj.final_state, drho, fisher.Povm.plus_minus())
         assert c == pytest.approx(q, rel=1e-8)
@@ -207,13 +207,13 @@ class TestTerminalDerivative:
     def test_zero_horizon(self):
         prob = dyn.frequency_estimation_problem(1.0, None, dyn.plus_state(), 0.0)
         traj = dyn.propagate(prob, dyn.ControlGrid(np.zeros((0, 3)), 0.5))
-        np.testing.assert_allclose(fisher.terminal_derivative(traj), 0.0)
+        np.testing.assert_allclose(traj.final_state_derivative, 0.0)
 
     def test_unitary_growth_gives_t_squared(self):
         t = 2.0
         prob = dyn.frequency_estimation_problem(1.0, None, dyn.plus_state(), t)
         traj = dyn.propagate(prob, dyn.ControlGrid.zeros(int(t / 1e-3), 3, 1e-3))
-        value = fisher.qfi(traj.final_state, fisher.terminal_derivative(traj))
+        value = fisher.qfi(traj.final_state, traj.final_state_derivative)
         assert value == pytest.approx(t * t, abs=1e-6)
 
     def test_matches_finite_difference_on_random_noisy_instance(self):
@@ -228,4 +228,4 @@ class TestTerminalDerivative:
             dyn.propagate(prob, grid, x=1.0 + delta).final_state
             - dyn.propagate(prob, grid, x=1.0 - delta).final_state
         ) / (2 * delta)
-        assert np.abs(fd - fisher.terminal_derivative(traj)).max() < 1e-6
+        assert np.abs(fd - traj.final_state_derivative).max() < 1e-6

@@ -110,7 +110,7 @@ class TestParallelFreeQfi:
         noise = dyn.Dephasing(theta=0.0, phi=0.0, gamma=gamma)
         prob = dyn.frequency_estimation_problem(1.0, noise, dyn.plus_state(), t)
         traj = dyn.propagate(prob, dyn.ControlGrid.zeros(int(t / 1e-3), 3, 1e-3))
-        value = fisher.qfi(traj.final_state, fisher.terminal_derivative(traj))
+        value = fisher.qfi(traj.final_state, traj.final_state_derivative)
         assert value == pytest.approx(oracles.parallel_free_qfi(gamma, t), rel=1e-4)
 
 
@@ -246,7 +246,7 @@ class TestSpontaneousFree:
         noise = dyn.SpontaneousEmission(0.0, gamma)
         prob = dyn.frequency_estimation_problem(1.0, noise, dyn.plus_state(), t)
         traj = dyn.propagate(prob, dyn.ControlGrid.zeros(int(t / 1e-3), 3, 1e-3))
-        value = fisher.qfi(traj.final_state, fisher.terminal_derivative(traj))
+        value = fisher.qfi(traj.final_state, traj.final_state_derivative)
         assert value == pytest.approx(oracles.spontaneous_free_qfi(0.0, gamma, t), rel=1e-4)
 
     def test_free_qfi_peak_at_two_over_rate(self):
