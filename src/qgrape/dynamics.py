@@ -13,6 +13,11 @@ on them are 4x4 matrices.  With this stacking, ``rho -> A rho B`` has matrix
 ``B.T (x) A`` and the commutator map ``[H, .]`` has matrix
 ``kron(I, H) - kron(H.T, I)``.
 
+Propagation works on stacks over the time axis: :func:`propagate` builds the
+generators of all m steps at once, exponentiates the (m, 4, 4) stack with one
+``scipy.linalg.expm`` call, and loops only over the 4-vector state and
+sensitivity recursion.
+
 Conventions (fixed once, asserted by tests):
 
 * ``|0>`` is the +1 eigenvector of ``sigma_z``; ``sigma_plus`` maps
@@ -27,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -105,12 +109,11 @@ def _check_hermitian(mat: np.ndarray, name: str, tol: float = HERMITICITY_TOL) -
         raise ValidationError(f"{name} is not Hermitian (deviation {dev:.3e} > {tol:.0e})")
 
 
-def _eigvals_2x2_hermitian(rho: np.ndarray) -> tuple[float, float]:
-    # closed form; avoids a LAPACK call in per-step validation
-    tr = float(rho[0, 0].real + rho[1, 1].real)
-    det = float((rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real)
-    disc = max(tr * tr - 4.0 * det, 0.0)
-    root = math.sqrt(disc)
+def _eigvals_2x2_hermitian(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # closed form over any leading axes; avoids a LAPACK call per state
+    tr = rho[..., 0, 0].real + rho[..., 1, 1].real
+    det = (rho[..., 0, 0] * rho[..., 1, 1] - rho[..., 0, 1] * rho[..., 1, 0]).real
+    root = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
     return (tr - root) / 2.0, (tr + root) / 2.0
 
 
@@ -149,13 +152,16 @@ def density_from_bloch(r: Sequence[float]) -> np.ndarray:
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
-    """Column-major stacking of a 2x2 matrix into a 4-vector."""
-    return np.asarray(rho, dtype=complex).reshape(4, order="F")
+    """Column-major stacking of a 2x2 matrix into a 4-vector, or of each
+    matrix in a stack (leading axes are kept)."""
+    rho = np.asarray(rho, dtype=complex)
+    return rho.reshape(rho.shape[:-2] + (4,), order="F")
 
 
 def unvectorize(vec: np.ndarray) -> np.ndarray:
     """Inverse of :func:`vectorize`."""
-    return np.asarray(vec, dtype=complex).reshape((2, 2), order="F")
+    vec = np.asarray(vec, dtype=complex)
+    return vec.reshape(vec.shape[:-1] + (2, 2), order="F")
 
 
 def commutator_superop(hamiltonian: np.ndarray) -> np.ndarray:
@@ -327,6 +333,16 @@ class ControlGrid:
         return ControlGrid(np.tile(row, (n_steps, 1)), dt)
 
 
+def _liouvillians(problem: EstimationProblem, amplitudes: np.ndarray, x: float) -> np.ndarray:
+    """Stack (m, 4, 4) of the generators for an (m, p) amplitude table."""
+    h_free = np.asarray(problem.free_hamiltonian(x), dtype=complex)
+    _check_hermitian(h_free, "free Hamiltonian")
+    gens = np.array(problem.control_generators, dtype=complex).reshape(-1, 2, 2)
+    h = h_free + np.einsum("jk,kab->jab", amplitudes, gens)
+    comm = np.kron(IDENTITY, h) - np.kron(h.transpose(0, 2, 1), IDENTITY)
+    return -1j * comm + dissipator(problem.noise)
+
+
 def build_liouvillian(
     problem: EstimationProblem, controls_at_step: Sequence[float], x: float
 ) -> np.ndarray:
@@ -336,30 +352,17 @@ def build_liouvillian(
         raise ValidationError(
             f"expected {problem.n_controls} control amplitudes, got shape {amps.shape}"
         )
-    h = np.array(problem.free_hamiltonian(x), dtype=complex)
-    for v, gen in zip(amps, problem.control_generators):
-        h = h + v * gen
-    return -1j * commutator_superop(h) + dissipator(problem.noise)
-
-
-@lru_cache(maxsize=200_000)
-def _expm_cached(generator_bytes: bytes, dt: float) -> np.ndarray:
-    gen = np.frombuffer(generator_bytes, dtype=complex).reshape(4, 4)
-    prop = expm(dt * gen)
-    prop.setflags(write=False)
-    return prop
+    if not np.all(np.isfinite(amps)):
+        raise ValidationError("control amplitudes must be finite")
+    return _liouvillians(problem, amps[None, :], x)[0]
 
 
 def step_propagator(liouvillian: np.ndarray, dt: float) -> np.ndarray:
-    """Matrix exponential ``exp(dt * L)``.
-
-    Results are memoized on the generator's bytes; the exponential is a pure
-    function, and schedules encountered in sweeps repeat generators heavily.
-    """
+    """Matrix exponential ``exp(dt * L)`` of one 4x4 generator, or of every
+    generator in an (m, 4, 4) stack."""
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
-    lv = np.ascontiguousarray(liouvillian, dtype=complex)
-    return _expm_cached(lv.tobytes(), float(dt))
+    return expm(dt * np.asarray(liouvillian, dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,12 +401,15 @@ def propagate(
 ) -> Trajectory:
     """Propagate the probe through all steps, accumulating sensitivities.
 
-    The sensitivity recursion is ``phi_j = E_j phi_{j-1} + G(rho_j)`` with
-    ``phi_0 = 0`` and ``G = -i [dH0/dx, .]``, which telescopes to
+    The generators and step propagators of all steps are built as (m, 4, 4)
+    stacks; only the recursions below run step by step.  The sensitivity
+    recursion is ``phi_j = E_j phi_{j-1} + G(rho_j)`` with ``phi_0 = 0`` and
+    ``G = -i [dH0/dx, .]``, which telescopes to
     ``d(rho_j)/dx = dt * sum_{i<=j} D_{i+1}^j G(rho_i)``.
 
-    Raises :class:`NumericalStabilityError` (naming the step) if an
-    intermediate state loses positivity beyond the hard floor.
+    Raises :class:`NumericalStabilityError` (naming the first such step) if an
+    intermediate state loses positivity beyond the hard floor, its trace, or
+    finiteness.
     """
     if x is None:
         x = problem.x
@@ -418,47 +424,38 @@ def propagate(
             f"{problem.horizon!r}"
         )
 
-    gamma_super = dissipator(problem.noise)
-    h_free = np.array(problem.free_hamiltonian(x), dtype=complex)
+    lious = _liouvillians(problem, grid.amplitudes, x)
+    props = step_propagator(lious, grid.dt)
     dgen = -1j * commutator_superop(problem.free_hamiltonian_derivative(x))
-    gens = problem.control_generators
 
-    states = np.empty((m + 1, 2, 2), dtype=complex)
-    phis = np.empty((m + 1, 2, 2), dtype=complex)
-    props = np.empty((m, 4, 4), dtype=complex)
-    lious = np.empty((m, 4, 4), dtype=complex)
-    states[0] = problem.probe
-    phis[0] = 0.0
-
-    rho_v = vectorize(problem.probe)
-    phi_v = np.zeros(4, dtype=complex)
-    for j in range(m):
-        h = h_free.copy()
-        for v, gen in zip(grid.amplitudes[j], gens):
-            h += v * gen
-        liouvillian = -1j * (np.kron(IDENTITY, h) - np.kron(h.T, IDENTITY)) + gamma_super
-        prop = step_propagator(liouvillian, grid.dt)
-        rho_v = prop @ rho_v
-        phi_v = prop @ phi_v + dgen @ rho_v
-
-        rho = unvectorize(rho_v)
-        lo, _ = _eigvals_2x2_hermitian(rho)
-        if lo < -POSITIVITY_HARD_FLOOR or abs(rho[0, 0] + rho[1, 1] - 1.0) > 1e-8:
-            raise NumericalStabilityError(
-                f"state lost positivity/trace at step {j + 1} "
-                f"(min eigenvalue {lo:.3e})",
-                step=j + 1,
-            )
-        props[j] = prop
-        lious[j] = liouvillian
-        states[j + 1] = rho
-        phis[j + 1] = unvectorize(phi_v)
+    rho_v = np.empty((m + 1, 4), dtype=complex)
+    phi_v = np.empty((m + 1, 4), dtype=complex)
+    rho_v[0] = vectorize(problem.probe)
+    phi_v[0] = 0.0
+    # past a bad step the recursion may overflow; the check below reports the
+    # first bad step, so the floating-point warnings of later ones are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(m):
+            rho_v[j + 1] = props[j] @ rho_v[j]
+            phi_v[j + 1] = props[j] @ phi_v[j] + dgen @ rho_v[j + 1]
+        states = np.ascontiguousarray(unvectorize(rho_v))
+        lo, _ = _eigvals_2x2_hermitian(states[1:])
+        trace_dev = np.abs(states[1:, 0, 0] + states[1:, 1, 1] - 1.0)
+        # written as "not good" so that a NaN state counts as bad
+        bad = ~((lo >= -POSITIVITY_HARD_FLOOR) & (trace_dev <= 1e-8))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise NumericalStabilityError(
+            f"state lost positivity/trace at step {j + 1} "
+            f"(min eigenvalue {lo[j]:.3e})",
+            step=j + 1,
+        )
 
     return Trajectory(
         states=states,
         step_propagators=props,
         liouvillians=lious,
-        phi=phis,
+        phi=np.ascontiguousarray(unvectorize(phi_v)),
         dt=grid.dt,
         x=x,
     )

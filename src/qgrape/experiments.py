@@ -476,7 +476,8 @@ def _best_single_pulse(config: ScenarioConfig, horizon: float, n_grid: int = 400
 def _oracle_curve(config: ScenarioConfig, horizon: float) -> float:
     """Reference curve for time scans: the held-at-plus closed form for
     transverse dephasing, the best single-pulse value for parallel dephasing
-    and spontaneous emission, T^2 without noise."""
+    and for spontaneous emission without a raising rate, T^2 without noise,
+    and ``nan`` where none of these applies."""
     if config.noise_kind == "none":
         return horizon**2
     if config.noise_kind == "dephasing":
@@ -484,6 +485,8 @@ def _oracle_curve(config: ScenarioConfig, horizon: float) -> float:
             return oracles.transverse_controlled_qfi(config.noise_gamma, horizon)
         if abs(config.noise_theta) < 1e-9:
             return _best_single_pulse(config, horizon)
+        return math.nan
+    if config.noise_gamma_plus != 0.0:
         return math.nan
     return _best_single_pulse(config, horizon)
 
@@ -537,6 +540,8 @@ def _t0_axis(config: ScenarioConfig):
         raise ConfigError("single-pulse analysis covers parallel dephasing (theta = 0)")
     if config.noise_kind == "none":
         raise ConfigError("single-pulse analysis requires a noise model")
+    if config.noise_kind == "spontaneous" and config.noise_gamma_plus != 0.0:
+        raise ConfigError("single-pulse analysis of spontaneous emission assumes gamma_plus = 0")
     if config.sweep_start < 0 or config.sweep_stop > config.horizon:
         raise ConfigError("t0 grid must lie within [0, T]")
     if config.noise_kind == "dephasing":

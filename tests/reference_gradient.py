@@ -1,8 +1,11 @@
-"""The paper's gradient operators evaluated by their literal sums.
+"""Reference gradients for the suite.
 
-``M1_j``, ``M2_j`` and ``M3_j`` (see :mod:`qgrape.grape`) are accumulated
-term by term, which is quadratic in the step count.  The suite checks the
-library's one-sweep ``adjoint`` gradient against this reference.
+The paper's gradient operators ``M1_j``, ``M2_j`` and ``M3_j`` (see
+:mod:`qgrape.grape`) are accumulated term by term, which is quadratic in the
+step count; the suite checks the library's one-sweep ``adjoint`` gradient
+against them.  The exact gradient is also kept here in its looped form, one
+8x8 block exponential per step and control, as the reference for the
+library's stacked version.
 """
 
 from __future__ import annotations
@@ -10,8 +13,15 @@ from __future__ import annotations
 import logging
 
 import numpy as np
+from scipy.linalg import expm
 
-from qgrape.dynamics import EstimationProblem, Trajectory, unvectorize, vectorize
+from qgrape.dynamics import (
+    EstimationProblem,
+    Trajectory,
+    commutator_superop,
+    unvectorize,
+    vectorize,
+)
 from qgrape.errors import ValidationError
 from qgrape.grape import Objective, _commutator, _objective_weights
 
@@ -93,3 +103,77 @@ def naive_gradient(
     the same objective weights as :func:`qgrape.grape.gradient`."""
     w1, w2 = _objective_weights(traj, objective)
     return _gradient_naive(traj, problem, w1, w2)
+
+
+def backward_weights_stepwise(
+    traj: Trajectory, w1: np.ndarray, w2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``lam[j] = adj(D_{j+1}^m)(W1)`` and ``mu[j] = adj(D_{j+1}^m)(W2)``,
+    one 2x2 operator at a time."""
+    m = traj.n_steps
+    props = traj.step_propagators
+    lam = np.empty((m + 1, 2, 2), dtype=complex)
+    mu = np.empty((m + 1, 2, 2), dtype=complex)
+    lam[m] = w1
+    mu[m] = w2
+    for j in range(m, 0, -1):
+        adj = props[j - 1].conj().T
+        lam[j - 1] = unvectorize(adj @ vectorize(lam[j]))
+        mu[j - 1] = unvectorize(adj @ vectorize(mu[j]))
+    return lam, mu
+
+
+def _step_derivative_kernel(
+    liouvillian: np.ndarray, generator_derivative: np.ndarray, dt: float
+) -> np.ndarray:
+    """Exact amplitude derivative of one step propagator.
+
+    Returns ``B = integral_0^dt exp(s L) P exp((dt - s) L) ds`` for
+    ``P = dL/dV``, read off the upper-right block of
+    ``exp(dt [[L, P], [0, L]])``.
+    """
+    block = np.zeros((8, 8), dtype=complex)
+    block[:4, :4] = liouvillian
+    block[4:, 4:] = liouvillian
+    block[:4, 4:] = generator_derivative
+    return expm(dt * block)[:4, 4:]
+
+
+def _gradient_exact_looped(
+    traj: Trajectory, problem: EstimationProblem, w1: np.ndarray, w2: np.ndarray
+) -> np.ndarray:
+    m, p = traj.n_steps, problem.n_controls
+    dt = traj.dt
+    props = traj.step_propagators
+    dgen = -1j * commutator_superop(problem.free_hamiltonian_derivative(traj.x))
+    control_gens = [
+        -1j * commutator_superop(h_k) for h_k in problem.control_generators
+    ]
+    lam, mu = backward_weights_stepwise(traj, w1, w2)
+
+    q = np.zeros((m + 2, 4), dtype=complex)
+    for j in range(m, 0, -1):
+        h_row = vectorize(lam[j].T) @ dgen
+        q[j] = h_row + (q[j + 1] @ props[j] if j < m else 0.0)
+
+    grad = np.empty((m, p))
+    for j in range(1, m + 1):
+        liou = traj.liouvillians[j - 1]
+        rho_prev = vectorize(traj.states[j - 1])
+        phi_prev = vectorize(traj.phi[j - 1])
+        row_lam = vectorize(lam[j].T)
+        row_mix = 2.0 * dt * q[j] - vectorize(mu[j].T)
+        for k in range(p):
+            kernel = _step_derivative_kernel(liou, control_gens[k], dt)
+            value = 2.0 * dt * (row_lam @ kernel @ phi_prev) + row_mix @ kernel @ rho_prev
+            grad[j - 1, k] = value.real
+    return grad
+
+
+def looped_exact_gradient(
+    traj: Trajectory, problem: EstimationProblem, objective: Objective
+) -> np.ndarray:
+    """Exact gradient table (m, p) with one block exponential per step and
+    control, and the same objective weights as :func:`qgrape.grape.gradient`."""
+    w1, w2 = _objective_weights(traj, objective)
+    return _gradient_exact_looped(traj, problem, w1, w2)

@@ -171,6 +171,24 @@ class TestTimeScan:
         for row in record.tables["horizon_scan"]:
             assert row["qfi"] >= 0.95 * row["oracle_qfi"]
 
+    def test_emission_with_raising_rate_keeps_optimized_points(self):
+        # the single-pulse reference assumes gamma_plus = 0, so it reads nan
+        config = small_sweep_config(
+            noise_kind="spontaneous",
+            noise_gamma_plus=0.02,
+            noise_gamma_minus=0.1,
+            sweep_axis="horizon",
+            sweep_start=1.0,
+            sweep_stop=2.0,
+            sweep_points=2,
+        )
+        record = exp.run_sweep(config)
+        assert record.flagged == []
+        assert len(record.schedules) == 2
+        for row in record.tables["horizon_scan"]:
+            assert math.isfinite(row["qfi"]) and math.isfinite(row["cfi"])
+            assert math.isnan(row["oracle_qfi"])
+
 
 class TestRobustnessScan:
     def test_fixed_controls_under_mismatch(self):
@@ -214,6 +232,19 @@ class TestPulseScan:
     def test_transverse_pulse_scan_rejected(self):
         config = small_sweep_config(sweep_axis="t0", sweep_stop=1.0)
         with pytest.raises(ConfigError):
+            exp.run_sweep(config)
+
+    def test_emission_pulse_scan_with_raising_rate_rejected(self):
+        config = small_sweep_config(
+            noise_kind="spontaneous",
+            noise_gamma_plus=0.02,
+            noise_gamma_minus=0.1,
+            sweep_axis="t0",
+            sweep_start=0.0,
+            sweep_stop=2.0,
+            sweep_points=41,
+        )
+        with pytest.raises(ConfigError, match="gamma_plus"):
             exp.run_sweep(config)
 
     def test_spontaneous_pulse_scan_shows_gain_only_for_long_horizons(self):

@@ -126,6 +126,37 @@ class TestGradientPaths:
                 rel = diff / np.maximum(np.abs(numeric), 1e-300)
                 assert ((rel <= 1e-4) | (diff <= 1e-8)).all(), name
 
+    def test_stacked_exact_matches_looped_reference(self):
+        rng = np.random.default_rng(8)
+        povm = fisher.Povm.plus_minus()
+        for name, noise in NOISE_MODELS.items():
+            m, dt = 30, 0.05
+            prob = make_problem(noise, horizon=m * dt)
+            traj = dyn.propagate(prob, random_schedule(rng, m, dt))
+            for objective in (grape.qfi_objective(), grape.cfi_objective(povm)):
+                looped = ref.looped_exact_gradient(traj, prob, objective)
+                stacked = grape.gradient(traj, prob, objective, method="exact")
+                # summation order differs; entries far below the table's
+                # largest carry that entry's rounding
+                np.testing.assert_allclose(
+                    stacked, looped, rtol=1e-12, atol=1e-12 * np.abs(looped).max(),
+                    err_msg=f"{name} {objective.kind}",
+                )
+
+    def test_backward_weights_equal_stepwise_reference(self):
+        # the adjoint gradient, and through it every sweep table, reads these
+        rng = np.random.default_rng(9)
+        for name, noise in NOISE_MODELS.items():
+            m, dt = 30, 0.05
+            prob = make_problem(noise, horizon=m * dt)
+            traj = dyn.propagate(prob, random_schedule(rng, m, dt))
+            w1, w2 = grape._objective_weights(traj, grape.qfi_objective())
+            for got, want in zip(
+                grape._backward_weights(traj, w1, w2),
+                ref.backward_weights_stepwise(traj, w1, w2),
+            ):
+                np.testing.assert_array_equal(got, want, err_msg=name)
+
     def test_first_order_identity_error_shrinks_linearly_in_dt(self):
         # the operator-identity paths approximate the step derivative to
         # first order; halving dt must roughly halve their deviation
