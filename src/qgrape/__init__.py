@@ -31,7 +31,6 @@ from .grape import (
     ascend,
     cfi_objective,
     finite_difference_gradient,
-    gradient_cfi,
-    gradient_qfi,
+    gradient,
     qfi_objective,
 )

@@ -22,7 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import experiments, oracles
-from .dynamics import ControlGrid, propagate
+from .dynamics import ControlGrid, propagate, step_count
 from .errors import ConfigError, QGrapeError, ValidationError
 from .fisher import cfi, qfi
 from .grape import ascend
@@ -110,7 +110,7 @@ def _cmd_simulate(args) -> int:
     if args.schedule is not None:
         grid = read_schedule(args.schedule)
     else:
-        m = experiments._steps_for(config.horizon, config.dt)
+        m = step_count(config.horizon, config.dt)
         grid = ControlGrid.zeros(m, problem.n_controls, config.dt)
     traj = propagate(problem, grid, x=config.omega0_true)
     drho = traj.final_state_derivative

@@ -65,6 +65,7 @@ __all__ = [
     "frequency_estimation_problem",
     "ControlGrid",
     "build_liouvillian",
+    "step_count",
     "step_propagator",
     "Trajectory",
     "propagate",
@@ -102,9 +103,14 @@ def plus_state() -> np.ndarray:
 def _check_hermitian(mat: np.ndarray, name: str, tol: float = HERMITICITY_TOL) -> None:
     if mat.shape != (2, 2):
         raise ValidationError(f"{name} must be 2x2, got shape {mat.shape}")
+    _check_hermitian_stack(mat, name, tol)
+
+
+def _check_hermitian_stack(mat: np.ndarray, name: str, tol: float = HERMITICITY_TOL) -> None:
+    # one vectorized test over any leading axes, so stacks cost no Python loop
     if not np.all(np.isfinite(mat)):
         raise ValidationError(f"{name} contains non-finite entries")
-    dev = np.abs(mat - mat.conj().T).max()
+    dev = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(initial=0.0)
     if dev > tol:
         raise ValidationError(f"{name} is not Hermitian (deviation {dev:.3e} > {tol:.0e})")
 
@@ -165,10 +171,13 @@ def unvectorize(vec: np.ndarray) -> np.ndarray:
 
 
 def commutator_superop(hamiltonian: np.ndarray) -> np.ndarray:
-    """4x4 matrix of ``rho -> [H, rho]`` in the column-major vectorization."""
+    """4x4 matrix of ``rho -> [H, rho]`` in the column-major vectorization,
+    or the (n, 4, 4) stack of them for an (n, 2, 2) stack of Hamiltonians."""
     h = np.asarray(hamiltonian, dtype=complex)
-    _check_hermitian(h, "Hamiltonian")
-    return np.kron(IDENTITY, h) - np.kron(h.T, IDENTITY)
+    if h.ndim not in (2, 3) or h.shape[-2:] != (2, 2):
+        raise ValidationError(f"Hamiltonian must be 2x2 or a stack of 2x2, got shape {h.shape}")
+    _check_hermitian_stack(h, "Hamiltonian")
+    return np.kron(IDENTITY, h) - np.kron(h.swapaxes(-1, -2), IDENTITY)
 
 
 @dataclass(frozen=True)
@@ -334,13 +343,12 @@ class ControlGrid:
 
 
 def _liouvillians(problem: EstimationProblem, amplitudes: np.ndarray, x: float) -> np.ndarray:
-    """Stack (m, 4, 4) of the generators for an (m, p) amplitude table."""
+    """Stack (m, 4, 4) of the generators for an (m, p) amplitude table.  The
+    Hermiticity check on the Hamiltonian stack covers the free part at x."""
     h_free = np.asarray(problem.free_hamiltonian(x), dtype=complex)
-    _check_hermitian(h_free, "free Hamiltonian")
     gens = np.array(problem.control_generators, dtype=complex).reshape(-1, 2, 2)
     h = h_free + np.einsum("jk,kab->jab", amplitudes, gens)
-    comm = np.kron(IDENTITY, h) - np.kron(h.transpose(0, 2, 1), IDENTITY)
-    return -1j * comm + dissipator(problem.noise)
+    return -1j * commutator_superop(h) + dissipator(problem.noise)
 
 
 def build_liouvillian(
@@ -355,6 +363,15 @@ def build_liouvillian(
     if not np.all(np.isfinite(amps)):
         raise ValidationError("control amplitudes must be finite")
     return _liouvillians(problem, amps[None, :], x)[0]
+
+
+def step_count(horizon: float, dt: float) -> int:
+    """Number of control steps of width ``dt`` that make up ``horizon``; the
+    horizon must be a positive multiple of ``dt``."""
+    m = round(horizon / dt)
+    if m < 1 or abs(m * dt - horizon) > 1e-9:
+        raise ValidationError(f"horizon {horizon} is not a positive multiple of dt {dt}")
+    return m
 
 
 def step_propagator(liouvillian: np.ndarray, dt: float) -> np.ndarray:

@@ -22,9 +22,7 @@ keys:
 ``ascent.max_iterations``   iteration cap
 ``ascent.convergence_tolerance``  relative objective-change tolerance
 ``ascent.seed``             RNG seed for initialization
-``ascent.init_mode``        ``zero`` | ``random``
-``ascent.init_low/high``    uniform init bounds
-``ascent.backtracking``     ``true`` | ``false``
+``ascent.init_mode``        ``zero`` | ``random`` (uniform in [-1, 1])
 ``sweep``                   ``theta`` | ``omega_hat`` | ``t0`` | ``horizon``
 ``sweep.start/stop``        sweep-axis bounds
 ``sweep.points``            grid size (strictly increasing grid required)
@@ -62,6 +60,7 @@ from .dynamics import (
     frequency_estimation_problem,
     plus_state,
     propagate,
+    step_count,
     zero_state,
 )
 from .errors import ConfigError, QGrapeError
@@ -174,8 +173,6 @@ def _parse_probe(text: str) -> np.ndarray:
     raise ConfigError(f"probe must be 'plus', 'zero', or 'r1,r2,r3', got {text!r}")
 
 
-_BOOL = {"true": True, "false": False}
-
 _SCALAR_KEYS = {
     "noise": str,
     "noise.theta": float,
@@ -195,9 +192,6 @@ _SCALAR_KEYS = {
     "ascent.convergence_tolerance": float,
     "ascent.seed": int,
     "ascent.init_mode": str,
-    "ascent.init_low": float,
-    "ascent.init_high": float,
-    "ascent.backtracking": str,
     "sweep": str,
     "sweep.start": float,
     "sweep.stop": float,
@@ -236,9 +230,6 @@ def _config_from_values(values: dict, source: str) -> ScenarioConfig:
     init_mode = values.get("ascent.init_mode", "random")
     if init_mode not in ("random", "zero"):
         raise ConfigError(f"{source}: ascent.init_mode must be 'random' or 'zero'")
-    backtracking = values.get("ascent.backtracking", "true")
-    if backtracking not in _BOOL:
-        raise ConfigError(f"{source}: ascent.backtracking must be true or false")
     ascent = AscentConfig(
         dt=dt,
         step_size=float(values.get("ascent.step_size", 0.1)),
@@ -246,9 +237,6 @@ def _config_from_values(values: dict, source: str) -> ScenarioConfig:
         convergence_tolerance=float(values.get("ascent.convergence_tolerance", 1e-8)),
         seed=int(values.get("ascent.seed", 0)),
         init_mode="zero" if init_mode == "zero" else "random_uniform",
-        init_low=float(values.get("ascent.init_low", -1.0)),
-        init_high=float(values.get("ascent.init_high", 1.0)),
-        backtracking=_BOOL[backtracking],
     )
     try:
         return ScenarioConfig(
@@ -309,9 +297,6 @@ def config_snapshot(config: ScenarioConfig) -> str:
             f"ascent.convergence_tolerance = {a.convergence_tolerance!r}",
             f"ascent.seed = {a.seed}",
             f"ascent.init_mode = {'zero' if a.init_mode == 'zero' else 'random'}",
-            f"ascent.init_low = {a.init_low!r}",
-            f"ascent.init_high = {a.init_high!r}",
-            f"ascent.backtracking = {'true' if a.backtracking else 'false'}",
         ]
     if config.sweep_axis is not None:
         lines += [
@@ -364,13 +349,6 @@ def _scenario_problem(
         probe=config.probe_state() if probe is None else probe,
         horizon=config.horizon if horizon is None else horizon,
     )
-
-
-def _steps_for(horizon: float, dt: float) -> int:
-    m = round(horizon / dt)
-    if m < 1 or abs(m * dt - horizon) > 1e-9:
-        raise ConfigError(f"horizon {horizon} is not a positive multiple of dt {dt}")
-    return m
 
 
 def _qfi_cfi_of_grid(
@@ -431,7 +409,7 @@ def _theta_axis(config: ScenarioConfig):
     """
     if config.noise_kind != "dephasing":
         raise ConfigError("theta sweep requires dephasing noise")
-    m = _steps_for(config.horizon, config.dt)
+    m = step_count(config.horizon, config.dt)
     povm = config.povm()
     probes = {"theta_probe_plus": plus_state(), "theta_probe_zero": zero_state()}
 
@@ -501,7 +479,7 @@ def _horizon_axis(config: ScenarioConfig):
     povm = config.povm()
 
     def point(index: int, horizon: float):
-        m = _steps_for(horizon, config.dt)
+        m = step_count(horizon, config.dt)
         problem = _scenario_problem(config, config.design_frequency, horizon=horizon)
         metrics, amplitudes = _optimized_metrics(
             config, problem, m, povm, index, oracle_qfi=_oracle_curve(config, horizon)
@@ -518,7 +496,7 @@ def _omega_hat_axis(config: ScenarioConfig):
     the true frequency swept across the grid; the uncontrolled baseline is
     evaluated at the same true frequencies.
     """
-    m = _steps_for(config.horizon, config.dt)
+    m = step_count(config.horizon, config.dt)
     povm = config.povm()
     design_problem = _scenario_problem(config, config.design_frequency)
     grid, _ = _optimize(design_problem, config, config.ascent.seed)

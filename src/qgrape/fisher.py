@@ -16,11 +16,11 @@ from .dynamics import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, validate_density
 from .errors import InconsistentInputError, SingularOutcomeError, ValidationError
 
 __all__ = [
-    "SldOperator",
     "sld",
     "qfi",
     "qfi_bloch",
     "Povm",
+    "informative_outcomes",
     "cfi",
 ]
 
@@ -43,15 +43,7 @@ def _check_state_derivative(drho: np.ndarray) -> np.ndarray:
     return drho
 
 
-@dataclass(frozen=True, eq=False)
-class SldOperator:
-    """Symmetric logarithmic derivative with the rank cutoff used to build it."""
-
-    matrix: np.ndarray
-    rank_tolerance: float
-
-
-def sld(rho: np.ndarray, drho: np.ndarray, tol: float = SLD_RANK_TOL) -> SldOperator:
+def sld(rho: np.ndarray, drho: np.ndarray, tol: float = SLD_RANK_TOL) -> np.ndarray:
     """Solve ``2 drho = rho L + L rho`` in the eigenbasis of rho.
 
     Matrix elements on eigenvalue pairs with ``lam_i + lam_j <= tol`` are set
@@ -64,13 +56,12 @@ def sld(rho: np.ndarray, drho: np.ndarray, tol: float = SLD_RANK_TOL) -> SldOper
     pair_sums = lam[:, None] + lam[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         elements = np.where(pair_sums > tol, 2.0 * d_in_basis / pair_sums, 0.0)
-    matrix = basis @ elements @ basis.conj().T
-    return SldOperator(matrix=matrix, rank_tolerance=tol)
+    return basis @ elements @ basis.conj().T
 
 
 def qfi(rho: np.ndarray, drho: np.ndarray, tol: float = SLD_RANK_TOL) -> float:
     """Quantum Fisher information ``Tr(rho L^2)``; nonnegative."""
-    l_op = sld(rho, drho, tol=tol).matrix
+    l_op = sld(rho, drho, tol=tol)
     value = np.trace(rho @ l_op @ l_op).real
     return float(max(value, 0.0))
 
@@ -139,33 +130,34 @@ class Povm:
         return Povm((0.5 * (IDENTITY + op), 0.5 * (IDENTITY - op)))
 
 
-def outcome_statistics(
-    rho: np.ndarray, drho: np.ndarray, povm: Povm
-) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome probabilities and their parameter derivatives."""
-    probs = np.array([np.trace(rho @ e).real for e in povm.effects])
-    dprobs = np.array([np.trace(drho @ e).real for e in povm.effects])
-    return probs, dprobs
+def informative_outcomes(rho: np.ndarray, drho: np.ndarray, povm: Povm) -> list[tuple]:
+    """``(p_y, dp_y/dx, E_y)`` for every outcome that carries information.
 
-
-def cfi(rho: np.ndarray, drho: np.ndarray, povm: Povm) -> float:
-    """Classical Fisher information of the POVM outcome distribution.
-
-    Outcomes with vanishing probability contribute zero when their derivative
-    also vanishes; a zero-probability outcome with nonzero derivative means
+    An outcome whose probability and derivative both vanish carries none and
+    is left out; a zero-probability outcome with nonzero derivative means
     divergent information and raises :class:`SingularOutcomeError`.
     """
-    validate_density(rho)
-    drho = _check_state_derivative(drho)
-    probs, dprobs = outcome_statistics(rho, drho, povm)
-    total = 0.0
-    for y, (p, dp) in enumerate(zip(probs, dprobs)):
+    terms = []
+    for y, effect in enumerate(povm.effects):
+        p = np.trace(rho @ effect).real
+        dp = np.trace(drho @ effect).real
         if p < OUTCOME_PROB_FLOOR:
             if abs(dp) < OUTCOME_DERIV_FLOOR:
                 continue
             raise SingularOutcomeError(
                 f"outcome {y} has probability {p:.3e} but derivative {dp:.3e}"
             )
+        terms.append((p, dp, effect))
+    return terms
+
+
+def cfi(rho: np.ndarray, drho: np.ndarray, povm: Povm) -> float:
+    """Classical Fisher information of the POVM outcome distribution, summed
+    over the outcomes of :func:`informative_outcomes`."""
+    validate_density(rho)
+    drho = _check_state_derivative(drho)
+    total = 0.0
+    for p, dp, _ in informative_outcomes(rho, drho, povm):
         total += dp * dp / p
     return float(total)
 

@@ -28,9 +28,15 @@ optimization target.  Two gradient evaluations are provided:
 * ``adjoint``: the operator identity above, which replaces each step
   derivative by its leading term ``-i dt [H_k, .] exp(dt L_j)``.  It is exact
   only to first order in ``dt`` (error ``O(dt)`` relative, set by commutator
-  scales) but needs one backward sweep and no extra exponentials; gradient
-  ascent uses it.  The test suite checks it against the literal operator sums
-  above.
+  scales) but needs one backward sweep and no extra exponentials.  The test
+  suite checks it against the literal operator sums above.
+
+Both stay: ascent defaults to ``adjoint``, which reaches the same optima in
+much less time, while ``exact`` is the gradient checked to finite-difference
+precision.  On the benchmark's horizon sweep (spontaneous emission, T = 1..6,
+60 iterations, seeds 11-13, one BLAS thread, 2-vCPU host) a sweep took
+1.5-1.7 s with ``adjoint`` and 2.7-3.2 s with ``exact``, whose mean
+qfi/oracle ratio was only 0.1% higher.
 """
 
 from __future__ import annotations
@@ -47,10 +53,11 @@ from .dynamics import (
     Trajectory,
     commutator_superop,
     propagate,
+    step_count,
     unvectorize,
     vectorize,
 )
-from .errors import QGrapeError, SingularOutcomeError, ValidationError
+from .errors import QGrapeError, ValidationError
 from .fisher import Povm, sld
 
 __all__ = [
@@ -59,8 +66,7 @@ __all__ = [
     "cfi_objective",
     "objective_value",
     "evaluate_objective",
-    "gradient_qfi",
-    "gradient_cfi",
+    "gradient",
     "finite_difference_gradient",
     "AscentConfig",
     "AscentReport",
@@ -123,18 +129,11 @@ def _objective_weights(
     rho = traj.final_state
     drho = traj.final_state_derivative
     if objective.kind == "qfi":
-        l_op = sld(rho, drho).matrix
+        l_op = sld(rho, drho)
         return l_op, l_op @ l_op
-    probs, dprobs = fisher.outcome_statistics(rho, drho, objective.povm)
     w1 = np.zeros((2, 2), dtype=complex)
     w2 = np.zeros((2, 2), dtype=complex)
-    for y, (p, dp, effect) in enumerate(zip(probs, dprobs, objective.povm.effects)):
-        if p < fisher.OUTCOME_PROB_FLOOR:
-            if abs(dp) < fisher.OUTCOME_DERIV_FLOOR:
-                continue
-            raise SingularOutcomeError(
-                f"outcome {y} has probability {p:.3e} but derivative {dp:.3e}"
-            )
+    for p, dp, effect in fisher.informative_outcomes(rho, drho, objective.povm):
         ratio = dp / p
         w1 += ratio * effect
         w2 += ratio * ratio * effect
@@ -223,10 +222,11 @@ def _gradient_exact(
     for j in range(m - 1, 0, -1):
         q[j] = source_rows[j] + q[j + 1] @ props[j]
 
+    gens = np.array(problem.control_generators, dtype=complex).reshape(-1, 2, 2)
     block = np.zeros((m, 4 * (p + 1), 4 * (p + 1)), dtype=complex)
     block[:, :4, :4] = traj.liouvillians
-    for k, h_k in enumerate(problem.control_generators, start=1):
-        block[:, :4, 4 * k : 4 * k + 4] = -1j * commutator_superop(h_k)
+    for k, control_gen in enumerate(-1j * commutator_superop(gens), start=1):
+        block[:, :4, 4 * k : 4 * k + 4] = control_gen
         block[:, 4 * k : 4 * k + 4, 4 * k : 4 * k + 4] = traj.liouvillians
     kernels = expm(dt * block)[:, :4, 4:].reshape(m, 4, p, 4)
 
@@ -239,40 +239,18 @@ def _gradient_exact(
     return np.einsum("jsa,jakb,jsb->jk", rows, kernels, cols).real
 
 
-def gradient_qfi(
-    traj: Trajectory, problem: EstimationProblem, method: str = "exact"
-) -> np.ndarray:
-    """Gradient table (m, p) of the quantum Fisher information."""
-    w1, w2 = _objective_weights(traj, Objective(kind="qfi"))
-    return _dispatch_gradient(traj, problem, w1, w2, method)
-
-
-def gradient_cfi(
-    traj: Trajectory, problem: EstimationProblem, povm: Povm, method: str = "exact"
-) -> np.ndarray:
-    """Gradient table (m, p) of the classical Fisher information."""
-    w1, w2 = _objective_weights(traj, Objective(kind="cfi", povm=povm))
-    return _dispatch_gradient(traj, problem, w1, w2, method)
-
-
-def _dispatch_gradient(traj, problem, w1, w2, method) -> np.ndarray:
-    if method == "exact":
-        return _gradient_exact(traj, problem, w1, w2)
-    if method == "adjoint":
-        return _gradient_adjoint(traj, problem, w1, w2)
-    raise ValidationError(f"unknown gradient method {method!r}")
-
-
 def gradient(
     traj: Trajectory,
     problem: EstimationProblem,
     objective: Objective,
     method: str = "exact",
 ) -> np.ndarray:
-    """Gradient table for either objective kind."""
-    if objective.kind == "qfi":
-        return gradient_qfi(traj, problem, method=method)
-    return gradient_cfi(traj, problem, objective.povm, method=method)
+    """Gradient table (m, p) of the objective with respect to every control
+    amplitude, by the ``exact`` or the ``adjoint`` path."""
+    if method not in ("exact", "adjoint"):
+        raise ValidationError(f"unknown gradient method {method!r}")
+    path = _gradient_exact if method == "exact" else _gradient_adjoint
+    return path(traj, problem, *_objective_weights(traj, objective))
 
 
 def finite_difference_gradient(
@@ -305,12 +283,12 @@ class AscentConfig:
 
     ``dt`` fixes the control grid geometry (the step count follows from the
     problem horizon).  ``init_mode`` is one of ``zero``, ``random_uniform``
-    (amplitudes drawn from [init_low, init_high]), or ``user_supplied`` with
+    (amplitudes drawn uniformly from [-1, 1]), or ``user_supplied`` with
     ``initial_grid`` set.  Convergence is declared when the objective change
     stays below ``convergence_tolerance * max(1, |F|)`` for 10 consecutive
-    iterations.  With ``backtracking`` the step is halved (up to 20 times)
-    whenever it would decrease the objective, which makes the recorded
-    objective history non-decreasing.
+    iterations.  The step is halved (up to 20 times) whenever it would
+    decrease the objective, and a step that still decreases it is not taken,
+    so the recorded objective history is non-decreasing.
 
     ``momentum`` (heavy-ball coefficient, 0 disables) accelerates progress
     along the flat ridges these information landscapes develop; a momentum
@@ -324,9 +302,6 @@ class AscentConfig:
     convergence_tolerance: float = 1e-8
     seed: int = 0
     init_mode: str = "random_uniform"
-    init_low: float = -1.0
-    init_high: float = 1.0
-    backtracking: bool = True
     initial_grid: ControlGrid | None = None
     gradient_method: str = "adjoint"
     momentum: float = 0.0
@@ -363,16 +338,12 @@ class AscentReport:
 def _initial_grid(problem: EstimationProblem, config: AscentConfig) -> ControlGrid:
     if config.init_mode == "user_supplied":
         return config.initial_grid
-    m = round(problem.horizon / config.dt)
-    if abs(m * config.dt - problem.horizon) > 1e-9:
-        raise ValidationError(
-            f"horizon {problem.horizon} is not a multiple of dt {config.dt}"
-        )
+    m = step_count(problem.horizon, config.dt)
     p = problem.n_controls
     if config.init_mode == "zero":
         return ControlGrid.zeros(m, p, config.dt)
     rng = np.random.default_rng(config.seed)
-    amps = rng.uniform(config.init_low, config.init_high, size=(m, p))
+    amps = rng.uniform(-1.0, 1.0, size=(m, p))
     return ControlGrid(amps, config.dt)
 
 
@@ -416,10 +387,9 @@ def ascend(
                 try:
                     trial_traj = propagate(problem, trial)
                     trial_value = objective_value(trial_traj, objective)
-                    trial_usable = True
                 except QGrapeError:
-                    trial_usable = False
-                if trial_usable and (trial_value >= value or not config.backtracking):
+                    trial_value = -np.inf  # unusable trial: restart as below
+                if trial_value >= value:
                     cand, cand_traj, cand_value = trial, trial_traj, trial_value
                 else:
                     velocity = np.zeros_like(velocity)  # ridge overshoot; restart
@@ -428,16 +398,15 @@ def ascend(
                 cand = ControlGrid(grid.amplitudes + step * table, grid.dt)
                 cand_traj = propagate(problem, cand)
                 cand_value = objective_value(cand_traj, objective)
-                if config.backtracking:
-                    halvings = 0
-                    while cand_value < value and halvings < MAX_BACKTRACK_HALVINGS:
-                        step *= 0.5
-                        cand = ControlGrid(grid.amplitudes + step * table, grid.dt)
-                        cand_traj = propagate(problem, cand)
-                        cand_value = objective_value(cand_traj, objective)
-                        halvings += 1
-                    if cand_value < value:
-                        cand, cand_traj, cand_value = grid, traj, value
+                halvings = 0
+                while cand_value < value and halvings < MAX_BACKTRACK_HALVINGS:
+                    step *= 0.5
+                    cand = ControlGrid(grid.amplitudes + step * table, grid.dt)
+                    cand_traj = propagate(problem, cand)
+                    cand_value = objective_value(cand_traj, objective)
+                    halvings += 1
+                if cand_value < value:
+                    cand, cand_traj, cand_value = grid, traj, value
                 velocity = cand.amplitudes - grid.amplitudes
         except QGrapeError as exc:
             return AscentReport(

@@ -66,10 +66,17 @@ class TestCommutatorSuperop:
             sup = dyn.commutator_superop(h)
             out = dyn.unvectorize(sup @ dyn.vectorize(rho))
             np.testing.assert_allclose(out, h @ rho - rho @ h, atol=1e-12)
+        stack = np.array([random_hermitian(rng) for _ in range(3)])
+        np.testing.assert_array_equal(
+            dyn.commutator_superop(stack), [dyn.commutator_superop(h) for h in stack]
+        )
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):
             dyn.commutator_superop(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        stack = np.array([dyn.SIGMA_X, [[0.0, 1.0], [0.0, 0.0]], dyn.SIGMA_Z])
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            dyn.commutator_superop(stack)
 
 
 class TestDissipator:
@@ -229,6 +236,10 @@ class TestPropagate:
         prob = dyn.frequency_estimation_problem(1.0, None, dyn.plus_state(), 1.0)
         with pytest.raises(ValidationError):
             dyn.propagate(prob, dyn.ControlGrid.zeros(3, 3, 0.25))
+        assert dyn.step_count(1.0, 0.25) == 4
+        for horizon in (0.9, 0.0):
+            with pytest.raises(ValidationError, match="positive multiple"):
+                dyn.step_count(horizon, 0.25)
 
     def test_zero_step_horizonless_edge(self):
         prob = dyn.frequency_estimation_problem(1.0, None, dyn.plus_state(), 0.0)

@@ -42,7 +42,7 @@ class TestSld:
         p, q = 0.7, 0.2
         rho = np.diag([p, 1 - p]).astype(complex)
         drho = np.diag([q, -q]).astype(complex)
-        l_op = fisher.sld(rho, drho).matrix
+        l_op = fisher.sld(rho, drho)
         np.testing.assert_allclose(l_op, np.diag([q / p, -q / (1 - p)]), atol=1e-12)
 
     def test_pure_unitary_family(self):
@@ -56,7 +56,7 @@ class TestSld:
         for _ in range(40):
             rho = random_density(rng)
             drho = random_traceless_hermitian(rng)
-            l_op = fisher.sld(rho, drho).matrix
+            l_op = fisher.sld(rho, drho)
             np.testing.assert_allclose(l_op, lyapunov_sld(rho, drho), atol=1e-9)
             residual = 2 * drho - rho @ l_op - l_op @ rho
             assert np.abs(residual).max() < 1e-10

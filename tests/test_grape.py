@@ -5,7 +5,7 @@ import pytest
 
 from qgrape import dynamics as dyn
 from qgrape import fisher, grape, oracles
-from qgrape.errors import QGrapeError, ValidationError
+from qgrape.errors import QGrapeError, SingularOutcomeError, ValidationError
 
 import reference_gradient as ref
 
@@ -104,10 +104,10 @@ class TestGradientPaths:
             prob = make_problem(noise, horizon=m * 0.08)
             grid = random_schedule(rng, m, 0.08)
             traj = dyn.propagate(prob, grid)
-            g_fast = grape.gradient_qfi(traj, prob, method="adjoint")
+            g_fast = grape.gradient(traj, prob, grape.qfi_objective(), method="adjoint")
             g_ref = ref.naive_gradient(traj, prob, grape.qfi_objective())
             np.testing.assert_allclose(g_fast, g_ref, atol=1e-10)
-            c_fast = grape.gradient_cfi(traj, prob, povm, method="adjoint")
+            c_fast = grape.gradient(traj, prob, grape.cfi_objective(povm), method="adjoint")
             c_ref = ref.naive_gradient(traj, prob, grape.cfi_objective(povm))
             np.testing.assert_allclose(c_fast, c_ref, atol=1e-10)
 
@@ -173,8 +173,8 @@ class TestGradientPaths:
             )
             grid = dyn.ControlGrid(amps, dt)
             traj = dyn.propagate(prob, grid)
-            g1 = grape.gradient_qfi(traj, prob, method="adjoint")
-            g2 = grape.gradient_qfi(traj, prob, method="exact")
+            g1 = grape.gradient(traj, prob, grape.qfi_objective(), method="adjoint")
+            g2 = grape.gradient(traj, prob, grape.qfi_objective(), method="exact")
             deviations.append(np.abs(g1 - g2).max() / dt)  # per-entry scale ~ dt
         assert deviations[0] > deviations[1] > deviations[2]
         assert deviations[0] / deviations[2] > 2.5
@@ -193,8 +193,8 @@ class TestGradientPaths:
         grid = random_schedule(rng, 10, 0.1)
         traj = dyn.propagate(prob, grid)
         for table in (
-            grape.gradient_qfi(traj, prob, method="exact"),
-            grape.gradient_qfi(traj, prob, method="adjoint"),
+            grape.gradient(traj, prob, grape.qfi_objective(), method="exact"),
+            grape.gradient(traj, prob, grape.qfi_objective(), method="adjoint"),
             ref.naive_gradient(traj, prob, grape.qfi_objective()),
         ):
             np.testing.assert_allclose(table, 0.0, atol=1e-12)
@@ -207,7 +207,7 @@ class TestGradientPaths:
         m = 100
         grid = dyn.ControlGrid.constant([0.0, 0.0, -0.5 * (1 + 1e-4)], m, horizon / m)
         traj = dyn.propagate(prob, grid)
-        analytic = grape.gradient_qfi(traj, prob, method="exact")
+        analytic = grape.gradient(traj, prob, grape.qfi_objective(), method="exact")
         numeric = grape.finite_difference_gradient(prob, grid, grape.qfi_objective(), delta=1e-5)
         floor = np.abs(numeric).max()
         assert np.abs(analytic).max() <= 10.0 * floor + 1e-12
@@ -219,11 +219,22 @@ class TestGradientPaths:
         traj = dyn.propagate(prob, grid)
         povm = fisher.Povm((np.eye(2, dtype=complex),))
         for table in (
-            grape.gradient_cfi(traj, prob, povm, method="exact"),
-            grape.gradient_cfi(traj, prob, povm, method="adjoint"),
+            grape.gradient(traj, prob, grape.cfi_objective(povm), method="exact"),
+            grape.gradient(traj, prob, grape.cfi_objective(povm), method="adjoint"),
             ref.naive_gradient(traj, prob, grape.cfi_objective(povm)),
         ):
             np.testing.assert_allclose(table, 0.0, atol=1e-12)
+
+    def test_cfi_gradient_singular_outcome_raises(self):
+        # a plus probe just past a full turn: p_- ~ 1e-15 but dp_-/dx ~ 3e-7,
+        # the case fisher.cfi rejects, reached through the gradient weights
+        horizon = 2.0 * math.pi + 1e-7
+        prob = make_problem(None, horizon=horizon)
+        traj = dyn.propagate(prob, dyn.ControlGrid.zeros(10, 3, horizon / 10))
+        objective = grape.cfi_objective(fisher.Povm.plus_minus())
+        for method in ("exact", "adjoint"):
+            with pytest.raises(SingularOutcomeError):
+                grape.gradient(traj, prob, objective, method=method)
 
 
 class TestFiniteDifferenceGradient:
@@ -247,7 +258,9 @@ class TestFiniteDifferenceGradient:
         m, dt = 6, 0.2
         prob = make_problem(NOISE_MODELS["parallel"], horizon=m * dt)
         grid = random_schedule(rng, m, dt)
-        exact = grape.gradient_qfi(dyn.propagate(prob, grid), prob, method="exact")
+        exact = grape.gradient(
+            dyn.propagate(prob, grid), prob, grape.qfi_objective(), method="exact"
+        )
         err = {}
         for delta in (2e-3, 1e-3):
             fd = grape.finite_difference_gradient(prob, grid, grape.qfi_objective(), delta=delta)
