@@ -158,6 +158,9 @@ def _cmd_sweep(args) -> int:
         print(f"wrote {path}")
     if record.flagged:
         print(f"{len(record.flagged)} point(s) flagged; see manifest", file=sys.stderr)
+    if record.below_uncontrolled:
+        count = len(record.below_uncontrolled)
+        print(f"{count} optimized point(s) below free evolution; see manifest", file=sys.stderr)
     return 0
 
 

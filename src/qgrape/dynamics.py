@@ -454,7 +454,9 @@ def propagate(
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(m):
             rho_v[j + 1] = props[j] @ rho_v[j]
-            phi_v[j + 1] = props[j] @ phi_v[j] + dgen @ rho_v[j + 1]
+        source = np.matmul(dgen, rho_v[1:, :, None])[..., 0]
+        for j in range(m):
+            phi_v[j + 1] = props[j] @ phi_v[j] + source[j]
         states = np.ascontiguousarray(unvectorize(rho_v))
         lo, _ = _eigvals_2x2_hermitian(states[1:])
         trace_dev = np.abs(states[1:, 0, 0] + states[1:, 1, 1] - 1.0)

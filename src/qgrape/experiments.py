@@ -321,6 +321,7 @@ class RunRecord:
     schedules: dict[str, np.ndarray] = field(default_factory=dict)
     schedule_dt: float = 0.05
     flagged: list[str] = field(default_factory=list)
+    below_uncontrolled: list[str] = field(default_factory=list)
 
 
 def _versions() -> dict[str, str]:
@@ -553,6 +554,8 @@ def run_sweep(config: ScenarioConfig) -> RunRecord:
     Points are evaluated in grid order.  A point whose evaluation raises a
     :class:`QGrapeError` is listed under the manifest's flagged points and
     leaves a row of ``nan`` and no schedule, instead of aborting the sweep.
+    An optimized point whose ``qfi`` ends below its ``uncontrolled_qfi`` is
+    listed in a manifest section of its own; its row is written as computed.
     """
     if config.sweep_axis is None:
         raise ConfigError("config declares no sweep axis")
@@ -561,6 +564,7 @@ def run_sweep(config: ScenarioConfig) -> RunRecord:
     label = "T" if config.sweep_axis == "horizon" else AXIS_NAMES[config.sweep_axis]
     tables: dict[str, list[dict]] = {name: [] for name in table_names}
     flagged: list[str] = []
+    below: list[str] = []
     for index, value in enumerate(config.sweep_grid().tolist()):
         try:
             metrics, point_schedules = point(index, value)
@@ -569,7 +573,13 @@ def run_sweep(config: ScenarioConfig) -> RunRecord:
             metrics, point_schedules = dict.fromkeys(table_names, {}), {}
         horizon = value if config.sweep_axis == "horizon" else config.horizon
         for name in table_names:
-            tables[name].append(_metric_row(value, horizon, **metrics[name]))
+            row = _metric_row(value, horizon, **metrics[name])
+            tables[name].append(row)
+            # an optimized point (theta, horizon) should not end below free evolution
+            if config.sweep_axis in ("theta", "horizon") and row["qfi"] < row["uncontrolled_qfi"]:
+                where = label if len(table_names) == 1 else f"{name} {label}"
+                text = f"qfi {row['qfi']:.6g} < uncontrolled_qfi {row['uncontrolled_qfi']:.6g}"
+                below.append(f"{where}={value:.6g}: {text}")
         schedules.update(point_schedules)
     return RunRecord(
         axis_name=AXIS_NAMES[config.sweep_axis],
@@ -581,6 +591,7 @@ def run_sweep(config: ScenarioConfig) -> RunRecord:
         schedules=schedules,
         schedule_dt=config.dt,
         flagged=flagged,
+        below_uncontrolled=below,
     )
 
 
@@ -627,9 +638,9 @@ def write_run(record: RunRecord, out_dir: str | Path) -> list[Path]:
         f"axis = {record.axis_name}",
     ]
     if record.flagged:
-        body.append("")
-        body.append("[flagged_points]")
-        body.extend(record.flagged)
+        body += ["", "[flagged_points]", *record.flagged]
+    if record.below_uncontrolled:
+        body += ["", "[below_uncontrolled]", *record.below_uncontrolled]
     body += ["", "[config]", record.config_snapshot.rstrip("\n")]
     manifest.write_text("\n".join(body) + "\n", encoding="utf-8", newline="\n")
     written.append(manifest)

@@ -127,6 +127,18 @@ def test_sweep_writes_deterministic_outputs(tmp_path, axis):
     assert (out1 / "manifest.txt").read_text().startswith("[versions]")
 
 
+def test_sweep_counts_points_below_free_evolution(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "noise = spontaneous\nnoise.gamma_plus = 0.02\nnoise.gamma_minus = 0.1\n"
+        "omega0_true = 1.0\nT = 2.0\ndt = 0.1\nascent.max_iterations = 30\n"
+        "sweep = horizon\nsweep.start = 1.0\nsweep.stop = 2.0\nsweep.points = 2\n"
+    )
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert "2 optimized point(s) below free evolution" in capsys.readouterr().err
+    assert "[below_uncontrolled]" in (tmp_path / "run" / "manifest.txt").read_text()
+
+
 def test_sweep_without_out_dir_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CONFIG)

@@ -345,3 +345,24 @@ class TestOutputFiles:
         assert len(rows) == 3
         assert math.isnan(rows[1]["qfi"])
         assert not math.isnan(rows[0]["qfi"])
+
+    def test_points_below_free_evolution_get_their_own_section(self, tmp_path):
+        # 30 iterations from a random start end below the zero schedule at both horizons
+        config = exp.parse_config_text(
+            "noise = spontaneous\nnoise.gamma_plus = 0.02\nnoise.gamma_minus = 0.1\n"
+            "omega0_true = 1.0\nT = 2.0\ndt = 0.1\nascent.max_iterations = 30\n"
+            "sweep = horizon\nsweep.start = 1.0\nsweep.stop = 2.0\nsweep.points = 2\n"
+        )
+        record = exp.run_sweep(config)
+        rows = record.tables["horizon_scan"]
+        assert all(row["qfi"] < row["uncontrolled_qfi"] for row in rows)
+        assert [line.split(":")[0] for line in record.below_uncontrolled] == ["T=1", "T=2"]
+        assert "< uncontrolled_qfi" in record.below_uncontrolled[0]
+        record.flagged.append("T=3: QGrapeError: synthetic")
+        exp.write_run(record, tmp_path)
+        manifest = (tmp_path / "manifest.txt").read_text()
+        sections = {
+            block.splitlines()[0]: block.splitlines()[1:] for block in manifest.split("\n\n")
+        }
+        assert sections["[flagged_points]"] == ["T=3: QGrapeError: synthetic"]
+        assert sections["[below_uncontrolled]"] == record.below_uncontrolled

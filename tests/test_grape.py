@@ -143,6 +143,50 @@ class TestGradientPaths:
                     err_msg=f"{name} {objective.kind}",
                 )
 
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_exact_path_for_other_control_counts(self, p):
+        # random non-Pauli generators; with p = 5 a multiple of the identity,
+        # which moves nothing, and a copy of generator 0 shifted by the identity
+        rng = np.random.default_rng(20 + p)
+        raw = rng.normal(size=(p, 2, 2)) + 1j * rng.normal(size=(p, 2, 2))
+        gens = list((raw + raw.conj().transpose(0, 2, 1)) / 2)
+        if p == 5:
+            gens[3] = 0.8 * np.eye(2, dtype=complex)
+            gens[4] = gens[0] + 0.5 * np.eye(2, dtype=complex)
+        m, dt = 12, 0.1
+        povm = fisher.Povm.plus_minus()
+        for name in ("transverse", "emission"):
+            prob = dyn.frequency_estimation_problem(
+                1.0, NOISE_MODELS[name], dyn.plus_state(), m * dt, control_generators=tuple(gens)
+            )
+            grid = random_schedule(rng, m, dt, p=p)
+            traj = dyn.propagate(prob, grid)
+            for objective in (grape.qfi_objective(), grape.cfi_objective(povm)):
+                label = f"{name} {objective.kind} p={p}"
+                exact = grape.gradient(traj, prob, objective, method="exact")
+                assert exact.shape == (m, p)
+                looped = ref.looped_exact_gradient(traj, prob, objective)
+                np.testing.assert_allclose(
+                    exact, looped, rtol=1e-12, atol=1e-12 * np.abs(looped).max(), err_msg=label
+                )
+                numeric = grape.finite_difference_gradient(prob, grid, objective, delta=1e-5)
+                diff = np.abs(exact - numeric)
+                rel = diff / np.maximum(np.abs(numeric), 1e-300)
+                assert ((rel <= 1e-4) | (diff <= 1e-8)).all(), label
+                if p == 5:
+                    scale = np.abs(exact).max()
+                    np.testing.assert_allclose(exact[:, 3], 0.0, atol=1e-12 * scale)
+                    np.testing.assert_allclose(exact[:, 4], exact[:, 0], atol=1e-12 * scale)
+
+    def test_no_controls_give_an_empty_table(self):
+        prob = dyn.frequency_estimation_problem(
+            1.0, NOISE_MODELS["emission"], dyn.plus_state(), 1.0, control_generators=()
+        )
+        traj = dyn.propagate(prob, dyn.ControlGrid.zeros(10, 0, 0.1))
+        for method in ("exact", "adjoint"):
+            table = grape.gradient(traj, prob, grape.qfi_objective(), method=method)
+            assert table.shape == (10, 0)
+
     def test_backward_weights_equal_stepwise_reference(self):
         # the adjoint gradient, and through it every sweep table, reads these
         rng = np.random.default_rng(9)
