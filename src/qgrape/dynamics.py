@@ -413,6 +413,30 @@ class Trajectory:
         return self.dt * self.phi[-1]
 
 
+def _check_states(states: np.ndarray, first_step: int = 1) -> None:
+    """Raise :class:`NumericalStabilityError` if a state lost positivity beyond
+    the hard floor, its trace, or finiteness.
+
+    ``states`` is an (..., n, 2, 2) stack of trajectories whose state i is the
+    one after step ``first_step + i``.  The error names the first bad step of
+    the first bad trajectory, in C order over the leading axes.
+    """
+    # past a bad step a state may have overflowed; its warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, _ = _eigvals_2x2_hermitian(states)
+        trace_dev = np.abs(states[..., 0, 0] + states[..., 1, 1] - 1.0)
+        # written as "not good" so that a NaN state counts as bad
+        bad = ~((lo >= -POSITIVITY_HARD_FLOOR) & (trace_dev <= 1e-8))
+    if bad.any():
+        first = int(np.argmax(bad))
+        step = first_step + first % bad.shape[-1]
+        raise NumericalStabilityError(
+            f"state lost positivity/trace at step {step} "
+            f"(min eigenvalue {lo.flat[first]:.3e})",
+            step=step,
+        )
+
+
 def propagate(
     problem: EstimationProblem, grid: ControlGrid, x: float | None = None
 ) -> Trajectory:
@@ -457,18 +481,8 @@ def propagate(
         source = np.matmul(dgen, rho_v[1:, :, None])[..., 0]
         for j in range(m):
             phi_v[j + 1] = props[j] @ phi_v[j] + source[j]
-        states = np.ascontiguousarray(unvectorize(rho_v))
-        lo, _ = _eigvals_2x2_hermitian(states[1:])
-        trace_dev = np.abs(states[1:, 0, 0] + states[1:, 1, 1] - 1.0)
-        # written as "not good" so that a NaN state counts as bad
-        bad = ~((lo >= -POSITIVITY_HARD_FLOOR) & (trace_dev <= 1e-8))
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise NumericalStabilityError(
-            f"state lost positivity/trace at step {j + 1} "
-            f"(min eigenvalue {lo[j]:.3e})",
-            step=j + 1,
-        )
+    states = np.ascontiguousarray(unvectorize(rho_v))
+    _check_states(states[1:])
 
     return Trajectory(
         states=states,

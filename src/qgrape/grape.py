@@ -51,9 +51,12 @@ from .dynamics import (
     ControlGrid,
     EstimationProblem,
     Trajectory,
+    _check_states,
+    _liouvillians,
     commutator_superop,
     propagate,
     step_count,
+    step_propagator,
     unvectorize,
     vectorize,
 )
@@ -99,13 +102,16 @@ def cfi_objective(povm: Povm) -> Objective:
     return Objective(kind="cfi", povm=povm)
 
 
-def objective_value(traj: Trajectory, objective: Objective) -> float:
-    """Objective evaluated on a cached trajectory."""
-    rho = traj.final_state
-    drho = traj.final_state_derivative
+def _objective_at(rho: np.ndarray, drho: np.ndarray, objective: Objective) -> float:
+    """Objective of a final state and its parameter derivative."""
     if objective.kind == "qfi":
         return fisher.qfi(rho, drho)
     return fisher.cfi(rho, drho, objective.povm)
+
+
+def objective_value(traj: Trajectory, objective: Objective) -> float:
+    """Objective evaluated on a cached trajectory."""
+    return _objective_at(traj.final_state, traj.final_state_derivative, objective)
 
 
 def evaluate_objective(
@@ -260,21 +266,59 @@ def finite_difference_gradient(
     objective: Objective,
     delta: float = 1e-5,
 ) -> np.ndarray:
-    """Central-difference gradient of the discretized objective, re-propagating
-    the full trajectory for every perturbed entry.  This is the test oracle for
-    the analytic gradient and shares none of its algebra."""
-    if delta <= 0:
-        raise ValidationError(f"delta must be positive, got {delta}")
+    """Central-difference gradient of the discretized objective.  This is the
+    test oracle for the analytic gradient and shares none of its algebra.
+
+    Entry (j, k) is ``(F(V_k(j) + delta) - F(V_k(j) - delta)) / (2 delta)``.
+    Each perturbed trajectory is re-propagated from its bumped step on: the
+    states before step j and the propagators of every other step come from one
+    unperturbed :func:`propagate` and equal, bit for bit, what a full
+    re-propagation would compute.  Only the 2 m p bumped steps are
+    exponentiated anew, as one stack, and the 2 p trajectories bumped at one
+    step advance together.  Their states pass the check of :func:`propagate`
+    before any of them is evaluated; the first bad one in entry order raises
+    :class:`NumericalStabilityError` naming its step.
+    """
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValidationError(f"delta must be finite and positive, got {delta}")
     m, p = grid.amplitudes.shape
     grad = np.empty((m, p))
+    if grad.size == 0:
+        return grad
+    base = propagate(problem, grid)
+    dt = grid.dt
+
+    # rows (j, k, sign): step j's amplitudes with V_k(j) set to a + delta and
+    # to (a + delta) - 2 delta; a - delta would round differently
+    bumped = np.repeat(grid.amplitudes, 2 * p, axis=0).reshape(m, p, 2, p)
+    k = np.arange(p)
+    bumped[:, k, 0, k] += delta
+    bumped[:, k, 1, k] = bumped[:, k, 0, k] - 2.0 * delta
+    bumped_props = step_propagator(
+        _liouvillians(problem, bumped.reshape(-1, p), problem.x), dt
+    ).reshape(m, 2 * p, 4, 4)
+
+    dgen = -1j * commutator_superop(problem.free_hamiltonian_derivative(problem.x))
+    rho_base = vectorize(base.states)[:, :, None]
+    phi_base = vectorize(base.phi)[:, :, None]
     for j in range(m):
-        for k in range(p):
-            bumped = grid.amplitudes.copy()
-            bumped[j, k] += delta
-            f_plus = evaluate_objective(problem, ControlGrid(bumped, grid.dt), objective)
-            bumped[j, k] -= 2.0 * delta
-            f_minus = evaluate_objective(problem, ControlGrid(bumped, grid.dt), objective)
-            grad[j, k] = (f_plus - f_minus) / (2.0 * delta)
+        # the recursion of propagate from step j on, batched over the 2p
+        # bumps as (2p, 4, 4) @ (2p, 4, 1) products, which keep each bump's
+        # arithmetic; a (4, 4) @ (4, 2p) block would round differently
+        rho = np.empty((m - j + 1, 2 * p, 4, 1), dtype=complex)
+        phi = np.empty_like(rho)
+        rho[0], phi[0] = rho_base[j], phi_base[j]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, props in enumerate([bumped_props[j], *base.step_propagators[j + 1 :]]):
+                rho[i + 1] = np.matmul(props, rho[i])
+                phi[i + 1] = np.matmul(props, phi[i]) + np.matmul(dgen, rho[i + 1])
+        states = np.ascontiguousarray(unvectorize(rho[1:, :, :, 0].swapaxes(0, 1)))
+        _check_states(states, first_step=j + 1)
+        final_phi = np.ascontiguousarray(unvectorize(phi[-1, :, :, 0]))
+        values = np.array(
+            [_objective_at(states[b, -1], dt * final_phi[b], objective) for b in range(2 * p)]
+        ).reshape(p, 2)
+        grad[j] = (values[:, 0] - values[:, 1]) / (2.0 * delta)
     return grad
 
 

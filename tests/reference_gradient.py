@@ -5,7 +5,10 @@ The paper's gradient operators ``M1_j``, ``M2_j`` and ``M3_j`` (see
 step count; the suite checks the library's one-sweep ``adjoint`` gradient
 against them.  The exact gradient is also kept here in its looped form, one
 8x8 block exponential per step and control, as the reference for the
-library's stacked version.
+library's stacked version.  The finite-difference oracle is kept in its
+original form, one full :func:`qgrape.dynamics.propagate` per perturbed
+entry; the library's version, which re-propagates only from the bumped step
+on, must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from qgrape.dynamics import (
+    ControlGrid,
     EstimationProblem,
     Trajectory,
     commutator_superop,
@@ -23,7 +27,7 @@ from qgrape.dynamics import (
     vectorize,
 )
 from qgrape.errors import ValidationError
-from qgrape.grape import Objective, _commutator, _objective_weights
+from qgrape.grape import Objective, _commutator, _objective_weights, evaluate_objective
 
 logger = logging.getLogger(__name__)
 
@@ -177,3 +181,26 @@ def looped_exact_gradient(
     control, and the same objective weights as :func:`qgrape.grape.gradient`."""
     w1, w2 = _objective_weights(traj, objective)
     return _gradient_exact_looped(traj, problem, w1, w2)
+
+
+def finite_difference_gradient_full(
+    problem: EstimationProblem,
+    grid: ControlGrid,
+    objective: Objective,
+    delta: float = 1e-5,
+) -> np.ndarray:
+    """Central-difference gradient of the discretized objective, re-propagating
+    the full trajectory for every perturbed entry."""
+    if delta <= 0:
+        raise ValidationError(f"delta must be positive, got {delta}")
+    m, p = grid.amplitudes.shape
+    grad = np.empty((m, p))
+    for j in range(m):
+        for k in range(p):
+            bumped = grid.amplitudes.copy()
+            bumped[j, k] += delta
+            f_plus = evaluate_objective(problem, ControlGrid(bumped, grid.dt), objective)
+            bumped[j, k] -= 2.0 * delta
+            f_minus = evaluate_objective(problem, ControlGrid(bumped, grid.dt), objective)
+            grad[j, k] = (f_plus - f_minus) / (2.0 * delta)
+    return grad

@@ -1,11 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qgrape import dynamics as dyn
 from qgrape import fisher, grape, oracles
-from qgrape.errors import QGrapeError, SingularOutcomeError, ValidationError
+from qgrape.errors import (
+    NumericalStabilityError,
+    QGrapeError,
+    SingularOutcomeError,
+    ValidationError,
+)
 
 import reference_gradient as ref
 
@@ -317,6 +323,76 @@ class TestFiniteDifferenceGradient:
         grid = dyn.ControlGrid.zeros(1, 3, 0.2)
         with pytest.raises(ValidationError):
             grape.finite_difference_gradient(prob, grid, grape.qfi_objective(), delta=0.0)
+        for delta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="delta"):
+                grape.finite_difference_gradient(prob, grid, grape.qfi_objective(), delta=delta)
+
+    def test_equals_full_repropagation_reference(self):
+        rng = np.random.default_rng(13)
+        raw = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+        random_gens = tuple((raw + raw.conj().transpose(0, 2, 1)) / 2)
+        shapes = [
+            (40, dyn.PAULIS),
+            (15, dyn.PAULIS[:1]),
+            (25, dyn.PAULIS[:2]),
+            (12, random_gens),
+            (0, dyn.PAULIS),
+            (8, ()),
+        ]
+        noise_models = {**NOISE_MODELS, "oblique": dyn.Dephasing(theta=1.1, phi=0.4, gamma=0.2)}
+        povm = fisher.Povm.plus_minus()
+        dt = 0.05
+        for name, noise in noise_models.items():
+            for m, gens in shapes:
+                prob = dyn.frequency_estimation_problem(
+                    1.0, noise, dyn.plus_state(), m * dt, control_generators=gens
+                )
+                grid = random_schedule(rng, m, dt, p=len(gens))
+                for objective in (grape.qfi_objective(), grape.cfi_objective(povm)):
+                    got = grape.finite_difference_gradient(prob, grid, objective)
+                    want = ref.finite_difference_gradient_full(prob, grid, objective)
+                    assert got.shape == (m, len(gens))
+                    np.testing.assert_array_equal(
+                        got, want, err_msg=f"{name} m={m} p={len(gens)} {objective.kind}"
+                    )
+
+    def test_unstable_base_names_the_reference_step(self):
+        # the negative emission rate of the propagate failure test: the
+        # unperturbed run already goes bad, and every bump with it
+        for rate, steps in ((-0.6, 40), (-0.6, 4000), (-50.0, 400)):
+            noise = dyn.SpontaneousEmission(0.0, 0.2)
+            object.__setattr__(noise, "gamma_minus", rate)
+            prob = dyn.frequency_estimation_problem(1.0, noise, dyn.zero_state(), float(steps))
+            grid = dyn.ControlGrid.zeros(steps, 3, 1.0)
+            with pytest.raises(NumericalStabilityError) as expected:
+                ref.finite_difference_gradient_full(prob, grid, grape.qfi_objective())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(NumericalStabilityError) as excinfo:
+                    grape.finite_difference_gradient(prob, grid, grape.qfi_objective())
+            assert excinfo.value.step == expected.value.step == 1
+
+    def test_unstable_bump_raises(self):
+        # a smuggled negative dephasing rate along z leaves the unperturbed
+        # |0> fixed, but a sigma_x bump tips it and the coherence then grows
+        # until the state passes the positivity floor; the sigma_z bumps,
+        # earlier in entry order, stay at |0>
+        noise = dyn.Dephasing(theta=0.0, phi=0.0, gamma=0.1)
+        object.__setattr__(noise, "gamma", -1.0)
+        prob = dyn.frequency_estimation_problem(
+            1.0, noise, dyn.zero_state(), 4.0, control_generators=(dyn.SIGMA_Z, dyn.SIGMA_X)
+        )
+        grid = dyn.ControlGrid.zeros(40, 2, 0.1)
+        dyn.propagate(prob, grid)  # the unperturbed run passes
+        with pytest.raises(NumericalStabilityError) as expected:
+            ref.finite_difference_gradient_full(prob, grid, grape.qfi_objective(), delta=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalStabilityError) as excinfo:
+                grape.finite_difference_gradient(prob, grid, grape.qfi_objective(), delta=1e-3)
+        assert 1 < excinfo.value.step < 40
+        assert excinfo.value.step == expected.value.step
+        assert str(excinfo.value) == str(expected.value)
 
 
 class TestAscend:
