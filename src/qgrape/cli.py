@@ -40,10 +40,11 @@ from .experiments import (
 __all__ = ["main"]
 
 
-def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -> None:
-    parser.add_argument("--config", required=config_required, help="scenario config file")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override ascent seed")
+def _add_common(parser: argparse.ArgumentParser, ascent: bool = True) -> None:
+    parser.add_argument("--config", required=True, help="scenario config file")
+    if ascent:  # simulate runs no ascent and writes nothing
+        parser.add_argument("--out", default=None, help="output directory")
+        parser.add_argument("--seed", type=int, default=None, help="override ascent seed")
     parser.add_argument("--dt", type=float, default=None, help="override control step width")
     parser.add_argument("--verbose", action="store_true")
 
@@ -65,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="propagate a scenario and report its information")
-    _add_common(sim)
+    _add_common(sim, ascent=False)
     sim.add_argument("--schedule", default=None, help="schedule CSV to apply (default: no controls)")
 
     opt = sub.add_parser("optimize", help="run gradient ascent on a scenario")
@@ -95,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         config = replace(config, ascent=replace(config.ascent, seed=args.seed))
     if getattr(args, "dt", None) is not None:
         config = replace(

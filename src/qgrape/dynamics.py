@@ -123,27 +123,26 @@ def _eigvals_2x2_hermitian(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (tr - root) / 2.0, (tr + root) / 2.0
 
 
-def validate_density(rho: np.ndarray, eig_floor: float = -POSITIVITY_SLACK) -> None:
+def validate_density(rho: np.ndarray) -> None:
     """Check rho is Hermitian, unit trace, and positive up to small slack."""
     _check_hermitian(rho, "density matrix")
     tr = rho[0, 0] + rho[1, 1]
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValidationError(f"density matrix trace {tr} deviates from 1")
     lo, _ = _eigvals_2x2_hermitian(rho)
-    if lo < eig_floor:
+    if lo < -POSITIVITY_SLACK:
         raise ValidationError(f"density matrix has negative eigenvalue {lo:.3e}")
+
+
+def _bloch(mat: np.ndarray) -> np.ndarray:
+    """``(Tr(m sigma_x), Tr(m sigma_y), Tr(m sigma_z))`` of a Hermitian 2x2 ``m``."""
+    return np.array([2.0 * mat[1, 0].real, 2.0 * mat[1, 0].imag, (mat[0, 0] - mat[1, 1]).real])
 
 
 def bloch_from_density(rho: np.ndarray) -> np.ndarray:
     """Bloch vector ``r_i = Tr(rho sigma_i)`` of a valid density matrix."""
     validate_density(rho)
-    return np.array(
-        [
-            2.0 * rho[1, 0].real,
-            2.0 * rho[1, 0].imag,
-            (rho[0, 0] - rho[1, 1]).real,
-        ]
-    )
+    return _bloch(rho)
 
 
 def density_from_bloch(r: Sequence[float]) -> np.ndarray:

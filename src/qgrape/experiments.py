@@ -445,9 +445,9 @@ def _single_pulse_qfi(config: ScenarioConfig, t0: float, horizon: float) -> floa
     return oracles.spontaneous_single_pulse_qfi(plan)
 
 
-def _best_single_pulse(config: ScenarioConfig, horizon: float, n_grid: int = 400) -> float:
+def _best_single_pulse(config: ScenarioConfig, horizon: float) -> float:
     best = -math.inf
-    for t0 in np.linspace(0.0, horizon, n_grid):
+    for t0 in np.linspace(0.0, horizon, 400):
         best = max(best, _single_pulse_qfi(config, float(t0), horizon))
     return best
 

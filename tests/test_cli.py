@@ -158,6 +158,12 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         main(["sweep", "--out", out])
     assert exc.value.code == 1
     assert "--config" in capsys.readouterr().err
+    # simulate writes nothing and runs no ascent
+    for flag, value in (("--out", out), ("--seed", "3")):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg), flag, value])
+        assert exc.value.code == 1
+        assert flag in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--help"])
     assert exc.value.code == 0

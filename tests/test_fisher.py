@@ -1,11 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import reference_fisher as ref
 from qgrape import dynamics as dyn
 from qgrape import fisher, oracles
 from qgrape.errors import InconsistentInputError, SingularOutcomeError, ValidationError
+
+NAN_DERIVATIVE = np.array([[np.nan, 0.0], [0.0, np.nan]])
 
 
 def random_density(rng, min_purity_gap=0.05):
@@ -37,6 +41,44 @@ def lyapunov_sld(rho, drho):
     return sol.reshape((2, 2), order="F")
 
 
+def random_unit(rng):
+    n = rng.normal(size=3)
+    return n / np.linalg.norm(n)
+
+
+def derivative_from_bloch(dr):
+    return 0.5 * (dr[0] * dyn.SIGMA_X + dr[1] * dyn.SIGMA_Y + dr[2] * dyn.SIGMA_Z)
+
+
+def unit_trace_pair(rng, gap):
+    # rho[1, 1] = 1 - rho[0, 0] is exact for rho[0, 0] in [1/2, 1], so the
+    # float inputs are exactly a unit-trace state and a traceless derivative
+    r = random_unit(rng) * (1.0 - gap)
+    r[2] = abs(r[2])
+    p, c = 0.5 + 0.5 * r[2], complex(0.5 * r[0], 0.5 * r[1])
+    rho = np.array([[p, c.conjugate()], [c, 1.0 - p]])
+    dr = rng.normal(size=3)
+    d, e = 0.5 * dr[2], complex(0.5 * dr[0], 0.5 * dr[1])
+    return rho, np.array([[d, e.conjugate()], [e, -d]])
+
+
+def exact_qfi(rho, drho):
+    """|dr|^2 + (r . dr)^2 / (1 - |r|^2) in rationals, from the exact Bloch
+    coordinates of the float matrices."""
+    def bloch(m):
+        return [
+            2 * Fraction(m[1, 0].real),
+            2 * Fraction(m[1, 0].imag),
+            Fraction(m[0, 0].real) - Fraction(m[1, 1].real),
+        ]
+
+    assert Fraction(rho[0, 0].real) + Fraction(rho[1, 1].real) == 1
+    assert drho[0, 0] + drho[1, 1] == 0
+    r, dr = bloch(rho), bloch(drho)
+    radial = sum(x * y for x, y in zip(r, dr))
+    return sum(x * x for x in dr) + radial * radial / (1 - sum(x * x for x in r))
+
+
 class TestSld:
     def test_diagonal_case(self):
         p, q = 0.7, 0.2
@@ -61,12 +103,55 @@ class TestSld:
             residual = 2 * drho - rho @ l_op - l_op @ rho
             assert np.abs(residual).max() < 1e-10
 
+    def test_matches_eigendecomposition_reference_on_mixed_states(self):
+        # the reference's own error grows like 1e-16/(1 - |r|)
+        rng = np.random.default_rng(43)
+        for gap in (0.5, 1e-2, 1e-4, 1e-6, 1e-8):
+            tol = 1e-14 / gap
+            for _ in range(20):
+                rho = dyn.density_from_bloch(random_unit(rng) * (1.0 - gap))
+                drho = random_traceless_hermitian(rng)
+                l_ref = ref.sld(rho, drho)
+                l_op = fisher.sld(rho, drho)
+                assert np.abs(l_op - l_ref).max() <= tol * np.abs(l_ref).max()
+                assert fisher.qfi(rho, drho) == pytest.approx(ref.qfi(rho, drho), rel=tol)
+
+    def test_pure_states_match_reference_for_any_derivative(self):
+        # tangent and non-tangent derivatives alike get the support-restricted
+        # SLD, with no exception; |r| = 1 +- 1e-16, 1 - 5e-13 and 1 + 1e-11
+        # all fall under the purity rule
+        rng = np.random.default_rng(47)
+        units = [np.eye(3)[i] * sign for i in range(3) for sign in (1.0, -1.0)]
+        units += [random_unit(rng) for _ in range(10)]
+        for n in units:
+            for scale in (1.0, 1.0 - 5e-13, 1.0 + 1e-11):
+                rho = dyn.density_from_bloch(n * scale)
+                dr = rng.normal(size=3)
+                for drho in (derivative_from_bloch(dr - (dr @ n) * n), derivative_from_bloch(dr)):
+                    np.testing.assert_allclose(
+                        fisher.sld(rho, drho), ref.sld(rho, drho), rtol=1e-12, atol=1e-12
+                    )
+                    assert fisher.qfi(rho, drho) == pytest.approx(
+                        ref.qfi(rho, drho), rel=1e-12, abs=1e-12
+                    )
+
     def test_requires_traceless_hermitian_derivative(self):
         rho = dyn.plus_state()
         with pytest.raises(ValidationError):
             fisher.sld(rho, np.eye(2))
         with pytest.raises(ValidationError):
             fisher.sld(rho, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    # inf - inf in the Hermiticity test warns before the rejection
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_derivative_rejected(self, entry):
+        drho = np.array([[0.0, entry], [entry, 0.0]])
+        for evaluate in (fisher.sld, fisher.qfi):
+            with pytest.raises(ValidationError):
+                evaluate(dyn.plus_state(), drho)
+            with pytest.raises(ValidationError):
+                evaluate(dyn.plus_state(), NAN_DERIVATIVE)
 
 
 class TestQfi:
@@ -117,6 +202,18 @@ class TestQfi:
             assert f1 == pytest.approx(f0, abs=1e-10, rel=1e-10)
 
 
+    def test_accuracy_against_exact_rational_evaluation(self):
+        # the closed form's error is set by rounding in 1 - |r|^2, about
+        # 1e-16/(1 - |r|) at worst; the eigendecomposition reaches ten times that
+        rng = np.random.default_rng(53)
+        for gap in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
+            for _ in range(60):
+                rho, drho = unit_trace_pair(rng, gap)
+                exact = exact_qfi(rho, drho)
+                error = abs(Fraction(fisher.qfi(rho, drho)) - exact) / exact
+                assert error <= 2.5e-16 / gap
+
+
 class TestQfiBloch:
     def test_parallel_spiral_formula(self):
         gamma, omega, t = 0.1, 1.0, 7.0
@@ -150,6 +247,11 @@ class TestQfiBloch:
         with pytest.raises(ValidationError):
             fisher.qfi_bloch([1.1, 0.0, 0.0], [0.0, 0.0, 0.0])
 
+    def test_non_finite_rejected(self):
+        for r, dr in (([np.nan, 0.0, 0.0], [0.0, 1.0, 0.0]), ([0.5, 0.0, 0.0], [0.0, np.inf, 0.0])):
+            with pytest.raises(ValidationError):
+                fisher.qfi_bloch(r, dr)
+
 
 class TestPovm:
     def test_plus_minus_is_valid(self):
@@ -163,6 +265,16 @@ class TestPovm:
     def test_negative_effect_rejected(self):
         with pytest.raises(ValidationError):
             fisher.Povm((1.5 * np.eye(2), -0.5 * np.eye(2)))
+
+    def test_non_finite_effect_rejected(self):
+        bad = np.full((2, 2), np.nan)
+        with pytest.raises(ValidationError):
+            fisher.Povm((bad, np.eye(2) - bad))
+
+    @pytest.mark.parametrize("axis", [[0, 0, 0], [np.nan, 0, 1], [np.inf, 0, 0]])
+    def test_along_rejects_zero_or_non_finite_axis(self, axis):
+        with pytest.raises(ValidationError):
+            fisher.Povm.along(axis)
 
 
 class TestCfi:
@@ -195,6 +307,10 @@ class TestCfi:
         rho = dyn.plus_state()
         drho = np.zeros((2, 2))
         assert fisher.cfi(rho, drho, fisher.Povm.plus_minus()) == 0.0
+
+    def test_non_finite_derivative_is_a_validation_error(self):
+        with pytest.raises(ValidationError):
+            fisher.cfi(dyn.plus_state(), NAN_DERIVATIVE, fisher.Povm.plus_minus())
 
     def test_singular_outcome_raises(self):
         rho = dyn.plus_state()  # p_- = 0 exactly
