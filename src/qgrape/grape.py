@@ -1,42 +1,15 @@
 """Gradient-ascent pulse engineering for Fisher-information objectives.
 
-The gradient of the objective with respect to control amplitude ``V_k(j)``
-combines three Hermitian operators built from the cached trajectory,
-
-``M1_j = i D_{j+1}^m [H_k, rho_j]``,
-``M2_j = sum_{i<=j} D_{j+1}^m [H_k, D_{i+1}^j [dH0, rho_i]]``,
-``M3_j = (1 - delta_{jm}) sum_{i>j} D_{i+1}^m [dH0, D_{j+1}^i [H_k, rho_j]]``,
-
-where ``D_a^b`` is the propagator product from step a to b (identity when
-a > b).  For the quantum Fisher information the entry is
-
-``dF/dV_k(j) = dt Tr(L^2 M1_j) - 2 dt^2 Tr(L (M2_j + M3_j))``
-
-with ``L`` the symmetric logarithmic derivative at the final state; for the
-classical Fisher information ``L^2`` and ``L`` are replaced by the weighted
-effect sums ``sum_y (dln p_y)^2 E_y`` and ``sum_y (dln p_y) E_y``.
-
-The discretized dynamics at fixed ``dt`` (exact step exponentials plus the
-sensitivity recursion of :func:`qgrape.dynamics.propagate`) is the exact
-optimization target.  Two gradient evaluations are provided:
-
-* ``exact`` (default): the true gradient of that target.  The per-step
-  derivatives of ``exp(dt L_j)`` with respect to the amplitudes are evaluated
-  exactly, in reverse mode through one stacked (m, 8, 8) block exponential,
-  so the result matches central finite differences of the objective to the
-  differencing error itself.
-* ``adjoint``: the operator identity above, which replaces each step
-  derivative by its leading term ``-i dt [H_k, .] exp(dt L_j)``.  It is exact
-  only to first order in ``dt`` (error ``O(dt)`` relative, set by commutator
-  scales) but needs one backward sweep and no extra exponentials.  The test
-  suite checks it against the literal operator sums above.
-
-Both stay: ascent defaults to ``adjoint``, which reaches the same optima in
-less time, while ``exact`` is the gradient checked to finite-difference
-precision.  On the benchmark's horizon sweep (spontaneous emission, T = 1..6,
-60 iterations, seeds 11-13, one BLAS thread, 2-vCPU host) a sweep took
-1.2-1.5 s with ``adjoint`` and 1.8-2.1 s with ``exact``, whose mean
-qfi/oracle ratio was only 0.1% higher.
+The optimization target is the objective of the discretized dynamics at
+fixed ``dt``: exact step exponentials plus the sensitivity recursion of
+:func:`qgrape.dynamics.propagate`.  :func:`gradient` differentiates that
+target exactly, in reverse mode: one backward sweep carries the weight rows,
+and the per-step derivatives of ``exp(dt L_j)`` with respect to the
+amplitudes come from one stacked (m, 8, 8) block exponential shared by every
+control.  It matches central finite differences of the objective to the
+differencing error itself; :func:`finite_difference_gradient` is that
+oracle.  The paper's first-order operator formula for the same gradient is
+kept in the test suite as a reference.
 """
 
 from __future__ import annotations
@@ -44,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import fisher
 from .dynamics import (
@@ -52,8 +24,8 @@ from .dynamics import (
     EstimationProblem,
     Trajectory,
     _check_states,
+    _expm,
     _liouvillians,
-    commutator_superop,
     propagate,
     step_count,
     step_propagator,
@@ -124,10 +96,6 @@ def evaluate_objective(
     return objective_value(propagate(problem, grid, x=x), objective)
 
 
-def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
 def _objective_weights(
     traj: Trajectory, objective: Objective
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -146,66 +114,15 @@ def _objective_weights(
     return w1, w2
 
 
-def _backward_weights(
-    traj: Trajectory, w1: np.ndarray, w2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``lam[j] = adj(D_{j+1}^m)(W1)`` and ``mu[j] = adj(D_{j+1}^m)(W2)``."""
-    m = traj.n_steps
-    adj = traj.step_propagators.conj().transpose(0, 2, 1)
-    lam = np.empty((m + 1, 4), dtype=complex)
-    mu = np.empty((m + 1, 4), dtype=complex)
-    lam[m] = vectorize(w1)
-    mu[m] = vectorize(w2)
-    for j in range(m, 0, -1):
-        lam[j - 1] = adj[j - 1] @ lam[j]
-        mu[j - 1] = adj[j - 1] @ mu[j]
-    return np.ascontiguousarray(unvectorize(lam)), np.ascontiguousarray(unvectorize(mu))
+def gradient(traj: Trajectory, problem: EstimationProblem, objective: Objective) -> np.ndarray:
+    """Gradient table (m, p) of the objective with respect to every control
+    amplitude: the true gradient of the discretized objective, in reverse mode.
 
-
-def _gradient_adjoint(
-    traj: Trajectory, problem: EstimationProblem, w1: np.ndarray, w2: np.ndarray
-) -> np.ndarray:
-    """Single backward sweep: propagators enter only through the adjoint
-    action on the weight operators and an accumulated row functional."""
-    m, p = traj.n_steps, problem.n_controls
-    dt = traj.dt
-    props = traj.step_propagators
-    dh0 = problem.free_hamiltonian_derivative(traj.x)
-    lam, mu = _backward_weights(traj, w1, w2)
-
-    # row functional g[j] = sum_{i>j} vec([lam_i, dH0]^T)^T D_{j+1}^i
-    g = np.zeros((m + 1, 4), dtype=complex)
-    for j in range(m, 0, -1):
-        u = vectorize(_commutator(lam[j], dh0).T)
-        g[j - 1] = (g[j] + u) @ props[j - 1]
-
-    grad = np.empty((m, p))
-    states = traj.states
-    phi = traj.phi
-    for k in range(p):
-        h_k = problem.control_generators[k]
-        comm_rho = np.einsum("ab,jbc->jac", h_k, states[1:]) - np.einsum(
-            "jab,bc->jac", states[1:], h_k
-        )
-        comm_phi = np.einsum("ab,jbc->jac", h_k, phi[1:]) - np.einsum(
-            "jab,bc->jac", phi[1:], h_k
-        )
-        term_m1 = (1j * np.einsum("jab,jba->j", mu[1:], comm_rho)).real
-        term_m2 = (1j * np.einsum("jab,jba->j", lam[1:], comm_phi)).real
-        cvecs = comm_rho.transpose(0, 2, 1).reshape(m, 4)  # vec per step
-        term_m3 = np.einsum("ja,ja->j", g[1:], cvecs).real
-        grad[:, k] = dt * term_m1 - 2.0 * dt * dt * (term_m2 + term_m3)
-    return grad
-
-
-def _gradient_exact(
-    traj: Trajectory, problem: EstimationProblem, w1: np.ndarray, w2: np.ndarray
-) -> np.ndarray:
-    """True gradient of the discretized objective, in reverse mode.
-
-    Differs from the first-order paths only in the per-step propagator
-    derivative, which is evaluated exactly; everything else (weights,
-    backward sweeps, sensitivity chain rule) is shared structure.  The
+    With weights ``(W1, W2)`` (``(L, L^2)`` for the QFI, effect sums for the
+    CFI), the backward sweep carries the rows of ``lam_j = adj(D_{j+1}^m)(W1)``,
+    ``mu_j = adj(D_{j+1}^m)(W2)`` and
+    ``q_j = sum_{i>=j} vec(lam_i^T)^T G D_{j+1}^i``, which gathers the
+    sensitivity sources ``G = -i [dH0/dx, .]`` downstream of step j.  The
     derivative of ``exp(dt L_j)`` along ``P_k = dL/dV_k`` is
     ``B_jk = integral_0^dt exp(s L_j) P_k exp((dt - s) L_j) ds``, and entry
     (j, k) is ``sum_s row_s B_jk col_s = Tr(P_k X_j)`` with
@@ -215,49 +132,32 @@ def _gradient_exact(
     (Van Loan, IEEE TAC 23, 395 (1978)), so one stacked (m, 8, 8)
     exponential serves every control.
     """
+    w1, w2 = _objective_weights(traj, objective)
     m = traj.n_steps
     dt = traj.dt
     props = traj.step_propagators
-    dgen = -1j * commutator_superop(problem.free_hamiltonian_derivative(traj.x))
-    lam, mu = _backward_weights(traj, w1, w2)
-    # the row vector vec(X^T)^T is X flattened row by row
-    lam_rows = lam.reshape(m + 1, 4)
-    source_rows = lam_rows @ dgen
-
-    # q[j] = sum_{i>=j} vec(lam_i^T)^T G D_{j+1}^i accumulates the sensitivity
-    # sources downstream of step j
-    q = np.zeros((m + 1, 4), dtype=complex)
-    q[m] = source_rows[m]
-    for j in range(m - 1, 0, -1):
-        q[j] = source_rows[j] + q[j + 1] @ props[j]
+    dgen = problem.sensitivity_generator(traj.x)
+    # rows[j] = (lam_j, mu_j, q_j) as row vectors; the row vector
+    # vec(X^T)^T of a Hermitian X is X flattened row by row
+    rows = np.empty((m + 1, 3, 4), dtype=complex)
+    rows[m, 0], rows[m, 1] = w1.reshape(4), w2.reshape(4)
+    rows[m, 2] = rows[m, 0] @ dgen
+    for j in range(m, 1, -1):
+        r = rows[j] @ props[j - 1]
+        r[2] += r[0] @ dgen
+        rows[j - 1] = r
+    lam, mu, q = rows[1:, 0], rows[1:, 1], rows[1:, 2]
 
     # entry (j, k) sums two terms row B_jk column: the sensitivity term
     # 2 dt lam_j B vec(phi_{j-1}) and the weight term
     # (2 dt q_j - mu_j) B vec(rho_{j-1})
-    mu_rows = mu.reshape(m + 1, 4)
-    rows = np.stack([2.0 * dt * lam_rows[1:], 2.0 * dt * q[1:] - mu_rows[1:]], axis=1)
-    cols = np.stack([vectorize(traj.phi[:-1]), vectorize(traj.states[:-1])], axis=1)
+    left = np.stack([2.0 * dt * lam, 2.0 * dt * q - mu], axis=1)
+    right = np.stack([vectorize(traj.phi[:-1]), vectorize(traj.states[:-1])], axis=1)
     block = np.zeros((m, 8, 8), dtype=complex)
     block[:, :4, :4] = block[:, 4:, 4:] = traj.liouvillians
-    block[:, :4, 4:] = np.einsum("jsa,jsb->jab", cols, rows)
-    integrals = expm(dt * block)[:, :4, 4:]
-
-    gens = np.array(problem.control_generators, dtype=complex).reshape(-1, 2, 2)
-    return np.einsum("kab,jba->jk", -1j * commutator_superop(gens), integrals).real
-
-
-def gradient(
-    traj: Trajectory,
-    problem: EstimationProblem,
-    objective: Objective,
-    method: str = "exact",
-) -> np.ndarray:
-    """Gradient table (m, p) of the objective with respect to every control
-    amplitude, by the ``exact`` or the ``adjoint`` path."""
-    if method not in ("exact", "adjoint"):
-        raise ValidationError(f"unknown gradient method {method!r}")
-    path = _gradient_exact if method == "exact" else _gradient_adjoint
-    return path(traj, problem, *_objective_weights(traj, objective))
+    block[:, :4, 4:] = np.einsum("jsa,jsb->jab", right, left)
+    integrals = _expm(block, dt)[:, :4, 4:]
+    return np.einsum("kab,jba->jk", problem.control_superops, integrals).real
 
 
 def finite_difference_gradient(
@@ -298,7 +198,7 @@ def finite_difference_gradient(
         _liouvillians(problem, bumped.reshape(-1, p), problem.x), dt
     ).reshape(m, 2 * p, 4, 4)
 
-    dgen = -1j * commutator_superop(problem.free_hamiltonian_derivative(problem.x))
+    dgen = problem.sensitivity_generator(problem.x)
     rho_base = vectorize(base.states)[:, :, None]
     phi_base = vectorize(base.phi)[:, :, None]
     for j in range(m):
@@ -348,7 +248,6 @@ class AscentConfig:
     seed: int = 0
     init_mode: str = "random_uniform"
     initial_grid: ControlGrid | None = None
-    gradient_method: str = "adjoint"
     momentum: float = 0.0
 
     def __post_init__(self):
@@ -424,7 +323,7 @@ def ascend(
     velocity = np.zeros_like(grid.amplitudes)
     for it in range(1, config.max_iterations + 1):
         try:
-            table = gradient(traj, problem, objective, method=config.gradient_method)
+            table = gradient(traj, problem, objective)
             cand = None
             if config.momentum > 0.0:
                 velocity = config.momentum * velocity + config.step_size * table

@@ -115,26 +115,26 @@ def parallel_free_qfi(gamma: float, t: float) -> float:
 
 def parallel_single_pulse_qfi(plan: SinglePulsePlan) -> float:
     """Information at T for a pi/2 y-pulse applied at t0 under parallel
-    dephasing, evaluated from the explicit three-term closed form.
+    dephasing.
 
     The final Bloch vector is
-    ``(e^{-gT} sin(w dt) sin(w t0), e^{-gT} cos(w dt) sin(w t0),
-    e^{-g t0} cos(w t0))`` with ``dt = T - t0``, and the information follows
-    from the Bloch-vector formula including the mixed-state term.
+    ``(e^{-gT} sin(w d) sin(w t0), e^{-gT} cos(w d) sin(w t0),
+    e^{-g t0} cos(w t0))`` with ``d = T - t0``; it and its derivative in w
+    go to :func:`qgrape.fisher.qfi_bloch`.
     """
     gamma, w, t0, horizon = plan.gamma, plan.omega0, plan.t0, plan.horizon
-    sin_b = math.sin(w * t0)
-    cos_b = math.cos(w * t0)
-    decay_t = math.exp(-2.0 * gamma * horizon)
-    decay_0 = math.exp(-2.0 * gamma * t0)
-
-    term_pole = decay_0 * t0 * t0 * sin_b * sin_b
-    term_plane = decay_t * (t0 * t0 + horizon * (horizon - 2.0 * t0) * sin_b * sin_b)
-    numerator = t0 * t0 * (decay_t - decay_0) ** 2 * sin_b * sin_b * cos_b * cos_b
-    denominator = 1.0 - decay_t * sin_b * sin_b - decay_0 * cos_b * cos_b
-    # the state is pure only when the numerator vanishes too (t0 = 0 limit)
-    term_mixed = numerator / denominator if denominator > 1e-15 else 0.0
-    return term_pole + term_plane + term_mixed
+    tail = horizon - t0
+    sin_b, cos_b = math.sin(w * t0), math.cos(w * t0)
+    sin_a, cos_a = math.sin(w * tail), math.cos(w * tail)
+    decay_t = math.exp(-gamma * horizon)
+    decay_0 = math.exp(-gamma * t0)
+    r = [decay_t * sin_a * sin_b, decay_t * cos_a * sin_b, decay_0 * cos_b]
+    dr = [
+        decay_t * (tail * cos_a * sin_b + t0 * sin_a * cos_b),
+        decay_t * (t0 * cos_a * cos_b - tail * sin_a * sin_b),
+        -decay_0 * t0 * sin_b,
+    ]
+    return qfi_bloch(r, dr)
 
 
 def spontaneous_free_bloch(

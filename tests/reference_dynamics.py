@@ -2,9 +2,11 @@
 :func:`qgrape.dynamics.propagate`.
 
 Each step assembles its generator with two ``kron`` calls, exponentiates it
-on its own and checks the new state before taking the next step.  The
-stacked library version performs the same floating-point operations, so the
-suite requires its trajectories to equal this one exactly.
+on its own with :func:`qgrape.dynamics.step_propagator` and checks the new
+state before taking the next step.  The stacked library version performs the
+same floating-point operations, so the suite requires its trajectories to
+equal this one exactly; the exponential itself is checked against
+``scipy.linalg.expm`` on its own.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from qgrape.dynamics import (
     IDENTITY,
@@ -22,6 +23,7 @@ from qgrape.dynamics import (
     Trajectory,
     commutator_superop,
     dissipator,
+    step_propagator,
     unvectorize,
     vectorize,
 )
@@ -65,7 +67,7 @@ def propagate_stepwise(
         for v, gen in zip(grid.amplitudes[j], gens):
             h += v * gen
         liouvillian = -1j * (np.kron(IDENTITY, h) - np.kron(h.T, IDENTITY)) + gamma_super
-        prop = expm(grid.dt * liouvillian)
+        prop = step_propagator(liouvillian, grid.dt)
         rho_v = prop @ rho_v
         phi_v = prop @ phi_v + dgen @ rho_v
 

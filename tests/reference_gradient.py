@@ -1,14 +1,31 @@
 """Reference gradients for the suite.
 
-The paper's gradient operators ``M1_j``, ``M2_j`` and ``M3_j`` (see
-:mod:`qgrape.grape`) are accumulated term by term, which is quadratic in the
-step count; the suite checks the library's one-sweep ``adjoint`` gradient
-against them.  The exact gradient is also kept here in its looped form, one
-8x8 block exponential per step and control, as the reference for the
-library's stacked version.  The finite-difference oracle is kept in its
-original form, one full :func:`qgrape.dynamics.propagate` per perturbed
-entry; the library's version, which re-propagates only from the bumped step
-on, must equal it bit for bit.
+The paper's gradient combines three Hermitian operators built from the
+cached trajectory for control amplitude ``V_k(j)``,
+
+``M1_j = i D_{j+1}^m [H_k, rho_j]``,
+``M2_j = sum_{i<=j} D_{j+1}^m [H_k, D_{i+1}^j [dH0, rho_i]]``,
+``M3_j = (1 - delta_{jm}) sum_{i>j} D_{i+1}^m [dH0, D_{j+1}^i [H_k, rho_j]]``,
+
+where ``D_a^b`` is the propagator product from step a to b (identity when
+a > b).  For the quantum Fisher information the entry is
+
+``dF/dV_k(j) = dt Tr(L^2 M1_j) - 2 dt^2 Tr(L (M2_j + M3_j))``
+
+with ``L`` the symmetric logarithmic derivative at the final state; for the
+classical Fisher information ``L^2`` and ``L`` are replaced by the weighted
+effect sums ``sum_y (dln p_y)^2 E_y`` and ``sum_y (dln p_y) E_y``.  The
+formula replaces each step derivative of ``exp(dt L_j)`` by its leading term
+``-i dt [H_k, .] exp(dt L_j)``, so it is exact only to first order in ``dt``.
+Here it is accumulated term by term, which is quadratic in the step count;
+the suite checks that the library's exact gradient differs from it by
+``O(dt)``.
+
+The exact gradient is also kept here in its looped form, one 8x8 block
+exponential per step and control, as the reference for the library's stacked
+version.  The finite-difference oracle is kept in its original form, one full
+:func:`qgrape.dynamics.propagate` per perturbed entry; the library's version,
+which re-propagates only from the bumped step on, must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -27,11 +44,15 @@ from qgrape.dynamics import (
     vectorize,
 )
 from qgrape.errors import ValidationError
-from qgrape.grape import Objective, _commutator, _objective_weights, evaluate_objective
+from qgrape.grape import Objective, _objective_weights, evaluate_objective
 
 logger = logging.getLogger(__name__)
 
 HERMITICITY_WARN_TOL = 1e-8
+
+
+def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
 
 
 def _warn_if_not_hermitian(mat: np.ndarray, label: str) -> None:

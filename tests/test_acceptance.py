@@ -144,7 +144,7 @@ def test_criterion_04_gradient_oracle():
             grid = dyn.ControlGrid(rng.uniform(-1, 1, size=(m, p)), dt)
             traj = dyn.propagate(problem, grid)
             for objective in (grape.qfi_objective(), grape.cfi_objective(povm)):
-                analytic = grape.gradient(traj, problem, objective, method="exact")
+                analytic = grape.gradient(traj, problem, objective)
                 numeric = grape.finite_difference_gradient(problem, grid, objective, delta)
                 diff = np.abs(analytic - numeric)
                 rel = diff / np.maximum(np.abs(numeric), 1e-300)
@@ -168,7 +168,6 @@ def test_criterion_05_ascent_recovers_transverse_optimum():
         max_iterations=1000,
         seed=0,
         momentum=0.95,
-        gradient_method="exact",
         convergence_tolerance=1e-10,
     )
     result = grape.ascend(problem, config, grape.qfi_objective())
@@ -267,7 +266,6 @@ def test_criterion_09_cfi_bounded_and_saturating():
         max_iterations=600,
         seed=0,
         momentum=0.95,
-        gradient_method="exact",
         convergence_tolerance=1e-10,
     )
     result = grape.ascend(problem, config, grape.cfi_objective(povm))

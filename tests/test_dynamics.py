@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qgrape import dynamics as dyn
 from qgrape import oracles
@@ -187,6 +188,68 @@ class TestStepPropagator:
             dyn.step_propagator(np.zeros((4, 4)), 0.0)
 
 
+def kernel_cases(rng, n, k=20):
+    """Named (k, n, n) stacks for the stacked exponential."""
+    cases = {}
+    for norm in (1e-3, 0.5, 5.0, 50.0, 1e3):
+        # anti-Hermitian plus a negative semidefinite part, like a generator
+        z = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+        b = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+        a = (z - z.conj().swapaxes(-1, -2)) - 0.2 * b @ b.conj().swapaxes(-1, -2)
+        cases[f"dissipative {norm:g}"] = a * (norm / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+    z = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+    cases["general"] = z * (3.0 / np.abs(z).sum(axis=-2).max(axis=-1))[:, None, None]
+    diag = rng.uniform(-50, 1, size=(k, n)) + 1j * rng.uniform(-300, 300, size=(k, n))
+    cases["diagonal"] = np.einsum("ka,ab->kab", diag, np.eye(n))
+    cases["triangular"] = 4.0 * np.triu(rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n)))
+    lam = rng.normal(size=(k, 1, 1)) + 1j * rng.normal(size=(k, 1, 1))
+    cases["near-defective"] = (
+        lam * np.eye(n) + 3.0 * np.eye(n, k=1) + 1e-9 * rng.normal(size=(k, n, n))
+    )
+    cases["zero"] = np.zeros((3, n, n))
+    return cases
+
+
+class TestStackedExponential:
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_matches_scipy_expm(self, n):
+        # exp is conditioned like |A|_1, so two accurate algorithms agree to
+        # about eps |A|_1; the largest stacks need 8 squarings
+        for name, a in kernel_cases(np.random.default_rng(40 + n), n).items():
+            got = dyn._expm(a, 0.5)
+            want = expm(0.5 * a)
+            norms = np.abs(0.5 * a).sum(axis=-2).max(axis=-1)
+            err = np.abs(got - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
+            assert (err <= 1e-14 * np.maximum(1.0, norms / 20.0)).all(), name
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_each_slice_equals_a_solo_call(self, n):
+        for name, a in kernel_cases(np.random.default_rng(50 + n), n).items():
+            stacked = dyn._expm(a, 0.5)
+            for i, mat in enumerate(a):
+                np.testing.assert_array_equal(stacked[i], dyn._expm(mat, 0.5), err_msg=name)
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            dyn.Dephasing(theta=math.pi / 2, phi=0.0, gamma=0.1),
+            dyn.Dephasing(theta=1.1, phi=0.4, gamma=0.2),
+            dyn.SpontaneousEmission(gamma_plus=0.05, gamma_minus=0.1),
+        ],
+        ids=["transverse", "oblique", "emission"],
+    )
+    def test_trace_row_is_preserved(self, noise):
+        # the trace functional t = vec(I) satisfies t L = 0, so t exp(dt L)
+        # = t; forming the Pade quotient as (V+U)/(V-U) instead of
+        # I + 2 U/(V-U) leaves a mean square of about 1e-32 here
+        rng = np.random.default_rng(60)
+        prob = dyn.frequency_estimation_problem(1.0, noise, dyn.plus_state(), 1.0)
+        lious = dyn._liouvillians(prob, rng.uniform(-1, 1, size=(2000, 3)), prob.x)
+        t = dyn.vectorize(np.eye(2))
+        dev = t @ dyn.step_propagator(lious, 0.05) - t
+        assert np.mean(np.abs(dev) ** 2) < 1e-33
+
+
 class TestPropagate:
     def test_free_rotation_closed_form(self):
         prob = dyn.frequency_estimation_problem(1.0, None, dyn.plus_state(), 1.0)
@@ -271,6 +334,18 @@ class TestPropagate:
             np.testing.assert_array_equal(
                 getattr(stacked, field), getattr(stepwise, field), err_msg=field
             )
+
+    @pytest.mark.parametrize("amplitude", [1e150, 1e300, 1e308])
+    def test_overflowing_amplitudes_fail_at_step_one_without_warnings(self, amplitude):
+        prob = dyn.frequency_estimation_problem(
+            1.0, dyn.Dephasing(theta=math.pi / 2, phi=0.0, gamma=0.1), dyn.plus_state(), 1.0
+        )
+        grid = dyn.ControlGrid.constant([amplitude] * 3, 20, 0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalStabilityError) as excinfo:
+                dyn.propagate(prob, grid)
+        assert excinfo.value.step == 1
 
     def test_controllerless_problem(self):
         prob = dyn.frequency_estimation_problem(

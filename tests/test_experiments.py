@@ -159,7 +159,7 @@ class TestTimeScan:
     def test_transverse_scan_tracks_oracle_within_five_percent(self):
         ascent = AscentConfig(
             dt=0.05, step_size=0.1, max_iterations=250, seed=0, momentum=0.95,
-            gradient_method="exact", convergence_tolerance=1e-10, init_mode="zero",
+            convergence_tolerance=1e-10, init_mode="zero",
         )
         config = small_sweep_config(
             dt=0.05,

@@ -102,21 +102,6 @@ class TestMOperators:
 
 
 class TestGradientPaths:
-    def test_adjoint_equals_naive_to_machine_precision(self):
-        rng = np.random.default_rng(6)
-        povm = fisher.Povm.plus_minus()
-        for name, noise in NOISE_MODELS.items():
-            m = 25
-            prob = make_problem(noise, horizon=m * 0.08)
-            grid = random_schedule(rng, m, 0.08)
-            traj = dyn.propagate(prob, grid)
-            g_fast = grape.gradient(traj, prob, grape.qfi_objective(), method="adjoint")
-            g_ref = ref.naive_gradient(traj, prob, grape.qfi_objective())
-            np.testing.assert_allclose(g_fast, g_ref, atol=1e-10)
-            c_fast = grape.gradient(traj, prob, grape.cfi_objective(povm), method="adjoint")
-            c_ref = ref.naive_gradient(traj, prob, grape.cfi_objective(povm))
-            np.testing.assert_allclose(c_fast, c_ref, atol=1e-10)
-
     def test_exact_matches_finite_differences_tightly(self):
         rng = np.random.default_rng(7)
         povm = fisher.Povm.plus_minus()
@@ -126,7 +111,7 @@ class TestGradientPaths:
             grid = random_schedule(rng, m, dt)
             traj = dyn.propagate(prob, grid)
             for objective in (grape.qfi_objective(), grape.cfi_objective(povm)):
-                analytic = grape.gradient(traj, prob, objective, method="exact")
+                analytic = grape.gradient(traj, prob, objective)
                 numeric = grape.finite_difference_gradient(prob, grid, objective, delta=1e-5)
                 diff = np.abs(analytic - numeric)
                 rel = diff / np.maximum(np.abs(numeric), 1e-300)
@@ -141,7 +126,7 @@ class TestGradientPaths:
             traj = dyn.propagate(prob, random_schedule(rng, m, dt))
             for objective in (grape.qfi_objective(), grape.cfi_objective(povm)):
                 looped = ref.looped_exact_gradient(traj, prob, objective)
-                stacked = grape.gradient(traj, prob, objective, method="exact")
+                stacked = grape.gradient(traj, prob, objective)
                 # summation order differs; entries far below the table's
                 # largest carry that entry's rounding
                 np.testing.assert_allclose(
@@ -169,7 +154,7 @@ class TestGradientPaths:
             traj = dyn.propagate(prob, grid)
             for objective in (grape.qfi_objective(), grape.cfi_objective(povm)):
                 label = f"{name} {objective.kind} p={p}"
-                exact = grape.gradient(traj, prob, objective, method="exact")
+                exact = grape.gradient(traj, prob, objective)
                 assert exact.shape == (m, p)
                 looped = ref.looped_exact_gradient(traj, prob, objective)
                 np.testing.assert_allclose(
@@ -189,27 +174,12 @@ class TestGradientPaths:
             1.0, NOISE_MODELS["emission"], dyn.plus_state(), 1.0, control_generators=()
         )
         traj = dyn.propagate(prob, dyn.ControlGrid.zeros(10, 0, 0.1))
-        for method in ("exact", "adjoint"):
-            table = grape.gradient(traj, prob, grape.qfi_objective(), method=method)
-            assert table.shape == (10, 0)
-
-    def test_backward_weights_equal_stepwise_reference(self):
-        # the adjoint gradient, and through it every sweep table, reads these
-        rng = np.random.default_rng(9)
-        for name, noise in NOISE_MODELS.items():
-            m, dt = 30, 0.05
-            prob = make_problem(noise, horizon=m * dt)
-            traj = dyn.propagate(prob, random_schedule(rng, m, dt))
-            w1, w2 = grape._objective_weights(traj, grape.qfi_objective())
-            for got, want in zip(
-                grape._backward_weights(traj, w1, w2),
-                ref.backward_weights_stepwise(traj, w1, w2),
-            ):
-                np.testing.assert_array_equal(got, want, err_msg=name)
+        table = grape.gradient(traj, prob, grape.qfi_objective())
+        assert table.shape == (10, 0)
 
     def test_first_order_identity_error_shrinks_linearly_in_dt(self):
-        # the operator-identity paths approximate the step derivative to
-        # first order; halving dt must roughly halve their deviation
+        # the paper's operator identity approximates the step derivative to
+        # first order; halving dt must roughly halve its deviation
         rng = np.random.default_rng(8)
         prob_T = 1.0
         deviations = []
@@ -223,8 +193,8 @@ class TestGradientPaths:
             )
             grid = dyn.ControlGrid(amps, dt)
             traj = dyn.propagate(prob, grid)
-            g1 = grape.gradient(traj, prob, grape.qfi_objective(), method="adjoint")
-            g2 = grape.gradient(traj, prob, grape.qfi_objective(), method="exact")
+            g1 = ref.naive_gradient(traj, prob, grape.qfi_objective())
+            g2 = grape.gradient(traj, prob, grape.qfi_objective())
             deviations.append(np.abs(g1 - g2).max() / dt)  # per-entry scale ~ dt
         assert deviations[0] > deviations[1] > deviations[2]
         assert deviations[0] / deviations[2] > 2.5
@@ -243,8 +213,7 @@ class TestGradientPaths:
         grid = random_schedule(rng, 10, 0.1)
         traj = dyn.propagate(prob, grid)
         for table in (
-            grape.gradient(traj, prob, grape.qfi_objective(), method="exact"),
-            grape.gradient(traj, prob, grape.qfi_objective(), method="adjoint"),
+            grape.gradient(traj, prob, grape.qfi_objective()),
             ref.naive_gradient(traj, prob, grape.qfi_objective()),
         ):
             np.testing.assert_allclose(table, 0.0, atol=1e-12)
@@ -257,7 +226,7 @@ class TestGradientPaths:
         m = 100
         grid = dyn.ControlGrid.constant([0.0, 0.0, -0.5 * (1 + 1e-4)], m, horizon / m)
         traj = dyn.propagate(prob, grid)
-        analytic = grape.gradient(traj, prob, grape.qfi_objective(), method="exact")
+        analytic = grape.gradient(traj, prob, grape.qfi_objective())
         numeric = grape.finite_difference_gradient(prob, grid, grape.qfi_objective(), delta=1e-5)
         floor = np.abs(numeric).max()
         assert np.abs(analytic).max() <= 10.0 * floor + 1e-12
@@ -269,8 +238,7 @@ class TestGradientPaths:
         traj = dyn.propagate(prob, grid)
         povm = fisher.Povm((np.eye(2, dtype=complex),))
         for table in (
-            grape.gradient(traj, prob, grape.cfi_objective(povm), method="exact"),
-            grape.gradient(traj, prob, grape.cfi_objective(povm), method="adjoint"),
+            grape.gradient(traj, prob, grape.cfi_objective(povm)),
             ref.naive_gradient(traj, prob, grape.cfi_objective(povm)),
         ):
             np.testing.assert_allclose(table, 0.0, atol=1e-12)
@@ -282,9 +250,8 @@ class TestGradientPaths:
         prob = make_problem(None, horizon=horizon)
         traj = dyn.propagate(prob, dyn.ControlGrid.zeros(10, 3, horizon / 10))
         objective = grape.cfi_objective(fisher.Povm.plus_minus())
-        for method in ("exact", "adjoint"):
-            with pytest.raises(SingularOutcomeError):
-                grape.gradient(traj, prob, objective, method=method)
+        with pytest.raises(SingularOutcomeError):
+            grape.gradient(traj, prob, objective)
 
 
 class TestFiniteDifferenceGradient:
@@ -308,9 +275,7 @@ class TestFiniteDifferenceGradient:
         m, dt = 6, 0.2
         prob = make_problem(NOISE_MODELS["parallel"], horizon=m * dt)
         grid = random_schedule(rng, m, dt)
-        exact = grape.gradient(
-            dyn.propagate(prob, grid), prob, grape.qfi_objective(), method="exact"
-        )
+        exact = grape.gradient(dyn.propagate(prob, grid), prob, grape.qfi_objective())
         err = {}
         for delta in (2e-3, 1e-3):
             fd = grape.finite_difference_gradient(prob, grid, grape.qfi_objective(), delta=delta)
@@ -407,7 +372,6 @@ class TestAscend:
             max_iterations=60,
             init_mode="user_supplied",
             initial_grid=start,
-            gradient_method="exact",
         )
         report = grape.ascend(prob, config, grape.qfi_objective())
         assert report.converged
@@ -509,7 +473,6 @@ class TestAscend:
             max_iterations=250,
             seed=0,
             momentum=0.95,
-            gradient_method="exact",
             convergence_tolerance=1e-10,
         )
         report = grape.ascend(prob, config, grape.qfi_objective())
