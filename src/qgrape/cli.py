@@ -96,13 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, ascent=replace(config.ascent, seed=args.seed))
-    if getattr(args, "dt", None) is not None:
-        config = replace(
-            config, dt=args.dt, ascent=replace(config.ascent, dt=args.dt)
-        )
-    return config
+    changes = {k: v for k in ("seed", "dt") if (v := getattr(args, k, None)) is not None}
+    return replace(config, ascent=replace(config.ascent, **changes))
 
 
 def _cmd_simulate(args) -> int:

@@ -1,32 +1,10 @@
 """Scenario runner: sweeps, figure-style tables, and deterministic output.
 
 Scenarios are described by flat ``key = value`` config files (``#`` starts a
-comment; nested fields are dotted, e.g. ``ascent.step_size``).  Recognized
-keys:
-
-==========================  ====================================================
-``noise``                   ``dephasing`` | ``spontaneous`` | ``none``
-``noise.theta``             dephasing axis polar angle (radians, default pi/2)
-``noise.phi``               dephasing axis azimuth (radians, default 0)
-``noise.gamma``             dephasing rate
-``noise.gamma_plus``        raising rate (spontaneous)
-``noise.gamma_minus``       lowering rate (spontaneous)
-``omega0_true``             true frequency (required)
-``omega0_hat``              design frequency used to build controls
-``probe``                   ``plus`` | ``zero`` | ``r1,r2,r3``
-``T``                       horizon (required)
-``dt``                      control step width
-``objective``               ``qfi`` | ``cfi``
-``objective.povm``          ``pm`` (|+/-><+/-|) | ``z`` (computational)
-``ascent.step_size``        gradient-ascent step
-``ascent.max_iterations``   iteration cap
-``ascent.convergence_tolerance``  relative objective-change tolerance
-``ascent.seed``             RNG seed for initialization
-``ascent.init_mode``        ``zero`` | ``random`` (uniform in [-1, 1])
-``sweep``                   ``theta`` | ``omega_hat`` | ``t0`` | ``horizon``
-``sweep.start/stop``        sweep-axis bounds
-``sweep.points``            grid size (strictly increasing grid required)
-==========================  ====================================================
+comment; nested fields are dotted, e.g. ``ascent.step_size``).  ``_KEYS``
+lists every recognized key with its parser, the field it sets and its
+meaning; a key a file leaves out takes that field's dataclass default, and
+``omega0_true`` and ``T`` are required.
 
 Unknown keys are rejected.  Every sweep writes CSV tables with the fixed
 metric columns ``qfi, qfi_per_t, qfi_per_t2, cfi, oracle_qfi,
@@ -43,10 +21,10 @@ import math
 import platform
 import time
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import oracles
 from ._version import __version__ as _pkg_version
@@ -88,12 +66,15 @@ AXIS_NAMES = {"theta": "theta", "omega_hat": "omega0", "t0": "t0", "horizon": "h
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Parsed scenario description; see the module docstring for the keys."""
+    """Parsed scenario description; ``_KEYS`` maps the file keys to its fields.
 
-    noise_kind: str
+    The control step width is held once, as ``ascent.dt``.
+    """
+
     omega0_true: float
     horizon: float
-    dt: float = 0.05
+    ascent: AscentConfig
+    noise_kind: str = "none"
     noise_theta: float = math.pi / 2
     noise_phi: float = 0.0
     noise_gamma: float = 0.0
@@ -103,7 +84,6 @@ class ScenarioConfig:
     probe: str = "plus"
     objective_kind: str = "qfi"
     povm_name: str = "pm"
-    ascent: AscentConfig | None = None
     sweep_axis: str | None = None
     sweep_start: float = 0.0
     sweep_stop: float = 1.0
@@ -125,8 +105,10 @@ class ScenarioConfig:
                 raise ConfigError("sweep grid must be strictly increasing")
         if self.horizon <= 0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+
+    @property
+    def dt(self) -> float:
+        return self.ascent.dt
 
     @property
     def design_frequency(self) -> float:
@@ -173,35 +155,39 @@ def _parse_probe(text: str) -> np.ndarray:
     raise ConfigError(f"probe must be 'plus', 'zero', or 'r1,r2,r3', got {text!r}")
 
 
-_SCALAR_KEYS = {
-    "noise": str,
-    "noise.theta": float,
-    "noise.phi": float,
-    "noise.gamma": float,
-    "noise.gamma_plus": float,
-    "noise.gamma_minus": float,
-    "omega0_true": float,
-    "omega0_hat": float,
-    "probe": str,
-    "T": float,
-    "dt": float,
-    "objective": str,
-    "objective.povm": str,
-    "ascent.step_size": float,
-    "ascent.max_iterations": int,
-    "ascent.convergence_tolerance": float,
-    "ascent.seed": int,
-    "ascent.init_mode": str,
-    "sweep": str,
-    "sweep.start": float,
-    "sweep.stop": float,
-    "sweep.points": int,
+# The file format, in snapshot order: key -> (parser, field it sets).  A field
+# ``ascent.<name>`` is that field of ``ScenarioConfig.ascent``.
+_KEYS = {
+    "noise": (str, "noise_kind"),  # dephasing | spontaneous | none
+    "noise.theta": (float, "noise_theta"),  # dephasing axis polar angle (radians)
+    "noise.phi": (float, "noise_phi"),  # dephasing axis azimuth (radians)
+    "noise.gamma": (float, "noise_gamma"),  # dephasing rate
+    "noise.gamma_plus": (float, "noise_gamma_plus"),  # raising rate (spontaneous)
+    "noise.gamma_minus": (float, "noise_gamma_minus"),  # lowering rate (spontaneous)
+    "omega0_true": (float, "omega0_true"),  # true frequency (required)
+    "omega0_hat": (float, "omega0_hat"),  # design frequency used to build controls
+    "probe": (str, "probe"),  # plus | zero | r1,r2,r3
+    "T": (float, "horizon"),  # horizon (required)
+    "dt": (float, "ascent.dt"),  # control step width
+    "objective": (str, "objective_kind"),  # qfi | cfi
+    "objective.povm": (str, "povm_name"),  # pm (|+/-><+/-|) | z (computational)
+    "ascent.step_size": (float, "ascent.step_size"),  # gradient-ascent step
+    "ascent.max_iterations": (int, "ascent.max_iterations"),  # iteration cap
+    # relative objective-change tolerance
+    "ascent.convergence_tolerance": (float, "ascent.convergence_tolerance"),
+    "ascent.seed": (int, "ascent.seed"),  # RNG seed for initialization
+    "ascent.init_mode": (str, "ascent.init_mode"),  # zero | random (uniform in [-1, 1])
+    "sweep": (str, "sweep_axis"),  # theta | omega_hat | t0 | horizon
+    "sweep.start": (float, "sweep_start"),  # sweep-axis bounds
+    "sweep.stop": (float, "sweep_stop"),
+    "sweep.points": (int, "sweep_points"),  # grid size (strictly increasing grid)
 }
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
     """Parse the flat key-value format, rejecting unknown keys."""
-    values: dict[str, object] = {}
+    scenario: dict[str, object] = {}
+    ascent: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -210,58 +196,25 @@ def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _SCALAR_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in values:
+        parser, name = _KEYS[key]
+        owner, _, name = name.rpartition(".")
+        target = ascent if owner else scenario
+        if name in target:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        caster = _SCALAR_KEYS[key]
         try:
-            values[key] = caster(value)
+            target[name] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
-    return _config_from_values(values, source)
-
-
-def _config_from_values(values: dict, source: str) -> ScenarioConfig:
     for required in ("omega0_true", "T"):
-        if required not in values:
+        if _KEYS[required][1] not in scenario:
             raise ConfigError(f"{source}: missing required key {required!r}")
-    dt = float(values.get("dt", 0.05))
-    init_mode = values.get("ascent.init_mode", "random")
-    if init_mode not in ("random", "zero"):
-        raise ConfigError(f"{source}: ascent.init_mode must be 'random' or 'zero'")
-    ascent = AscentConfig(
-        dt=dt,
-        step_size=float(values.get("ascent.step_size", 0.1)),
-        max_iterations=int(values.get("ascent.max_iterations", 500)),
-        convergence_tolerance=float(values.get("ascent.convergence_tolerance", 1e-8)),
-        seed=int(values.get("ascent.seed", 0)),
-        init_mode="zero" if init_mode == "zero" else "random_uniform",
-    )
     try:
-        return ScenarioConfig(
-            noise_kind=values.get("noise", "none"),
-            noise_theta=float(values.get("noise.theta", math.pi / 2)),
-            noise_phi=float(values.get("noise.phi", 0.0)),
-            noise_gamma=float(values.get("noise.gamma", 0.0)),
-            noise_gamma_plus=float(values.get("noise.gamma_plus", 0.0)),
-            noise_gamma_minus=float(values.get("noise.gamma_minus", 0.0)),
-            omega0_true=float(values["omega0_true"]),
-            omega0_hat=(float(values["omega0_hat"]) if "omega0_hat" in values else None),
-            probe=str(values.get("probe", "plus")),
-            horizon=float(values["T"]),
-            dt=dt,
-            objective_kind=values.get("objective", "qfi"),
-            povm_name=values.get("objective.povm", "pm"),
-            ascent=ascent,
-            sweep_axis=values.get("sweep"),
-            sweep_start=float(values.get("sweep.start", 0.0)),
-            sweep_stop=float(values.get("sweep.stop", 1.0)),
-            sweep_points=int(values.get("sweep.points", 11)),
-        )
-    except QGrapeError:
+        return ScenarioConfig(ascent=AscentConfig(**ascent), **scenario)
+    except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # AscentConfig's ValidationError among them
         raise ConfigError(f"{source}: {exc}") from exc
 
 
@@ -273,38 +226,14 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 
 def config_snapshot(config: ScenarioConfig) -> str:
-    """Re-serializable key-value snapshot of a scenario."""
-    a = config.ascent
-    lines = [
-        f"noise = {config.noise_kind}",
-        f"noise.theta = {config.noise_theta!r}",
-        f"noise.phi = {config.noise_phi!r}",
-        f"noise.gamma = {config.noise_gamma!r}",
-        f"noise.gamma_plus = {config.noise_gamma_plus!r}",
-        f"noise.gamma_minus = {config.noise_gamma_minus!r}",
-        f"omega0_true = {config.omega0_true!r}",
-        f"omega0_hat = {config.design_frequency!r}",
-        f"probe = {config.probe}",
-        f"T = {config.horizon!r}",
-        f"dt = {config.dt!r}",
-        f"objective = {config.objective_kind}",
-        f"objective.povm = {config.povm_name}",
-    ]
-    if a is not None:
-        lines += [
-            f"ascent.step_size = {a.step_size!r}",
-            f"ascent.max_iterations = {a.max_iterations}",
-            f"ascent.convergence_tolerance = {a.convergence_tolerance!r}",
-            f"ascent.seed = {a.seed}",
-            f"ascent.init_mode = {'zero' if a.init_mode == 'zero' else 'random'}",
-        ]
-    if config.sweep_axis is not None:
-        lines += [
-            f"sweep = {config.sweep_axis}",
-            f"sweep.start = {config.sweep_start!r}",
-            f"sweep.stop = {config.sweep_stop!r}",
-            f"sweep.points = {config.sweep_points}",
-        ]
+    """Re-serializable key-value snapshot of a scenario: every key of
+    ``_KEYS``, the ``sweep`` keys only when a sweep is declared."""
+    lines = []
+    for key, (_, name) in _KEYS.items():
+        if key.startswith("sweep") and config.sweep_axis is None:
+            continue
+        value = config.design_frequency if key == "omega0_hat" else attrgetter(name)(config)
+        lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -328,7 +257,6 @@ def _versions() -> dict[str, str]:
     return {
         "qgrape": _pkg_version,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": platform.python_version(),
     }
 
@@ -585,7 +513,7 @@ def run_sweep(config: ScenarioConfig) -> RunRecord:
         axis_name=AXIS_NAMES[config.sweep_axis],
         tables=tables,
         config_snapshot=config_snapshot(config),
-        seed=config.ascent.seed if config.ascent else 0,
+        seed=config.ascent.seed,
         wall_clock=time.perf_counter() - start,
         versions=_versions(),
         schedules=schedules,

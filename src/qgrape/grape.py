@@ -227,7 +227,7 @@ class AscentConfig:
     """Gradient-ascent settings.
 
     ``dt`` fixes the control grid geometry (the step count follows from the
-    problem horizon).  ``init_mode`` is one of ``zero``, ``random_uniform``
+    problem horizon).  ``init_mode`` is one of ``zero``, ``random``
     (amplitudes drawn uniformly from [-1, 1]), or ``user_supplied`` with
     ``initial_grid`` set.  Convergence is declared when the objective change
     stays below ``convergence_tolerance * max(1, |F|)`` for 10 consecutive
@@ -241,12 +241,12 @@ class AscentConfig:
     plain safeguarded gradient step, so monotonicity is preserved.
     """
 
-    dt: float
-    step_size: float = 0.01
+    dt: float = 0.05
+    step_size: float = 0.1
     max_iterations: int = 500
     convergence_tolerance: float = 1e-8
     seed: int = 0
-    init_mode: str = "random_uniform"
+    init_mode: str = "random"
     initial_grid: ControlGrid | None = None
     momentum: float = 0.0
 
@@ -259,7 +259,7 @@ class AscentConfig:
             raise ValidationError("max_iterations must be at least 1")
         if self.convergence_tolerance <= 0:
             raise ValidationError("convergence tolerance must be positive")
-        if self.init_mode not in ("zero", "random_uniform", "user_supplied"):
+        if self.init_mode not in ("zero", "random", "user_supplied"):
             raise ValidationError(f"unknown init mode {self.init_mode!r}")
         if self.init_mode == "user_supplied" and self.initial_grid is None:
             raise ValidationError("user_supplied init requires initial_grid")

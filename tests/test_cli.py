@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qgrape
 from qgrape import dynamics as dyn
 from qgrape import experiments as exp
 from qgrape.cli import main
@@ -107,6 +113,41 @@ def test_optimize_writes_schedule_and_history(tmp_path, capsys):
     history = (out_dir / "history.csv").read_text().splitlines()
     assert history[0] == "iteration,objective"
     assert len(history) == 12  # header + initial + 10 iterations
+
+
+def test_dt_override_sets_the_one_step_width(tmp_path):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(
+        "noise = dephasing\nnoise.gamma = 0.1\nomega0_true = 1.0\nT = 2.0\ndt = 0.1\n"
+        "ascent.max_iterations = 3\n"
+    )
+    out_dir = tmp_path / "run"
+    assert main(["optimize", "--config", str(cfg), "--dt", "0.05", "--out", str(out_dir)]) == 0
+    schedule = exp.read_schedule(out_dir / "schedule.csv")
+    assert schedule.dt == pytest.approx(0.05)
+    assert schedule.horizon == pytest.approx(2.0)
+    assert "dt = 0.05" in (out_dir / "config.cfg").read_text().splitlines()
+
+
+def test_runs_without_scipy(tmp_path):
+    # the oracle and a two-iteration horizon sweep, with scipy unimportable
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(AXIS_SWEEPS["horizon"][0].replace("max_iterations = 20", "max_iterations = 2"))
+    sweep = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from qgrape.cli import main\n"
+        "assert main(['oracle', 'transverse', '--horizon', '5']) == 0\n"
+        f"assert main({sweep!r}) == 0\n"
+    )
+    src = str(Path(qgrape.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "21.3061"
+    assert (tmp_path / "run" / "horizon_scan.csv").exists()
 
 
 @pytest.mark.parametrize("axis", sorted(AXIS_SWEEPS))

@@ -6,6 +6,7 @@ import pytest
 from qgrape import dynamics as dyn
 from qgrape import experiments as exp
 from qgrape import oracles
+from qgrape.cli import main
 from qgrape.errors import ConfigError
 from qgrape.grape import AscentConfig
 
@@ -36,7 +37,6 @@ def small_sweep_config(**overrides):
         noise_gamma=0.1,
         omega0_true=1.0,
         horizon=2.0,
-        dt=0.1,
         ascent=ascent,
         sweep_axis="theta",
         sweep_start=0.0,
@@ -94,6 +94,74 @@ class TestConfigParsing:
         )
         with pytest.raises(ConfigError):
             exp.parse_config_text(base.format("left")).probe_state()
+
+
+# every key of the format, each away from its default
+ALL_KEYS_CONFIG = """
+noise = dephasing
+noise.theta = 0.3
+noise.phi = 0.2
+noise.gamma = 0.15
+noise.gamma_plus = 0.01
+noise.gamma_minus = 0.02
+omega0_true = 1.25
+omega0_hat = 1.5
+probe = 0.6,0.0,0.8
+T = 3.5
+dt = 0.07
+objective = cfi
+objective.povm = z
+ascent.step_size = 0.2
+ascent.max_iterations = 77
+ascent.convergence_tolerance = 1e-9
+ascent.seed = 13
+ascent.init_mode = zero
+sweep = theta
+sweep.start = 0.5
+sweep.stop = 2.5
+sweep.points = 5
+"""
+
+
+class TestSnapshotFormat:
+    """The exact snapshot text is part of the manifest format."""
+
+    def test_all_keys(self):
+        snapshot = exp.config_snapshot(exp.parse_config_text(ALL_KEYS_CONFIG))
+        assert snapshot == ALL_KEYS_CONFIG.lstrip("\n").replace("1e-9", "1e-09")
+
+    def test_required_keys_only(self):
+        snapshot = exp.config_snapshot(exp.parse_config_text("omega0_true = 1\nT = 1\n"))
+        assert snapshot == (
+            "noise = none\n"
+            "noise.theta = 1.5707963267948966\n"
+            "noise.phi = 0.0\n"
+            "noise.gamma = 0.0\n"
+            "noise.gamma_plus = 0.0\n"
+            "noise.gamma_minus = 0.0\n"
+            "omega0_true = 1.0\n"
+            "omega0_hat = 1.0\n"
+            "probe = plus\n"
+            "T = 1.0\n"
+            "dt = 0.05\n"
+            "objective = qfi\n"
+            "objective.povm = pm\n"
+            "ascent.step_size = 0.1\n"
+            "ascent.max_iterations = 500\n"
+            "ascent.convergence_tolerance = 1e-08\n"
+            "ascent.seed = 0\n"
+            "ascent.init_mode = random\n"
+        )
+
+    @pytest.mark.parametrize("mode", ["random_uniform", "user_supplied"])
+    def test_library_only_init_modes_rejected(self, tmp_path, capsys, mode):
+        text = f"omega0_true = 1\nT = 1\nascent.init_mode = {mode}\n"
+        with pytest.raises(ConfigError):
+            exp.parse_config_text(text)
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(text)
+        assert main(["optimize", "--config", str(cfg)]) == 1
+        assert "config error" in capsys.readouterr().err
 
 
 class TestEnergyCost:
@@ -162,7 +230,6 @@ class TestTimeScan:
             convergence_tolerance=1e-10, init_mode="zero",
         )
         config = small_sweep_config(
-            dt=0.05,
             ascent=ascent,
             sweep_axis="horizon",
             sweep_start=1.0,
@@ -321,6 +388,25 @@ class TestOutputFiles:
         loaded = exp.read_schedule(path)
         assert loaded.dt == pytest.approx(grid.dt)
         np.testing.assert_allclose(loaded.amplitudes, grid.amplitudes, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "axis, start, stop",
+        [("theta", 0.0, math.pi), ("horizon", 1.0, 2.0), ("omega_hat", 0.9, 1.1)],
+    )
+    def test_schedules_read_back_with_their_horizon(self, tmp_path, axis, start, stop):
+        config = small_sweep_config(
+            ascent=AscentConfig(dt=0.1, max_iterations=3, init_mode="zero"),
+            sweep_axis=axis, sweep_start=start, sweep_stop=stop, sweep_points=3,
+        )
+        record = exp.run_sweep(config)
+        exp.write_run(record, tmp_path)
+        grid = config.sweep_grid()
+        assert record.schedules
+        for name in record.schedules:
+            schedule = exp.read_schedule(tmp_path / f"{name}.csv")
+            horizon = grid[int(name[-3:])] if axis == "horizon" else config.horizon
+            assert schedule.dt == pytest.approx(0.1)
+            assert schedule.horizon == pytest.approx(horizon)
 
     def test_flagged_point_keeps_sweep_going(self, tmp_path, monkeypatch):
         config = small_sweep_config(
