@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    qgrape simulate --config FILE [--schedule FILE] [--dt X]
+    qgrape simulate --config FILE [--schedule FILE | --dt X]
     qgrape optimize --config FILE [--out DIR] [--seed N]
     qgrape sweep    --config FILE --out DIR [--seed N]
     qgrape oracle   MODEL [--gamma X] [--gamma-plus X] [--gamma-minus X]
@@ -101,14 +101,17 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
 
 
 def _cmd_simulate(args) -> int:
+    if args.schedule is not None and args.dt is not None:
+        raise ConfigError("--dt cannot be combined with --schedule, whose t_start column "
+                          "sets the step width")
     config = _apply_overrides(load_config(args.config), args)
-    problem = experiments._scenario_problem(config, config.design_frequency)
+    problem = experiments._scenario_problem(config, config.omega0_true)
     if args.schedule is not None:
         grid = read_schedule(args.schedule)
     else:
         m = step_count(config.horizon, config.dt)
         grid = ControlGrid.zeros(m, problem.n_controls, config.dt)
-    traj = propagate(problem, grid, x=config.omega0_true)
+    traj = propagate(problem, grid)
     drho = traj.final_state_derivative
     q = qfi(traj.final_state, drho)
     c = cfi(traj.final_state, drho, config.povm())

@@ -1,11 +1,12 @@
 """Open-system dynamics of a driven two-level probe.
 
 The probe evolves under ``d(rho)/dt = -i[H, rho] + Gamma(rho)`` with a
-controlled Hamiltonian ``H = H0(x) + sum_k V_k(t) H_k``.  The estimated
-parameter ``x`` enters only through the free part ``H0``.  Controls are
-piecewise constant on a uniform grid of ``m`` steps of width ``dt``, so the
-final state is a right-to-left product of step propagators
-``exp(dt * L_m) ... exp(dt * L_1)`` applied to the probe.
+controlled Hamiltonian ``H = x K + sum_k V_k(t) H_k``.  The estimated
+parameter ``x`` enters only, and linearly, through the free part
+``H0 = x K``; :class:`EstimationProblem` holds ``x`` and ``K`` and builds
+each generator once.  Controls are piecewise constant on a uniform grid of
+``m`` steps of width ``dt``, so the final state is a right-to-left product
+of step propagators ``exp(dt * L_m) ... exp(dt * L_1)`` applied to the probe.
 
 Everything is represented in Liouville space: density matrices are
 column-major vectorized (``vec(rho) = rho.reshape(4, order="F")``) and maps
@@ -13,10 +14,10 @@ on them are 4x4 matrices.  With this stacking, ``rho -> A rho B`` has matrix
 ``B.T (x) A`` and the commutator map ``[H, .]`` has matrix
 ``kron(I, H) - kron(H.T, I)``.
 
-Propagation works on stacks over the time axis: :func:`propagate` builds the
-generators of all m steps at once, exponentiates the (m, 4, 4) stack in one
-batched scaling-and-squaring call, and loops only over the 4-vector state and
-sensitivity recursion.
+Propagation works on stacks over the time axis: :func:`propagate` adds the
+control terms of all m steps to the problem's free generator at once,
+exponentiates the (m, 4, 4) stack in one batched scaling-and-squaring call,
+and loops only over the 4-vector state and sensitivity recursion.
 
 Conventions (fixed once, asserted by tests):
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,7 +65,6 @@ __all__ = [
     "EstimationProblem",
     "frequency_estimation_problem",
     "ControlGrid",
-    "build_liouvillian",
     "step_count",
     "step_propagator",
     "Trajectory",
@@ -188,8 +188,11 @@ class Dephasing:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValidationError(f"dephasing rate must be nonnegative, got {self.gamma}")
+        # written as "not good" so that NaN and inf are rejected too
+        if not 0 <= self.gamma < math.inf:
+            raise ValidationError(
+                f"dephasing rate must be finite and nonnegative, got {self.gamma}"
+            )
         if not 0.0 <= self.theta <= math.pi:
             raise ValidationError(f"theta must lie in [0, pi], got {self.theta}")
         if not 0.0 <= self.phi <= 2.0 * math.pi:
@@ -204,9 +207,9 @@ class SpontaneousEmission:
     gamma_minus: float
 
     def __post_init__(self):
-        if self.gamma_plus < 0 or self.gamma_minus < 0:
+        if not (0 <= self.gamma_plus < math.inf and 0 <= self.gamma_minus < math.inf):
             raise ValidationError(
-                f"emission rates must be nonnegative, got "
+                f"emission rates must be finite and nonnegative, got "
                 f"({self.gamma_plus}, {self.gamma_minus})"
             )
 
@@ -254,26 +257,27 @@ def dissipator(noise: NoiseModel) -> np.ndarray:
 class EstimationProblem:
     """Frequency-estimation scenario: dynamics, probe, and horizon.
 
-    ``free_hamiltonian`` maps the estimated parameter ``x`` to ``H0(x)`` and
-    ``free_hamiltonian_derivative`` to ``dH0/dx``; both must return 2x2
-    Hermitian matrices.  ``control_generators`` lists the Hermitian operators
-    multiplied by the control amplitudes.
+    The free Hamiltonian is ``H0 = x K`` with ``K = encoding``, a Hermitian
+    2x2 matrix, so ``dH0/dx = K``.  ``control_generators`` lists the Hermitian
+    operators multiplied by the control amplitudes.  The generators that do
+    not depend on the controls are built once per problem; to evaluate the
+    same model at another ``x``, build ``dataclasses.replace(problem, x=...)``.
     """
 
     x: float
-    free_hamiltonian: Callable[[float], np.ndarray]
-    free_hamiltonian_derivative: Callable[[float], np.ndarray]
+    encoding: np.ndarray
     control_generators: tuple[np.ndarray, ...]
     noise: NoiseModel
     probe: np.ndarray
     horizon: float
 
     def __post_init__(self):
-        if self.horizon < 0:
-            raise ValidationError(f"horizon must be nonnegative, got {self.horizon}")
+        if not math.isfinite(self.x):
+            raise ValidationError(f"x must be finite, got {self.x}")
+        if not 0 <= self.horizon < math.inf:
+            raise ValidationError(f"horizon must be finite and nonnegative, got {self.horizon}")
         validate_density(self.probe)
-        _check_hermitian(self.free_hamiltonian(self.x), "free Hamiltonian")
-        _check_hermitian(self.free_hamiltonian_derivative(self.x), "free Hamiltonian derivative")
+        _check_hermitian(self.encoding, "encoding")
         for k, gen in enumerate(self.control_generators):
             _check_hermitian(gen, f"control generator {k}")
 
@@ -288,13 +292,14 @@ class EstimationProblem:
         return -1j * commutator_superop(gens)
 
     @cached_property
-    def dissipator_superop(self) -> np.ndarray:
-        """4x4 matrix of the dissipative part of the generator."""
-        return dissipator(self.noise)
+    def free_superop(self) -> np.ndarray:
+        """4x4 generator without controls, ``L0 = -i [x K, .] + Gamma``."""
+        return -1j * commutator_superop(self.x * self.encoding) + dissipator(self.noise)
 
-    def sensitivity_generator(self, x: float) -> np.ndarray:
-        """``G = dL/dx = -i [dH0/dx, .]`` at parameter value x."""
-        return -1j * commutator_superop(self.free_hamiltonian_derivative(x))
+    @cached_property
+    def sensitivity_superop(self) -> np.ndarray:
+        """``G = dL/dx = -i [K, .]``."""
+        return -1j * commutator_superop(self.encoding)
 
 
 def frequency_estimation_problem(
@@ -304,11 +309,10 @@ def frequency_estimation_problem(
     horizon: float,
     control_generators: tuple[np.ndarray, ...] = PAULIS,
 ) -> EstimationProblem:
-    """Standard scenario ``H0(x) = (x/2) sigma_z`` with controls along sigma axes."""
+    """Standard scenario ``H0 = (x/2) sigma_z`` with controls along sigma axes."""
     return EstimationProblem(
         x=omega0,
-        free_hamiltonian=lambda x: 0.5 * x * SIGMA_Z,
-        free_hamiltonian_derivative=lambda x: 0.5 * SIGMA_Z,
+        encoding=0.5 * SIGMA_Z,
         control_generators=tuple(control_generators),
         noise=noise,
         probe=np.array(probe, dtype=complex),
@@ -330,8 +334,8 @@ class ControlGrid:
             raise ValidationError(f"amplitudes must be an (m, p) table, got ndim={amps.ndim}")
         if not np.all(np.isfinite(amps)):
             raise ValidationError("control amplitudes must be finite")
-        if self.dt <= 0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ValidationError(f"dt must be finite and positive, got {self.dt}")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -356,31 +360,17 @@ class ControlGrid:
         return ControlGrid(np.tile(row, (n_steps, 1)), dt)
 
 
-def _liouvillians(problem: EstimationProblem, amplitudes: np.ndarray, x: float) -> np.ndarray:
-    """Stack (m, 4, 4) of the generators ``L0(x) + sum_k V_k dL/dV_k`` for an
-    (m, p) amplitude table.  The Hermiticity check covers the free part at x."""
-    free = -1j * commutator_superop(problem.free_hamiltonian(x)) + problem.dissipator_superop
-    return free + np.einsum("jk,kab->jab", amplitudes, problem.control_superops)
-
-
-def build_liouvillian(
-    problem: EstimationProblem, controls_at_step: Sequence[float], x: float
-) -> np.ndarray:
-    """Generator ``-i [H0(x) + sum_k V_k H_k, .] + Gamma`` for one step."""
-    amps = np.asarray(controls_at_step, dtype=float)
-    if amps.shape != (problem.n_controls,):
-        raise ValidationError(
-            f"expected {problem.n_controls} control amplitudes, got shape {amps.shape}"
-        )
-    if not np.all(np.isfinite(amps)):
-        raise ValidationError("control amplitudes must be finite")
-    return _liouvillians(problem, amps[None, :], x)[0]
+def _liouvillians(problem: EstimationProblem, amplitudes: np.ndarray) -> np.ndarray:
+    """Stack (m, 4, 4) of the generators ``L0 + sum_k V_k dL/dV_k`` for an
+    (m, p) amplitude table."""
+    return problem.free_superop + np.einsum("jk,kab->jab", amplitudes, problem.control_superops)
 
 
 def step_count(horizon: float, dt: float) -> int:
     """Number of control steps of width ``dt`` that make up ``horizon``; the
-    horizon must be a positive multiple of ``dt``."""
-    m = round(horizon / dt)
+    horizon must be a positive multiple of ``dt``, both finite."""
+    ratio = horizon / dt if dt > 0 else math.nan
+    m = round(ratio) if math.isfinite(ratio) else 0
     if m < 1 or abs(m * dt - horizon) > 1e-9:
         raise ValidationError(f"horizon {horizon} is not a positive multiple of dt {dt}")
     return m
@@ -458,7 +448,6 @@ class Trajectory:
     liouvillians: np.ndarray
     phi: np.ndarray
     dt: float
-    x: float
 
     @property
     def n_steps(self) -> int:
@@ -498,23 +487,22 @@ def _check_states(states: np.ndarray, first_step: int = 1) -> None:
         )
 
 
-def propagate(
-    problem: EstimationProblem, grid: ControlGrid, x: float | None = None
-) -> Trajectory:
-    """Propagate the probe through all steps, accumulating sensitivities.
+def propagate(problem: EstimationProblem, grid: ControlGrid) -> Trajectory:
+    """Propagate the probe through all steps at the problem's ``x``,
+    accumulating sensitivities.
 
     The generators and step propagators of all steps are built as (m, 4, 4)
-    stacks; only the recursions below run step by step.  The sensitivity
-    recursion is ``phi_j = E_j phi_{j-1} + G(rho_j)`` with ``phi_0 = 0`` and
-    ``G = -i [dH0/dx, .]``, which telescopes to
+    stacks from the problem's cached ``free_superop`` and
+    ``control_superops``; only the recursions below run step by step.  The
+    sensitivity recursion is ``phi_j = E_j phi_{j-1} + G(rho_j)`` with
+    ``phi_0 = 0`` and ``G = -i [K, .]`` (the problem's
+    ``sensitivity_superop``), which telescopes to
     ``d(rho_j)/dx = dt * sum_{i<=j} D_{i+1}^j G(rho_i)``.
 
     Raises :class:`NumericalStabilityError` (naming the first such step) if an
     intermediate state loses positivity beyond the hard floor, its trace, or
     finiteness.
     """
-    if x is None:
-        x = problem.x
     m = grid.n_steps
     if grid.n_controls != problem.n_controls:
         raise ValidationError(
@@ -526,9 +514,9 @@ def propagate(
             f"{problem.horizon!r}"
         )
 
-    lious = _liouvillians(problem, grid.amplitudes, x)
+    lious = _liouvillians(problem, grid.amplitudes)
     props = step_propagator(lious, grid.dt)
-    dgen = problem.sensitivity_generator(x)
+    dgen = problem.sensitivity_superop
 
     rho_v = np.empty((m + 1, 4), dtype=complex)
     phi_v = np.empty((m + 1, 4), dtype=complex)
@@ -551,5 +539,4 @@ def propagate(
         liouvillians=lious,
         phi=np.ascontiguousarray(unvectorize(phi_v)),
         dt=grid.dt,
-        x=x,
     )

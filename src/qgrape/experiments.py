@@ -103,8 +103,8 @@ class ScenarioConfig:
                 raise ConfigError("sweep needs at least 2 points")
             if not self.sweep_stop > self.sweep_start:
                 raise ConfigError("sweep grid must be strictly increasing")
-        if self.horizon <= 0:
-            raise ConfigError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise ConfigError(f"horizon must be finite and positive, got {self.horizon}")
 
     @property
     def dt(self) -> float:
@@ -155,31 +155,38 @@ def _parse_probe(text: str) -> np.ndarray:
     raise ConfigError(f"probe must be 'plus', 'zero', or 'r1,r2,r3', got {text!r}")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 # The file format, in snapshot order: key -> (parser, field it sets).  A field
 # ``ascent.<name>`` is that field of ``ScenarioConfig.ascent``.
 _KEYS = {
     "noise": (str, "noise_kind"),  # dephasing | spontaneous | none
-    "noise.theta": (float, "noise_theta"),  # dephasing axis polar angle (radians)
-    "noise.phi": (float, "noise_phi"),  # dephasing axis azimuth (radians)
-    "noise.gamma": (float, "noise_gamma"),  # dephasing rate
-    "noise.gamma_plus": (float, "noise_gamma_plus"),  # raising rate (spontaneous)
-    "noise.gamma_minus": (float, "noise_gamma_minus"),  # lowering rate (spontaneous)
-    "omega0_true": (float, "omega0_true"),  # true frequency (required)
-    "omega0_hat": (float, "omega0_hat"),  # design frequency used to build controls
+    "noise.theta": (_finite, "noise_theta"),  # dephasing axis polar angle (radians)
+    "noise.phi": (_finite, "noise_phi"),  # dephasing axis azimuth (radians)
+    "noise.gamma": (_finite, "noise_gamma"),  # dephasing rate
+    "noise.gamma_plus": (_finite, "noise_gamma_plus"),  # raising rate (spontaneous)
+    "noise.gamma_minus": (_finite, "noise_gamma_minus"),  # lowering rate (spontaneous)
+    "omega0_true": (_finite, "omega0_true"),  # true frequency (required)
+    "omega0_hat": (_finite, "omega0_hat"),  # design frequency used to build controls
     "probe": (str, "probe"),  # plus | zero | r1,r2,r3
-    "T": (float, "horizon"),  # horizon (required)
-    "dt": (float, "ascent.dt"),  # control step width
+    "T": (_finite, "horizon"),  # horizon (required)
+    "dt": (_finite, "ascent.dt"),  # control step width
     "objective": (str, "objective_kind"),  # qfi | cfi
     "objective.povm": (str, "povm_name"),  # pm (|+/-><+/-|) | z (computational)
-    "ascent.step_size": (float, "ascent.step_size"),  # gradient-ascent step
+    "ascent.step_size": (_finite, "ascent.step_size"),  # gradient-ascent step
     "ascent.max_iterations": (int, "ascent.max_iterations"),  # iteration cap
     # relative objective-change tolerance
-    "ascent.convergence_tolerance": (float, "ascent.convergence_tolerance"),
+    "ascent.convergence_tolerance": (_finite, "ascent.convergence_tolerance"),
     "ascent.seed": (int, "ascent.seed"),  # RNG seed for initialization
     "ascent.init_mode": (str, "ascent.init_mode"),  # zero | random (uniform in [-1, 1])
     "sweep": (str, "sweep_axis"),  # theta | omega_hat | t0 | horizon
-    "sweep.start": (float, "sweep_start"),  # sweep-axis bounds
-    "sweep.stop": (float, "sweep_stop"),
+    "sweep.start": (_finite, "sweep_start"),  # sweep-axis bounds
+    "sweep.stop": (_finite, "sweep_stop"),
     "sweep.points": (int, "sweep_points"),  # grid size (strictly increasing grid)
 }
 
@@ -247,8 +254,7 @@ class RunRecord:
     seed: int
     wall_clock: float
     versions: dict[str, str]
-    schedules: dict[str, np.ndarray] = field(default_factory=dict)
-    schedule_dt: float = 0.05
+    schedules: dict[str, ControlGrid] = field(default_factory=dict)
     flagged: list[str] = field(default_factory=list)
     below_uncontrolled: list[str] = field(default_factory=list)
 
@@ -281,9 +287,9 @@ def _scenario_problem(
 
 
 def _qfi_cfi_of_grid(
-    problem: EstimationProblem, grid: ControlGrid, povm: Povm, x: float | None = None
+    problem: EstimationProblem, grid: ControlGrid, povm: Povm
 ) -> tuple[float, float]:
-    traj = propagate(problem, grid, x=x)
+    traj = propagate(problem, grid)
     drho = traj.final_state_derivative
     return qfi(traj.final_state, drho), cfi(traj.final_state, drho, povm)
 
@@ -317,16 +323,17 @@ def _optimized_metrics(
     povm: Povm,
     index: int,
     oracle_qfi: float,
-) -> tuple[dict, np.ndarray]:
+) -> tuple[dict, ControlGrid]:
     """Metrics and schedule of one optimized point: free evolution, then the
     schedule optimized with point ``index``'s seed, both evaluated at the true
     frequency."""
+    true_problem = replace(problem, x=config.omega0_true)
     free = ControlGrid.zeros(m, problem.n_controls, config.dt)
-    q_free, _ = _qfi_cfi_of_grid(problem, free, povm, x=config.omega0_true)
+    q_free, _ = _qfi_cfi_of_grid(true_problem, free, povm)
     grid, _ = _optimize(problem, config, _point_seed(config.ascent.seed, index))
-    q_opt, c_opt = _qfi_cfi_of_grid(problem, grid, povm, x=config.omega0_true)
+    q_opt, c_opt = _qfi_cfi_of_grid(true_problem, grid, povm)
     metrics = dict(qfi=q_opt, cfi=c_opt, oracle_qfi=oracle_qfi, uncontrolled_qfi=q_free)
-    return metrics, grid.amplitudes
+    return metrics, grid
 
 
 def _theta_axis(config: ScenarioConfig):
@@ -410,10 +417,10 @@ def _horizon_axis(config: ScenarioConfig):
     def point(index: int, horizon: float):
         m = step_count(horizon, config.dt)
         problem = _scenario_problem(config, config.design_frequency, horizon=horizon)
-        metrics, amplitudes = _optimized_metrics(
+        metrics, grid = _optimized_metrics(
             config, problem, m, povm, index, oracle_qfi=_oracle_curve(config, horizon)
         )
-        return {"horizon_scan": metrics}, {f"schedule_horizon_{index:03d}": amplitudes}
+        return {"horizon_scan": metrics}, {f"schedule_horizon_{index:03d}": grid}
 
     return ("horizon_scan",), point, {}
 
@@ -437,7 +444,7 @@ def _omega_hat_axis(config: ScenarioConfig):
         q_free, _ = _qfi_cfi_of_grid(problem, free, povm)
         return {"robustness_scan": dict(qfi=q_ctl, cfi=c_ctl, uncontrolled_qfi=q_free)}, {}
 
-    return ("robustness_scan",), point, {"schedule_design": grid.amplitudes}
+    return ("robustness_scan",), point, {"schedule_design": grid}
 
 
 def _t0_axis(config: ScenarioConfig):
@@ -517,7 +524,6 @@ def run_sweep(config: ScenarioConfig) -> RunRecord:
         wall_clock=time.perf_counter() - start,
         versions=_versions(),
         schedules=schedules,
-        schedule_dt=config.dt,
         flagged=flagged,
         below_uncontrolled=below,
     )
@@ -551,9 +557,9 @@ def write_run(record: RunRecord, out_dir: str | Path) -> list[Path]:
             lines.append(",".join(cells))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
         written.append(path)
-    for name, amplitudes in record.schedules.items():
+    for name, grid in record.schedules.items():
         path = out / f"{name}.csv"
-        write_schedule(path, ControlGrid(amplitudes, record.schedule_dt))
+        write_schedule(path, grid)
         written.append(path)
     manifest = out / "manifest.txt"
     body = [

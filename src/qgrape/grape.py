@@ -87,13 +87,10 @@ def objective_value(traj: Trajectory, objective: Objective) -> float:
 
 
 def evaluate_objective(
-    problem: EstimationProblem,
-    grid: ControlGrid,
-    objective: Objective,
-    x: float | None = None,
+    problem: EstimationProblem, grid: ControlGrid, objective: Objective
 ) -> float:
     """Propagate and evaluate the objective at the final time."""
-    return objective_value(propagate(problem, grid, x=x), objective)
+    return objective_value(propagate(problem, grid), objective)
 
 
 def _objective_weights(
@@ -122,7 +119,7 @@ def gradient(traj: Trajectory, problem: EstimationProblem, objective: Objective)
     CFI), the backward sweep carries the rows of ``lam_j = adj(D_{j+1}^m)(W1)``,
     ``mu_j = adj(D_{j+1}^m)(W2)`` and
     ``q_j = sum_{i>=j} vec(lam_i^T)^T G D_{j+1}^i``, which gathers the
-    sensitivity sources ``G = -i [dH0/dx, .]`` downstream of step j.  The
+    sensitivity sources ``G = -i [K, .]`` downstream of step j.  The
     derivative of ``exp(dt L_j)`` along ``P_k = dL/dV_k`` is
     ``B_jk = integral_0^dt exp(s L_j) P_k exp((dt - s) L_j) ds``, and entry
     (j, k) is ``sum_s row_s B_jk col_s = Tr(P_k X_j)`` with
@@ -136,7 +133,7 @@ def gradient(traj: Trajectory, problem: EstimationProblem, objective: Objective)
     m = traj.n_steps
     dt = traj.dt
     props = traj.step_propagators
-    dgen = problem.sensitivity_generator(traj.x)
+    dgen = problem.sensitivity_superop
     # rows[j] = (lam_j, mu_j, q_j) as row vectors; the row vector
     # vec(X^T)^T of a Hermitian X is X flattened row by row
     rows = np.empty((m + 1, 3, 4), dtype=complex)
@@ -195,10 +192,10 @@ def finite_difference_gradient(
     bumped[:, k, 0, k] += delta
     bumped[:, k, 1, k] = bumped[:, k, 0, k] - 2.0 * delta
     bumped_props = step_propagator(
-        _liouvillians(problem, bumped.reshape(-1, p), problem.x), dt
+        _liouvillians(problem, bumped.reshape(-1, p)), dt
     ).reshape(m, 2 * p, 4, 4)
 
-    dgen = problem.sensitivity_generator(problem.x)
+    dgen = problem.sensitivity_superop
     rho_base = vectorize(base.states)[:, :, None]
     phi_base = vectorize(base.phi)[:, :, None]
     for j in range(m):
@@ -251,14 +248,15 @@ class AscentConfig:
     momentum: float = 0.0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
-        if self.step_size <= 0:
-            raise ValidationError(f"step size must be positive, got {self.step_size}")
+        # written as "not good" so that NaN and inf are rejected too
+        if not 0 < self.dt < np.inf:
+            raise ValidationError(f"dt must be finite and positive, got {self.dt}")
+        if not 0 < self.step_size < np.inf:
+            raise ValidationError(f"step size must be finite and positive, got {self.step_size}")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be at least 1")
-        if self.convergence_tolerance <= 0:
-            raise ValidationError("convergence tolerance must be positive")
+        if not 0 < self.convergence_tolerance < np.inf:
+            raise ValidationError("convergence tolerance must be finite and positive")
         if self.init_mode not in ("zero", "random", "user_supplied"):
             raise ValidationError(f"unknown init mode {self.init_mode!r}")
         if self.init_mode == "user_supplied" and self.initial_grid is None:

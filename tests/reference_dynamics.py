@@ -36,12 +36,8 @@ def _min_eigenvalue(rho: np.ndarray) -> float:
     return (tr - math.sqrt(max(tr * tr - 4.0 * det, 0.0))) / 2.0
 
 
-def propagate_stepwise(
-    problem: EstimationProblem, grid: ControlGrid, x: float | None = None
-) -> Trajectory:
+def propagate_stepwise(problem: EstimationProblem, grid: ControlGrid) -> Trajectory:
     """The trajectory of :func:`qgrape.dynamics.propagate`, one step at a time."""
-    if x is None:
-        x = problem.x
     m = grid.n_steps
     if grid.n_controls != problem.n_controls:
         raise ValidationError(
@@ -49,8 +45,8 @@ def propagate_stepwise(
         )
 
     gamma_super = dissipator(problem.noise)
-    h_free = np.array(problem.free_hamiltonian(x), dtype=complex)
-    dgen = -1j * commutator_superop(problem.free_hamiltonian_derivative(x))
+    h_free = problem.x * problem.encoding
+    dgen = -1j * commutator_superop(problem.encoding)
     gens = problem.control_generators
 
     states = np.empty((m + 1, 2, 2), dtype=complex)
@@ -90,5 +86,4 @@ def propagate_stepwise(
         liouvillians=lious,
         phi=phis,
         dt=grid.dt,
-        x=x,
     )

@@ -87,7 +87,7 @@ def m_operators(
         raise ValidationError(f"control index must satisfy 0 <= k < {problem.n_controls}")
     suffix = _suffix_propagators(traj) if _suffix is None else _suffix
     h_k = problem.control_generators[k]
-    dh0 = problem.free_hamiltonian_derivative(traj.x)
+    dh0 = problem.encoding
     rho_j = traj.states[j]
 
     m1 = 1j * unvectorize(suffix[j] @ vectorize(_commutator(h_k, rho_j)))
@@ -170,7 +170,7 @@ def _gradient_exact_looped(
     m, p = traj.n_steps, problem.n_controls
     dt = traj.dt
     props = traj.step_propagators
-    dgen = -1j * commutator_superop(problem.free_hamiltonian_derivative(traj.x))
+    dgen = -1j * commutator_superop(problem.encoding)
     control_gens = [
         -1j * commutator_superop(h_k) for h_k in problem.control_generators
     ]

@@ -54,8 +54,8 @@ def held_at_plus_controls(n_steps, dt, design_omega):
     return dyn.ControlGrid.constant([0.0, 0.0, -0.5 * design_omega], n_steps, dt)
 
 
-def pipeline_qfi(problem, grid, x=None):
-    traj = dyn.propagate(problem, grid, x=x)
+def pipeline_qfi(problem, grid):
+    traj = dyn.propagate(problem, grid)
     return fisher.qfi(traj.final_state, traj.final_state_derivative)
 
 

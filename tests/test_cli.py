@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,9 @@ import pytest
 import qgrape
 from qgrape import dynamics as dyn
 from qgrape import experiments as exp
+from qgrape import grape
 from qgrape.cli import main
+from qgrape.errors import ValidationError
 
 SWEEP_CONFIG = """
 noise = dephasing
@@ -219,6 +222,55 @@ def test_seed_override_changes_outputs(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(out2), "--seed", "99"]) == 0
     name = "robustness_scan.csv"
     assert (out1 / name).read_bytes() != (out2 / name).read_bytes()
+
+
+NAN, INF = math.nan, math.inf
+
+
+# each non-finite file value, and the library constructors that value reaches
+@pytest.mark.parametrize(
+    "key, value, constructors",
+    [
+        ("dt", "nan", [lambda: grape.AscentConfig(dt=NAN),
+                       lambda: dyn.ControlGrid.zeros(3, 3, NAN),
+                       lambda: dyn.step_count(2.0, NAN)]),
+        ("T", "nan", [lambda: dyn.frequency_estimation_problem(1.0, None, dyn.plus_state(), NAN),
+                      lambda: dyn.step_count(NAN, 0.1)]),
+        ("T", "inf", [lambda: dyn.frequency_estimation_problem(1.0, None, dyn.plus_state(), INF),
+                      lambda: dyn.step_count(INF, 0.1)]),
+        ("noise.gamma", "nan", [lambda: dyn.Dephasing(theta=0.0, phi=0.0, gamma=NAN),
+                                lambda: dyn.SpontaneousEmission(NAN, 0.1),
+                                lambda: dyn.SpontaneousEmission(0.0, NAN)]),
+        ("ascent.step_size", "nan", [lambda: grape.AscentConfig(step_size=NAN),
+                                     lambda: grape.AscentConfig(convergence_tolerance=NAN)]),
+    ],
+    ids=["dt_nan", "T_nan", "T_inf", "gamma_nan", "step_size_nan"],
+)
+def test_non_finite_values_are_rejected_where_they_enter(tmp_path, capsys, key, value,
+                                                         constructors):
+    values = {"noise": "dephasing", "noise.gamma": "0.1", "omega0_true": "1.0", "T": "2.0",
+              "dt": "0.1", key: value}
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert main(["optimize", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    line = list(values).index(key) + 1
+    assert err.startswith("config error") and f"scenario.cfg:{line}:" in err
+    for build in constructors:
+        with pytest.raises(ValidationError):
+            build()
+
+
+def test_simulate_rejects_dt_with_schedule(tmp_path, capsys):
+    # the schedule's t_start column sets the step width; 2.0 is no multiple of 0.3
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("noise = dephasing\nnoise.gamma = 0.1\nomega0_true = 1.0\nT = 2.0\ndt = 0.1\n")
+    sched = tmp_path / "schedule.csv"
+    exp.write_schedule(sched, dyn.ControlGrid.zeros(20, 3, 0.1))
+    argv = ["simulate", "--config", str(cfg), "--schedule", str(sched)]
+    assert main(argv + ["--dt", "0.3"]) == 1
+    assert "--dt" in capsys.readouterr().err
+    assert main(argv) == 0
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,17 +121,63 @@ class TestDissipator:
             dyn.SpontaneousEmission(gamma_plus=-1.0, gamma_minus=0.0)
 
 
+class TestEstimationProblem:
+    def test_free_hamiltonian_is_x_times_encoding(self):
+        noise = dyn.Dephasing(theta=1.1, phi=0.4, gamma=0.2)
+        prob = dyn.frequency_estimation_problem(-1.3, noise, dyn.plus_state(), 1.0)
+        np.testing.assert_array_equal(prob.encoding, 0.5 * dyn.SIGMA_Z)
+        np.testing.assert_array_equal(
+            prob.free_superop,
+            -1j * dyn.commutator_superop(-1.3 * 0.5 * dyn.SIGMA_Z) + dyn.dissipator(noise),
+        )
+        np.testing.assert_array_equal(
+            prob.sensitivity_superop, -1j * dyn.commutator_superop(0.5 * dyn.SIGMA_Z)
+        )
+
+    def test_replace_rebuilds_the_generators_at_the_new_x(self):
+        prob = dyn.frequency_estimation_problem(1.0, None, dyn.plus_state(), 1.0)
+        prob.free_superop  # cached at x = 1.0
+        moved = replace(prob, x=2.0)
+        np.testing.assert_array_equal(moved.free_superop, 2.0 * prob.free_superop)
+        assert prob.x == 1.0
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(x=math.nan),
+            dict(x=math.inf),
+            dict(encoding=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)),
+            dict(encoding=np.eye(3, dtype=complex)),
+            dict(encoding=np.full((2, 2), math.nan, dtype=complex)),
+        ],
+        ids=["nan_x", "inf_x", "non_hermitian", "3x3", "nan_encoding"],
+    )
+    def test_bad_model_rejected(self, changes):
+        prob = dyn.frequency_estimation_problem(1.0, None, dyn.plus_state(), 1.0)
+        with pytest.raises(ValidationError):
+            replace(prob, **changes)
+
+    def test_removed_keywords_are_type_errors(self):
+        prob = dyn.frequency_estimation_problem(1.0, None, dyn.plus_state(), 1.0)
+        grid = dyn.ControlGrid.zeros(10, 3, 0.1)
+        with pytest.raises(TypeError):
+            dyn.propagate(prob, grid, x=1.0)
+        with pytest.raises(TypeError):
+            replace(prob, free_hamiltonian=lambda x: 0.5 * x * dyn.SIGMA_Z)
+        assert not hasattr(dyn, "build_liouvillian")
+
+
 class TestLiouvillian:
     def test_pure_free_assembly(self):
         prob = dyn.frequency_estimation_problem(1.3, None, dyn.plus_state(), 1.0)
-        liou = dyn.build_liouvillian(prob, [0.0, 0.0, 0.0], 1.3)
+        liou = dyn._liouvillians(prob, np.zeros((1, 3)))[0]
         expected = -1j * dyn.commutator_superop(0.5 * 1.3 * dyn.SIGMA_Z)
         np.testing.assert_allclose(liou, expected, atol=1e-14)
 
     def test_cancelling_control_leaves_pure_dissipator(self):
         noise = dyn.Dephasing(theta=math.pi / 2, phi=0.0, gamma=0.1)
         prob = dyn.frequency_estimation_problem(1.0, noise, dyn.plus_state(), 1.0)
-        liou = dyn.build_liouvillian(prob, [0.0, 0.0, -0.5], 1.0)
+        liou = dyn._liouvillians(prob, np.array([[0.0, 0.0, -0.5]]))[0]
         np.testing.assert_allclose(liou, dyn.dissipator(noise), atol=1e-14)
 
     def test_trace_preservation_left_null_vector(self):
@@ -144,13 +191,13 @@ class TestLiouvillian:
             prob = dyn.frequency_estimation_problem(
                 rng.uniform(0.5, 2), noise, dyn.plus_state(), 1.0
             )
-            liou = dyn.build_liouvillian(prob, rng.uniform(-1, 1, size=3), prob.x)
+            liou = dyn._liouvillians(prob, rng.uniform(-1, 1, size=(1, 3)))[0]
             np.testing.assert_allclose(ident @ liou, 0.0, atol=1e-10)
 
     def test_amplitude_count_mismatch(self):
         prob = dyn.frequency_estimation_problem(1.0, None, dyn.plus_state(), 1.0)
         with pytest.raises(ValidationError):
-            dyn.build_liouvillian(prob, [0.0, 1.0], 1.0)
+            dyn.propagate(prob, dyn.ControlGrid.zeros(2, 2, 0.5))
 
 
 class TestStepPropagator:
@@ -174,7 +221,7 @@ class TestStepPropagator:
         gamma, omega, t = 0.1, 1.0, 2.0
         noise = dyn.Dephasing(theta=0.0, phi=0.0, gamma=gamma)
         prob = dyn.frequency_estimation_problem(omega, noise, dyn.plus_state(), t)
-        liou = dyn.build_liouvillian(prob, [0.0, 0.0, 0.0], omega)
+        liou = dyn._liouvillians(prob, np.zeros((1, 3)))[0]
         prop = dyn.step_propagator(liou, t)
         r = dyn.bloch_from_density(dyn.unvectorize(prop @ dyn.vectorize(dyn.plus_state())))
         envelope = math.exp(-gamma * t)
@@ -244,7 +291,7 @@ class TestStackedExponential:
         # I + 2 U/(V-U) leaves a mean square of about 1e-32 here
         rng = np.random.default_rng(60)
         prob = dyn.frequency_estimation_problem(1.0, noise, dyn.plus_state(), 1.0)
-        lious = dyn._liouvillians(prob, rng.uniform(-1, 1, size=(2000, 3)), prob.x)
+        lious = dyn._liouvillians(prob, rng.uniform(-1, 1, size=(2000, 3)))
         t = dyn.vectorize(np.eye(2))
         dev = t @ dyn.step_propagator(lious, 0.05) - t
         assert np.mean(np.abs(dev) ** 2) < 1e-33
@@ -398,7 +445,7 @@ class TestTrajectoryInvariants:
         prob = dyn.frequency_estimation_problem(1.0, noise, dyn.plus_state(), m * dt)
         grid = dyn.ControlGrid(rng.uniform(-1, 1, size=(m, 3)), dt)
         traj = dyn.propagate(prob, grid)
-        dgen = -1j * dyn.commutator_superop(prob.free_hamiltonian_derivative(prob.x))
+        dgen = -1j * dyn.commutator_superop(prob.encoding)
         total = np.zeros(4, dtype=complex)
         for i in range(1, m + 1):
             vec = dgen @ dyn.vectorize(traj.states[i])
@@ -417,8 +464,8 @@ class TestTrajectoryInvariants:
         grid = dyn.ControlGrid(rng.uniform(-1, 1, size=(m, 3)), dt)
         traj = dyn.propagate(prob, grid)
         delta = 1e-5
-        rho_plus = dyn.propagate(prob, grid, x=1.0 + delta).final_state
-        rho_minus = dyn.propagate(prob, grid, x=1.0 - delta).final_state
+        rho_plus = dyn.propagate(replace(prob, x=1.0 + delta), grid).final_state
+        rho_minus = dyn.propagate(replace(prob, x=1.0 - delta), grid).final_state
         fd = (rho_plus - rho_minus) / (2 * delta)
         # first-order sensitivity accumulation: agreement to O(dt) + O(delta^2)
         assert np.abs(fd - traj.final_state_derivative).max() < 5.0 * dt * dt + 1e-8

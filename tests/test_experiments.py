@@ -418,11 +418,11 @@ class TestOutputFiles:
         calls = {"n": 0}
         real = exp._qfi_cfi_of_grid
 
-        def flaky(problem, grid, povm, x=None):
+        def flaky(problem, grid, povm):
             calls["n"] += 1
             if calls["n"] == 3:
                 raise exp.QGrapeError("synthetic point failure")
-            return real(problem, grid, povm, x=x)
+            return real(problem, grid, povm)
 
         monkeypatch.setattr(exp, "_qfi_cfi_of_grid", flaky)
         record = exp.run_sweep(config)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -341,7 +342,7 @@ class TestTerminalDerivative:
         traj = dyn.propagate(prob, grid)
         delta = 1e-5
         fd = (
-            dyn.propagate(prob, grid, x=1.0 + delta).final_state
-            - dyn.propagate(prob, grid, x=1.0 - delta).final_state
+            dyn.propagate(replace(prob, x=1.0 + delta), grid).final_state
+            - dyn.propagate(replace(prob, x=1.0 - delta), grid).final_state
         ) / (2 * delta)
         assert np.abs(fd - traj.final_state_derivative).max() < 1e-6

@@ -72,7 +72,7 @@ class TestMOperators:
         prob = make_problem(NOISE_MODELS["emission"], horizon=m * dt)
         grid = random_schedule(rng, m, dt)
         traj = dyn.propagate(prob, grid)
-        dh0 = prob.free_hamiltonian_derivative(prob.x)
+        dh0 = prob.encoding
         suffix = ref._suffix_propagators(traj)
         for j in (1, 7, 15):
             for k in range(3):
@@ -203,8 +203,7 @@ class TestGradientPaths:
         rng = np.random.default_rng(9)
         prob = dyn.EstimationProblem(
             x=1.0,
-            free_hamiltonian=lambda x: np.zeros((2, 2), dtype=complex),
-            free_hamiltonian_derivative=lambda x: np.zeros((2, 2), dtype=complex),
+            encoding=np.zeros((2, 2), dtype=complex),
             control_generators=dyn.PAULIS,
             noise=NOISE_MODELS["parallel"],
             probe=dyn.plus_state(),
@@ -254,13 +253,35 @@ class TestGradientPaths:
             grape.gradient(traj, prob, objective)
 
 
+class TestGeneratorsBuiltOnce:
+    def test_repeat_calls_build_no_superoperator(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        prob = make_problem(NOISE_MODELS["emission"], horizon=1.0)
+        grid = random_schedule(rng, 10, 0.1)
+        objective = grape.qfi_objective()
+        grape.gradient(dyn.propagate(prob, grid), prob, objective)
+        grape.finite_difference_gradient(prob, grid, objective)
+
+        calls = []
+        real = dyn.commutator_superop
+
+        def counted(hamiltonian):
+            calls.append(hamiltonian)
+            return real(hamiltonian)
+
+        monkeypatch.setattr(dyn, "commutator_superop", counted)
+        traj = dyn.propagate(prob, grid)
+        grape.gradient(traj, prob, objective)
+        grape.finite_difference_gradient(prob, grid, objective)
+        assert calls == []
+
+
 class TestFiniteDifferenceGradient:
     def test_constant_objective_gives_zeros(self):
         rng = np.random.default_rng(11)
         prob = dyn.EstimationProblem(
             x=1.0,
-            free_hamiltonian=lambda x: np.zeros((2, 2), dtype=complex),
-            free_hamiltonian_derivative=lambda x: np.zeros((2, 2), dtype=complex),
+            encoding=np.zeros((2, 2), dtype=complex),
             control_generators=dyn.PAULIS,
             noise=None,
             probe=dyn.plus_state(),

@@ -1,0 +1,18 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_quick_start_runs_and_reaches_the_closed_form():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    optimized, closed_form = (float(line) for line in done.stdout.split()[:2])
+    assert optimized >= 0.95 * closed_form
