@@ -8,16 +8,17 @@ each generator once.  Controls are piecewise constant on a uniform grid of
 ``m`` steps of width ``dt``, so the final state is a right-to-left product
 of step propagators ``exp(dt * L_m) ... exp(dt * L_1)`` applied to the probe.
 
-Everything is represented in Liouville space: density matrices are
-column-major vectorized (``vec(rho) = rho.reshape(4, order="F")``) and maps
-on them are 4x4 matrices.  With this stacking, ``rho -> A rho B`` has matrix
-``B.T (x) A`` and the commutator map ``[H, .]`` has matrix
-``kron(I, H) - kron(H.T, I)``.
+Generators are assembled in Liouville space, on column-major vectorized
+density matrices (``vec(rho) = rho.reshape(4, order="F")``, so ``[H, .]`` has
+matrix ``kron(I, H) - kron(H.T, I)``), and propagated in real Pauli
+coordinates ``c = (Tr rho, Tr(rho sigma_x), Tr(rho sigma_y), Tr(rho sigma_z))``:
+with ``vec(rho) = PAULI_BASIS c``, a generator ``L`` that maps Hermitian
+matrices to Hermitian matrices becomes the real ``PAULI_BASIS^-1 L PAULI_BASIS``.
 
 Propagation works on stacks over the time axis: :func:`propagate` adds the
 control terms of all m steps to the problem's free generator at once,
-exponentiates the (m, 4, 4) stack in one batched scaling-and-squaring call,
-and loops only over the 4-vector state and sensitivity recursion.
+exponentiates the real (m, 4, 4) stack in one batched scaling-and-squaring
+call, and loops only over the real 4-vector state and sensitivity recursion.
 
 Conventions (fixed once, asserted by tests):
 
@@ -56,6 +57,7 @@ __all__ = [
     "density_from_bloch",
     "vectorize",
     "unvectorize",
+    "PAULI_BASIS",
     "commutator_superop",
     "Dephasing",
     "SpontaneousEmission",
@@ -108,52 +110,55 @@ def _check_hermitian(mat: np.ndarray, name: str, tol: float = HERMITICITY_TOL) -
 
 def _check_hermitian_stack(mat: np.ndarray, name: str, tol: float = HERMITICITY_TOL) -> None:
     # one vectorized test over any leading axes, so stacks cost no Python loop
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise ValidationError(f"{name} contains non-finite entries")
     dev = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(initial=0.0)
     if dev > tol:
         raise ValidationError(f"{name} is not Hermitian (deviation {dev:.3e} > {tol:.0e})")
 
 
-def _eigvals_2x2_hermitian(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # closed form over any leading axes; avoids a LAPACK call per state
-    tr = rho[..., 0, 0].real + rho[..., 1, 1].real
-    det = (rho[..., 0, 0] * rho[..., 1, 1] - rho[..., 0, 1] * rho[..., 1, 0]).real
-    root = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-    return (tr - root) / 2.0, (tr + root) / 2.0
+def _min_eigenvalue(coords: np.ndarray) -> np.ndarray:
+    """Smaller eigenvalue ``(c0 - |r|)/2`` of the Hermitian 2x2 matrix with
+    Pauli coordinates ``c``, over any leading axes."""
+    return (coords[..., 0] - np.sqrt((coords[..., 1:] ** 2).sum(axis=-1))) / 2.0
+
+
+def _check_state(coords: np.ndarray) -> None:
+    """Reject Pauli coordinates of a state whose trace deviates from 1 by more
+    than ``TRACE_TOL`` or whose eigenvalue is below ``-POSITIVITY_SLACK``."""
+    # written as "not good" so that NaN is rejected too
+    if not abs(coords[0] - 1.0) <= TRACE_TOL:
+        raise ValidationError(f"density matrix trace {coords[0]} deviates from 1")
+    lo = _min_eigenvalue(coords)
+    if not lo >= -POSITIVITY_SLACK:
+        raise ValidationError(f"density matrix has negative eigenvalue {lo:.3e}")
 
 
 def validate_density(rho: np.ndarray) -> None:
     """Check rho is Hermitian, unit trace, and positive up to small slack."""
     _check_hermitian(rho, "density matrix")
-    tr = rho[0, 0] + rho[1, 1]
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValidationError(f"density matrix trace {tr} deviates from 1")
-    lo, _ = _eigvals_2x2_hermitian(rho)
-    if lo < -POSITIVITY_SLACK:
-        raise ValidationError(f"density matrix has negative eigenvalue {lo:.3e}")
+    _check_state(_bloch(rho))
 
 
 def _bloch(mat: np.ndarray) -> np.ndarray:
-    """``(Tr(m sigma_x), Tr(m sigma_y), Tr(m sigma_z))`` of a Hermitian 2x2 ``m``."""
-    return np.array([2.0 * mat[1, 0].real, 2.0 * mat[1, 0].imag, (mat[0, 0] - mat[1, 1]).real])
+    """Pauli coordinates ``(Tr m, Tr(m sigma_x), Tr(m sigma_y), Tr(m sigma_z))``
+    of a Hermitian 2x2 ``m``, or of each matrix in a stack."""
+    return (vectorize(mat) @ (2.0 * PAULI_BASIS.conj())).real
 
 
 def bloch_from_density(rho: np.ndarray) -> np.ndarray:
     """Bloch vector ``r_i = Tr(rho sigma_i)`` of a valid density matrix."""
     validate_density(rho)
-    return _bloch(rho)
+    return _bloch(rho)[1:]
 
 
 def density_from_bloch(r: Sequence[float]) -> np.ndarray:
     """Density matrix ``(I + r . sigma)/2``; requires ``|r| <= 1``."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
-        raise ValidationError(f"Bloch vector must have 3 components, got {r.shape}")
-    norm_sq = float(r @ r)
-    if norm_sq > 1.0 + POSITIVITY_SLACK:
-        raise ValidationError(f"Bloch vector norm {math.sqrt(norm_sq):.12f} exceeds 1")
-    return 0.5 * (IDENTITY + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z)
+    coords = np.concatenate([[1.0], np.asarray(r, dtype=float)])
+    if coords.shape != (4,):
+        raise ValidationError(f"Bloch vector must have 3 components, got {coords.size - 1}")
+    _check_state(coords)
+    return _density(coords)
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -167,6 +172,27 @@ def unvectorize(vec: np.ndarray) -> np.ndarray:
     """Inverse of :func:`vectorize`."""
     vec = np.asarray(vec, dtype=complex)
     return vec.reshape(vec.shape[:-1] + (2, 2), order="F")
+
+
+# columns vec(sigma_mu)/2 with sigma_0 = I; the inverse is 2 PAULI_BASIS^dagger
+PAULI_BASIS = 0.5 * vectorize(np.array([IDENTITY, *PAULIS])).T
+
+
+def _density(coords: np.ndarray) -> np.ndarray:
+    """2x2 matrix ``(c0 I + r . sigma)/2`` of Pauli coordinates ``c``, or of
+    each row of a stack."""
+    return unvectorize(coords @ PAULI_BASIS.T)
+
+
+def _pauli_superop(liouvillian: np.ndarray) -> np.ndarray:
+    """Real ``PAULI_BASIS^-1 L PAULI_BASIS`` of a Hermiticity-preserving map
+    ``L``, or of each map in a stack."""
+    mat = 2.0 * PAULI_BASIS.conj().T @ liouvillian @ PAULI_BASIS
+    # the imaginary part is rounding, or the Hermiticity tolerance of the input
+    scale = max(1.0, np.abs(mat).max(initial=0.0))
+    if np.abs(mat.imag).max(initial=0.0) > 4.0 * HERMITICITY_TOL * scale:
+        raise ValidationError("generator does not map Hermitian matrices to Hermitian matrices")
+    return np.ascontiguousarray(mat.real)
 
 
 def commutator_superop(hamiltonian: np.ndarray) -> np.ndarray:
@@ -287,19 +313,22 @@ class EstimationProblem:
 
     @cached_property
     def control_superops(self) -> np.ndarray:
-        """Stack (p, 4, 4) of ``dL/dV_k = -i [H_k, .]``."""
+        """Real stack (p, 4, 4) of ``dR/dV_k``, the Pauli form of ``-i [H_k, .]``."""
         gens = np.array(self.control_generators, dtype=complex).reshape(-1, 2, 2)
-        return -1j * commutator_superop(gens)
+        return _pauli_superop(-1j * commutator_superop(gens))
 
     @cached_property
     def free_superop(self) -> np.ndarray:
-        """4x4 generator without controls, ``L0 = -i [x K, .] + Gamma``."""
-        return -1j * commutator_superop(self.x * self.encoding) + dissipator(self.noise)
+        """Real 4x4 generator without controls, the Pauli form of
+        ``L0 = -i [x K, .] + Gamma``."""
+        return _pauli_superop(
+            -1j * commutator_superop(self.x * self.encoding) + dissipator(self.noise)
+        )
 
     @cached_property
     def sensitivity_superop(self) -> np.ndarray:
-        """``G = dL/dx = -i [K, .]``."""
-        return -1j * commutator_superop(self.encoding)
+        """Real 4x4 ``G = dR/dx``, the Pauli form of ``-i [K, .]``."""
+        return _pauli_superop(-1j * commutator_superop(self.encoding))
 
 
 def frequency_estimation_problem(
@@ -360,9 +389,9 @@ class ControlGrid:
         return ControlGrid(np.tile(row, (n_steps, 1)), dt)
 
 
-def _liouvillians(problem: EstimationProblem, amplitudes: np.ndarray) -> np.ndarray:
-    """Stack (m, 4, 4) of the generators ``L0 + sum_k V_k dL/dV_k`` for an
-    (m, p) amplitude table."""
+def _generators(problem: EstimationProblem, amplitudes: np.ndarray) -> np.ndarray:
+    """Real stack (m, 4, 4) of the generators ``R0 + sum_k V_k dR/dV_k`` for
+    an (m, p) amplitude table."""
     return problem.free_superop + np.einsum("jk,kab->jab", amplitudes, problem.control_superops)
 
 
@@ -396,16 +425,18 @@ def _expm(generators: np.ndarray, dt: float) -> np.ndarray:
     squarings, so a matrix's exponential is bitwise the same alone or in any
     stack.  The approximant is formed as ``I + 2 (V - U)^-1 U``, which keeps
     a trace-preserving generator's exponential trace-preserving to rounding.
-    Non-finite input gives non-finite output without floating-point warnings.
+    Real input gives real output, complex input complex output.  Non-finite
+    input gives non-finite output without floating-point warnings.
     """
     b = _PADE13
-    a = np.asarray(generators, dtype=complex)
+    a = np.asarray(generators)
+    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
     shape = a.shape
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a = np.ascontiguousarray(dt * a).reshape(-1, *shape[-2:])
         s = np.ceil(np.log2(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13))
         s = np.where(np.isfinite(s) & (s > 0), s, 0).astype(int)
-        a = np.ldexp(a.view(float), -s[:, None, None]).view(complex)
+        a = np.ldexp(a.view(float), -s[:, None, None]).view(a.dtype)
         eye = np.eye(shape[-1])
         a2 = a @ a
         a4 = a2 @ a2
@@ -425,28 +456,29 @@ def _expm(generators: np.ndarray, dt: float) -> np.ndarray:
     return x.reshape(shape)
 
 
-def step_propagator(liouvillian: np.ndarray, dt: float) -> np.ndarray:
-    """Matrix exponential ``exp(dt * L)`` of one 4x4 generator, or of every
-    generator in an (m, 4, 4) stack."""
+def step_propagator(generator: np.ndarray, dt: float) -> np.ndarray:
+    """Matrix exponential ``exp(dt * R)`` of one 4x4 generator, or of every
+    generator in an (m, 4, 4) stack, in the generator's own dtype."""
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
-    return _expm(liouvillian, dt)
+    return _expm(generator, dt)
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Cached propagation products.
+    """Cached propagation products, real and in Pauli coordinates.
 
-    ``states[j]`` is the state after step j (``states[0]`` is the probe),
-    ``step_propagators[j-1]`` is ``exp(dt L_j)``, ``liouvillians[j-1]`` is the
-    generator ``L_j`` itself, and ``phi[j]`` accumulates the parameter
-    sensitivity so that ``d(rho_j)/dx = dt * phi[j]``.
+    ``coords[j]`` is the state after step j (``coords[0]`` is the probe),
+    ``step_propagators[j-1]`` is ``exp(dt R_j)``, ``generators[j-1]`` is
+    ``R_j`` itself, and ``sensitivity[j]`` accumulates the parameter
+    sensitivity so that ``d(c_j)/dx = dt * sensitivity[j]``.  The final state
+    and its derivative are also given as 2x2 matrices.
     """
 
-    states: np.ndarray
+    coords: np.ndarray
     step_propagators: np.ndarray
-    liouvillians: np.ndarray
-    phi: np.ndarray
+    generators: np.ndarray
+    sensitivity: np.ndarray
     dt: float
 
     @property
@@ -455,28 +487,28 @@ class Trajectory:
 
     @property
     def final_state(self) -> np.ndarray:
-        return self.states[-1]
+        return _density(self.coords[-1])
 
     @property
     def final_state_derivative(self) -> np.ndarray:
-        """``d(rho_m)/dx`` of the discretized evolution, ``dt * phi_m``."""
-        return self.dt * self.phi[-1]
+        """``d(rho_m)/dx`` of the discretized evolution."""
+        return _density(self.dt * self.sensitivity[-1])
 
 
-def _check_states(states: np.ndarray, first_step: int = 1) -> None:
+def _check_states(coords: np.ndarray, first_step: int = 1) -> None:
     """Raise :class:`NumericalStabilityError` if a state lost positivity beyond
     the hard floor, its trace, or finiteness.
 
-    ``states`` is an (..., n, 2, 2) stack of trajectories whose state i is the
-    one after step ``first_step + i``.  The error names the first bad step of
-    the first bad trajectory, in C order over the leading axes.
+    ``coords`` is an (..., n, 4) stack of trajectories in Pauli coordinates
+    whose state i is the one after step ``first_step + i``.  The error names
+    the first bad step of the first bad trajectory, in C order over the
+    leading axes.
     """
     # past a bad step a state may have overflowed; its warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        lo, _ = _eigvals_2x2_hermitian(states)
-        trace_dev = np.abs(states[..., 0, 0] + states[..., 1, 1] - 1.0)
+        lo = _min_eigenvalue(coords)
         # written as "not good" so that a NaN state counts as bad
-        bad = ~((lo >= -POSITIVITY_HARD_FLOOR) & (trace_dev <= 1e-8))
+        bad = ~((lo >= -POSITIVITY_HARD_FLOOR) & (np.abs(coords[..., 0] - 1.0) <= 1e-8))
     if bad.any():
         first = int(np.argmax(bad))
         step = first_step + first % bad.shape[-1]
@@ -491,19 +523,18 @@ def propagate(problem: EstimationProblem, grid: ControlGrid) -> Trajectory:
     """Propagate the probe through all steps at the problem's ``x``,
     accumulating sensitivities.
 
-    The generators and step propagators of all steps are built as (m, 4, 4)
-    stacks from the problem's cached ``free_superop`` and
-    ``control_superops``; only the recursions below run step by step.  The
-    sensitivity recursion is ``phi_j = E_j phi_{j-1} + G(rho_j)`` with
-    ``phi_0 = 0`` and ``G = -i [K, .]`` (the problem's
-    ``sensitivity_superop``), which telescopes to
-    ``d(rho_j)/dx = dt * sum_{i<=j} D_{i+1}^j G(rho_i)``.
+    The generators and step propagators of all steps are built as real
+    (m, 4, 4) stacks from the problem's cached ``free_superop`` and
+    ``control_superops``; only the recursions below run step by step, on real
+    4-vectors: ``c_j = E_j c_{j-1}`` with ``E_j = exp(dt R_j)``, and
+    ``s_j = E_j s_{j-1} + G c_j`` with ``s_0 = 0`` and ``G`` the problem's
+    ``sensitivity_superop``, which telescopes to
+    ``d(c_j)/dx = dt * sum_{i<=j} E_j ... E_{i+1} G c_i``.
 
     Raises :class:`NumericalStabilityError` (naming the first such step) if an
     intermediate state loses positivity beyond the hard floor, its trace, or
     finiteness.
     """
-    m = grid.n_steps
     if grid.n_controls != problem.n_controls:
         raise ValidationError(
             f"grid has {grid.n_controls} controls, problem has {problem.n_controls}"
@@ -514,29 +545,24 @@ def propagate(problem: EstimationProblem, grid: ControlGrid) -> Trajectory:
             f"{problem.horizon!r}"
         )
 
-    lious = _liouvillians(problem, grid.amplitudes)
-    props = step_propagator(lious, grid.dt)
+    gens = _generators(problem, grid.amplitudes)
+    props = step_propagator(gens, grid.dt)
     dgen = problem.sensitivity_superop
 
-    rho_v = np.empty((m + 1, 4), dtype=complex)
-    phi_v = np.empty((m + 1, 4), dtype=complex)
-    rho_v[0] = vectorize(problem.probe)
-    phi_v[0] = 0.0
+    states, sens = [_bloch(problem.probe)], [np.zeros(4)]
     # past a bad step the recursion may overflow; the check below reports the
-    # first bad step, so the floating-point warnings of later ones are noise
+    # first bad step, so the floating-point warnings of later ones are noise.
+    # ndarray.dot is the cheapest call of the same 4x4 product as @.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(m):
-            rho_v[j + 1] = props[j] @ rho_v[j]
-        source = np.matmul(dgen, rho_v[1:, :, None])[..., 0]
-        for j in range(m):
-            phi_v[j + 1] = props[j] @ phi_v[j] + source[j]
-    states = np.ascontiguousarray(unvectorize(rho_v))
-    _check_states(states[1:])
+        for prop in props:
+            states.append(prop.dot(states[-1]))
+        coords = np.array(states)
+        source = np.matmul(dgen, coords[1:, :, None])[..., 0]
+        for prop, src in zip(props, source):
+            sens.append(prop.dot(sens[-1]) + src)
+    _check_states(coords[1:])
 
     return Trajectory(
-        states=states,
-        step_propagators=props,
-        liouvillians=lious,
-        phi=np.ascontiguousarray(unvectorize(phi_v)),
+        coords=coords, step_propagators=props, generators=gens, sensitivity=np.array(sens),
         dt=grid.dt,
     )

@@ -240,7 +240,10 @@ def config_snapshot(config: ScenarioConfig) -> str:
         if key.startswith("sweep") and config.sweep_axis is None:
             continue
         value = config.design_frequency if key == "omega0_hat" else attrgetter(name)(config)
-        lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
+        line = f"{key} = {value if isinstance(value, str) else repr(value)}"
+        # a user_supplied initial grid comes from a library call, not a file
+        lines.append(f"# {line}: initial grid from a library call, not part of the file format"
+                     if value == "user_supplied" else line)
     return "\n".join(lines) + "\n"
 
 

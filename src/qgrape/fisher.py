@@ -10,20 +10,23 @@ minimal-norm solution, with no component on the kernel of rho,
 ``Tr(rho L^2) = dr . b``, for a mixed state ``|dr|^2 + (r . dr)^2/(1 - |r|^2)``.
 The classical Fisher information of a POVM ``{E_y}`` is
 ``sum_y (d p_y/dx)^2 / p_y`` with ``p_y = Tr(rho E_y)``.
+
+Both are computed one way, by :func:`_information` on the Pauli coordinates
+``(Tr rho, r)`` and ``(Tr d(rho)/dx, dr)``; the 2x2 functions convert to them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import IDENTITY, POSITIVITY_SLACK, SIGMA_X, SIGMA_Y, SIGMA_Z, validate_density
-from .dynamics import _bloch, _check_hermitian, _eigvals_2x2_hermitian
+from .dynamics import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _bloch, _check_hermitian
+from .dynamics import _check_state, _density, _min_eigenvalue
 from .errors import InconsistentInputError, SingularOutcomeError, ValidationError
 
-__all__ = ["sld", "qfi", "qfi_bloch", "Povm", "informative_outcomes", "cfi"]
+__all__ = ["sld", "qfi", "qfi_bloch", "Povm", "cfi"]
 
 DERIVATIVE_TOL = 1e-10
 SLD_RANK_TOL = 1e-12
@@ -32,16 +35,13 @@ OUTCOME_PROB_FLOOR = 1e-12
 OUTCOME_DERIV_FLOOR = 1e-9
 
 
-def _check_state_derivative(drho: np.ndarray) -> np.ndarray:
-    drho = np.asarray(drho, dtype=complex)
-    if drho.shape != (2, 2):
-        raise ValidationError(f"state derivative must be 2x2, got {drho.shape}")
-    # written as "not good": a non-finite entry makes the deviation NaN or inf
-    if not np.abs(drho - drho.conj().T).max() <= DERIVATIVE_TOL:
-        raise ValidationError("state derivative must be finite and Hermitian")
-    if abs(drho[0, 0] + drho[1, 1]) > DERIVATIVE_TOL:
-        raise ValidationError("state derivative must be traceless")
-    return drho
+def _coordinates(rho: np.ndarray, drho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pauli coordinates of a 2x2 state and its derivative, after the checks
+    that only the matrix form needs: shape, finiteness and Hermiticity."""
+    rho, drho = np.asarray(rho, dtype=complex), np.asarray(drho, dtype=complex)
+    _check_hermitian(rho, "density matrix")
+    _check_hermitian(drho, "state derivative", DERIVATIVE_TOL)
+    return _bloch(rho), _bloch(drho)
 
 
 def _is_pure(norm_sq: float) -> bool:
@@ -62,51 +62,86 @@ def _sld_bloch(r: np.ndarray, dr: np.ndarray) -> tuple[float, np.ndarray, float]
     return a, b, max(float(dr @ b), 0.0)
 
 
+def _information(
+    c: np.ndarray, d: np.ndarray, povm: Povm | None
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """QFI (``povm=None``) or CFI of ``povm`` of a state ``c`` and its
+    derivative ``d`` in Pauli coordinates, with the weight rows ``(W1, W2)``
+    of its first-order change ``2 W1 . dd - W2 . dc``: the Pauli rows of
+    ``(L, L^2)`` for the QFI, of ``sum_y (dp_y/p_y)^k E_y``, k = 1, 2, for the
+    CFI.  ``c`` must pass :func:`qgrape.dynamics._check_state` and ``d`` be
+    finite and traceless within ``DERIVATIVE_TOL``."""
+    _check_state(c)
+    if not np.isfinite(d).all():
+        raise ValidationError("state derivative must be finite")
+    if abs(d[0]) > DERIVATIVE_TOL:
+        raise ValidationError("state derivative must be traceless")
+    r, dr = c[1:], d[1:]
+    if povm is None:
+        a, b, value = _sld_bloch(r, dr)
+        # L = a I + b . sigma and L^2 = (a^2 + |b|^2) I + 2 a b . sigma
+        return value, np.array([a, *b]), np.array([a * a + b @ b, *(2.0 * a * b)])
+    value, w1, w2 = 0.0, np.zeros(4), np.zeros(4)
+    for y, (p, dp) in enumerate(zip(povm.rows @ c, povm.rows @ d)):
+        # an outcome with vanishing probability and derivative carries no
+        # information; with a nonzero derivative the information diverges
+        if p < OUTCOME_PROB_FLOOR:
+            if abs(dp) < OUTCOME_DERIV_FLOOR:
+                continue
+            raise SingularOutcomeError(
+                f"outcome {y} has probability {p:.3e} but derivative {dp:.3e}"
+            )
+        ratio = dp / p
+        value += dp * dp / p
+        w1 += ratio * povm.rows[y]
+        w2 += ratio * ratio * povm.rows[y]
+    return float(value), w1, w2
+
+
 def sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """Symmetric logarithmic derivative of rho along drho, as a 2x2 matrix;
     the minimal-norm solution for a pure rho."""
-    validate_density(rho)
-    a, b, _ = _sld_bloch(_bloch(rho), _bloch(_check_state_derivative(drho)))
-    return a * IDENTITY + b[0] * SIGMA_X + b[1] * SIGMA_Y + b[2] * SIGMA_Z
+    # the Pauli row (a, b) of L = a I + b . sigma is half its coordinates
+    return _density(2.0 * _information(*_coordinates(rho, drho), None)[1])
 
 
 def qfi(rho: np.ndarray, drho: np.ndarray) -> float:
     """Quantum Fisher information ``Tr(rho L^2)``; nonnegative."""
-    validate_density(rho)
-    return _sld_bloch(_bloch(rho), _bloch(_check_state_derivative(drho)))[2]
+    return _information(*_coordinates(rho, drho), None)[0]
 
 
 def qfi_bloch(r, dr) -> float:
     """:func:`qfi` from a Bloch vector and its derivative; a pure ``r`` must
     come with a tangent ``dr`` (``r . dr = 0``)."""
     r, dr = np.asarray(r, dtype=float), np.asarray(dr, dtype=float)
-    if r.shape != (3,) or dr.shape != (3,) or not all(map(math.isfinite, r.tolist() + dr.tolist())):
+    if r.shape != (3,) or dr.shape != (3,) or not np.isfinite([r, dr]).all():
         raise ValidationError("Bloch vectors must have 3 finite components")
-    norm_sq, radial = float(r @ r), float(r @ dr)
-    if norm_sq > 1.0 + POSITIVITY_SLACK:
-        raise ValidationError(f"Bloch vector norm {math.sqrt(norm_sq):.12f} exceeds 1")
-    if _is_pure(norm_sq) and abs(radial) > PURE_TANGENT_TOL:
+    radial = float(r @ dr)
+    if _is_pure(float(r @ r)) and abs(radial) > PURE_TANGENT_TOL:
         raise InconsistentInputError(f"pure state, non-tangent derivative (r . dr = {radial:.3e})")
-    return _sld_bloch(r, dr)[2]
+    return _information(np.r_[1.0, r], np.r_[0.0, dr], None)[0]
 
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Positive effects summing to the identity."""
+    """Positive effects summing to the identity.  ``rows[y]`` is the Pauli
+    row of effect y, so that ``p_y = rows[y] . c`` for a state with Pauli
+    coordinates ``c``."""
 
     effects: tuple[np.ndarray, ...]
+    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         effects = tuple(np.asarray(e, dtype=complex) for e in self.effects)
-        total = np.zeros((2, 2), dtype=complex)
         for idx, effect in enumerate(effects):
             _check_hermitian(effect, f"effect {idx}", 1e-10)
-            if _eigvals_2x2_hermitian(effect)[0] < -1e-10:
+            if _min_eigenvalue(_bloch(effect)) < -1e-10:
                 raise ValidationError(f"effect {idx} is not positive semidefinite")
-            total += effect
-        if np.abs(total - IDENTITY).max() > 1e-10:
+        coords = np.array([_bloch(e) for e in effects]).reshape(-1, 4)
+        if np.abs(_density(coords.sum(axis=0)) - IDENTITY).max() > 1e-10:
             raise ValidationError("POVM effects do not sum to the identity")
         object.__setattr__(self, "effects", effects)
+        object.__setattr__(self, "rows", coords / 2.0)
 
     @staticmethod
     def plus_minus() -> "Povm":
@@ -130,34 +165,8 @@ class Povm:
         return Povm((0.5 * (IDENTITY + op), 0.5 * (IDENTITY - op)))
 
 
-def informative_outcomes(rho: np.ndarray, drho: np.ndarray, povm: Povm) -> list[tuple]:
-    """``(p_y, dp_y/dx, E_y)`` for every outcome that carries information.
-
-    An outcome whose probability and derivative both vanish carries none and
-    is left out; a zero-probability outcome with nonzero derivative means
-    divergent information and raises :class:`SingularOutcomeError`.
-    """
-    terms = []
-    for y, effect in enumerate(povm.effects):
-        p = np.trace(rho @ effect).real
-        dp = np.trace(drho @ effect).real
-        if p < OUTCOME_PROB_FLOOR:
-            if abs(dp) < OUTCOME_DERIV_FLOOR:
-                continue
-            raise SingularOutcomeError(
-                f"outcome {y} has probability {p:.3e} but derivative {dp:.3e}"
-            )
-        terms.append((p, dp, effect))
-    return terms
-
-
 def cfi(rho: np.ndarray, drho: np.ndarray, povm: Povm) -> float:
     """Classical Fisher information of the POVM outcome distribution, summed
-    over the outcomes of :func:`informative_outcomes`."""
-    validate_density(rho)
-    drho = _check_state_derivative(drho)
-    total = 0.0
-    for p, dp, _ in informative_outcomes(rho, drho, povm):
-        total += dp * dp / p
-    return float(total)
-
+    over the outcomes that carry information; a zero-probability outcome
+    with nonzero derivative raises :class:`SingularOutcomeError`."""
+    return _information(*_coordinates(rho, drho), povm)[0]

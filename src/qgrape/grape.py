@@ -2,14 +2,15 @@
 
 The optimization target is the objective of the discretized dynamics at
 fixed ``dt``: exact step exponentials plus the sensitivity recursion of
-:func:`qgrape.dynamics.propagate`.  :func:`gradient` differentiates that
-target exactly, in reverse mode: one backward sweep carries the weight rows,
-and the per-step derivatives of ``exp(dt L_j)`` with respect to the
-amplitudes come from one stacked (m, 8, 8) block exponential shared by every
-control.  It matches central finite differences of the objective to the
-differencing error itself; :func:`finite_difference_gradient` is that
-oracle.  The paper's first-order operator formula for the same gradient is
-kept in the test suite as a reference.
+:func:`qgrape.dynamics.propagate`, in real Pauli coordinates.  :func:`gradient`
+differentiates that target exactly, in reverse mode: one backward sweep
+carries the weight rows, and the per-step derivatives of ``exp(dt R_j)`` with
+respect to the amplitudes come from one stacked real (m, 8, 8) block
+exponential shared by every control.  It matches central finite differences
+of the objective to the differencing error itself;
+:func:`finite_difference_gradient` is that oracle.  The paper's first-order
+operator formula for the same gradient is kept in the test suite as a
+reference.
 """
 
 from __future__ import annotations
@@ -18,22 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fisher
 from .dynamics import (
     ControlGrid,
     EstimationProblem,
     Trajectory,
     _check_states,
     _expm,
-    _liouvillians,
+    _generators,
     propagate,
     step_count,
     step_propagator,
-    unvectorize,
-    vectorize,
 )
 from .errors import QGrapeError, ValidationError
-from .fisher import Povm, sld
+from .fisher import Povm, _information
 
 __all__ = [
     "Objective",
@@ -62,8 +60,8 @@ class Objective:
     def __post_init__(self):
         if self.kind not in ("qfi", "cfi"):
             raise ValidationError(f"objective kind must be 'qfi' or 'cfi', got {self.kind!r}")
-        if self.kind == "cfi" and self.povm is None:
-            raise ValidationError("cfi objective requires a POVM")
+        if (self.kind == "cfi") != (self.povm is not None):
+            raise ValidationError("a cfi objective requires a POVM and a qfi objective takes none")
 
 
 def qfi_objective() -> Objective:
@@ -74,16 +72,15 @@ def cfi_objective(povm: Povm) -> Objective:
     return Objective(kind="cfi", povm=povm)
 
 
-def _objective_at(rho: np.ndarray, drho: np.ndarray, objective: Objective) -> float:
-    """Objective of a final state and its parameter derivative."""
-    if objective.kind == "qfi":
-        return fisher.qfi(rho, drho)
-    return fisher.cfi(rho, drho, objective.povm)
+def _final_information(traj: Trajectory, objective: Objective) -> tuple:
+    """Objective and weight rows of the final state and its parameter
+    derivative (see :func:`qgrape.fisher._information`)."""
+    return _information(traj.coords[-1], traj.dt * traj.sensitivity[-1], objective.povm)
 
 
 def objective_value(traj: Trajectory, objective: Objective) -> float:
     """Objective evaluated on a cached trajectory."""
-    return _objective_at(traj.final_state, traj.final_state_derivative, objective)
+    return _final_information(traj, objective)[0]
 
 
 def evaluate_objective(
@@ -93,68 +90,46 @@ def evaluate_objective(
     return objective_value(propagate(problem, grid), objective)
 
 
-def _objective_weights(
-    traj: Trajectory, objective: Objective
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weight pair (W1, W2): (L, L^2) for QFI, effect sums for CFI."""
-    rho = traj.final_state
-    drho = traj.final_state_derivative
-    if objective.kind == "qfi":
-        l_op = sld(rho, drho)
-        return l_op, l_op @ l_op
-    w1 = np.zeros((2, 2), dtype=complex)
-    w2 = np.zeros((2, 2), dtype=complex)
-    for p, dp, effect in fisher.informative_outcomes(rho, drho, objective.povm):
-        ratio = dp / p
-        w1 += ratio * effect
-        w2 += ratio * ratio * effect
-    return w1, w2
-
-
 def gradient(traj: Trajectory, problem: EstimationProblem, objective: Objective) -> np.ndarray:
     """Gradient table (m, p) of the objective with respect to every control
     amplitude: the true gradient of the discretized objective, in reverse mode.
 
-    With weights ``(W1, W2)`` (``(L, L^2)`` for the QFI, effect sums for the
-    CFI), the backward sweep carries the rows of ``lam_j = adj(D_{j+1}^m)(W1)``,
-    ``mu_j = adj(D_{j+1}^m)(W2)`` and
-    ``q_j = sum_{i>=j} vec(lam_i^T)^T G D_{j+1}^i``, which gathers the
-    sensitivity sources ``G = -i [K, .]`` downstream of step j.  The
-    derivative of ``exp(dt L_j)`` along ``P_k = dL/dV_k`` is
-    ``B_jk = integral_0^dt exp(s L_j) P_k exp((dt - s) L_j) ds``, and entry
+    Everything is real and in Pauli coordinates.  With the weight rows
+    ``(W1, W2)`` of the final state (the Pauli rows of ``(L, L^2)`` for the
+    QFI, of effect sums for the CFI), the backward sweep carries the rows
+    ``lam_j = W1 E_m ... E_{j+1}``, ``mu_j = W2 E_m ... E_{j+1}`` and
+    ``q_j = sum_{i>=j} lam_i G E_i ... E_{j+1}``, which gathers the
+    sensitivity sources ``G`` downstream of step j.  The derivative of
+    ``E_j = exp(dt R_j)`` along ``P_k = dR/dV_k`` is
+    ``B_jk = integral_0^dt exp(s R_j) P_k exp((dt - s) R_j) ds``, and entry
     (j, k) is ``sum_s row_s B_jk col_s = Tr(P_k X_j)`` with
     ``C_j = sum_s col_s row_s`` and
-    ``X_j = integral_0^dt exp((dt - s) L_j) C_j exp(s L_j) ds``.
-    ``X_j`` is the top-right block of ``exp(dt [[L_j, C_j], [0, L_j]])``
-    (Van Loan, IEEE TAC 23, 395 (1978)), so one stacked (m, 8, 8)
+    ``X_j = integral_0^dt exp((dt - s) R_j) C_j exp(s R_j) ds``.
+    ``X_j`` is the top-right block of ``exp(dt [[R_j, C_j], [0, R_j]])``
+    (Van Loan, IEEE TAC 23, 395 (1978)), so one stacked real (m, 8, 8)
     exponential serves every control.
     """
-    w1, w2 = _objective_weights(traj, objective)
-    m = traj.n_steps
-    dt = traj.dt
-    props = traj.step_propagators
+    _, w1, w2 = _final_information(traj, objective)
+    m, dt, props = traj.n_steps, traj.dt, traj.step_propagators
     dgen = problem.sensitivity_superop
-    # rows[j] = (lam_j, mu_j, q_j) as row vectors; the row vector
-    # vec(X^T)^T of a Hermitian X is X flattened row by row
-    rows = np.empty((m + 1, 3, 4), dtype=complex)
-    rows[m, 0], rows[m, 1] = w1.reshape(4), w2.reshape(4)
-    rows[m, 2] = rows[m, 0] @ dgen
+    # rows[j] = (lam_j, mu_j, q_j)
+    rows = np.empty((m + 1, 3, 4))
+    rows[m] = w1, w2, w1.dot(dgen)
     for j in range(m, 1, -1):
-        r = rows[j] @ props[j - 1]
-        r[2] += r[0] @ dgen
+        r = rows[j].dot(props[j - 1])
+        r[2] += r[0].dot(dgen)
         rows[j - 1] = r
     lam, mu, q = rows[1:, 0], rows[1:, 1], rows[1:, 2]
 
     # entry (j, k) sums two terms row B_jk column: the sensitivity term
-    # 2 dt lam_j B vec(phi_{j-1}) and the weight term
-    # (2 dt q_j - mu_j) B vec(rho_{j-1})
+    # 2 dt lam_j B s_{j-1} and the weight term (2 dt q_j - mu_j) B c_{j-1}
     left = np.stack([2.0 * dt * lam, 2.0 * dt * q - mu], axis=1)
-    right = np.stack([vectorize(traj.phi[:-1]), vectorize(traj.states[:-1])], axis=1)
-    block = np.zeros((m, 8, 8), dtype=complex)
-    block[:, :4, :4] = block[:, 4:, 4:] = traj.liouvillians
+    right = np.stack([traj.sensitivity[:-1], traj.coords[:-1]], axis=1)
+    block = np.zeros((m, 8, 8))
+    block[:, :4, :4] = block[:, 4:, 4:] = traj.generators
     block[:, :4, 4:] = np.einsum("jsa,jsb->jab", right, left)
     integrals = _expm(block, dt)[:, :4, 4:]
-    return np.einsum("kab,jba->jk", problem.control_superops, integrals).real
+    return np.einsum("kab,jba->jk", problem.control_superops, integrals)
 
 
 def finite_difference_gradient(
@@ -192,29 +167,24 @@ def finite_difference_gradient(
     bumped[:, k, 0, k] += delta
     bumped[:, k, 1, k] = bumped[:, k, 0, k] - 2.0 * delta
     bumped_props = step_propagator(
-        _liouvillians(problem, bumped.reshape(-1, p)), dt
+        _generators(problem, bumped.reshape(-1, p)), dt
     ).reshape(m, 2 * p, 4, 4)
 
     dgen = problem.sensitivity_superop
-    rho_base = vectorize(base.states)[:, :, None]
-    phi_base = vectorize(base.phi)[:, :, None]
     for j in range(m):
         # the recursion of propagate from step j on, batched over the 2p
         # bumps as (2p, 4, 4) @ (2p, 4, 1) products, which keep each bump's
         # arithmetic; a (4, 4) @ (4, 2p) block would round differently
-        rho = np.empty((m - j + 1, 2 * p, 4, 1), dtype=complex)
-        phi = np.empty_like(rho)
-        rho[0], phi[0] = rho_base[j], phi_base[j]
+        coords = np.empty((m - j + 1, 2 * p, 4, 1))
+        sens = np.empty_like(coords)
+        coords[0], sens[0] = base.coords[j, :, None], base.sensitivity[j, :, None]
         with np.errstate(over="ignore", invalid="ignore"):
             for i, props in enumerate([bumped_props[j], *base.step_propagators[j + 1 :]]):
-                rho[i + 1] = np.matmul(props, rho[i])
-                phi[i + 1] = np.matmul(props, phi[i]) + np.matmul(dgen, rho[i + 1])
-        states = np.ascontiguousarray(unvectorize(rho[1:, :, :, 0].swapaxes(0, 1)))
-        _check_states(states, first_step=j + 1)
-        final_phi = np.ascontiguousarray(unvectorize(phi[-1, :, :, 0]))
-        values = np.array(
-            [_objective_at(states[b, -1], dt * final_phi[b], objective) for b in range(2 * p)]
-        ).reshape(p, 2)
+                coords[i + 1] = np.matmul(props, coords[i])
+                sens[i + 1] = np.matmul(props, sens[i]) + np.matmul(dgen, coords[i + 1])
+        _check_states(coords[1:, :, :, 0].swapaxes(0, 1), first_step=j + 1)
+        final = zip(coords[-1, :, :, 0], dt * sens[-1, :, :, 0])
+        values = np.array([_information(c, d, objective.povm)[0] for c, d in final]).reshape(p, 2)
         grad[j] = (values[:, 0] - values[:, 1]) / (2.0 * delta)
     return grad
 
@@ -276,6 +246,12 @@ class AscentReport:
     error: str | None = None
     failed_iteration: int | None = None
 
+    @staticmethod
+    def failed(grid: ControlGrid, history: list[float], iteration: int, exc: Exception):
+        """Report of a run that raised ``exc`` in ``iteration``."""
+        error = f"{type(exc).__name__}: {exc}"
+        return AscentReport(grid, history, max(iteration - 1, 0), False, error, iteration)
+
 
 def _initial_grid(problem: EstimationProblem, config: AscentConfig) -> ControlGrid:
     if config.init_mode == "user_supplied":
@@ -305,14 +281,7 @@ def ascend(
         traj = propagate(problem, grid)
         value = objective_value(traj, objective)
     except QGrapeError as exc:
-        return AscentReport(
-            final_grid=grid,
-            objective_history=history,
-            iterations_used=0,
-            converged=False,
-            error=f"{type(exc).__name__}: {exc}",
-            failed_iteration=0,
-        )
+        return AscentReport.failed(grid, history, 0, exc)
     history.append(value)
 
     converged = False
@@ -337,28 +306,18 @@ def ascend(
                     velocity = np.zeros_like(velocity)  # ridge overshoot; restart
             if cand is None:
                 step = config.step_size
-                cand = ControlGrid(grid.amplitudes + step * table, grid.dt)
-                cand_traj = propagate(problem, cand)
-                cand_value = objective_value(cand_traj, objective)
-                halvings = 0
-                while cand_value < value and halvings < MAX_BACKTRACK_HALVINGS:
-                    step *= 0.5
+                for _ in range(MAX_BACKTRACK_HALVINGS + 1):
                     cand = ControlGrid(grid.amplitudes + step * table, grid.dt)
                     cand_traj = propagate(problem, cand)
                     cand_value = objective_value(cand_traj, objective)
-                    halvings += 1
+                    if cand_value >= value:
+                        break
+                    step *= 0.5
                 if cand_value < value:
                     cand, cand_traj, cand_value = grid, traj, value
                 velocity = cand.amplitudes - grid.amplitudes
         except QGrapeError as exc:
-            return AscentReport(
-                final_grid=grid,
-                objective_history=history,
-                iterations_used=iterations,
-                converged=False,
-                error=f"{type(exc).__name__}: {exc}",
-                failed_iteration=it,
-            )
+            return AscentReport.failed(grid, history, it, exc)
         delta = abs(cand_value - value)
         grid, traj, value = cand, cand_traj, cand_value
         history.append(value)

@@ -32,6 +32,13 @@ __all__ = [
 SERIES_CROSSOVER = 1e-6
 
 
+def _check_nonnegative(**values: float) -> None:
+    for name, value in values.items():
+        # written as "not good" so that NaN and inf are rejected too
+        if not 0 <= value < math.inf:
+            raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
+
+
 @dataclass(frozen=True)
 class SinglePulsePlan:
     """One instantaneous rotation at t0 within a horizon T.
@@ -50,9 +57,13 @@ class SinglePulsePlan:
     gamma_minus: float = 0.0
 
     def __post_init__(self):
+        _check_nonnegative(horizon=self.horizon, gamma=self.gamma,
+                           gamma_plus=self.gamma_plus, gamma_minus=self.gamma_minus)
+        if not math.isfinite(self.omega0):
+            raise ValidationError(f"omega0 must be finite, got {self.omega0}")
         if not 0.0 <= self.t0 <= self.horizon:
             raise ValidationError(
-                f"pulse time {self.t0} must lie in [0, {self.horizon}]"
+                f"pulse time t0 = {self.t0} must lie in [0, {self.horizon}]"
             )
 
 
@@ -60,10 +71,7 @@ def transverse_controlled_qfi(gamma: float, horizon: float) -> float:
     """``(2/gamma^2) (exp(-gamma T) + gamma T - 1)``, the information of a
     probe held at |+> under transverse dephasing; reduces to ``T^2`` as
     gamma -> 0."""
-    if gamma < 0:
-        raise ValidationError(f"gamma must be nonnegative, got {gamma}")
-    if horizon < 0:
-        raise ValidationError(f"horizon must be nonnegative, got {horizon}")
+    _check_nonnegative(gamma=gamma, horizon=horizon)
     u = gamma * horizon
     if u < 1e-4:
         # series in u avoids cancellation: T^2 (1 - u/3 + u^2/12 - u^3/60)
@@ -80,8 +88,7 @@ def transverse_bloch(gamma: float, omega0: float, t: float) -> np.ndarray:
     For ``gamma^2 < 4 omega0^2`` the root is imaginary and the hyperbolic
     functions turn trigonometric; at a = 0 the t-linear limit applies.
     """
-    if t < 0:
-        raise ValidationError(f"time must be nonnegative, got {t}")
+    _check_nonnegative(gamma=gamma, t=t)
     disc = gamma * gamma - 4.0 * omega0 * omega0
     envelope = math.exp(-0.5 * gamma * t)
     half_t = 0.5 * t
@@ -105,12 +112,11 @@ def transverse_bloch(gamma: float, omega0: float, t: float) -> np.ndarray:
     return np.array([r1, r2, 0.0])
 
 
-def parallel_free_qfi(gamma: float, t: float) -> float:
-    """``t^2 exp(-2 gamma t)``: free-evolution information under parallel
-    dephasing from |+>; maximal at t = 1/gamma."""
-    if t < 0:
-        raise ValidationError(f"time must be nonnegative, got {t}")
-    return t * t * math.exp(-2.0 * gamma * t)
+def parallel_free_qfi(gamma: float, horizon: float) -> float:
+    """``T^2 exp(-2 gamma T)``: free-evolution information under parallel
+    dephasing from |+>; maximal at T = 1/gamma."""
+    _check_nonnegative(gamma=gamma, horizon=horizon)
+    return horizon * horizon * math.exp(-2.0 * gamma * horizon)
 
 
 def parallel_single_pulse_qfi(plan: SinglePulsePlan) -> float:
@@ -150,10 +156,7 @@ def spontaneous_free_bloch(
     longitudinal component relaxes toward ``(g+ - g-)/(g+ + g-)`` at rate
     ``g+ + g-``.  Zero total rate gives pure rotation.
     """
-    if t < 0:
-        raise ValidationError(f"time must be nonnegative, got {t}")
-    if gamma_plus < 0 or gamma_minus < 0:
-        raise ValidationError("emission rates must be nonnegative")
+    _check_nonnegative(gamma_plus=gamma_plus, gamma_minus=gamma_minus, t=t)
     r0 = np.asarray(r0, dtype=float)
     total = gamma_plus + gamma_minus
     c, s = math.cos(omega0 * t), math.sin(omega0 * t)
@@ -172,8 +175,7 @@ def spontaneous_free_bloch(
 def spontaneous_free_qfi(gamma_plus: float, gamma_minus: float, horizon: float) -> float:
     """``T^2 exp(-(g+ + g-) T)`` for the probe |+>; maximal at
     T = 2/(g+ + g-)."""
-    if horizon < 0:
-        raise ValidationError(f"horizon must be nonnegative, got {horizon}")
+    _check_nonnegative(gamma_plus=gamma_plus, gamma_minus=gamma_minus, horizon=horizon)
     return horizon * horizon * math.exp(-(gamma_plus + gamma_minus) * horizon)
 
 

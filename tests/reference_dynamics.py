@@ -1,26 +1,34 @@
-"""Step-by-step propagation, the reference for the stacked
-:func:`qgrape.dynamics.propagate`.
+"""Reference trajectories for the suite.
 
-Each step assembles its generator with two ``kron`` calls, exponentiates it
-on its own with :func:`qgrape.dynamics.step_propagator` and checks the new
+:func:`propagate_stepwise` is the reference for the stacked
+:func:`qgrape.dynamics.propagate`.  Each step adds its control terms to the
+problem's real Pauli-coordinate generator one at a time, exponentiates it on
+its own with :func:`qgrape.dynamics.step_propagator` and checks the new
 state before taking the next step.  The stacked library version performs the
 same floating-point operations, so the suite requires its trajectories to
 equal this one exactly; the exponential itself is checked against
 ``scipy.linalg.expm`` on its own.
+
+:func:`propagate_liouville` is the same discretized evolution in complex
+Liouville space, with every generator assembled from ``kron`` products per
+step: the reference for the change to Pauli coordinates, and the trajectory
+that the Liouville-space gradient references in ``reference_gradient`` read.
 """
 
 from __future__ import annotations
 
-import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from qgrape.dynamics import (
     IDENTITY,
+    PAULI_BASIS,
     POSITIVITY_HARD_FLOOR,
     ControlGrid,
     EstimationProblem,
     Trajectory,
+    _bloch,
     commutator_superop,
     dissipator,
     step_propagator,
@@ -30,20 +38,93 @@ from qgrape.dynamics import (
 from qgrape.errors import NumericalStabilityError, ValidationError
 
 
-def _min_eigenvalue(rho: np.ndarray) -> float:
-    tr = float(rho[0, 0].real + rho[1, 1].real)
-    det = float((rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real)
-    return (tr - math.sqrt(max(tr * tr - 4.0 * det, 0.0))) / 2.0
+def pauli_superop(liouvillian: np.ndarray) -> np.ndarray:
+    """``PAULI_BASIS^-1 L PAULI_BASIS``, complex as computed."""
+    return 2.0 * PAULI_BASIS.conj().T @ liouvillian @ PAULI_BASIS
 
 
-def propagate_stepwise(problem: EstimationProblem, grid: ControlGrid) -> Trajectory:
-    """The trajectory of :func:`qgrape.dynamics.propagate`, one step at a time."""
-    m = grid.n_steps
+def _check_controls(problem: EstimationProblem, grid: ControlGrid) -> None:
     if grid.n_controls != problem.n_controls:
         raise ValidationError(
             f"grid has {grid.n_controls} controls, problem has {problem.n_controls}"
         )
 
+
+def propagate_stepwise(problem: EstimationProblem, grid: ControlGrid) -> Trajectory:
+    """The trajectory of :func:`qgrape.dynamics.propagate`, one step at a time."""
+    _check_controls(problem, grid)
+    m = grid.n_steps
+    dgen = problem.sensitivity_superop
+
+    coords = np.empty((m + 1, 4))
+    sens = np.empty((m + 1, 4))
+    props = np.empty((m, 4, 4))
+    gens = np.empty((m, 4, 4))
+    coords[0] = _bloch(problem.probe)
+    sens[0] = 0.0
+
+    c = coords[0]
+    s = sens[0]
+    for j in range(m):
+        gen = problem.free_superop.copy()
+        for v, control in zip(grid.amplitudes[j], problem.control_superops):
+            gen += v * control
+        prop = step_propagator(gen, grid.dt)
+        c = prop @ c
+        s = prop @ s + dgen @ c
+
+        lo = (c[0] - np.sqrt((c[1:] ** 2).sum())) / 2.0
+        if lo < -POSITIVITY_HARD_FLOOR or abs(c[0] - 1.0) > 1e-8:
+            raise NumericalStabilityError(
+                f"state lost positivity/trace at step {j + 1} "
+                f"(min eigenvalue {lo:.3e})",
+                step=j + 1,
+            )
+        props[j] = prop
+        gens[j] = gen
+        coords[j + 1] = c
+        sens[j + 1] = s
+
+    return Trajectory(
+        coords=coords,
+        step_propagators=props,
+        generators=gens,
+        sensitivity=sens,
+        dt=grid.dt,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class LiouvilleTrajectory:
+    """Propagation products in Liouville space: ``states[j]`` is the 2x2 state
+    after step j, ``step_propagators[j-1]`` is ``exp(dt L_j)``,
+    ``liouvillians[j-1]`` is ``L_j`` and ``d(rho_j)/dx = dt * phi[j]``."""
+
+    states: np.ndarray
+    step_propagators: np.ndarray
+    liouvillians: np.ndarray
+    phi: np.ndarray
+    dt: float
+
+    @property
+    def n_steps(self) -> int:
+        return self.step_propagators.shape[0]
+
+    @property
+    def final_state(self) -> np.ndarray:
+        return self.states[-1]
+
+    @property
+    def final_state_derivative(self) -> np.ndarray:
+        return self.dt * self.phi[-1]
+
+
+def propagate_liouville(problem: EstimationProblem, grid: ControlGrid) -> LiouvilleTrajectory:
+    """The discretized evolution of :func:`qgrape.dynamics.propagate` on
+    column-major vectorized 2x2 matrices, one step at a time and without the
+    state check."""
+    _check_controls(problem, grid)
+    m = grid.n_steps
     gamma_super = dissipator(problem.noise)
     h_free = problem.x * problem.encoding
     dgen = -1j * commutator_superop(problem.encoding)
@@ -66,21 +147,12 @@ def propagate_stepwise(problem: EstimationProblem, grid: ControlGrid) -> Traject
         prop = step_propagator(liouvillian, grid.dt)
         rho_v = prop @ rho_v
         phi_v = prop @ phi_v + dgen @ rho_v
-
-        rho = unvectorize(rho_v)
-        lo = _min_eigenvalue(rho)
-        if lo < -POSITIVITY_HARD_FLOOR or abs(rho[0, 0] + rho[1, 1] - 1.0) > 1e-8:
-            raise NumericalStabilityError(
-                f"state lost positivity/trace at step {j + 1} "
-                f"(min eigenvalue {lo:.3e})",
-                step=j + 1,
-            )
         props[j] = prop
         lious[j] = liouvillian
-        states[j + 1] = rho
+        states[j + 1] = unvectorize(rho_v)
         phis[j + 1] = unvectorize(phi_v)
 
-    return Trajectory(
+    return LiouvilleTrajectory(
         states=states,
         step_propagators=props,
         liouvillians=lious,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from qgrape.dynamics import validate_density
-from qgrape.fisher import SLD_RANK_TOL, _check_state_derivative
+from qgrape.fisher import SLD_RANK_TOL
 
 
 def sld(rho: np.ndarray, drho: np.ndarray, tol: float = SLD_RANK_TOL) -> np.ndarray:
@@ -24,7 +24,7 @@ def sld(rho: np.ndarray, drho: np.ndarray, tol: float = SLD_RANK_TOL) -> np.ndar
     to zero (the minimal-norm solution on the kernel).
     """
     validate_density(rho)
-    drho = _check_state_derivative(drho)
+    drho = np.asarray(drho, dtype=complex)
     lam, basis = np.linalg.eigh(rho)
     d_in_basis = basis.conj().T @ drho @ basis
     pair_sums = lam[:, None] + lam[None, :]

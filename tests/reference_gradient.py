@@ -21,9 +21,12 @@ Here it is accumulated term by term, which is quadratic in the step count;
 the suite checks that the library's exact gradient differs from it by
 ``O(dt)``.
 
-The exact gradient is also kept here in its looped form, one 8x8 block
-exponential per step and control, as the reference for the library's stacked
-version.  The finite-difference oracle is kept in its original form, one full
+The exact gradient is also kept here in its looped form, one complex 8x8
+block exponential per step and control in Liouville space, as the reference
+for the library's stacked real version.  These references read the
+Liouville-space trajectory of ``reference_dynamics.propagate_liouville`` and
+take their weights from the 2x2 SLD, not from the library's closed-form
+Pauli rows.  The finite-difference oracle is kept in its original form, one full
 :func:`qgrape.dynamics.propagate` per perturbed entry; the library's version,
 which re-propagates only from the bumped step on, must equal it bit for bit.
 """
@@ -35,16 +38,17 @@ import logging
 import numpy as np
 from scipy.linalg import expm
 
+from qgrape import fisher
 from qgrape.dynamics import (
     ControlGrid,
     EstimationProblem,
-    Trajectory,
     commutator_superop,
     unvectorize,
     vectorize,
 )
 from qgrape.errors import ValidationError
-from qgrape.grape import Objective, _objective_weights, evaluate_objective
+from qgrape.grape import Objective, evaluate_objective
+from reference_dynamics import LiouvilleTrajectory as Trajectory
 
 logger = logging.getLogger(__name__)
 
@@ -59,6 +63,25 @@ def _warn_if_not_hermitian(mat: np.ndarray, label: str) -> None:
     dev = np.abs(mat - mat.conj().T).max()
     if dev > HERMITICITY_WARN_TOL:
         logger.warning("%s deviates from Hermitian by %.3e", label, dev)
+
+
+def objective_weights(traj: Trajectory, objective: Objective) -> tuple[np.ndarray, np.ndarray]:
+    """Weight pair (W1, W2) as 2x2 operators: (L, L^2) for the QFI and
+    ``sum_y (dp_y/p_y)^k E_y``, k = 1, 2, for the CFI."""
+    rho = traj.final_state
+    drho = traj.final_state_derivative
+    if objective.kind == "qfi":
+        l_op = fisher.sld(rho, drho)
+        return l_op, l_op @ l_op
+    w1 = np.zeros((2, 2), dtype=complex)
+    w2 = np.zeros((2, 2), dtype=complex)
+    for effect in objective.povm.effects:
+        p = np.trace(rho @ effect).real
+        if p >= fisher.OUTCOME_PROB_FLOOR:
+            ratio = np.trace(drho @ effect).real / p
+            w1 += ratio * effect
+            w2 += ratio * ratio * effect
+    return w1, w2
 
 
 def _suffix_propagators(traj: Trajectory) -> np.ndarray:
@@ -125,8 +148,8 @@ def naive_gradient(
     traj: Trajectory, problem: EstimationProblem, objective: Objective
 ) -> np.ndarray:
     """Gradient table (m, p) of either objective from the literal sums, with
-    the same objective weights as :func:`qgrape.grape.gradient`."""
-    w1, w2 = _objective_weights(traj, objective)
+    the weights of :func:`objective_weights`."""
+    w1, w2 = objective_weights(traj, objective)
     return _gradient_naive(traj, problem, w1, w2)
 
 
@@ -199,8 +222,8 @@ def looped_exact_gradient(
     traj: Trajectory, problem: EstimationProblem, objective: Objective
 ) -> np.ndarray:
     """Exact gradient table (m, p) with one block exponential per step and
-    control, and the same objective weights as :func:`qgrape.grape.gradient`."""
-    w1, w2 = _objective_weights(traj, objective)
+    control, and the weights of :func:`objective_weights`."""
+    w1, w2 = objective_weights(traj, objective)
     return _gradient_exact_looped(traj, problem, w1, w2)
 
 

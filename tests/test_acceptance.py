@@ -63,7 +63,9 @@ def qfi_along_trajectory(traj, stride):
     times, values = [], []
     for j in range(stride, traj.n_steps + 1, stride):
         times.append(j * traj.dt)
-        values.append(fisher.qfi(traj.states[j], traj.dt * traj.phi[j]))
+        values.append(
+            fisher.qfi(dyn._density(traj.coords[j]), dyn._density(traj.dt * traj.sensitivity[j]))
+        )
     return np.array(times), np.array(values)
 
 

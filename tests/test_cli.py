@@ -82,6 +82,25 @@ def test_oracle_pulse_models(capsys):
     assert float(capsys.readouterr().out) == pytest.approx(256 * np.exp(-1.6), rel=1e-4)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["transverse", "--horizon", "nan"], "horizon"),
+        (["parallel", "--horizon", "inf"], "horizon"),
+        (["transverse", "--gamma", "nan", "--horizon", "5"], "gamma"),
+        (["parallel", "--gamma=-inf", "--horizon", "5"], "gamma"),
+        (["spontaneous", "--gamma-minus", "nan", "--horizon", "5"], "gamma_minus"),
+        (["parallel-pulse", "--horizon", "inf"], "horizon"),
+        (["spontaneous-pulse", "--horizon", "5", "--omega0", "nan"], "omega0"),
+    ],
+)
+def test_oracle_rejects_non_finite_numbers(args, name, capsys):
+    assert main(["oracle", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert name in captured.err and "finite" in captured.err
+
+
 def test_missing_config_exits_one_and_names_file(tmp_path, capsys):
     missing = tmp_path / "missing.cfg"
     code = main(["optimize", "--config", str(missing)])

@@ -10,7 +10,15 @@ from qgrape import dynamics as dyn
 from qgrape import oracles
 from qgrape.errors import NumericalStabilityError, ValidationError
 
-from reference_dynamics import propagate_stepwise
+from reference_dynamics import pauli_superop, propagate_liouville, propagate_stepwise
+
+NOISE_MODELS = {
+    "noiseless": None,
+    "transverse": dyn.Dephasing(theta=math.pi / 2, phi=0.0, gamma=0.1),
+    "parallel": dyn.Dephasing(theta=0.0, phi=0.0, gamma=0.1),
+    "oblique": dyn.Dephasing(theta=1.1, phi=0.4, gamma=0.2),
+    "emission": dyn.SpontaneousEmission(gamma_plus=0.05, gamma_minus=0.1),
+}
 
 
 def random_density(rng):
@@ -128,11 +136,46 @@ class TestEstimationProblem:
         np.testing.assert_array_equal(prob.encoding, 0.5 * dyn.SIGMA_Z)
         np.testing.assert_array_equal(
             prob.free_superop,
-            -1j * dyn.commutator_superop(-1.3 * 0.5 * dyn.SIGMA_Z) + dyn.dissipator(noise),
+            pauli_superop(
+                -1j * dyn.commutator_superop(-1.3 * 0.5 * dyn.SIGMA_Z) + dyn.dissipator(noise)
+            ).real,
         )
         np.testing.assert_array_equal(
-            prob.sensitivity_superop, -1j * dyn.commutator_superop(0.5 * dyn.SIGMA_Z)
+            prob.sensitivity_superop,
+            pauli_superop(-1j * dyn.commutator_superop(0.5 * dyn.SIGMA_Z)).real,
         )
+
+    def test_pauli_basis_maps_coordinates_to_vectorized_states(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            rho = random_density(rng)
+            coords = [np.trace(rho @ s).real for s in (dyn.IDENTITY, *dyn.PAULIS)]
+            np.testing.assert_allclose(dyn.PAULI_BASIS @ coords, dyn.vectorize(rho), atol=1e-15)
+        np.testing.assert_array_equal(
+            2.0 * dyn.PAULI_BASIS.conj().T @ dyn.PAULI_BASIS, np.eye(4)
+        )
+        # rho -> i rho does not keep rho Hermitian, so its Pauli form is not real
+        with pytest.raises(ValidationError, match="Hermitian"):
+            dyn._pauli_superop(1j * np.eye(4))
+
+    @pytest.mark.parametrize("noise", NOISE_MODELS.values(), ids=NOISE_MODELS.keys())
+    def test_generators_are_real_trace_preserving_pauli_forms(self, noise):
+        prob = dyn.frequency_estimation_problem(0.7, noise, dyn.plus_state(), 1.0)
+        cases = [
+            (
+                prob.free_superop,
+                -1j * dyn.commutator_superop(0.7 * prob.encoding) + dyn.dissipator(noise),
+            ),
+            (prob.sensitivity_superop, -1j * dyn.commutator_superop(prob.encoding)),
+        ] + [
+            (sup, -1j * dyn.commutator_superop(h))
+            for sup, h in zip(prob.control_superops, prob.control_generators, strict=True)
+        ]
+        for got, liouvillian in cases:
+            assert got.dtype == np.float64 and got.shape == (4, 4)
+            # the first row is the trace functional's image: zero
+            np.testing.assert_allclose(got[0], 0.0, atol=1e-16)
+            np.testing.assert_allclose(got, pauli_superop(liouvillian), rtol=0, atol=1e-15)
 
     def test_replace_rebuilds_the_generators_at_the_new_x(self):
         prob = dyn.frequency_estimation_problem(1.0, None, dyn.plus_state(), 1.0)
@@ -170,19 +213,19 @@ class TestEstimationProblem:
 class TestLiouvillian:
     def test_pure_free_assembly(self):
         prob = dyn.frequency_estimation_problem(1.3, None, dyn.plus_state(), 1.0)
-        liou = dyn._liouvillians(prob, np.zeros((1, 3)))[0]
-        expected = -1j * dyn.commutator_superop(0.5 * 1.3 * dyn.SIGMA_Z)
+        liou = dyn._generators(prob, np.zeros((1, 3)))[0]
+        expected = pauli_superop(-1j * dyn.commutator_superop(0.5 * 1.3 * dyn.SIGMA_Z))
         np.testing.assert_allclose(liou, expected, atol=1e-14)
 
     def test_cancelling_control_leaves_pure_dissipator(self):
         noise = dyn.Dephasing(theta=math.pi / 2, phi=0.0, gamma=0.1)
         prob = dyn.frequency_estimation_problem(1.0, noise, dyn.plus_state(), 1.0)
-        liou = dyn._liouvillians(prob, np.array([[0.0, 0.0, -0.5]]))[0]
-        np.testing.assert_allclose(liou, dyn.dissipator(noise), atol=1e-14)
+        liou = dyn._generators(prob, np.array([[0.0, 0.0, -0.5]]))[0]
+        np.testing.assert_allclose(liou, pauli_superop(dyn.dissipator(noise)), atol=1e-14)
 
     def test_trace_preservation_left_null_vector(self):
         rng = np.random.default_rng(4)
-        ident = dyn.vectorize(np.eye(2))
+        ident = np.eye(4)[0]  # the trace functional in Pauli coordinates
         for _ in range(20):
             noise = dyn.Dephasing(
                 theta=rng.uniform(0, math.pi), phi=rng.uniform(0, 2 * math.pi),
@@ -191,7 +234,7 @@ class TestLiouvillian:
             prob = dyn.frequency_estimation_problem(
                 rng.uniform(0.5, 2), noise, dyn.plus_state(), 1.0
             )
-            liou = dyn._liouvillians(prob, rng.uniform(-1, 1, size=(1, 3)))[0]
+            liou = dyn._generators(prob, rng.uniform(-1, 1, size=(1, 3)))[0]
             np.testing.assert_allclose(ident @ liou, 0.0, atol=1e-10)
 
     def test_amplitude_count_mismatch(self):
@@ -221,9 +264,9 @@ class TestStepPropagator:
         gamma, omega, t = 0.1, 1.0, 2.0
         noise = dyn.Dephasing(theta=0.0, phi=0.0, gamma=gamma)
         prob = dyn.frequency_estimation_problem(omega, noise, dyn.plus_state(), t)
-        liou = dyn._liouvillians(prob, np.zeros((1, 3)))[0]
+        liou = dyn._generators(prob, np.zeros((1, 3)))[0]
         prop = dyn.step_propagator(liou, t)
-        r = dyn.bloch_from_density(dyn.unvectorize(prop @ dyn.vectorize(dyn.plus_state())))
+        r = (prop @ [1.0, 1.0, 0.0, 0.0])[1:]
         envelope = math.exp(-gamma * t)
         np.testing.assert_allclose(
             r, [envelope * math.cos(omega * t), envelope * math.sin(omega * t), 0.0],
@@ -270,6 +313,23 @@ class TestStackedExponential:
             assert (err <= 1e-14 * np.maximum(1.0, norms / 20.0)).all(), name
 
     @pytest.mark.parametrize("n", [4, 8])
+    def test_real_input_agrees_with_the_complex_path(self, n):
+        # real in, real out, by the arithmetic of the scipy-checked complex
+        # path; scipy's own real path is the less accurate one on several of
+        # these real parts (against a 40-digit reference), so it is not used.
+        # Each real slice is also bitwise the same alone or in the stack.
+        for name, a in kernel_cases(np.random.default_rng(40 + n), n).items():
+            a = np.ascontiguousarray(a.real)
+            got = dyn._expm(a, 0.5)
+            assert got.dtype == np.float64, name
+            want = dyn._expm(a.astype(complex), 0.5)
+            norms = np.abs(0.5 * a).sum(axis=-2).max(axis=-1)
+            err = np.abs(got - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
+            assert (err <= 1e-14 * np.maximum(1.0, norms / 20.0)).all(), name
+            for i, mat in enumerate(a):
+                np.testing.assert_array_equal(got[i], dyn._expm(mat, 0.5), err_msg=name)
+
+    @pytest.mark.parametrize("n", [4, 8])
     def test_each_slice_equals_a_solo_call(self, n):
         for name, a in kernel_cases(np.random.default_rng(50 + n), n).items():
             stacked = dyn._expm(a, 0.5)
@@ -286,13 +346,13 @@ class TestStackedExponential:
         ids=["transverse", "oblique", "emission"],
     )
     def test_trace_row_is_preserved(self, noise):
-        # the trace functional t = vec(I) satisfies t L = 0, so t exp(dt L)
-        # = t; forming the Pade quotient as (V+U)/(V-U) instead of
+        # the trace functional t = (1, 0, 0, 0) satisfies t R = 0, so
+        # t exp(dt R) = t; forming the Pade quotient as (V+U)/(V-U) instead of
         # I + 2 U/(V-U) leaves a mean square of about 1e-32 here
         rng = np.random.default_rng(60)
         prob = dyn.frequency_estimation_problem(1.0, noise, dyn.plus_state(), 1.0)
-        lious = dyn._liouvillians(prob, rng.uniform(-1, 1, size=(2000, 3)))
-        t = dyn.vectorize(np.eye(2))
+        lious = dyn._generators(prob, rng.uniform(-1, 1, size=(2000, 3)))
+        t = np.eye(4)[0]
         dev = t @ dyn.step_propagator(lious, 0.05) - t
         assert np.mean(np.abs(dev) ** 2) < 1e-33
 
@@ -377,10 +437,36 @@ class TestPropagate:
         grid = dyn.ControlGrid(rng.uniform(-1, 1, size=(m, p)), 0.05)
         stacked = dyn.propagate(prob, grid)
         stepwise = propagate_stepwise(prob, grid)
-        for field in ("states", "phi", "step_propagators", "liouvillians"):
+        for field in ("coords", "sensitivity", "step_propagators", "generators"):
             np.testing.assert_array_equal(
                 getattr(stacked, field), getattr(stepwise, field), err_msg=field
             )
+
+    @pytest.mark.parametrize("noise", NOISE_MODELS.values(), ids=NOISE_MODELS.keys())
+    @pytest.mark.parametrize("m, x", [(100, 1.0), (40, 0.7), (7, -1.3)])
+    def test_matches_liouville_space_reference(self, noise, m, x):
+        rng = np.random.default_rng(9)
+        prob = dyn.frequency_estimation_problem(x, noise, dyn.plus_state(), m * 0.05)
+        grid = dyn.ControlGrid(rng.uniform(-1, 1, size=(m, 3)), 0.05)
+        traj = dyn.propagate(prob, grid)
+        want = propagate_liouville(prob, grid)
+        np.testing.assert_allclose(traj.final_state, want.final_state, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(
+            traj.final_state_derivative, want.final_state_derivative, rtol=0, atol=1e-13
+        )
+
+    def test_trajectory_arrays_are_real(self, noisy_trajectory):
+        m = noisy_trajectory.n_steps
+        for field, shape in (
+            ("coords", (m + 1, 4)),
+            ("sensitivity", (m + 1, 4)),
+            ("step_propagators", (m, 4, 4)),
+            ("generators", (m, 4, 4)),
+        ):
+            value = getattr(noisy_trajectory, field)
+            assert value.dtype == np.float64 and value.shape == shape, field
+        assert noisy_trajectory.final_state.shape == (2, 2)
+        assert noisy_trajectory.final_state_derivative.shape == (2, 2)
 
     @pytest.mark.parametrize("amplitude", [1e150, 1e300, 1e308])
     def test_overflowing_amplitudes_fail_at_step_one_without_warnings(self, amplitude):
@@ -415,12 +501,12 @@ def noisy_trajectory():
 class TestTrajectoryInvariants:
 
     def test_trace_and_hermiticity_preserved(self, noisy_trajectory):
-        for rho in noisy_trajectory.states:
+        for rho in dyn._density(noisy_trajectory.coords):
             assert abs(np.trace(rho) - 1.0) < 1e-10
             assert np.abs(rho - rho.conj().T).max() < 1e-10
 
     def test_positivity_preserved(self, noisy_trajectory):
-        for rho in noisy_trajectory.states:
+        for rho in dyn._density(noisy_trajectory.coords):
             assert np.linalg.eigvalsh(rho).min() > -1e-10
 
     def test_unitary_purity_preserved_with_controls(self):
@@ -428,11 +514,11 @@ class TestTrajectoryInvariants:
         prob = dyn.frequency_estimation_problem(1.0, None, dyn.plus_state(), 2.0)
         grid = dyn.ControlGrid(rng.uniform(-1, 1, size=(40, 3)), 0.05)
         traj = dyn.propagate(prob, grid)
-        for rho in traj.states:
+        for rho in dyn._density(traj.coords):
             assert np.linalg.norm(dyn.bloch_from_density(rho)) == pytest.approx(1.0, abs=1e-9)
 
     def test_phi_accumulator_is_hermitian_traceless(self, noisy_trajectory):
-        for phi in noisy_trajectory.phi:
+        for phi in dyn._density(noisy_trajectory.sensitivity):
             d = noisy_trajectory.dt * phi
             assert np.abs(d - d.conj().T).max() < 1e-10
             assert abs(np.trace(d)) < 1e-10
@@ -445,15 +531,14 @@ class TestTrajectoryInvariants:
         prob = dyn.frequency_estimation_problem(1.0, noise, dyn.plus_state(), m * dt)
         grid = dyn.ControlGrid(rng.uniform(-1, 1, size=(m, 3)), dt)
         traj = dyn.propagate(prob, grid)
-        dgen = -1j * dyn.commutator_superop(prob.encoding)
-        total = np.zeros(4, dtype=complex)
+        total = np.zeros(4)
         for i in range(1, m + 1):
-            vec = dgen @ dyn.vectorize(traj.states[i])
+            vec = prob.sensitivity_superop @ traj.coords[i]
             for j in range(i + 1, m + 1):
                 vec = traj.step_propagators[j - 1] @ vec
             total += vec
         np.testing.assert_allclose(
-            dyn.unvectorize(dt * total), traj.final_state_derivative, atol=1e-12
+            dyn._density(dt * total), traj.final_state_derivative, atol=1e-12
         )
 
     def test_phi_consistent_with_central_difference_in_x(self):

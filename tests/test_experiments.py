@@ -58,6 +58,17 @@ class TestConfigParsing:
         assert again.noise_theta == config.noise_theta
         assert again.ascent.step_size == config.ascent.step_size
 
+    def test_snapshot_of_library_supplied_grid_parses_back(self):
+        start = dyn.ControlGrid.zeros(20, 3, 0.1)
+        config = small_sweep_config(
+            ascent=AscentConfig(dt=0.1, init_mode="user_supplied", initial_grid=start)
+        )
+        snapshot = exp.config_snapshot(config)
+        assert "# ascent.init_mode = user_supplied: initial grid from a library call" in snapshot
+        again = exp.parse_config_text(snapshot)
+        assert again.ascent.init_mode == AscentConfig().init_mode
+        assert again.horizon == config.horizon and again.sweep_axis == config.sweep_axis
+
     def test_unknown_key_rejected(self):
         # old configs may still carry the removed ascent options
         for key in ("foo", "ascent.backtracking", "ascent.init_low"):

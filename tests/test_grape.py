@@ -14,6 +14,7 @@ from qgrape.errors import (
 )
 
 import reference_gradient as ref
+from reference_dynamics import propagate_liouville
 
 
 def make_problem(noise, horizon=2.0, omega=1.0, probe=None):
@@ -39,7 +40,7 @@ class TestMOperators:
         rng = np.random.default_rng(1)
         prob = make_problem(NOISE_MODELS["emission"])
         grid = random_schedule(rng, 10, 0.2)
-        traj = dyn.propagate(prob, grid)
+        traj = propagate_liouville(prob, grid)
         _, _, m3 = ref.m_operators(traj, prob, j=traj.n_steps, k=0)
         np.testing.assert_allclose(m3, 0.0, atol=1e-15)
 
@@ -50,7 +51,7 @@ class TestMOperators:
             control_generators=(np.eye(2, dtype=complex),),
         )
         grid = random_schedule(rng, 10, 0.2, p=1)
-        traj = dyn.propagate(prob, grid)
+        traj = propagate_liouville(prob, grid)
         for j in (1, 5, 10):
             for op in ref.m_operators(traj, prob, j, 0):
                 np.testing.assert_allclose(op, 0.0, atol=1e-14)
@@ -59,7 +60,7 @@ class TestMOperators:
         rng = np.random.default_rng(3)
         prob = make_problem(NOISE_MODELS["parallel"], horizon=1.2)
         grid = random_schedule(rng, 12, 0.1)
-        traj = dyn.propagate(prob, grid)
+        traj = propagate_liouville(prob, grid)
         for j in (1, 6, 12):
             for k in range(3):
                 for op in ref.m_operators(traj, prob, j, k):
@@ -71,7 +72,7 @@ class TestMOperators:
         m, dt = 15, 0.1
         prob = make_problem(NOISE_MODELS["emission"], horizon=m * dt)
         grid = random_schedule(rng, m, dt)
-        traj = dyn.propagate(prob, grid)
+        traj = propagate_liouville(prob, grid)
         dh0 = prob.encoding
         suffix = ref._suffix_propagators(traj)
         for j in (1, 7, 15):
@@ -92,7 +93,7 @@ class TestMOperators:
     def test_index_validation(self):
         rng = np.random.default_rng(5)
         prob = make_problem(None)
-        traj = dyn.propagate(prob, random_schedule(rng, 4, 0.5))
+        traj = propagate_liouville(prob, random_schedule(rng, 4, 0.5))
         with pytest.raises(ValidationError):
             ref.m_operators(traj, prob, 0, 0)
         with pytest.raises(ValidationError):
@@ -123,9 +124,10 @@ class TestGradientPaths:
         for name, noise in NOISE_MODELS.items():
             m, dt = 30, 0.05
             prob = make_problem(noise, horizon=m * dt)
-            traj = dyn.propagate(prob, random_schedule(rng, m, dt))
+            grid = random_schedule(rng, m, dt)
+            traj = dyn.propagate(prob, grid)
             for objective in (grape.qfi_objective(), grape.cfi_objective(povm)):
-                looped = ref.looped_exact_gradient(traj, prob, objective)
+                looped = ref.looped_exact_gradient(propagate_liouville(prob, grid), prob, objective)
                 stacked = grape.gradient(traj, prob, objective)
                 # summation order differs; entries far below the table's
                 # largest carry that entry's rounding
@@ -156,7 +158,7 @@ class TestGradientPaths:
                 label = f"{name} {objective.kind} p={p}"
                 exact = grape.gradient(traj, prob, objective)
                 assert exact.shape == (m, p)
-                looped = ref.looped_exact_gradient(traj, prob, objective)
+                looped = ref.looped_exact_gradient(propagate_liouville(prob, grid), prob, objective)
                 np.testing.assert_allclose(
                     exact, looped, rtol=1e-12, atol=1e-12 * np.abs(looped).max(), err_msg=label
                 )
@@ -193,7 +195,7 @@ class TestGradientPaths:
             )
             grid = dyn.ControlGrid(amps, dt)
             traj = dyn.propagate(prob, grid)
-            g1 = ref.naive_gradient(traj, prob, grape.qfi_objective())
+            g1 = ref.naive_gradient(propagate_liouville(prob, grid), prob, grape.qfi_objective())
             g2 = grape.gradient(traj, prob, grape.qfi_objective())
             deviations.append(np.abs(g1 - g2).max() / dt)  # per-entry scale ~ dt
         assert deviations[0] > deviations[1] > deviations[2]
@@ -213,7 +215,7 @@ class TestGradientPaths:
         traj = dyn.propagate(prob, grid)
         for table in (
             grape.gradient(traj, prob, grape.qfi_objective()),
-            ref.naive_gradient(traj, prob, grape.qfi_objective()),
+            ref.naive_gradient(propagate_liouville(prob, grid), prob, grape.qfi_objective()),
         ):
             np.testing.assert_allclose(table, 0.0, atol=1e-12)
 
@@ -238,7 +240,7 @@ class TestGradientPaths:
         povm = fisher.Povm((np.eye(2, dtype=complex),))
         for table in (
             grape.gradient(traj, prob, grape.cfi_objective(povm)),
-            ref.naive_gradient(traj, prob, grape.cfi_objective(povm)),
+            ref.naive_gradient(propagate_liouville(prob, grid), prob, grape.cfi_objective(povm)),
         ):
             np.testing.assert_allclose(table, 0.0, atol=1e-12)
 
@@ -274,6 +276,28 @@ class TestGeneratorsBuiltOnce:
         grape.gradient(traj, prob, objective)
         grape.finite_difference_gradient(prob, grid, objective)
         assert calls == []
+
+
+class TestRealHotPath:
+    def test_every_exponential_is_real(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        prob = make_problem(NOISE_MODELS["emission"], horizon=1.0)
+        grid = random_schedule(rng, 10, 0.1)
+        dtypes = []
+
+        def recorded(generators, dt):
+            dtypes.append(generators.dtype)
+            return real_expm(generators, dt)
+
+        real_expm = dyn._expm
+        monkeypatch.setattr(dyn, "_expm", recorded)
+        monkeypatch.setattr(grape, "_expm", recorded)
+        for objective in (grape.qfi_objective(), grape.cfi_objective(fisher.Povm.plus_minus())):
+            traj = dyn.propagate(prob, grid)
+            assert grape.gradient(traj, prob, objective).dtype == np.float64
+            grape.finite_difference_gradient(prob, grid, objective)
+        # per objective: propagate, gradient, and the base and bumped steps of the oracle
+        assert len(dtypes) == 8 and set(dtypes) == {np.dtype(np.float64)}
 
 
 class TestFiniteDifferenceGradient:
@@ -521,3 +545,5 @@ class TestAscentConfigValidation:
             grape.Objective(kind="fidelity")
         with pytest.raises(ValidationError):
             grape.Objective(kind="cfi")
+        with pytest.raises(ValidationError):
+            grape.Objective(kind="qfi", povm=fisher.Povm.plus_minus())
