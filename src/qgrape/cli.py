@@ -24,8 +24,7 @@ from pathlib import Path
 from . import experiments, oracles
 from .dynamics import ControlGrid, propagate, step_count
 from .errors import ConfigError, QGrapeError, ValidationError
-from .fisher import cfi, qfi
-from .grape import ascend
+from .grape import ascend, cfi_objective, objective_value, qfi_objective
 from .experiments import (
     ScenarioConfig,
     config_snapshot,
@@ -112,9 +111,8 @@ def _cmd_simulate(args) -> int:
         m = step_count(config.horizon, config.dt)
         grid = ControlGrid.zeros(m, problem.n_controls, config.dt)
     traj = propagate(problem, grid)
-    drho = traj.final_state_derivative
-    q = qfi(traj.final_state, drho)
-    c = cfi(traj.final_state, drho, config.povm())
+    q = objective_value(traj, qfi_objective())
+    c = objective_value(traj, cfi_objective(config.povm()))
     print(f"qfi = {q:.6g}")
     print(f"cfi = {c:.6g}")
     if args.verbose:

@@ -17,8 +17,9 @@ matrices to Hermitian matrices becomes the real ``PAULI_BASIS^-1 L PAULI_BASIS``
 
 Propagation works on stacks over the time axis: :func:`propagate` adds the
 control terms of all m steps to the problem's free generator at once,
-exponentiates the real (m, 4, 4) stack in one batched scaling-and-squaring
-call, and loops only over the real 4-vector state and sensitivity recursion.
+exponentiates the real (m, 4, 4) stack in one batched call of a Taylor
+scaling-and-squaring kernel, and loops only over one real 8-vector that
+carries the state and its sensitivity, one product per step.
 
 Conventions (fixed once, asserted by tests):
 
@@ -405,51 +406,58 @@ def step_count(horizon: float, dt: float) -> int:
     return m
 
 
-# Pade [13/13] coefficients and the 1-norm up to which that approximant
-# meets double precision unscaled (Higham, SIAM J. Matrix Anal. Appl. 26,
-# 1179 (2005))
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+# The degree-18 Taylor polynomial T18(A) = sum_k A^k / k! is evaluated by
+# Paterson-Stockmeyer as a polynomial in A^4 whose coefficients are the
+# blocks B_i = sum_r A^r / (4i + r)!, r = 0..3; row i of _TAYLOR18 holds the
+# factors of I, A, A^2 and A^3 in B_i.  _THETA18 is the 1-norm up to which T18
+# has a relative backward error of at most 2^-53: the root of
+# sum_{k>18} |g_k| x^(k-1) = 2^-53 for the series
+# log(e^-x T18(x)) = sum_k g_k x^k (Al-Mohy & Higham, SIAM J. Matrix Anal.
+# Appl. 31, 970 (2009)).
+_TAYLOR18 = np.array(
+    [[1.0 / math.factorial(k) if k <= 18 else 0.0 for k in range(4 * i, 4 * i + 4)]
+     for i in range(5)]
 )
-_THETA13 = 5.371920351148152
+_THETA18 = 1.090863719290036
 
 
 def _expm(generators: np.ndarray, dt: float) -> np.ndarray:
     """``exp(dt * A)`` for one square matrix or every matrix of a stack, by
-    scaling and squaring with the degree-13 Pade approximant.
+    scaling and squaring with the degree-18 Taylor polynomial.
 
     Each matrix gets its own scaling ``s = max(0, ceil(log2(|dt A|_1 /
-    theta13)))``, applied exactly as a power of two, and only its own ``s``
+    theta18)))``, applied exactly as a power of two, and only its own ``s``
     squarings, so a matrix's exponential is bitwise the same alone or in any
-    stack.  The approximant is formed as ``I + 2 (V - U)^-1 U``, which keeps
-    a trace-preserving generator's exponential trace-preserving to rounding.
-    Real input gives real output, complex input complex output.  Non-finite
-    input gives non-finite output without floating-point warnings.
+    stack.  The polynomial takes seven stacked matrix products and no linear
+    solve.  A zero row of ``A`` gives the same row of the identity in the
+    result, exactly, so a trace-preserving Pauli generator's exponential keeps
+    the trace row ``(1, 0, 0, 0)``.  Real input gives real output, complex
+    input complex output.  Non-finite input gives non-finite output without
+    floating-point warnings.
     """
-    b = _PADE13
     a = np.asarray(generators)
     a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
-    shape = a.shape
+    shape, n = a.shape, a.shape[-1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a = np.ascontiguousarray(dt * a).reshape(-1, *shape[-2:])
-        s = np.ceil(np.log2(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13))
-        s = np.where(np.isfinite(s) & (s > 0), s, 0).astype(int)
-        a = np.ldexp(a.view(float), -s[:, None, None]).view(a.dtype)
-        eye = np.eye(shape[-1])
-        a2 = a @ a
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (
-            a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-            + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
-        )
-        v = (
-            a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-            + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-        )
-        x = eye + 2.0 * np.linalg.solve(v - u, u)
+        a = np.ascontiguousarray(dt * a).reshape(-1, n, n)
+        # column sums as one stacked product: a reduction over the middle
+        # axis of small matrices costs several times more
+        col_sums = np.ones(n) @ np.abs(a)
+        s = np.zeros(len(a), dtype=int)
+        if (col_sums > _THETA18).any():
+            s = np.ceil(np.log2(col_sums.max(axis=-1) / _THETA18))
+            s = np.where(np.isfinite(s) & (s > 0), s, 0).astype(int)
+            a = np.ldexp(a.view(float), -s[:, None, None]).view(a.dtype)
+        powers = np.empty((len(a), 4, n, n), dtype=a.dtype)
+        powers[:, 0] = np.eye(n)
+        powers[:, 1] = a
+        np.matmul(a, a, out=powers[:, 2])
+        np.matmul(powers[:, 2], a, out=powers[:, 3])
+        a4 = powers[:, 2] @ powers[:, 2]
+        blocks = (_TAYLOR18 @ powers.reshape(-1, 4, n * n)).reshape(-1, 5, n, n)
+        x = blocks[:, 4]
+        for i in (3, 2, 1, 0):
+            x = x @ a4 + blocks[:, i]
         for i in range(s.max(initial=0)):
             squared = s > i
             x[squared] = x[squared] @ x[squared]
@@ -519,17 +527,29 @@ def _check_states(coords: np.ndarray, first_step: int = 1) -> None:
         )
 
 
+def _forward_steps(props: np.ndarray, dgen: np.ndarray) -> np.ndarray:
+    """Stack (..., 8, 8) of the steps ``B = [[E, 0], [G E, E]]`` that advance
+    ``(c, s)`` by the propagators ``E`` of an (..., 4, 4) stack, with ``G`` the
+    sensitivity generator; every ``G E`` comes from one stacked product."""
+    steps = np.zeros(props.shape[:-2] + (8, 8))
+    steps[..., :4, :4] = steps[..., 4:, 4:] = props
+    np.matmul(dgen, props, out=steps[..., 4:, :4])
+    return steps
+
+
 def propagate(problem: EstimationProblem, grid: ControlGrid) -> Trajectory:
     """Propagate the probe through all steps at the problem's ``x``,
     accumulating sensitivities.
 
     The generators and step propagators of all steps are built as real
     (m, 4, 4) stacks from the problem's cached ``free_superop`` and
-    ``control_superops``; only the recursions below run step by step, on real
-    4-vectors: ``c_j = E_j c_{j-1}`` with ``E_j = exp(dt R_j)``, and
+    ``control_superops``.  The state recursion ``c_j = E_j c_{j-1}`` with
+    ``E_j = exp(dt R_j)`` and the sensitivity recursion
     ``s_j = E_j s_{j-1} + G c_j`` with ``s_0 = 0`` and ``G`` the problem's
     ``sensitivity_superop``, which telescopes to
-    ``d(c_j)/dx = dt * sum_{i<=j} E_j ... E_{i+1} G c_i``.
+    ``d(c_j)/dx = dt * sum_{i<=j} E_j ... E_{i+1} G c_i``, run together as
+    one real 8-vector step ``(c_j, s_j) = B_j (c_{j-1}, s_{j-1})`` with the
+    blocks ``B_j = [[E_j, 0], [G E_j, E_j]]`` of :func:`_forward_steps`.
 
     Raises :class:`NumericalStabilityError` (naming the first such step) if an
     intermediate state loses positivity beyond the hard floor, its trace, or
@@ -547,22 +567,19 @@ def propagate(problem: EstimationProblem, grid: ControlGrid) -> Trajectory:
 
     gens = _generators(problem, grid.amplitudes)
     props = step_propagator(gens, grid.dt)
-    dgen = problem.sensitivity_superop
 
-    states, sens = [_bloch(problem.probe)], [np.zeros(4)]
+    ys = np.zeros((grid.n_steps + 1, 8))
+    ys[0, :4] = _bloch(problem.probe)
     # past a bad step the recursion may overflow; the check below reports the
     # first bad step, so the floating-point warnings of later ones are noise.
-    # ndarray.dot is the cheapest call of the same 4x4 product as @.
+    # ndarray.dot into the next row is the cheapest call of the same 8x8
+    # product as @.
     with np.errstate(over="ignore", invalid="ignore"):
-        for prop in props:
-            states.append(prop.dot(states[-1]))
-        coords = np.array(states)
-        source = np.matmul(dgen, coords[1:, :, None])[..., 0]
-        for prop, src in zip(props, source):
-            sens.append(prop.dot(sens[-1]) + src)
-    _check_states(coords[1:])
+        for j, step in enumerate(_forward_steps(props, problem.sensitivity_superop)):
+            step.dot(ys[j], out=ys[j + 1])
+    _check_states(ys[1:, :4])
 
     return Trajectory(
-        coords=coords, step_propagators=props, generators=gens, sensitivity=np.array(sens),
+        coords=ys[:, :4], step_propagators=props, generators=gens, sensitivity=ys[:, 4:],
         dt=grid.dt,
     )

@@ -42,8 +42,8 @@ from .dynamics import (
     zero_state,
 )
 from .errors import ConfigError, QGrapeError
-from .fisher import Povm, cfi, qfi
-from .grape import AscentConfig, Objective, ascend, cfi_objective, qfi_objective
+from .fisher import Povm
+from .grape import AscentConfig, Objective, ascend, cfi_objective, objective_value, qfi_objective
 
 __all__ = [
     "METRIC_COLUMNS",
@@ -292,9 +292,10 @@ def _scenario_problem(
 def _qfi_cfi_of_grid(
     problem: EstimationProblem, grid: ControlGrid, povm: Povm
 ) -> tuple[float, float]:
+    """QFI and CFI of ``povm`` after ``grid``, read from the trajectory's
+    Pauli coordinates."""
     traj = propagate(problem, grid)
-    drho = traj.final_state_derivative
-    return qfi(traj.final_state, drho), cfi(traj.final_state, drho, povm)
+    return objective_value(traj, qfi_objective()), objective_value(traj, cfi_objective(povm))
 
 
 def _optimize(

@@ -119,7 +119,7 @@ def qfi_bloch(r, dr) -> float:
     radial = float(r @ dr)
     if _is_pure(float(r @ r)) and abs(radial) > PURE_TANGENT_TOL:
         raise InconsistentInputError(f"pure state, non-tangent derivative (r . dr = {radial:.3e})")
-    return _information(np.r_[1.0, r], np.r_[0.0, dr], None)[0]
+    return _information(np.concatenate(([1.0], r)), np.concatenate(([0.0], dr)), None)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,8 +157,8 @@ class Povm:
     def along(axis: np.ndarray) -> "Povm":
         """Projective measurement along a Bloch axis (normalized internally)."""
         axis = np.asarray(axis, dtype=float)
-        norm = np.linalg.norm(axis)
-        if axis.shape != (3,) or not 0.0 < norm < math.inf:
+        norm = math.sqrt(axis @ axis) if axis.shape == (3,) else 0.0
+        if not 0.0 < norm < math.inf:
             raise ValidationError(f"POVM axis must be a finite nonzero 3-vector, got {axis}")
         axis = axis / norm
         op = axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z

@@ -4,13 +4,13 @@ The optimization target is the objective of the discretized dynamics at
 fixed ``dt``: exact step exponentials plus the sensitivity recursion of
 :func:`qgrape.dynamics.propagate`, in real Pauli coordinates.  :func:`gradient`
 differentiates that target exactly, in reverse mode: one backward sweep
-carries the weight rows, and the per-step derivatives of ``exp(dt R_j)`` with
-respect to the amplitudes come from one stacked real (m, 8, 8) block
-exponential shared by every control.  It matches central finite differences
-of the objective to the differencing error itself;
-:func:`finite_difference_gradient` is that oracle.  The paper's first-order
-operator formula for the same gradient is kept in the test suite as a
-reference.
+carries the weight rows as one real 8-vector, one product per step, and the
+per-step derivatives of ``exp(dt R_j)`` with respect to the amplitudes come
+from one stacked real (m, 8, 8) block exponential shared by every control.
+It matches central finite differences of the objective to the differencing
+error itself; :func:`finite_difference_gradient` is that oracle.  The paper's
+first-order operator formula for the same gradient is kept in the test suite
+as a reference.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .dynamics import (
     Trajectory,
     _check_states,
     _expm,
+    _forward_steps,
     _generators,
     propagate,
     step_count,
@@ -90,45 +91,63 @@ def evaluate_objective(
     return objective_value(propagate(problem, grid), objective)
 
 
+def _backward_sweep(
+    traj: Trajectory, problem: EstimationProblem, objective: Objective
+) -> np.ndarray:
+    """Rows ``z_j = (2 dt lam_j, 2 dt q_j - mu_j)``, j = 1..m, of :func:`gradient`
+    as an (m, 8) table, by ``z_{j-1} = z_j [[E_j, E_j G], [0, E_j]]``."""
+    _, w1, w2 = _final_information(traj, objective)
+    m, dt, props = traj.n_steps, traj.dt, traj.step_propagators
+    dgen = problem.sensitivity_superop
+    steps = np.zeros((m, 8, 8))
+    steps[:, :4, :4] = steps[:, 4:, 4:] = props
+    np.matmul(props, dgen, out=steps[:, :4, 4:])
+    z = np.empty((m + 1, 8))
+    z[m, :4], z[m, 4:] = 2.0 * dt * w1, 2.0 * dt * w1.dot(dgen) - w2
+    # ndarray.dot into the next row is the cheapest call of the 8-vector product
+    for j in range(m, 1, -1):
+        z[j].dot(steps[j - 1], out=z[j - 1])
+    return z[1:]
+
+
 def gradient(traj: Trajectory, problem: EstimationProblem, objective: Objective) -> np.ndarray:
     """Gradient table (m, p) of the objective with respect to every control
     amplitude: the true gradient of the discretized objective, in reverse mode.
 
     Everything is real and in Pauli coordinates.  With the weight rows
     ``(W1, W2)`` of the final state (the Pauli rows of ``(L, L^2)`` for the
-    QFI, of effect sums for the CFI), the backward sweep carries the rows
-    ``lam_j = W1 E_m ... E_{j+1}``, ``mu_j = W2 E_m ... E_{j+1}`` and
-    ``q_j = sum_{i>=j} lam_i G E_i ... E_{j+1}``, which gathers the
-    sensitivity sources ``G`` downstream of step j.  The derivative of
+    QFI, of effect sums for the CFI), let ``lam_j = W1 E_m ... E_{j+1}``,
+    ``mu_j = W2 E_m ... E_{j+1}`` and ``q_j = sum_{i>=j} lam_i G E_i ...
+    E_{j+1}``, which gathers the sensitivity sources ``G`` downstream of step
+    j.  One backward sweep carries them as the real 8-vector
+    ``z_j = (2 dt lam_j, 2 dt q_j - mu_j)``, one product per step:
+    ``z_{j-1} = z_j [[E_j, E_j G], [0, E_j]]``.  The derivative of
     ``E_j = exp(dt R_j)`` along ``P_k = dR/dV_k`` is
     ``B_jk = integral_0^dt exp(s R_j) P_k exp((dt - s) R_j) ds``, and entry
-    (j, k) is ``sum_s row_s B_jk col_s = Tr(P_k X_j)`` with
+    (j, k) is ``sum_s row_s B_jk col_s = Tr(P_k X_j)``, with the halves of
+    ``z_j`` as the rows, ``(s_{j-1}, c_{j-1})`` as the columns,
     ``C_j = sum_s col_s row_s`` and
     ``X_j = integral_0^dt exp((dt - s) R_j) C_j exp(s R_j) ds``.
     ``X_j`` is the top-right block of ``exp(dt [[R_j, C_j], [0, R_j]])``
     (Van Loan, IEEE TAC 23, 395 (1978)), so one stacked real (m, 8, 8)
-    exponential serves every control.
+    exponential serves every control.  This is reverse-mode GRAPE on block
+    forms (Goodwin & Kuprov, J. Chem. Phys. 143, 084113 (2015)).
     """
-    _, w1, w2 = _final_information(traj, objective)
-    m, dt, props = traj.n_steps, traj.dt, traj.step_propagators
-    dgen = problem.sensitivity_superop
-    # rows[j] = (lam_j, mu_j, q_j)
-    rows = np.empty((m + 1, 3, 4))
-    rows[m] = w1, w2, w1.dot(dgen)
-    for j in range(m, 1, -1):
-        r = rows[j].dot(props[j - 1])
-        r[2] += r[0].dot(dgen)
-        rows[j - 1] = r
-    lam, mu, q = rows[1:, 0], rows[1:, 1], rows[1:, 2]
-
+    m, dt = traj.n_steps, traj.dt
     # entry (j, k) sums two terms row B_jk column: the sensitivity term
     # 2 dt lam_j B s_{j-1} and the weight term (2 dt q_j - mu_j) B c_{j-1}
-    left = np.stack([2.0 * dt * lam, 2.0 * dt * q - mu], axis=1)
+    left = _backward_sweep(traj, problem, objective).reshape(m, 2, 4)
     right = np.stack([traj.sensitivity[:-1], traj.coords[:-1]], axis=1)
+    weights = np.einsum("jsa,jsb->jab", right, left)
+    # X_j is linear in C_j, so C is exponentiated scaled by a power of two to
+    # entries below 1 and X scaled back, both exactly: then the generators
+    # alone set the kernel's scaling, as in Al-Mohy & Higham's Frechet
+    # derivative algorithm (SIAM J. Matrix Anal. Appl. 30, 1639 (2009))
+    _, scale = np.frexp(np.abs(weights).max(initial=0.0))
     block = np.zeros((m, 8, 8))
     block[:, :4, :4] = block[:, 4:, 4:] = traj.generators
-    block[:, :4, 4:] = np.einsum("jsa,jsb->jab", right, left)
-    integrals = _expm(block, dt)[:, :4, 4:]
+    block[:, :4, 4:] = np.ldexp(weights, -scale)
+    integrals = np.ldexp(_expm(block, dt)[:, :4, 4:], scale)
     return np.einsum("kab,jba->jk", problem.control_superops, integrals)
 
 
@@ -166,24 +185,24 @@ def finite_difference_gradient(
     k = np.arange(p)
     bumped[:, k, 0, k] += delta
     bumped[:, k, 1, k] = bumped[:, k, 0, k] - 2.0 * delta
-    bumped_props = step_propagator(
-        _generators(problem, bumped.reshape(-1, p)), dt
-    ).reshape(m, 2 * p, 4, 4)
-
     dgen = problem.sensitivity_superop
+    bumped_steps = _forward_steps(
+        step_propagator(_generators(problem, bumped.reshape(-1, p)), dt).reshape(m, 2 * p, 4, 4),
+        dgen,
+    )
+    base_steps = _forward_steps(base.step_propagators, dgen)
+
     for j in range(m):
-        # the recursion of propagate from step j on, batched over the 2p
-        # bumps as (2p, 4, 4) @ (2p, 4, 1) products, which keep each bump's
-        # arithmetic; a (4, 4) @ (4, 2p) block would round differently
-        coords = np.empty((m - j + 1, 2 * p, 4, 1))
-        sens = np.empty_like(coords)
-        coords[0], sens[0] = base.coords[j, :, None], base.sensitivity[j, :, None]
+        # the 8-vector step of propagate from step j on, batched over the 2p
+        # bumps as (2p, 8, 8) @ (2p, 8, 1) products, which keep each bump's
+        # arithmetic; an (8, 8) @ (8, 2p) block would round differently
+        ys = np.empty((m - j + 1, 2 * p, 8, 1))
+        ys[0, :, :4, 0], ys[0, :, 4:, 0] = base.coords[j], base.sensitivity[j]
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, props in enumerate([bumped_props[j], *base.step_propagators[j + 1 :]]):
-                coords[i + 1] = np.matmul(props, coords[i])
-                sens[i + 1] = np.matmul(props, sens[i]) + np.matmul(dgen, coords[i + 1])
-        _check_states(coords[1:, :, :, 0].swapaxes(0, 1), first_step=j + 1)
-        final = zip(coords[-1, :, :, 0], dt * sens[-1, :, :, 0])
+            for i, steps in enumerate([bumped_steps[j], *base_steps[j + 1 :]]):
+                np.matmul(steps, ys[i], out=ys[i + 1])
+        _check_states(ys[1:, :, :4, 0].swapaxes(0, 1), first_step=j + 1)
+        final = zip(ys[-1, :, :4, 0], dt * ys[-1, :, 4:, 0])
         values = np.array([_information(c, d, objective.povm)[0] for c, d in final]).reshape(p, 2)
         grad[j] = (values[:, 0] - values[:, 1]) / (2.0 * delta)
     return grad

@@ -3,8 +3,9 @@
 :func:`propagate_stepwise` is the reference for the stacked
 :func:`qgrape.dynamics.propagate`.  Each step adds its control terms to the
 problem's real Pauli-coordinate generator one at a time, exponentiates it on
-its own with :func:`qgrape.dynamics.step_propagator` and checks the new
-state before taking the next step.  The stacked library version performs the
+its own with :func:`qgrape.dynamics.step_propagator`, advances the state and
+its sensitivity together by one 8x8 step and checks the new state before
+taking the next step.  The stacked library version performs the
 same floating-point operations, so the suite requires its trajectories to
 equal this one exactly; the exponential itself is checked against
 ``scipy.linalg.expm`` on its own.
@@ -63,15 +64,18 @@ def propagate_stepwise(problem: EstimationProblem, grid: ControlGrid) -> Traject
     coords[0] = _bloch(problem.probe)
     sens[0] = 0.0
 
-    c = coords[0]
-    s = sens[0]
+    y = np.concatenate([coords[0], sens[0]])
     for j in range(m):
         gen = problem.free_superop.copy()
         for v, control in zip(grid.amplitudes[j], problem.control_superops):
             gen += v * control
         prop = step_propagator(gen, grid.dt)
-        c = prop @ c
-        s = prop @ s + dgen @ c
+        # (c, s) -> (E c, E s + G E c) as one 8x8 step
+        step = np.zeros((8, 8))
+        step[:4, :4] = step[4:, 4:] = prop
+        step[4:, :4] = dgen @ prop
+        y = step @ y
+        c, s = y[:4], y[4:]
 
         lo = (c[0] - np.sqrt((c[1:] ** 2).sum())) / 2.0
         if lo < -POSITIVITY_HARD_FLOOR or abs(c[0] - 1.0) > 1e-8:

@@ -26,7 +26,9 @@ block exponential per step and control in Liouville space, as the reference
 for the library's stacked real version.  These references read the
 Liouville-space trajectory of ``reference_dynamics.propagate_liouville`` and
 take their weights from the 2x2 SLD, not from the library's closed-form
-Pauli rows.  The finite-difference oracle is kept in its original form, one full
+Pauli rows.  The three-row backward sweep ``(lam, mu, q)`` that the library's
+8-vector sweep replaced is kept as :func:`backward_rows`, on the library's
+real trajectory.  The finite-difference oracle is kept in its original form, one full
 :func:`qgrape.dynamics.propagate` per perturbed entry; the library's version,
 which re-propagates only from the bumped step on, must equal it bit for bit.
 """
@@ -42,12 +44,13 @@ from qgrape import fisher
 from qgrape.dynamics import (
     ControlGrid,
     EstimationProblem,
+    Trajectory as PauliTrajectory,
     commutator_superop,
     unvectorize,
     vectorize,
 )
 from qgrape.errors import ValidationError
-from qgrape.grape import Objective, evaluate_objective
+from qgrape.grape import Objective, _final_information, evaluate_objective
 from reference_dynamics import LiouvilleTrajectory as Trajectory
 
 logger = logging.getLogger(__name__)
@@ -169,6 +172,26 @@ def backward_weights_stepwise(
         lam[j - 1] = unvectorize(adj @ vectorize(lam[j]))
         mu[j - 1] = unvectorize(adj @ vectorize(mu[j]))
     return lam, mu
+
+
+def backward_rows(
+    traj: PauliTrajectory, problem: EstimationProblem, objective: Objective
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ``lam_j``, ``mu_j`` and ``q_j``, j = 1..m, of the library's
+    gradient by the three-row sweep that its 8-vector sweep replaced,
+    ``lam_{j-1} = lam_j E_j``, ``mu_{j-1} = mu_j E_j`` and
+    ``q_{j-1} = q_j E_j + lam_{j-1} G``, on the real Pauli trajectory and
+    with the library's weight rows."""
+    _, w1, w2 = _final_information(traj, objective)
+    m, props = traj.n_steps, traj.step_propagators
+    dgen = problem.sensitivity_superop
+    rows = np.empty((m + 1, 3, 4))
+    rows[m] = w1, w2, w1 @ dgen
+    for j in range(m, 1, -1):
+        r = rows[j] @ props[j - 1]
+        r[2] += r[0] @ dgen
+        rows[j - 1] = r
+    return rows[1:, 0], rows[1:, 1], rows[1:, 2]
 
 
 def _step_derivative_kernel(

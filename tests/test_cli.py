@@ -10,7 +10,7 @@ import pytest
 import qgrape
 from qgrape import dynamics as dyn
 from qgrape import experiments as exp
-from qgrape import grape
+from qgrape import fisher, grape
 from qgrape.cli import main
 from qgrape.errors import ValidationError
 
@@ -121,6 +121,23 @@ def test_simulate_reports_information(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "qfi = " in out and "cfi = " in out
+
+
+def test_simulate_reports_the_fisher_functions_of_the_2x2_state(tmp_path, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("noise = spontaneous\nnoise.gamma_minus = 0.1\nomega0_true = 1.0\nT = 2.0\n"
+                   "dt = 0.1\nobjective.povm = z\n")
+    sched = tmp_path / "schedule.csv"
+    grid = dyn.ControlGrid(np.random.default_rng(4).uniform(-1, 1, size=(20, 3)), 0.1)
+    exp.write_schedule(sched, grid)
+    assert main(["simulate", "--config", str(cfg), "--schedule", str(sched)]) == 0
+    config = exp.load_config(cfg)
+    traj = dyn.propagate(exp._scenario_problem(config, config.omega0_true), grid)
+    rho, drho = traj.final_state, traj.final_state_derivative
+    assert capsys.readouterr().out.splitlines() == [
+        f"qfi = {fisher.qfi(rho, drho):.6g}",
+        f"cfi = {fisher.cfi(rho, drho, config.povm()):.6g}",
+    ]
 
 
 def test_optimize_writes_schedule_and_history(tmp_path, capsys):

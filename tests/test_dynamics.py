@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -347,14 +348,57 @@ class TestStackedExponential:
     )
     def test_trace_row_is_preserved(self, noise):
         # the trace functional t = (1, 0, 0, 0) satisfies t R = 0, so
-        # t exp(dt R) = t; forming the Pade quotient as (V+U)/(V-U) instead of
-        # I + 2 U/(V-U) leaves a mean square of about 1e-32 here
+        # t exp(dt R) = t; a kernel that mixes the trace row with the others,
+        # as a Pade quotient formed as (V+U)/(V-U) does, leaves a mean square
+        # of about 1e-32 here
         rng = np.random.default_rng(60)
         prob = dyn.frequency_estimation_problem(1.0, noise, dyn.plus_state(), 1.0)
         lious = dyn._generators(prob, rng.uniform(-1, 1, size=(2000, 3)))
         t = np.eye(4)[0]
         dev = t @ dyn.step_propagator(lious, 0.05) - t
         assert np.mean(np.abs(dev) ** 2) < 1e-33
+
+    @pytest.mark.parametrize("noise", NOISE_MODELS.values(), ids=NOISE_MODELS.keys())
+    def test_step_propagators_keep_the_trace_row_exactly(self, noise):
+        # every power of a generator whose trace row is zero has a zero trace
+        # row, so the Taylor polynomial's trace row is that of I, and squaring
+        # keeps it.  The oblique axis leaves a rounding residue of about
+        # 1e-17 at R[0, 0], below half an ulp of the 1 it is added to.  The
+        # larger amplitudes take the scaling and squaring path.
+        rng = np.random.default_rng(61)
+        prob = dyn.frequency_estimation_problem(1.0, noise, dyn.plus_state(), 1.0)
+        for scale in (1.0, 30.0, 1e3):
+            gens = dyn._generators(prob, rng.uniform(-scale, scale, size=(500, 3)))
+            props = dyn.step_propagator(gens, 0.05)
+            np.testing.assert_array_equal(props[:, 0], np.tile(np.eye(4)[0], (500, 1)))
+
+    def test_theta18_is_the_double_precision_backward_error_bound(self):
+        # f = e^-x T18(x) = 1 + O(x^19) and g = log f = sum_k g_k x^k, with
+        # exact coefficients from g' f = f': k g_k = k f_k - sum_{0<i<k} i g_i f_{k-i}.
+        # theta18 is the x at which sum_{k>18} |g_k| x^(k-1), the relative
+        # backward error bound, reaches the unit roundoff 2^-53; at x near 1.09
+        # the terms past k = 100 add less than 1e-59 of it
+        n, degree = 100, 18
+        inv_fact = [Fraction(1, math.factorial(k)) for k in range(n + 1)]
+        f = [
+            sum((-1) ** (k - i) * inv_fact[k - i] * inv_fact[i] for i in range(min(k, degree) + 1))
+            for k in range(n + 1)
+        ]
+        g = [Fraction(0)] * (n + 1)
+        for k in range(1, n + 1):
+            g[k] = f[k] - sum(i * g[i] * f[k - i] for i in range(1, k)) / k
+        assert not any(g[: degree + 1])
+        tail = [(k, abs(float(g[k]))) for k in range(degree + 1, n + 1)]
+
+        def bound(x):
+            return sum(c * x ** (k - 1) for k, c in tail)
+
+        lo, hi = 1.0, 1.2
+        assert bound(lo) < 2.0**-53 < bound(hi)
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if bound(mid) < 2.0**-53 else (lo, mid)
+        assert math.isclose(dyn._THETA18, lo, rel_tol=1e-15)
 
 
 class TestPropagate:

@@ -5,7 +5,7 @@ import pytest
 
 from qgrape import dynamics as dyn
 from qgrape import experiments as exp
-from qgrape import oracles
+from qgrape import fisher, oracles
 from qgrape.cli import main
 from qgrape.errors import ConfigError
 from qgrape.grape import AscentConfig
@@ -345,6 +345,31 @@ class TestPulseScan:
 
         assert scan(16.0) > 0.0
         assert scan(8.0) <= scan(16.0)
+
+
+class TestInformationOfGrid:
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            None,
+            dyn.Dephasing(theta=math.pi / 2, phi=0.0, gamma=0.1),
+            dyn.Dephasing(theta=1.1, phi=0.4, gamma=0.2),
+            dyn.SpontaneousEmission(gamma_plus=0.05, gamma_minus=0.1),
+        ],
+        ids=["noiseless", "transverse", "oblique", "emission"],
+    )
+    def test_equals_the_fisher_functions_of_the_2x2_state(self, noise):
+        # the sweep reads both from the trajectory's Pauli coordinates
+        rng = np.random.default_rng(31)
+        for probe, povm in ((dyn.plus_state(), fisher.Povm.plus_minus()),
+                            (dyn.zero_state(), fisher.Povm.computational())):
+            prob = dyn.frequency_estimation_problem(1.0, noise, probe, 2.0)
+            grid = dyn.ControlGrid(rng.uniform(-1, 1, size=(40, 3)), 0.05)
+            q, c = exp._qfi_cfi_of_grid(prob, grid, povm)
+            traj = dyn.propagate(prob, grid)
+            rho, drho = traj.final_state, traj.final_state_derivative
+            assert q == pytest.approx(fisher.qfi(rho, drho), rel=1e-12, abs=1e-12)
+            assert c == pytest.approx(fisher.cfi(rho, drho, povm), rel=1e-12, abs=1e-12)
 
 
 class TestOutputFiles:

@@ -171,6 +171,18 @@ class TestGradientPaths:
                     np.testing.assert_allclose(exact[:, 3], 0.0, atol=1e-12 * scale)
                     np.testing.assert_allclose(exact[:, 4], exact[:, 0], atol=1e-12 * scale)
 
+    @pytest.mark.parametrize("noise", NOISE_MODELS.values(), ids=NOISE_MODELS.keys())
+    def test_backward_sweep_matches_three_row_reference(self, noise):
+        rng = np.random.default_rng(15)
+        m, dt = 40, 0.05
+        prob = make_problem(noise, horizon=m * dt)
+        traj = dyn.propagate(prob, random_schedule(rng, m, dt))
+        for objective in (grape.qfi_objective(), grape.cfi_objective(fisher.Povm.plus_minus())):
+            z = grape._backward_sweep(traj, prob, objective)
+            lam, mu, q = ref.backward_rows(traj, prob, objective)
+            want = np.concatenate([2.0 * dt * lam, 2.0 * dt * q - mu], axis=1)
+            assert np.abs(z - want).max() <= 1e-13 * np.abs(want).max(), objective.kind
+
     def test_no_controls_give_an_empty_table(self):
         prob = dyn.frequency_estimation_problem(
             1.0, NOISE_MODELS["emission"], dyn.plus_state(), 1.0, control_generators=()
