@@ -8,18 +8,24 @@ each generator once.  Controls are piecewise constant on a uniform grid of
 ``m`` steps of width ``dt``, so the final state is a right-to-left product
 of step propagators ``exp(dt * L_m) ... exp(dt * L_1)`` applied to the probe.
 
-Generators are assembled in Liouville space, on column-major vectorized
-density matrices (``vec(rho) = rho.reshape(4, order="F")``, so ``[H, .]`` has
-matrix ``kron(I, H) - kron(H.T, I)``), and propagated in real Pauli
-coordinates ``c = (Tr rho, Tr(rho sigma_x), Tr(rho sigma_y), Tr(rho sigma_z))``:
-with ``vec(rho) = PAULI_BASIS c``, a generator ``L`` that maps Hermitian
-matrices to Hermitian matrices becomes the real ``PAULI_BASIS^-1 L PAULI_BASIS``.
+States and generators are real, in Pauli coordinates
+``c = (Tr rho, Tr(rho sigma_x), Tr(rho sigma_y), Tr(rho sigma_z))``, so
+``rho = (c0 I + r . sigma)/2`` with ``r`` the Bloch vector.  Each generator is
+built directly in Bloch form: a Hamiltonian ``H`` gives the precession
+``dr/dt = v x r`` with ``v = Tr(H sigma)``, dephasing along the unit axis
+``n`` at rate gamma gives ``dr/dt = gamma ((n . r) n - r)``, and spontaneous
+emission damps ``r_x`` and ``r_y`` at ``(gamma_plus + gamma_minus)/2`` and
+relaxes ``r_z`` to ``(gamma_plus - gamma_minus)/(gamma_plus + gamma_minus)``
+at ``gamma_plus + gamma_minus``.  ``Tr rho`` is constant, so row 0 of every
+generator is exactly zero.
 
 Propagation works on stacks over the time axis: :func:`propagate` adds the
 control terms of all m steps to the problem's free generator at once,
 exponentiates the real (m, 4, 4) stack in one batched call of a Taylor
 scaling-and-squaring kernel, and loops only over one real 8-vector that
-carries the state and its sensitivity, one product per step.
+carries the state and its sensitivity, one product per step.  The (m, 8, 8)
+step matrices of that loop stay in the :class:`Trajectory`, where the
+gradient and the finite-difference oracle read them.
 
 Conventions (fixed once, asserted by tests):
 
@@ -56,15 +62,9 @@ __all__ = [
     "validate_density",
     "bloch_from_density",
     "density_from_bloch",
-    "vectorize",
-    "unvectorize",
-    "PAULI_BASIS",
-    "commutator_superop",
     "Dephasing",
     "SpontaneousEmission",
     "NoiseModel",
-    "dephasing_axis",
-    "dissipator",
     "EstimationProblem",
     "frequency_estimation_problem",
     "ControlGrid",
@@ -81,6 +81,8 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+# (I, sigma_x, sigma_y, sigma_z): Pauli coordinate mu of m is Tr(m sigma_mu)
+_PAULI_FRAME = np.array([IDENTITY, *PAULIS])
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -144,7 +146,7 @@ def validate_density(rho: np.ndarray) -> None:
 def _bloch(mat: np.ndarray) -> np.ndarray:
     """Pauli coordinates ``(Tr m, Tr(m sigma_x), Tr(m sigma_y), Tr(m sigma_z))``
     of a Hermitian 2x2 ``m``, or of each matrix in a stack."""
-    return (vectorize(mat) @ (2.0 * PAULI_BASIS.conj())).real
+    return np.einsum("...ab,iba->...i", mat, _PAULI_FRAME).real
 
 
 def bloch_from_density(rho: np.ndarray) -> np.ndarray:
@@ -162,48 +164,21 @@ def density_from_bloch(r: Sequence[float]) -> np.ndarray:
     return _density(coords)
 
 
-def vectorize(rho: np.ndarray) -> np.ndarray:
-    """Column-major stacking of a 2x2 matrix into a 4-vector, or of each
-    matrix in a stack (leading axes are kept)."""
-    rho = np.asarray(rho, dtype=complex)
-    return rho.reshape(rho.shape[:-2] + (4,), order="F")
-
-
-def unvectorize(vec: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    vec = np.asarray(vec, dtype=complex)
-    return vec.reshape(vec.shape[:-1] + (2, 2), order="F")
-
-
-# columns vec(sigma_mu)/2 with sigma_0 = I; the inverse is 2 PAULI_BASIS^dagger
-PAULI_BASIS = 0.5 * vectorize(np.array([IDENTITY, *PAULIS])).T
-
-
 def _density(coords: np.ndarray) -> np.ndarray:
     """2x2 matrix ``(c0 I + r . sigma)/2`` of Pauli coordinates ``c``, or of
     each row of a stack."""
-    return unvectorize(coords @ PAULI_BASIS.T)
+    return np.einsum("...i,iab->...ab", 0.5 * coords, _PAULI_FRAME)
 
 
-def _pauli_superop(liouvillian: np.ndarray) -> np.ndarray:
-    """Real ``PAULI_BASIS^-1 L PAULI_BASIS`` of a Hermiticity-preserving map
-    ``L``, or of each map in a stack."""
-    mat = 2.0 * PAULI_BASIS.conj().T @ liouvillian @ PAULI_BASIS
-    # the imaginary part is rounding, or the Hermiticity tolerance of the input
-    scale = max(1.0, np.abs(mat).max(initial=0.0))
-    if np.abs(mat.imag).max(initial=0.0) > 4.0 * HERMITICITY_TOL * scale:
-        raise ValidationError("generator does not map Hermitian matrices to Hermitian matrices")
-    return np.ascontiguousarray(mat.real)
-
-
-def commutator_superop(hamiltonian: np.ndarray) -> np.ndarray:
-    """4x4 matrix of ``rho -> [H, rho]`` in the column-major vectorization,
-    or the (n, 4, 4) stack of them for an (n, 2, 2) stack of Hamiltonians."""
-    h = np.asarray(hamiltonian, dtype=complex)
-    if h.ndim not in (2, 3) or h.shape[-2:] != (2, 2):
-        raise ValidationError(f"Hamiltonian must be 2x2 or a stack of 2x2, got shape {h.shape}")
-    _check_hermitian_stack(h, "Hamiltonian")
-    return np.kron(IDENTITY, h) - np.kron(h.swapaxes(-1, -2), IDENTITY)
+def _precession(hamiltonian: np.ndarray) -> np.ndarray:
+    """Real generator of ``rho -> -i [H, rho]`` in Pauli coordinates, for a
+    Hermitian 2x2 ``H`` or each matrix of an (n, 2, 2) stack: the precession
+    ``dr/dt = v x r`` with ``v = Tr(H sigma)``."""
+    v = np.einsum("...ab,iba->...i", hamiltonian, _PAULI_FRAME[1:]).real
+    out = np.zeros(v.shape[:-1] + (4, 4))
+    # column k of the cross-product matrix of v is v x e_k
+    out[..., 1:, 1:] = np.cross(v[..., None, :], np.eye(3)).swapaxes(-1, -2)
+    return out
 
 
 @dataclass(frozen=True)
@@ -244,40 +219,30 @@ class SpontaneousEmission:
 NoiseModel = Dephasing | SpontaneousEmission | None
 
 
-def dephasing_axis(theta: float, phi: float) -> np.ndarray:
-    """Pauli operator ``n . sigma`` for the unit axis given by (theta, phi)."""
-    n = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
-    return n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
+def _dissipation(noise: NoiseModel) -> np.ndarray:
+    """Real 4x4 generator of the dissipative part in Pauli coordinates.
 
-
-def dissipator(noise: NoiseModel) -> np.ndarray:
-    """4x4 matrix of the dissipative part of the generator.
-
-    Dephasing: ``(gamma/2) (sigma_n rho sigma_n - rho)``.
-    Spontaneous emission:
+    Dephasing ``(gamma/2) (sigma_n rho sigma_n - rho)`` along the unit axis
+    ``n`` given by (theta, phi) is ``dr/dt = gamma ((n . r) n - r)``.
+    Spontaneous emission
     ``gamma_plus (sigma_+ rho sigma_- - {sigma_- sigma_+, rho}/2)
-    + gamma_minus (sigma_- rho sigma_+ - {sigma_+ sigma_-, rho}/2)``.
+    + gamma_minus (sigma_- rho sigma_+ - {sigma_+ sigma_-, rho}/2)`` damps
+    ``r_x`` and ``r_y`` at ``(gamma_plus + gamma_minus)/2`` and gives
+    ``dr_z/dt = (gamma_plus - gamma_minus) - (gamma_plus + gamma_minus) r_z``.
     """
-    if noise is None:
-        return np.zeros((4, 4), dtype=complex)
+    out = np.zeros((4, 4))
     if isinstance(noise, Dephasing):
-        sn = dephasing_axis(noise.theta, noise.phi)
-        return 0.5 * noise.gamma * (np.kron(sn.T, sn) - np.eye(4, dtype=complex))
-    if isinstance(noise, SpontaneousEmission):
-        out = np.zeros((4, 4), dtype=complex)
-        for rate, jump in (
-            (noise.gamma_plus, SIGMA_PLUS),
-            (noise.gamma_minus, SIGMA_MINUS),
-        ):
-            if rate == 0.0:
-                continue
-            jdj = jump.conj().T @ jump
-            out += rate * (
-                np.kron(jump.conj(), jump)
-                - 0.5 * (np.kron(IDENTITY, jdj) + np.kron(jdj.T, IDENTITY))
-            )
-        return out
-    raise ValidationError(f"unknown noise model {noise!r}")
+        st = math.sin(noise.theta)
+        n = np.array([st * math.cos(noise.phi), st * math.sin(noise.phi), math.cos(noise.theta)])
+        out[1:, 1:] = noise.gamma * (np.outer(n, n) - np.eye(3))
+    elif isinstance(noise, SpontaneousEmission):
+        total = noise.gamma_plus + noise.gamma_minus
+        out[1, 1] = out[2, 2] = -0.5 * total
+        out[3, 3] = -total
+        out[3, 0] = noise.gamma_plus - noise.gamma_minus
+    elif noise is not None:
+        raise ValidationError(f"unknown noise model {noise!r}")
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,22 +279,20 @@ class EstimationProblem:
 
     @cached_property
     def control_superops(self) -> np.ndarray:
-        """Real stack (p, 4, 4) of ``dR/dV_k``, the Pauli form of ``-i [H_k, .]``."""
+        """Real stack (p, 4, 4) of ``dR/dV_k``, the precession of ``H_k``."""
         gens = np.array(self.control_generators, dtype=complex).reshape(-1, 2, 2)
-        return _pauli_superop(-1j * commutator_superop(gens))
+        return _precession(gens)
 
     @cached_property
     def free_superop(self) -> np.ndarray:
         """Real 4x4 generator without controls, the Pauli form of
         ``L0 = -i [x K, .] + Gamma``."""
-        return _pauli_superop(
-            -1j * commutator_superop(self.x * self.encoding) + dissipator(self.noise)
-        )
+        return _precession(self.x * self.encoding) + _dissipation(self.noise)
 
     @cached_property
     def sensitivity_superop(self) -> np.ndarray:
-        """Real 4x4 ``G = dR/dx``, the Pauli form of ``-i [K, .]``."""
-        return _pauli_superop(-1j * commutator_superop(self.encoding))
+        """Real 4x4 ``G = dR/dx``, the precession of ``K``."""
+        return _precession(self.encoding)
 
 
 def frequency_estimation_problem(
@@ -477,21 +440,29 @@ class Trajectory:
     """Cached propagation products, real and in Pauli coordinates.
 
     ``coords[j]`` is the state after step j (``coords[0]`` is the probe),
-    ``step_propagators[j-1]`` is ``exp(dt R_j)``, ``generators[j-1]`` is
-    ``R_j`` itself, and ``sensitivity[j]`` accumulates the parameter
-    sensitivity so that ``d(c_j)/dx = dt * sensitivity[j]``.  The final state
-    and its derivative are also given as 2x2 matrices.
+    ``generators[j-1]`` is ``R_j``, ``sensitivity[j]`` accumulates the
+    parameter sensitivity so that ``d(c_j)/dx = dt * sensitivity[j]``, and
+    ``steps[j-1]`` is the 8x8 step ``B_j = [[E_j, 0], [G E_j, E_j]]`` with
+    ``E_j = exp(dt R_j)`` that advances ``(c, sensitivity)`` over step j.  The
+    final state and its derivative are also given as 2x2 matrices.
     """
 
     coords: np.ndarray
-    step_propagators: np.ndarray
+    steps: np.ndarray
     generators: np.ndarray
     sensitivity: np.ndarray
     dt: float
 
     @property
     def n_steps(self) -> int:
-        return self.step_propagators.shape[0]
+        return self.steps.shape[0]
+
+    @property
+    def step_propagators(self) -> np.ndarray:
+        """Read-only view (m, 4, 4) of the propagators ``E_j`` in ``steps``."""
+        props = self.steps[:, :4, :4]
+        props.flags.writeable = False
+        return props
 
     @property
     def final_state(self) -> np.ndarray:
@@ -549,7 +520,8 @@ def propagate(problem: EstimationProblem, grid: ControlGrid) -> Trajectory:
     ``sensitivity_superop``, which telescopes to
     ``d(c_j)/dx = dt * sum_{i<=j} E_j ... E_{i+1} G c_i``, run together as
     one real 8-vector step ``(c_j, s_j) = B_j (c_{j-1}, s_{j-1})`` with the
-    blocks ``B_j = [[E_j, 0], [G E_j, E_j]]`` of :func:`_forward_steps`.
+    blocks ``B_j = [[E_j, 0], [G E_j, E_j]]`` of :func:`_forward_steps`,
+    which the trajectory keeps as ``steps``.
 
     Raises :class:`NumericalStabilityError` (naming the first such step) if an
     intermediate state loses positivity beyond the hard floor, its trace, or
@@ -566,7 +538,7 @@ def propagate(problem: EstimationProblem, grid: ControlGrid) -> Trajectory:
         )
 
     gens = _generators(problem, grid.amplitudes)
-    props = step_propagator(gens, grid.dt)
+    steps = _forward_steps(step_propagator(gens, grid.dt), problem.sensitivity_superop)
 
     ys = np.zeros((grid.n_steps + 1, 8))
     ys[0, :4] = _bloch(problem.probe)
@@ -575,11 +547,10 @@ def propagate(problem: EstimationProblem, grid: ControlGrid) -> Trajectory:
     # ndarray.dot into the next row is the cheapest call of the same 8x8
     # product as @.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, step in enumerate(_forward_steps(props, problem.sensitivity_superop)):
+        for j, step in enumerate(steps):
             step.dot(ys[j], out=ys[j + 1])
     _check_states(ys[1:, :4])
 
     return Trajectory(
-        coords=ys[:, :4], step_propagators=props, generators=gens, sensitivity=ys[:, 4:],
-        dt=grid.dt,
+        coords=ys[:, :4], steps=steps, generators=gens, sensitivity=ys[:, 4:], dt=grid.dt
     )

@@ -3,10 +3,11 @@
 The optimization target is the objective of the discretized dynamics at
 fixed ``dt``: exact step exponentials plus the sensitivity recursion of
 :func:`qgrape.dynamics.propagate`, in real Pauli coordinates.  :func:`gradient`
-differentiates that target exactly, in reverse mode: one backward sweep
-carries the weight rows as one real 8-vector, one product per step, and the
-per-step derivatives of ``exp(dt R_j)`` with respect to the amplitudes come
-from one stacked real (m, 8, 8) block exponential shared by every control.
+differentiates that target exactly, in reverse mode: one backward sweep runs
+the adjoint of the forward recursion on the trajectory's own 8x8 step
+matrices, one 8-vector product per step, and the per-step derivatives of
+``exp(dt R_j)`` with respect to the amplitudes come from one stacked real
+(m, 8, 8) block exponential shared by every control.
 It matches central finite differences of the objective to the differencing
 error itself; :func:`finite_difference_gradient` is that oracle.  The paper's
 first-order operator formula for the same gradient is kept in the test suite
@@ -91,42 +92,39 @@ def evaluate_objective(
     return objective_value(propagate(problem, grid), objective)
 
 
-def _backward_sweep(
-    traj: Trajectory, problem: EstimationProblem, objective: Objective
-) -> np.ndarray:
-    """Rows ``z_j = (2 dt lam_j, 2 dt q_j - mu_j)``, j = 1..m, of :func:`gradient`
-    as an (m, 8) table, by ``z_{j-1} = z_j [[E_j, E_j G], [0, E_j]]``."""
+def _backward_sweep(traj: Trajectory, objective: Objective) -> np.ndarray:
+    """Adjoint rows ``ybar_j = dF/dy_j``, j = 1..m, of the recursion
+    ``y_j = B_j y_{j-1}`` of :func:`qgrape.dynamics.propagate` as an (m, 8)
+    table: ``ybar_m = (-W2, 2 dt W1)`` and ``ybar_{j-1} = ybar_j B_j`` on the
+    trajectory's own steps ``B_j``."""
     _, w1, w2 = _final_information(traj, objective)
-    m, dt, props = traj.n_steps, traj.dt, traj.step_propagators
-    dgen = problem.sensitivity_superop
-    steps = np.zeros((m, 8, 8))
-    steps[:, :4, :4] = steps[:, 4:, 4:] = props
-    np.matmul(props, dgen, out=steps[:, :4, 4:])
-    z = np.empty((m + 1, 8))
-    z[m, :4], z[m, 4:] = 2.0 * dt * w1, 2.0 * dt * w1.dot(dgen) - w2
+    m, steps = traj.n_steps, traj.steps
+    ybar = np.empty((m + 1, 8))
+    ybar[m, :4], ybar[m, 4:] = -w2, 2.0 * traj.dt * w1
     # ndarray.dot into the next row is the cheapest call of the 8-vector product
     for j in range(m, 1, -1):
-        z[j].dot(steps[j - 1], out=z[j - 1])
-    return z[1:]
+        ybar[j].dot(steps[j - 1], out=ybar[j - 1])
+    return ybar[1:]
 
 
 def gradient(traj: Trajectory, problem: EstimationProblem, objective: Objective) -> np.ndarray:
     """Gradient table (m, p) of the objective with respect to every control
     amplitude: the true gradient of the discretized objective, in reverse mode.
 
-    Everything is real and in Pauli coordinates.  With the weight rows
-    ``(W1, W2)`` of the final state (the Pauli rows of ``(L, L^2)`` for the
-    QFI, of effect sums for the CFI), let ``lam_j = W1 E_m ... E_{j+1}``,
-    ``mu_j = W2 E_m ... E_{j+1}`` and ``q_j = sum_{i>=j} lam_i G E_i ...
-    E_{j+1}``, which gathers the sensitivity sources ``G`` downstream of step
-    j.  One backward sweep carries them as the real 8-vector
-    ``z_j = (2 dt lam_j, 2 dt q_j - mu_j)``, one product per step:
-    ``z_{j-1} = z_j [[E_j, E_j G], [0, E_j]]``.  The derivative of
-    ``E_j = exp(dt R_j)`` along ``P_k = dR/dV_k`` is
-    ``B_jk = integral_0^dt exp(s R_j) P_k exp((dt - s) R_j) ds``, and entry
-    (j, k) is ``sum_s row_s B_jk col_s = Tr(P_k X_j)``, with the halves of
-    ``z_j`` as the rows, ``(s_{j-1}, c_{j-1})`` as the columns,
-    ``C_j = sum_s col_s row_s`` and
+    Everything is real and in Pauli coordinates.  :func:`propagate` advances
+    ``y_j = (c_j, s_j)`` by ``y_j = B_j y_{j-1}`` with the steps
+    ``B_j = [[E_j, 0], [G E_j, E_j]]``, and the objective reads ``y_m``: with
+    the weight rows ``(W1, W2)`` of the final state (the Pauli rows of
+    ``(L, L^2)`` for the QFI, of effect sums for the CFI),
+    ``dF/dy_m = (-W2, 2 dt W1)``.  The adjoint of the recursion,
+    ``ybar_{j-1} = ybar_j B_j`` on the trajectory's own steps, gives
+    ``ybar_j = dF/dy_j`` for every j.  Only ``E_j = exp(dt R_j)`` depends on
+    the amplitudes of step j, so entry (j, k) is
+    ``ybar_j (dB_j/dV_k) y_{j-1} = sum_s row_s D_jk col_s`` with the rows
+    ``(ybar_s, ybar_c + ybar_s G)``, the columns ``(s_{j-1}, c_{j-1})`` and
+    ``D_jk = integral_0^dt exp(s R_j) P_k exp((dt - s) R_j) ds`` the
+    derivative of ``E_j`` along ``P_k = dR/dV_k``.  That sum is
+    ``Tr(P_k X_j)`` with ``C_j = sum_s col_s row_s`` and
     ``X_j = integral_0^dt exp((dt - s) R_j) C_j exp(s R_j) ds``.
     ``X_j`` is the top-right block of ``exp(dt [[R_j, C_j], [0, R_j]])``
     (Van Loan, IEEE TAC 23, 395 (1978)), so one stacked real (m, 8, 8)
@@ -134,9 +132,9 @@ def gradient(traj: Trajectory, problem: EstimationProblem, objective: Objective)
     forms (Goodwin & Kuprov, J. Chem. Phys. 143, 084113 (2015)).
     """
     m, dt = traj.n_steps, traj.dt
-    # entry (j, k) sums two terms row B_jk column: the sensitivity term
-    # 2 dt lam_j B s_{j-1} and the weight term (2 dt q_j - mu_j) B c_{j-1}
-    left = _backward_sweep(traj, problem, objective).reshape(m, 2, 4)
+    ybar = _backward_sweep(traj, objective)
+    # the rows (ybar_s, ybar_c + ybar_s G) pair with the columns (s, c)
+    left = np.stack([ybar[:, 4:], ybar[:, :4] + ybar[:, 4:] @ problem.sensitivity_superop], axis=1)
     right = np.stack([traj.sensitivity[:-1], traj.coords[:-1]], axis=1)
     weights = np.einsum("jsa,jsb->jab", right, left)
     # X_j is linear in C_j, so C is exponentiated scaled by a power of two to
@@ -162,8 +160,8 @@ def finite_difference_gradient(
 
     Entry (j, k) is ``(F(V_k(j) + delta) - F(V_k(j) - delta)) / (2 delta)``.
     Each perturbed trajectory is re-propagated from its bumped step on: the
-    states before step j and the propagators of every other step come from one
-    unperturbed :func:`propagate` and equal, bit for bit, what a full
+    states before step j and the 8x8 steps of every other step are those of
+    one unperturbed :func:`propagate` and equal, bit for bit, what a full
     re-propagation would compute.  Only the 2 m p bumped steps are
     exponentiated anew, as one stack, and the 2 p trajectories bumped at one
     step advance together.  Their states pass the check of :func:`propagate`
@@ -185,12 +183,10 @@ def finite_difference_gradient(
     k = np.arange(p)
     bumped[:, k, 0, k] += delta
     bumped[:, k, 1, k] = bumped[:, k, 0, k] - 2.0 * delta
-    dgen = problem.sensitivity_superop
     bumped_steps = _forward_steps(
         step_propagator(_generators(problem, bumped.reshape(-1, p)), dt).reshape(m, 2 * p, 4, 4),
-        dgen,
+        problem.sensitivity_superop,
     )
-    base_steps = _forward_steps(base.step_propagators, dgen)
 
     for j in range(m):
         # the 8-vector step of propagate from step j on, batched over the 2p
@@ -199,7 +195,7 @@ def finite_difference_gradient(
         ys = np.empty((m - j + 1, 2 * p, 8, 1))
         ys[0, :, :4, 0], ys[0, :, 4:, 0] = base.coords[j], base.sensitivity[j]
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, steps in enumerate([bumped_steps[j], *base_steps[j + 1 :]]):
+            for i, steps in enumerate([bumped_steps[j], *base.steps[j + 1 :]]):
                 np.matmul(steps, ys[i], out=ys[i + 1])
         _check_states(ys[1:, :, :4, 0].swapaxes(0, 1), first_step=j + 1)
         final = zip(ys[-1, :, :4, 0], dt * ys[-1, :, 4:, 0])

@@ -1,42 +1,116 @@
-"""Reference trajectories for the suite.
+"""Reference trajectories and Liouville-space constructors for the suite.
 
 :func:`propagate_stepwise` is the reference for the stacked
 :func:`qgrape.dynamics.propagate`.  Each step adds its control terms to the
 problem's real Pauli-coordinate generator one at a time, exponentiates it on
 its own with :func:`qgrape.dynamics.step_propagator`, advances the state and
-its sensitivity together by one 8x8 step and checks the new state before
-taking the next step.  The stacked library version performs the
+its sensitivity together by one 8x8 step, which the trajectory keeps, and
+checks the new state before taking the next step.  The stacked library version performs the
 same floating-point operations, so the suite requires its trajectories to
 equal this one exactly; the exponential itself is checked against
 ``scipy.linalg.expm`` on its own.
 
 :func:`propagate_liouville` is the same discretized evolution in complex
-Liouville space, with every generator assembled from ``kron`` products per
-step: the reference for the change to Pauli coordinates, and the trajectory
-that the Liouville-space gradient references in ``reference_gradient`` read.
+Liouville space, on column-major vectorized density matrices
+(``vec(rho) = rho.reshape(4, order="F")``, so ``[H, .]`` has matrix
+``kron(I, H) - kron(H.T, I)``), with every generator assembled from ``kron``
+products per step: the reference for the library's real Bloch-form
+generators, and the trajectory that the Liouville-space gradient references
+in ``reference_gradient`` read.  Its constructors (:func:`vectorize`,
+:func:`commutator_superop`, :func:`dissipator` and the change of basis
+``PAULI_BASIS``) live here and share no code with the library's generators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from qgrape.dynamics import (
     IDENTITY,
-    PAULI_BASIS,
+    PAULIS,
     POSITIVITY_HARD_FLOOR,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     ControlGrid,
+    Dephasing,
     EstimationProblem,
+    NoiseModel,
+    SpontaneousEmission,
     Trajectory,
     _bloch,
-    commutator_superop,
-    dissipator,
+    _check_hermitian_stack,
     step_propagator,
-    unvectorize,
-    vectorize,
 )
 from qgrape.errors import NumericalStabilityError, ValidationError
+
+
+def vectorize(rho: np.ndarray) -> np.ndarray:
+    """Column-major stacking of a 2x2 matrix into a 4-vector, or of each
+    matrix in a stack (leading axes are kept)."""
+    rho = np.asarray(rho, dtype=complex)
+    return rho.reshape(rho.shape[:-2] + (4,), order="F")
+
+
+def unvectorize(vec: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`vectorize`."""
+    vec = np.asarray(vec, dtype=complex)
+    return vec.reshape(vec.shape[:-1] + (2, 2), order="F")
+
+
+# columns vec(sigma_mu)/2 with sigma_0 = I; the inverse is 2 PAULI_BASIS^dagger
+PAULI_BASIS = 0.5 * vectorize(np.array([IDENTITY, *PAULIS])).T
+
+
+def commutator_superop(hamiltonian: np.ndarray) -> np.ndarray:
+    """4x4 matrix of ``rho -> [H, rho]`` in the column-major vectorization,
+    or the (n, 4, 4) stack of them for an (n, 2, 2) stack of Hamiltonians."""
+    h = np.asarray(hamiltonian, dtype=complex)
+    if h.ndim not in (2, 3) or h.shape[-2:] != (2, 2):
+        raise ValidationError(f"Hamiltonian must be 2x2 or a stack of 2x2, got shape {h.shape}")
+    _check_hermitian_stack(h, "Hamiltonian")
+    return np.kron(IDENTITY, h) - np.kron(h.swapaxes(-1, -2), IDENTITY)
+
+
+def dephasing_axis(theta: float, phi: float) -> np.ndarray:
+    """Pauli operator ``n . sigma`` for the unit axis given by (theta, phi)."""
+    n = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+    return n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
+
+
+def dissipator(noise: NoiseModel) -> np.ndarray:
+    """4x4 matrix of the dissipative part of the generator.
+
+    Dephasing: ``(gamma/2) (sigma_n rho sigma_n - rho)``.
+    Spontaneous emission:
+    ``gamma_plus (sigma_+ rho sigma_- - {sigma_- sigma_+, rho}/2)
+    + gamma_minus (sigma_- rho sigma_+ - {sigma_+ sigma_-, rho}/2)``.
+    """
+    if noise is None:
+        return np.zeros((4, 4), dtype=complex)
+    if isinstance(noise, Dephasing):
+        sn = dephasing_axis(noise.theta, noise.phi)
+        return 0.5 * noise.gamma * (np.kron(sn.T, sn) - np.eye(4, dtype=complex))
+    if isinstance(noise, SpontaneousEmission):
+        out = np.zeros((4, 4), dtype=complex)
+        for rate, jump in (
+            (noise.gamma_plus, SIGMA_PLUS),
+            (noise.gamma_minus, SIGMA_MINUS),
+        ):
+            if rate == 0.0:
+                continue
+            jdj = jump.conj().T @ jump
+            out += rate * (
+                np.kron(jump.conj(), jump)
+                - 0.5 * (np.kron(IDENTITY, jdj) + np.kron(jdj.T, IDENTITY))
+            )
+        return out
+    raise ValidationError(f"unknown noise model {noise!r}")
 
 
 def pauli_superop(liouvillian: np.ndarray) -> np.ndarray:
@@ -59,7 +133,7 @@ def propagate_stepwise(problem: EstimationProblem, grid: ControlGrid) -> Traject
 
     coords = np.empty((m + 1, 4))
     sens = np.empty((m + 1, 4))
-    props = np.empty((m, 4, 4))
+    steps = np.empty((m, 8, 8))
     gens = np.empty((m, 4, 4))
     coords[0] = _bloch(problem.probe)
     sens[0] = 0.0
@@ -84,14 +158,14 @@ def propagate_stepwise(problem: EstimationProblem, grid: ControlGrid) -> Traject
                 f"(min eigenvalue {lo:.3e})",
                 step=j + 1,
             )
-        props[j] = prop
+        steps[j] = step
         gens[j] = gen
         coords[j + 1] = c
         sens[j + 1] = s
 
     return Trajectory(
         coords=coords,
-        step_propagators=props,
+        steps=steps,
         generators=gens,
         sensitivity=sens,
         dt=grid.dt,

@@ -27,7 +27,7 @@ for the library's stacked real version.  These references read the
 Liouville-space trajectory of ``reference_dynamics.propagate_liouville`` and
 take their weights from the 2x2 SLD, not from the library's closed-form
 Pauli rows.  The three-row backward sweep ``(lam, mu, q)`` that the library's
-8-vector sweep replaced is kept as :func:`backward_rows`, on the library's
+adjoint sweep replaced is kept as :func:`backward_rows`, on the library's
 real trajectory.  The finite-difference oracle is kept in its original form, one full
 :func:`qgrape.dynamics.propagate` per perturbed entry; the library's version,
 which re-propagates only from the bumped step on, must equal it bit for bit.
@@ -45,13 +45,11 @@ from qgrape.dynamics import (
     ControlGrid,
     EstimationProblem,
     Trajectory as PauliTrajectory,
-    commutator_superop,
-    unvectorize,
-    vectorize,
 )
 from qgrape.errors import ValidationError
 from qgrape.grape import Objective, _final_information, evaluate_objective
 from reference_dynamics import LiouvilleTrajectory as Trajectory
+from reference_dynamics import commutator_superop, unvectorize, vectorize
 
 logger = logging.getLogger(__name__)
 
@@ -178,7 +176,7 @@ def backward_rows(
     traj: PauliTrajectory, problem: EstimationProblem, objective: Objective
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows ``lam_j``, ``mu_j`` and ``q_j``, j = 1..m, of the library's
-    gradient by the three-row sweep that its 8-vector sweep replaced,
+    gradient by the three-row sweep that its adjoint sweep replaced,
     ``lam_{j-1} = lam_j E_j``, ``mu_{j-1} = mu_j E_j`` and
     ``q_{j-1} = q_j E_j + lam_{j-1} G``, on the real Pauli trajectory and
     with the library's weight rows."""

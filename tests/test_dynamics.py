@@ -11,7 +11,17 @@ from qgrape import dynamics as dyn
 from qgrape import oracles
 from qgrape.errors import NumericalStabilityError, ValidationError
 
-from reference_dynamics import pauli_superop, propagate_liouville, propagate_stepwise
+from reference_dynamics import (
+    PAULI_BASIS,
+    commutator_superop,
+    dephasing_axis,
+    dissipator,
+    pauli_superop,
+    propagate_liouville,
+    propagate_stepwise,
+    unvectorize,
+    vectorize,
+)
 
 NOISE_MODELS = {
     "noiseless": None,
@@ -60,11 +70,11 @@ class TestBlochConversions:
 
 class TestCommutatorSuperop:
     def test_zero_hamiltonian(self):
-        np.testing.assert_array_equal(dyn.commutator_superop(np.zeros((2, 2))), np.zeros((4, 4)))
+        np.testing.assert_array_equal(commutator_superop(np.zeros((2, 2))), np.zeros((4, 4)))
 
     def test_half_sigma_z_on_plus(self):
-        sup = dyn.commutator_superop(0.5 * dyn.SIGMA_Z)
-        out = dyn.unvectorize(sup @ dyn.vectorize(dyn.plus_state()))
+        sup = commutator_superop(0.5 * dyn.SIGMA_Z)
+        out = unvectorize(sup @ vectorize(dyn.plus_state()))
         direct = 0.5 * (dyn.SIGMA_Z @ dyn.plus_state() - dyn.plus_state() @ dyn.SIGMA_Z)
         np.testing.assert_allclose(out, direct, atol=1e-15)
         np.testing.assert_allclose(out, 0.5j * dyn.SIGMA_Y, atol=1e-15)
@@ -74,50 +84,50 @@ class TestCommutatorSuperop:
         for _ in range(30):
             h = random_hermitian(rng)
             rho = random_density(rng)
-            sup = dyn.commutator_superop(h)
-            out = dyn.unvectorize(sup @ dyn.vectorize(rho))
+            sup = commutator_superop(h)
+            out = unvectorize(sup @ vectorize(rho))
             np.testing.assert_allclose(out, h @ rho - rho @ h, atol=1e-12)
         stack = np.array([random_hermitian(rng) for _ in range(3)])
         np.testing.assert_array_equal(
-            dyn.commutator_superop(stack), [dyn.commutator_superop(h) for h in stack]
+            commutator_superop(stack), [commutator_superop(h) for h in stack]
         )
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):
-            dyn.commutator_superop(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            commutator_superop(np.array([[0.0, 1.0], [0.0, 0.0]]))
         stack = np.array([dyn.SIGMA_X, [[0.0, 1.0], [0.0, 0.0]], dyn.SIGMA_Z])
         with pytest.raises(ValidationError, match="not Hermitian"):
-            dyn.commutator_superop(stack)
+            commutator_superop(stack)
 
 
 class TestDissipator:
     def test_longitudinal_dephasing_kills_nothing_diagonal(self):
-        gamma_super = dyn.dissipator(dyn.Dephasing(theta=0.0, phi=0.0, gamma=0.3))
+        gamma_super = dissipator(dyn.Dephasing(theta=0.0, phi=0.0, gamma=0.3))
         for rho in (dyn.zero_state(), dyn.one_state(), 0.5 * np.eye(2)):
-            out = gamma_super @ dyn.vectorize(rho)
+            out = gamma_super @ vectorize(rho)
             np.testing.assert_allclose(out, 0.0, atol=1e-14)
 
     def test_decay_relaxes_population_downward(self):
         # gamma_plus = 0: r3 fixed point at -1, r3(t) = -1 + e^{-gt}(1 + r3(0))
         gamma = 0.4
         noise = dyn.SpontaneousEmission(gamma_plus=0.0, gamma_minus=gamma)
-        liou = dyn.dissipator(noise)
+        liou = dissipator(noise)
         prop = dyn.step_propagator(liou, 1.0)
-        rho_t = dyn.unvectorize(prop @ dyn.vectorize(dyn.one_state()))
+        rho_t = unvectorize(prop @ vectorize(dyn.one_state()))
         r = dyn.bloch_from_density(rho_t)
         assert r[2] == pytest.approx(-1.0 + math.exp(-gamma) * (1.0 - 1.0), abs=1e-12)
-        rho_t = dyn.unvectorize(prop @ dyn.vectorize(dyn.zero_state()))
+        rho_t = unvectorize(prop @ vectorize(dyn.zero_state()))
         r = dyn.bloch_from_density(rho_t)
         assert r[2] == pytest.approx(-1.0 + 2.0 * math.exp(-gamma), abs=1e-12)
 
     def test_transverse_dephasing_euler_step_matches_component_rates(self):
         # at omega0 = 0 only the dissipator acts: dr2 = -gamma r2, dr3 = -gamma r3
         gamma = 0.1
-        gamma_super = dyn.dissipator(dyn.Dephasing(theta=math.pi / 2, phi=0.0, gamma=gamma))
+        gamma_super = dissipator(dyn.Dephasing(theta=math.pi / 2, phi=0.0, gamma=gamma))
         r0 = np.array([0.3, 0.5, -0.4])
         rho = dyn.density_from_bloch(r0)
         dt = 1e-6
-        rho_next = rho + dt * dyn.unvectorize(gamma_super @ dyn.vectorize(rho))
+        rho_next = rho + dt * unvectorize(gamma_super @ vectorize(rho))
         r_next = dyn.bloch_from_density(rho_next)
         assert r_next[0] == pytest.approx(r0[0], abs=1e-15)
         assert r_next[1] == pytest.approx(r0[1] * (1 - gamma * dt), rel=1e-9)
@@ -135,15 +145,17 @@ class TestEstimationProblem:
         noise = dyn.Dephasing(theta=1.1, phi=0.4, gamma=0.2)
         prob = dyn.frequency_estimation_problem(-1.3, noise, dyn.plus_state(), 1.0)
         np.testing.assert_array_equal(prob.encoding, 0.5 * dyn.SIGMA_Z)
-        np.testing.assert_array_equal(
+        np.testing.assert_allclose(
             prob.free_superop,
-            pauli_superop(
-                -1j * dyn.commutator_superop(-1.3 * 0.5 * dyn.SIGMA_Z) + dyn.dissipator(noise)
-            ).real,
+            pauli_superop(-1j * commutator_superop(-1.3 * 0.5 * dyn.SIGMA_Z) + dissipator(noise)),
+            rtol=0,
+            atol=1e-15,
         )
-        np.testing.assert_array_equal(
+        np.testing.assert_allclose(
             prob.sensitivity_superop,
-            pauli_superop(-1j * dyn.commutator_superop(0.5 * dyn.SIGMA_Z)).real,
+            pauli_superop(-1j * commutator_superop(0.5 * dyn.SIGMA_Z)),
+            rtol=0,
+            atol=1e-15,
         )
 
     def test_pauli_basis_maps_coordinates_to_vectorized_states(self):
@@ -151,13 +163,10 @@ class TestEstimationProblem:
         for _ in range(20):
             rho = random_density(rng)
             coords = [np.trace(rho @ s).real for s in (dyn.IDENTITY, *dyn.PAULIS)]
-            np.testing.assert_allclose(dyn.PAULI_BASIS @ coords, dyn.vectorize(rho), atol=1e-15)
+            np.testing.assert_allclose(PAULI_BASIS @ coords, vectorize(rho), atol=1e-15)
         np.testing.assert_array_equal(
-            2.0 * dyn.PAULI_BASIS.conj().T @ dyn.PAULI_BASIS, np.eye(4)
+            2.0 * PAULI_BASIS.conj().T @ PAULI_BASIS, np.eye(4)
         )
-        # rho -> i rho does not keep rho Hermitian, so its Pauli form is not real
-        with pytest.raises(ValidationError, match="Hermitian"):
-            dyn._pauli_superop(1j * np.eye(4))
 
     @pytest.mark.parametrize("noise", NOISE_MODELS.values(), ids=NOISE_MODELS.keys())
     def test_generators_are_real_trace_preserving_pauli_forms(self, noise):
@@ -165,17 +174,17 @@ class TestEstimationProblem:
         cases = [
             (
                 prob.free_superop,
-                -1j * dyn.commutator_superop(0.7 * prob.encoding) + dyn.dissipator(noise),
+                -1j * commutator_superop(0.7 * prob.encoding) + dissipator(noise),
             ),
-            (prob.sensitivity_superop, -1j * dyn.commutator_superop(prob.encoding)),
+            (prob.sensitivity_superop, -1j * commutator_superop(prob.encoding)),
         ] + [
-            (sup, -1j * dyn.commutator_superop(h))
+            (sup, -1j * commutator_superop(h))
             for sup, h in zip(prob.control_superops, prob.control_generators, strict=True)
         ]
         for got, liouvillian in cases:
             assert got.dtype == np.float64 and got.shape == (4, 4)
-            # the first row is the trace functional's image: zero
-            np.testing.assert_allclose(got[0], 0.0, atol=1e-16)
+            # the first row is the trace functional's image: exactly zero
+            np.testing.assert_array_equal(got[0], 0.0)
             np.testing.assert_allclose(got, pauli_superop(liouvillian), rtol=0, atol=1e-15)
 
     def test_replace_rebuilds_the_generators_at_the_new_x(self):
@@ -211,18 +220,58 @@ class TestEstimationProblem:
         assert not hasattr(dyn, "build_liouvillian")
 
 
+class TestBlochGenerators:
+    # each generator against its 2x2 action on random states, with no
+    # Liouville-space matrix on either side
+    def test_precession_is_the_commutator(self):
+        rng = np.random.default_rng(17)
+        hs = np.array([3.0 * random_hermitian(rng) for _ in range(20)])
+        np.testing.assert_array_equal(dyn._precession(hs), [dyn._precession(h) for h in hs])
+        for h in hs:
+            rho = random_density(rng)
+            np.testing.assert_allclose(
+                dyn._precession(h) @ dyn._bloch(rho),
+                dyn._bloch(-1j * (h @ rho - rho @ h)),
+                rtol=0,
+                atol=1e-15 * np.abs(h).max(),
+            )
+
+    @pytest.mark.parametrize("noise", NOISE_MODELS.values(), ids=NOISE_MODELS.keys())
+    def test_dissipation_is_the_lindblad_sum(self, noise):
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            rho = random_density(rng)
+            if isinstance(noise, dyn.Dephasing):
+                sn = dephasing_axis(noise.theta, noise.phi)
+                want, scale = 0.5 * noise.gamma * (sn @ rho @ sn - rho), noise.gamma
+            elif isinstance(noise, dyn.SpontaneousEmission):
+                want, scale = np.zeros((2, 2), dtype=complex), noise.gamma_plus + noise.gamma_minus
+                jumps = ((noise.gamma_plus, dyn.SIGMA_PLUS), (noise.gamma_minus, dyn.SIGMA_MINUS))
+                for rate, jump in jumps:
+                    jdj = jump.conj().T @ jump
+                    want += rate * (jump @ rho @ jump.conj().T - 0.5 * (jdj @ rho + rho @ jdj))
+            else:
+                want, scale = np.zeros((2, 2), dtype=complex), 0.0
+            np.testing.assert_allclose(
+                dyn._dissipation(noise) @ dyn._bloch(rho),
+                dyn._bloch(want),
+                rtol=0,
+                atol=1e-15 * scale,
+            )
+
+
 class TestLiouvillian:
     def test_pure_free_assembly(self):
         prob = dyn.frequency_estimation_problem(1.3, None, dyn.plus_state(), 1.0)
         liou = dyn._generators(prob, np.zeros((1, 3)))[0]
-        expected = pauli_superop(-1j * dyn.commutator_superop(0.5 * 1.3 * dyn.SIGMA_Z))
+        expected = pauli_superop(-1j * commutator_superop(0.5 * 1.3 * dyn.SIGMA_Z))
         np.testing.assert_allclose(liou, expected, atol=1e-14)
 
     def test_cancelling_control_leaves_pure_dissipator(self):
         noise = dyn.Dephasing(theta=math.pi / 2, phi=0.0, gamma=0.1)
         prob = dyn.frequency_estimation_problem(1.0, noise, dyn.plus_state(), 1.0)
         liou = dyn._generators(prob, np.array([[0.0, 0.0, -0.5]]))[0]
-        np.testing.assert_allclose(liou, pauli_superop(dyn.dissipator(noise)), atol=1e-14)
+        np.testing.assert_allclose(liou, pauli_superop(dissipator(noise)), atol=1e-14)
 
     def test_trace_preservation_left_null_vector(self):
         rng = np.random.default_rng(4)
@@ -253,10 +302,10 @@ class TestStepPropagator:
     def test_unitary_step_preserves_purity(self):
         rng = np.random.default_rng(8)
         h = random_hermitian(rng)
-        liou = -1j * dyn.commutator_superop(h)
+        liou = -1j * commutator_superop(h)
         prop = dyn.step_propagator(liou, 0.01)
         rho = dyn.plus_state()
-        r = dyn.bloch_from_density(dyn.unvectorize(prop @ dyn.vectorize(rho)))
+        r = dyn.bloch_from_density(unvectorize(prop @ vectorize(rho)))
         assert np.linalg.norm(r) == pytest.approx(1.0, abs=1e-10)
 
     def test_parallel_dephasing_single_step_closed_form(self):
@@ -481,7 +530,7 @@ class TestPropagate:
         grid = dyn.ControlGrid(rng.uniform(-1, 1, size=(m, p)), 0.05)
         stacked = dyn.propagate(prob, grid)
         stepwise = propagate_stepwise(prob, grid)
-        for field in ("coords", "sensitivity", "step_propagators", "generators"):
+        for field in ("coords", "sensitivity", "steps", "step_propagators", "generators"):
             np.testing.assert_array_equal(
                 getattr(stacked, field), getattr(stepwise, field), err_msg=field
             )
@@ -504,11 +553,14 @@ class TestPropagate:
         for field, shape in (
             ("coords", (m + 1, 4)),
             ("sensitivity", (m + 1, 4)),
+            ("steps", (m, 8, 8)),
             ("step_propagators", (m, 4, 4)),
             ("generators", (m, 4, 4)),
         ):
             value = getattr(noisy_trajectory, field)
             assert value.dtype == np.float64 and value.shape == shape, field
+        props = noisy_trajectory.step_propagators
+        assert np.shares_memory(props, noisy_trajectory.steps) and not props.flags.writeable
         assert noisy_trajectory.final_state.shape == (2, 2)
         assert noisy_trajectory.final_state_derivative.shape == (2, 2)
 
