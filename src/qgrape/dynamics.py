@@ -40,7 +40,7 @@ Conventions (fixed once, asserted by tests):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -445,6 +445,8 @@ class Trajectory:
     ``steps[j-1]`` is the 8x8 step ``B_j = [[E_j, 0], [G E_j, E_j]]`` with
     ``E_j = exp(dt R_j)`` that advances ``(c, sensitivity)`` over step j.  The
     final state and its derivative are also given as 2x2 matrices.
+    ``_memo`` holds what :mod:`qgrape.grape` evaluates on the final state,
+    per objective.
     """
 
     coords: np.ndarray
@@ -452,6 +454,7 @@ class Trajectory:
     generators: np.ndarray
     sensitivity: np.ndarray
     dt: float
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_steps(self) -> int:
@@ -474,28 +477,29 @@ class Trajectory:
         return _density(self.dt * self.sensitivity[-1])
 
 
-def _check_states(coords: np.ndarray, first_step: int = 1) -> None:
-    """Raise :class:`NumericalStabilityError` if a state lost positivity beyond
-    the hard floor, its trace, or finiteness.
+def _first_bad(bad: np.ndarray) -> int:
+    """Index of the first true entry of a row mask, or its length if none."""
+    return int(bad.argmax()) if bad.any() else len(bad)
 
-    ``coords`` is an (..., n, 4) stack of trajectories in Pauli coordinates
-    whose state i is the one after step ``first_step + i``.  The error names
-    the first bad step of the first bad trajectory, in C order over the
-    leading axes.
-    """
+
+def _stability(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the states of an (..., 4) stack of Pauli coordinates that lost
+    positivity beyond the hard floor, their trace, or finiteness, and the
+    smaller eigenvalue of each."""
     # past a bad step a state may have overflowed; its warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
         lo = _min_eigenvalue(coords)
         # written as "not good" so that a NaN state counts as bad
         bad = ~((lo >= -POSITIVITY_HARD_FLOOR) & (np.abs(coords[..., 0] - 1.0) <= 1e-8))
-    if bad.any():
-        first = int(np.argmax(bad))
-        step = first_step + first % bad.shape[-1]
-        raise NumericalStabilityError(
-            f"state lost positivity/trace at step {step} "
-            f"(min eigenvalue {lo.flat[first]:.3e})",
-            step=step,
-        )
+    return bad, lo
+
+
+def _unstable(step: int, lo: float) -> NumericalStabilityError:
+    """The error for a trajectory whose first bad state is the one after
+    ``step``, with smaller eigenvalue ``lo``."""
+    return NumericalStabilityError(
+        f"state lost positivity/trace at step {step} (min eigenvalue {lo:.3e})", step=step
+    )
 
 
 def _forward_steps(props: np.ndarray, dgen: np.ndarray) -> np.ndarray:
@@ -549,7 +553,10 @@ def propagate(problem: EstimationProblem, grid: ControlGrid) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         for j, step in enumerate(steps):
             step.dot(ys[j], out=ys[j + 1])
-    _check_states(ys[1:, :4])
+    bad, lo = _stability(ys[1:, :4])
+    first = _first_bad(bad)
+    if first < grid.n_steps:
+        raise _unstable(first + 1, lo[first])
 
     return Trajectory(
         coords=ys[:, :4], steps=steps, generators=gens, sensitivity=ys[:, 4:], dt=grid.dt

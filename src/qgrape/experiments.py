@@ -367,12 +367,13 @@ def _theta_axis(config: ScenarioConfig):
     return tuple(probes), point, {}
 
 
-def _single_pulse_qfi(config: ScenarioConfig, t0: float, horizon: float) -> float:
-    """Closed-form information of one instantaneous pulse at t0: the parallel
-    dephasing oracle for dephasing noise, the decay oracle otherwise.  Each
-    oracle reads only its own rate fields of the plan."""
+def _single_pulse_qfi(config: ScenarioConfig, horizon: float, t0: np.ndarray) -> np.ndarray:
+    """Closed-form information of one instantaneous pulse at each pulse time
+    of the array ``t0``: the parallel dephasing oracle for dephasing noise,
+    the decay oracle otherwise.  Each oracle reads only its own rate fields
+    of the plan."""
     plan = oracles.SinglePulsePlan(
-        t0=t0,
+        t0=0.0,
         horizon=horizon,
         omega0=config.omega0_true,
         gamma=config.noise_gamma,
@@ -380,15 +381,12 @@ def _single_pulse_qfi(config: ScenarioConfig, t0: float, horizon: float) -> floa
         gamma_minus=config.noise_gamma_minus,
     )
     if config.noise_kind == "dephasing":
-        return oracles.parallel_single_pulse_qfi(plan)
-    return oracles.spontaneous_single_pulse_qfi(plan)
+        return oracles._parallel_pulse_qfi(plan, t0)
+    return oracles._spontaneous_pulse_qfi(plan, t0)
 
 
 def _best_single_pulse(config: ScenarioConfig, horizon: float) -> float:
-    best = -math.inf
-    for t0 in np.linspace(0.0, horizon, 400):
-        best = max(best, _single_pulse_qfi(config, float(t0), horizon))
-    return best
+    return float(_single_pulse_qfi(config, horizon, np.linspace(0.0, horizon, 400)).max())
 
 
 def _oracle_curve(config: ScenarioConfig, horizon: float) -> float:
@@ -470,7 +468,7 @@ def _t0_axis(config: ScenarioConfig):
         )
 
     def point(index: int, t0: float):
-        value = _single_pulse_qfi(config, t0, config.horizon)
+        value = float(_single_pulse_qfi(config, config.horizon, np.array([t0]))[0])
         return {"pulse_scan": dict(oracle_qfi=value, uncontrolled_qfi=reference)}, {}
 
     return ("pulse_scan",), point, {}

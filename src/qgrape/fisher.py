@@ -13,6 +13,14 @@ The classical Fisher information of a POVM ``{E_y}`` is
 
 Both are computed one way, by :func:`_information` on the Pauli coordinates
 ``(Tr rho, r)`` and ``(Tr d(rho)/dx, dr)``; the 2x2 functions convert to them.
+It takes an (n, 4) stack of states and derivatives, so that one call serves
+every final state of the finite-difference oracle or of a single-pulse scan,
+and a single state is a one-row stack.  Every row comes out bitwise as it
+would alone: each 3-term dot product is one BLAS dot of a stacked
+``(n, 1, 3) @ (n, 3, 1)`` product, as for one pair of vectors (einsum and sum
+reductions round differently), the pure and mixed SLD branches and the
+skipped CFI outcomes are selected with ``np.where``, and the first bad row
+raises the error that it raises alone.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _bloch, _check_hermitian
-from .dynamics import _check_state, _density, _min_eigenvalue
+from .dynamics import IDENTITY, POSITIVITY_SLACK, SIGMA_X, SIGMA_Y, SIGMA_Z, TRACE_TOL
+from .dynamics import _bloch, _check_hermitian, _check_state, _density, _first_bad, _min_eigenvalue
 from .errors import InconsistentInputError, SingularOutcomeError, ValidationError
 
 __all__ = ["sld", "qfi", "qfi_bloch", "Povm", "cfi"]
@@ -36,90 +44,154 @@ OUTCOME_DERIV_FLOOR = 1e-9
 
 
 def _coordinates(rho: np.ndarray, drho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pauli coordinates of a 2x2 state and its derivative, after the checks
-    that only the matrix form needs: shape, finiteness and Hermiticity."""
+    """Pauli coordinates of a 2x2 state and its derivative, as one-row
+    stacks, after the checks that only the matrix form needs: shape,
+    finiteness and Hermiticity."""
     rho, drho = np.asarray(rho, dtype=complex), np.asarray(drho, dtype=complex)
     _check_hermitian(rho, "density matrix")
     _check_hermitian(drho, "state derivative", DERIVATIVE_TOL)
-    return _bloch(rho), _bloch(drho)
+    return _bloch(rho)[None], _bloch(drho)[None]
 
 
-def _is_pure(norm_sq: float) -> bool:
-    return 1.0 - math.sqrt(norm_sq) <= SLD_RANK_TOL
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products ``u[i] @ v[i]`` of the rows of two (n, 3) stacks, each
+    one BLAS dot as for a single pair; einsum and sum round differently."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _sld_bloch(r: np.ndarray, dr: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """SLD ``L = a I + b . sigma`` and ``F = Tr(rho L^2)`` as ``(a, b, F)``."""
-    norm_sq, radial = float(r @ r), float(r @ dr)
-    if not _is_pure(norm_sq):
-        a = -radial / (1.0 - norm_sq)
-        b = dr - a * r
-    else:
-        norm = math.sqrt(norm_sq)
-        s = radial / norm
-        a = s / (2.0 * (1.0 + norm))
-        b = dr - (s - a) / norm * r
-    return a, b, max(float(dr @ b), 0.0)
+def _is_pure(norm_sq: np.ndarray) -> np.ndarray:
+    return 1.0 - np.sqrt(norm_sq) <= SLD_RANK_TOL
+
+
+def _sld_bloch(r: np.ndarray, dr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SLD ``L = a I + b . sigma`` and ``F = Tr(rho L^2)`` as ``(a, b, F)``
+    for every row of (n, 3) stacks of Bloch vectors and their derivatives.
+    Each branch divides by zero where the other one applies, so the caller
+    ignores those floating-point warnings."""
+    norm_sq, radial = _dot(r, r), _dot(r, dr)
+    pure, norm = _is_pure(norm_sq), np.sqrt(norm_sq)
+    s = radial / norm
+    a_pure = s / (2.0 * (1.0 + norm))
+    a = np.where(pure, a_pure, -radial / (1.0 - norm_sq))
+    # b = dr - coef r with coef = a if mixed, (s - a)/|r| if pure
+    b = dr - np.where(pure, (s - a_pure) / norm, a)[:, None] * r
+    # max(F, 0), keeping a NaN
+    return a, b, np.maximum(_dot(dr, b), 0.0)
+
+
+def _qfi_rows(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    a, b, value = _sld_bloch(c[:, 1:], d[:, 1:])
+    # L = a I + b . sigma and L^2 = (a^2 + |b|^2) I + 2 a b . sigma
+    w1, w2 = np.empty(c.shape), np.empty(c.shape)
+    w1[:, 0], w1[:, 1:] = a, b
+    w2[:, 0], w2[:, 1:] = a * a + _dot(b, b), (2.0 * a)[:, None] * b
+    return value, w1, w2
+
+
+def _cfi_rows(
+    c: np.ndarray, d: np.ndarray, povm: Povm
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # p_y = rows[y] . c as one BLAS product per state, as for a single state
+    p, dp = (povm.rows @ c[:, :, None])[:, :, 0], (povm.rows @ d[:, :, None])[:, :, 0]
+    # an outcome with vanishing probability and derivative carries no
+    # information; with a nonzero derivative the information diverges
+    vanishing = p < OUTCOME_PROB_FLOOR
+    singular = vanishing & ~(np.abs(dp) < OUTCOME_DERIV_FLOOR)
+    if singular.any():
+        i, y = np.argwhere(singular)[0]
+        raise SingularOutcomeError(
+            f"outcome {y} has probability {p[i, y]:.3e} but derivative {dp[i, y]:.3e}"
+        )
+    # a vanishing outcome adds exact zeros, the same as skipping it
+    ratio = np.where(vanishing, 0.0, dp / p)
+    terms = np.where(vanishing, 0.0, dp * dp / p)
+    value, w1, w2 = np.zeros(len(c)), np.zeros(c.shape), np.zeros(c.shape)
+    for y, row in enumerate(povm.rows):
+        value += terms[:, y]
+        w1 += ratio[:, y, None] * row
+        w2 += (ratio[:, y] * ratio[:, y])[:, None] * row
+    return value, w1, w2
 
 
 def _information(
     c: np.ndarray, d: np.ndarray, povm: Povm | None
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """QFI (``povm=None``) or CFI of ``povm`` of a state ``c`` and its
-    derivative ``d`` in Pauli coordinates, with the weight rows ``(W1, W2)``
-    of its first-order change ``2 W1 . dd - W2 . dc``: the Pauli rows of
-    ``(L, L^2)`` for the QFI, of ``sum_y (dp_y/p_y)^k E_y``, k = 1, 2, for the
-    CFI.  ``c`` must pass :func:`qgrape.dynamics._check_state` and ``d`` be
-    finite and traceless within ``DERIVATIVE_TOL``."""
-    _check_state(c)
-    if not np.isfinite(d).all():
-        raise ValidationError("state derivative must be finite")
-    if abs(d[0]) > DERIVATIVE_TOL:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """QFI (``povm=None``) or CFI of ``povm`` of every state of an (n, 4)
+    stack ``c`` of Pauli coordinates and its derivative ``d``, with the weight
+    rows ``(W1, W2)`` of its first-order change ``2 W1 . dd - W2 . dc``: the
+    Pauli rows of ``(L, L^2)`` for the QFI, of ``sum_y (dp_y/p_y)^k E_y``,
+    k = 1, 2, for the CFI.  Returns ``(F, W1, W2)`` of shapes (n,), (n, 4)
+    and (n, 4); every row is bitwise what a one-row stack gives.
+
+    Each ``c[i]`` must pass :func:`qgrape.dynamics._check_state` and each
+    ``d[i]`` be finite and traceless within ``DERIVATIVE_TOL``; the CFI also
+    rejects an outcome of vanishing probability with a nonzero derivative.
+    The first bad row raises the error that it raises alone."""
+    # the checks see every row and the closed forms take the pure and the
+    # mixed branch, or skip an outcome, with np.where, so the rows or
+    # branches not used may divide by zero or meet non-finite numbers
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # written as "not good" so that NaN is rejected too
+        bad = ~(
+            (np.abs(c[:, 0] - 1.0) <= TRACE_TOL)
+            & (_min_eigenvalue(c) >= -POSITIVITY_SLACK)
+            & np.isfinite(d).all(axis=1)
+            & (np.abs(d[:, 0]) <= DERIVATIVE_TOL)
+        )
+        stop = _first_bad(bad)
+        if povm is None:
+            result = _qfi_rows(c[:stop], d[:stop])
+        else:
+            result = _cfi_rows(c[:stop], d[:stop], povm)
+    if stop < len(c):
+        _check_state(c[stop])
+        if not np.isfinite(d[stop]).all():
+            raise ValidationError("state derivative must be finite")
         raise ValidationError("state derivative must be traceless")
-    r, dr = c[1:], d[1:]
-    if povm is None:
-        a, b, value = _sld_bloch(r, dr)
-        # L = a I + b . sigma and L^2 = (a^2 + |b|^2) I + 2 a b . sigma
-        return value, np.array([a, *b]), np.array([a * a + b @ b, *(2.0 * a * b)])
-    value, w1, w2 = 0.0, np.zeros(4), np.zeros(4)
-    for y, (p, dp) in enumerate(zip(povm.rows @ c, povm.rows @ d)):
-        # an outcome with vanishing probability and derivative carries no
-        # information; with a nonzero derivative the information diverges
-        if p < OUTCOME_PROB_FLOOR:
-            if abs(dp) < OUTCOME_DERIV_FLOOR:
-                continue
-            raise SingularOutcomeError(
-                f"outcome {y} has probability {p:.3e} but derivative {dp:.3e}"
-            )
-        ratio = dp / p
-        value += dp * dp / p
-        w1 += ratio * povm.rows[y]
-        w2 += ratio * ratio * povm.rows[y]
-    return float(value), w1, w2
+    return result
+
+
+def _qfi_bloch(r: np.ndarray, dr: np.ndarray) -> np.ndarray:
+    """:func:`qfi_bloch` of every row of (n, 3) stacks of Bloch vectors and
+    their derivatives; the first bad row raises the error that it raises
+    alone."""
+    # a non-finite row may meet inf * 0 or inf - inf before it is rejected
+    with np.errstate(invalid="ignore"):
+        radial = _dot(r, dr)
+        finite = np.isfinite(r).all(axis=1) & np.isfinite(dr).all(axis=1)
+        bad = ~finite | (_is_pure(_dot(r, r)) & ~(np.abs(radial) <= PURE_TANGENT_TOL))
+    stop = _first_bad(bad)
+    value = _information(
+        np.column_stack([np.ones(stop), r[:stop]]), np.column_stack([np.zeros(stop), dr[:stop]]), None
+    )[0]
+    if stop < len(r):
+        if not finite[stop]:
+            raise ValidationError("Bloch vectors must have 3 finite components")
+        raise InconsistentInputError(
+            f"pure state, non-tangent derivative (r . dr = {radial[stop]:.3e})"
+        )
+    return value
 
 
 def sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """Symmetric logarithmic derivative of rho along drho, as a 2x2 matrix;
     the minimal-norm solution for a pure rho."""
     # the Pauli row (a, b) of L = a I + b . sigma is half its coordinates
-    return _density(2.0 * _information(*_coordinates(rho, drho), None)[1])
+    return _density(2.0 * _information(*_coordinates(rho, drho), None)[1][0])
 
 
 def qfi(rho: np.ndarray, drho: np.ndarray) -> float:
     """Quantum Fisher information ``Tr(rho L^2)``; nonnegative."""
-    return _information(*_coordinates(rho, drho), None)[0]
+    return float(_information(*_coordinates(rho, drho), None)[0][0])
 
 
 def qfi_bloch(r, dr) -> float:
     """:func:`qfi` from a Bloch vector and its derivative; a pure ``r`` must
     come with a tangent ``dr`` (``r . dr = 0``)."""
     r, dr = np.asarray(r, dtype=float), np.asarray(dr, dtype=float)
-    if r.shape != (3,) or dr.shape != (3,) or not np.isfinite([r, dr]).all():
+    if r.shape != (3,) or dr.shape != (3,):
         raise ValidationError("Bloch vectors must have 3 finite components")
-    radial = float(r @ dr)
-    if _is_pure(float(r @ r)) and abs(radial) > PURE_TANGENT_TOL:
-        raise InconsistentInputError(f"pure state, non-tangent derivative (r . dr = {radial:.3e})")
-    return _information(np.concatenate(([1.0], r)), np.concatenate(([0.0], dr)), None)[0]
+    return float(_qfi_bloch(r[None], dr[None])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,4 +241,4 @@ def cfi(rho: np.ndarray, drho: np.ndarray, povm: Povm) -> float:
     """Classical Fisher information of the POVM outcome distribution, summed
     over the outcomes that carry information; a zero-probability outcome
     with nonzero derivative raises :class:`SingularOutcomeError`."""
-    return _information(*_coordinates(rho, drho), povm)[0]
+    return float(_information(*_coordinates(rho, drho), povm)[0][0])

@@ -24,10 +24,12 @@ from .dynamics import (
     ControlGrid,
     EstimationProblem,
     Trajectory,
-    _check_states,
     _expm,
+    _first_bad,
     _forward_steps,
     _generators,
+    _stability,
+    _unstable,
     propagate,
     step_count,
     step_propagator,
@@ -76,8 +78,15 @@ def cfi_objective(povm: Povm) -> Objective:
 
 def _final_information(traj: Trajectory, objective: Objective) -> tuple:
     """Objective and weight rows of the final state and its parameter
-    derivative (see :func:`qgrape.fisher._information`)."""
-    return _information(traj.coords[-1], traj.dt * traj.sensitivity[-1], objective.povm)
+    derivative (see :func:`qgrape.fisher._information`), memoized on the
+    trajectory: an ascent evaluates each candidate and later takes the
+    gradient of the one it accepts."""
+    if objective not in traj._memo:
+        value, w1, w2 = _information(
+            traj.coords[-1:], traj.dt * traj.sensitivity[-1:], objective.povm
+        )
+        traj._memo[objective] = float(value[0]), w1[0], w2[0]
+    return traj._memo[objective]
 
 
 def objective_value(traj: Trajectory, objective: Objective) -> float:
@@ -159,21 +168,22 @@ def finite_difference_gradient(
     test oracle for the analytic gradient and shares none of its algebra.
 
     Entry (j, k) is ``(F(V_k(j) + delta) - F(V_k(j) - delta)) / (2 delta)``.
-    Each perturbed trajectory is re-propagated from its bumped step on: the
-    states before step j and the 8x8 steps of every other step are those of
-    one unperturbed :func:`propagate` and equal, bit for bit, what a full
-    re-propagation would compute.  Only the 2 m p bumped steps are
-    exponentiated anew, as one stack, and the 2 p trajectories bumped at one
-    step advance together.  Their states pass the check of :func:`propagate`
-    before any of them is evaluated; the first bad one in entry order raises
-    :class:`NumericalStabilityError` naming its step.
+    Each perturbed trajectory starts from the state of one unperturbed
+    :func:`propagate` before its bumped step and takes that run's 8x8 steps
+    after it, so it equals, bit for bit, what a full re-propagation would
+    compute.  Only the 2 m p bumped steps are exponentiated anew, as one
+    stack.  All 2 m p trajectories advance together in one loop over the
+    steps, each state passing the check of :func:`propagate` as it is made,
+    and their final states are evaluated in one stacked call.  Errors follow
+    entry order ``(j, k, sign)``: the first entry whose trajectory goes
+    unstable (:class:`NumericalStabilityError` naming its first bad step) or
+    whose final state fails the evaluation raises.
     """
     if not (np.isfinite(delta) and delta > 0):
         raise ValidationError(f"delta must be finite and positive, got {delta}")
     m, p = grid.amplitudes.shape
-    grad = np.empty((m, p))
-    if grad.size == 0:
-        return grad
+    if m * p == 0:
+        return np.empty((m, p))
     base = propagate(problem, grid)
     dt = grid.dt
 
@@ -188,20 +198,31 @@ def finite_difference_gradient(
         problem.sensitivity_superop,
     )
 
-    for j in range(m):
-        # the 8-vector step of propagate from step j on, batched over the 2p
-        # bumps as (2p, 8, 8) @ (2p, 8, 1) products, which keep each bump's
-        # arithmetic; an (8, 8) @ (8, 2p) block would round differently
-        ys = np.empty((m - j + 1, 2 * p, 8, 1))
-        ys[0, :, :4, 0], ys[0, :, 4:, 0] = base.coords[j], base.sensitivity[j]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, steps in enumerate([bumped_steps[j], *base.steps[j + 1 :]]):
-                np.matmul(steps, ys[i], out=ys[i + 1])
-        _check_states(ys[1:, :, :4, 0].swapaxes(0, 1), first_step=j + 1)
-        final = zip(ys[-1, :, :4, 0], dt * ys[-1, :, 4:, 0])
-        values = np.array([_information(c, d, objective.povm)[0] for c, d in final]).reshape(p, 2)
-        grad[j] = (values[:, 0] - values[:, 1]) / (2.0 * delta)
-    return grad
+    # the trajectories in entry order, so that those bumped at or before
+    # step i are the first 2 p (i + 1); each step is one (8, 8) @ (8, 1)
+    # product per trajectory, as in propagate (an (8, 8) @ (8, n) block
+    # would round differently), and only each trajectory's current state
+    # and its first bad step are kept
+    base_ys = np.concatenate([base.coords, base.sensitivity], axis=1)[:, :, None]
+    ys, out = np.empty((2, 2 * m * p, 8, 1))
+    first_bad = np.zeros(2 * m * p, dtype=int)
+    first_lo = np.empty(2 * m * p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(m):
+            done, active = 2 * p * i, 2 * p * (i + 1)
+            np.matmul(base.steps[i], ys[:done], out=out[:done])
+            np.matmul(bumped_steps[i], base_ys[i], out=out[done:active])
+            ys, out = out, ys
+            bad, lo = _stability(ys[:active, :4, 0])
+            if bad.any():
+                fresh = bad & (first_bad[:active] == 0)
+                first_bad[:active][fresh], first_lo[:active][fresh] = i + 1, lo[fresh]
+
+    stop = _first_bad(first_bad > 0)
+    values = _information(ys[:stop, :4, 0], dt * ys[:stop, 4:, 0], objective.povm)[0]
+    if stop < len(ys):
+        raise _unstable(int(first_bad[stop]), first_lo[stop])
+    return ((values[0::2] - values[1::2]) / (2.0 * delta)).reshape(m, p)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _first_bad
 from .errors import UndefinedRotationError, ValidationError
-from .fisher import qfi_bloch
+from .fisher import _qfi_bloch
 
 __all__ = [
     "SinglePulsePlan",
@@ -128,19 +129,25 @@ def parallel_single_pulse_qfi(plan: SinglePulsePlan) -> float:
     e^{-g t0} cos(w t0))`` with ``d = T - t0``; it and its derivative in w
     go to :func:`qgrape.fisher.qfi_bloch`.
     """
-    gamma, w, t0, horizon = plan.gamma, plan.omega0, plan.t0, plan.horizon
+    return float(_parallel_pulse_qfi(plan, np.array([plan.t0]))[0])
+
+
+def _parallel_pulse_qfi(plan: SinglePulsePlan, t0: np.ndarray) -> np.ndarray:
+    """:func:`parallel_single_pulse_qfi` of ``plan`` at every pulse time of
+    the array ``t0`` (``plan.t0`` is not read)."""
+    gamma, w, horizon = plan.gamma, plan.omega0, plan.horizon
     tail = horizon - t0
-    sin_b, cos_b = math.sin(w * t0), math.cos(w * t0)
-    sin_a, cos_a = math.sin(w * tail), math.cos(w * tail)
+    sin_b, cos_b = np.sin(w * t0), np.cos(w * t0)
+    sin_a, cos_a = np.sin(w * tail), np.cos(w * tail)
     decay_t = math.exp(-gamma * horizon)
-    decay_0 = math.exp(-gamma * t0)
+    decay_0 = np.exp(-gamma * t0)
     r = [decay_t * sin_a * sin_b, decay_t * cos_a * sin_b, decay_0 * cos_b]
     dr = [
         decay_t * (tail * cos_a * sin_b + t0 * sin_a * cos_b),
         decay_t * (t0 * cos_a * cos_b - tail * sin_a * sin_b),
         -decay_0 * t0 * sin_b,
     ]
-    return qfi_bloch(r, dr)
+    return _qfi_bloch(np.stack(r, axis=1), np.stack(dr, axis=1))
 
 
 def spontaneous_free_bloch(
@@ -179,59 +186,59 @@ def spontaneous_free_qfi(gamma_plus: float, gamma_minus: float, horizon: float) 
     return horizon * horizon * math.exp(-(gamma_plus + gamma_minus) * horizon)
 
 
-def _spontaneous_pulse_state_and_derivative(
-    plan: SinglePulsePlan,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Final Bloch vector and its frequency derivative for the back-to-plane
-    pulse strategy, with the rotation frozen at the reference frequency.
+def _spontaneous_pulse_qfi(plan: SinglePulsePlan, t0: np.ndarray) -> np.ndarray:
+    """:func:`spontaneous_single_pulse_qfi` of ``plan`` at every pulse time
+    of the array ``t0`` (``plan.t0`` is not read).
 
-    Only the dynamics is differentiated; the rotation matrix, built from the
-    pre-pulse state at the reference frequency, is held fixed.
+    The final Bloch vector and its frequency derivative for the back-to-plane
+    pulse strategy go to :func:`qgrape.fisher.qfi_bloch`, with the rotation
+    frozen at the reference frequency: only the dynamics is differentiated;
+    the rotation matrix, built from the pre-pulse state at the reference
+    frequency, is held fixed.  The first pulse time whose rotation is
+    undefined or whose state fails the information check raises.
     """
     if plan.gamma_plus != 0.0:
         raise ValidationError("the back-to-plane pulse strategy assumes gamma_plus = 0")
     gamma = plan.gamma_minus
-    w, t0, horizon = plan.omega0, plan.t0, plan.horizon
-    tail = horizon - t0
+    w, horizon = plan.omega0, plan.horizon
 
-    cos_b, sin_b = math.cos(w * t0), math.sin(w * t0)
-    env = math.exp(-0.5 * gamma * t0)
-    pre = np.array([env * cos_b, env * sin_b, -1.0 + env * env])
-    d_pre = np.array([-t0 * env * sin_b, t0 * env * cos_b, 0.0])
-
-    plane_norm = math.hypot(pre[0], pre[2])
-    if plane_norm < 1e-12:
-        raise UndefinedRotationError(
-            f"pre-pulse state at t0 = {t0} has no x-z component to rotate"
-        )
+    cos_b, sin_b = np.cos(w * t0), np.sin(w * t0)
+    env = np.exp(-0.5 * gamma * t0)
+    plane_norm = np.hypot(env * cos_b, -1.0 + env * env)
+    stop = _first_bad(plane_norm < 1e-12)
+    # the rotation is undefined at stop: the pulse times from there on are
+    # not evaluated
+    pulse, cos_b, sin_b, env, plane_norm = (a[:stop] for a in (t0, cos_b, sin_b, env, plane_norm))
+    pre = (env * cos_b, env * sin_b, -1.0 + env * env)
+    d_pre_x, d_pre_y = -pulse * env * sin_b, pulse * env * cos_b  # d_pre_z = 0
+    # the y-rotation by (c1, c3) takes pre to (plane_norm, r2(t0), 0)
     c1, c3 = pre[0] / plane_norm, pre[2] / plane_norm
-    rotation = np.array([[c1, 0.0, c3], [0.0, 1.0, 0.0], [-c3, 0.0, c1]])
+    q = (c1 * pre[0] + c3 * pre[2], pre[1], c1 * pre[2] - c3 * pre[0])
+    dq = (c1 * d_pre_x, d_pre_y, -c3 * d_pre_x)
+    tail = horizon - pulse
 
-    q = rotation @ pre  # (plane_norm, r2(t0), 0) at the reference frequency
-    dq = rotation @ d_pre
-
-    cos_a, sin_a = math.cos(w * tail), math.sin(w * tail)
-    env_tail = math.exp(-0.5 * gamma * tail)
+    cos_a, sin_a = np.cos(w * tail), np.sin(w * tail)
+    env_tail = np.exp(-0.5 * gamma * tail)
     relax_tail = env_tail * env_tail
-    r = np.array(
-        [
-            env_tail * (cos_a * q[0] - sin_a * q[1]),
-            env_tail * (cos_a * q[1] + sin_a * q[0]),
-            -1.0 + relax_tail + relax_tail * q[2],
-        ]
-    )
-    dr = np.array(
-        [
-            env_tail * (-tail * sin_a * q[0] + cos_a * dq[0] - tail * cos_a * q[1] - sin_a * dq[1]),
-            env_tail * (-tail * sin_a * q[1] + cos_a * dq[1] + tail * cos_a * q[0] + sin_a * dq[0]),
-            relax_tail * dq[2],
-        ]
-    )
-    return r, dr
+    r = [
+        env_tail * (cos_a * q[0] - sin_a * q[1]),
+        env_tail * (cos_a * q[1] + sin_a * q[0]),
+        -1.0 + relax_tail + relax_tail * q[2],
+    ]
+    dr = [
+        env_tail * (-tail * sin_a * q[0] + cos_a * dq[0] - tail * cos_a * q[1] - sin_a * dq[1]),
+        env_tail * (-tail * sin_a * q[1] + cos_a * dq[1] + tail * cos_a * q[0] + sin_a * dq[0]),
+        relax_tail * dq[2],
+    ]
+    value = _qfi_bloch(np.stack(r, axis=1), np.stack(dr, axis=1))
+    if stop < len(t0):
+        raise UndefinedRotationError(
+            f"pre-pulse state at t0 = {float(t0[stop])} has no x-z component to rotate"
+        )
+    return value
 
 
 def spontaneous_single_pulse_qfi(plan: SinglePulsePlan) -> float:
     """Information at T for the pulse that rotates the probe back to the x-y
     plane at t0 under decay (gamma_plus = 0)."""
-    r, dr = _spontaneous_pulse_state_and_derivative(plan)
-    return qfi_bloch(r, dr)
+    return float(_spontaneous_pulse_qfi(plan, np.array([plan.t0]))[0])

@@ -7,7 +7,7 @@ from qgrape import dynamics as dyn
 from qgrape import experiments as exp
 from qgrape import fisher, oracles
 from qgrape.cli import main
-from qgrape.errors import ConfigError
+from qgrape.errors import ConfigError, UndefinedRotationError
 from qgrape.grape import AscentConfig
 
 BASE_CONFIG = """
@@ -345,6 +345,49 @@ class TestPulseScan:
 
         assert scan(16.0) > 0.0
         assert scan(8.0) <= scan(16.0)
+
+
+class TestBestSinglePulse:
+    CASES = {
+        "parallel": (dict(noise_theta=0.0), oracles.parallel_single_pulse_qfi, dict(gamma=0.1)),
+        "emission": (
+            dict(noise_kind="spontaneous", noise_gamma=0.0, noise_gamma_minus=0.2),
+            oracles.spontaneous_single_pulse_qfi,
+            dict(gamma_minus=0.2),
+        ),
+    }
+
+    @pytest.mark.parametrize("noise", sorted(CASES))
+    @pytest.mark.parametrize("horizon", [1.0, 4.5, 12.0])
+    def test_stacked_scan_is_the_max_of_the_public_calls(self, noise, horizon):
+        fields, closed_form, rates = self.CASES[noise]
+        config = small_sweep_config(**fields)
+        scalar = max(
+            closed_form(oracles.SinglePulsePlan(t0=float(t0), horizon=horizon, omega0=1.0, **rates))
+            for t0 in np.linspace(0.0, horizon, 400)
+        )
+        got = exp._best_single_pulse(config, horizon)
+        # the closed forms' numpy.sin/cos/exp may round an array apart from
+        # a single element
+        assert abs(got - scalar) <= 4 * np.spacing(scalar)
+
+    def test_first_failing_pulse_time_raises_its_error(self):
+        # without decay the pre-pulse state at t0 = pi/2 and 3 pi/2 lies on
+        # the y axis, so the back-to-plane rotation is undefined there; grid
+        # point 199 of the best-pulse scan is pi/2
+        horizon = math.pi / 2 * 399 / 199
+        config = small_sweep_config(noise_kind="spontaneous", noise_gamma=0.0)
+        t0 = np.linspace(0.0, horizon, 400)[199]
+        assert abs(t0 - math.pi / 2) < 1e-15
+        plan = oracles.SinglePulsePlan(t0=t0, horizon=horizon, omega0=1.0)
+        with pytest.raises(UndefinedRotationError) as expected:
+            oracles.spontaneous_single_pulse_qfi(plan)
+        with pytest.raises(UndefinedRotationError) as excinfo:
+            exp._best_single_pulse(config, horizon)
+        assert str(excinfo.value) == str(expected.value)
+        with pytest.raises(UndefinedRotationError) as excinfo:
+            oracles._spontaneous_pulse_qfi(plan, np.array([0.5, t0, 1.5 * math.pi]))
+        assert str(excinfo.value) == str(expected.value)
 
 
 class TestInformationOfGrid:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from qgrape import dynamics as dyn  # noqa: E402
 from qgrape import fisher  # noqa: E402
+from qgrape.errors import QGrapeError  # noqa: E402
 
 # fixed examples, no example database: every run checks the same cases
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -83,3 +84,86 @@ def test_qfi_invariant_under_unitary_rotation(pair, axis, angle):
     unitary = np.cos(angle / 2) * dyn.IDENTITY - 1j * np.sin(angle / 2) * pauli(axis)
     rotated = (unitary @ m @ unitary.conj().T for m in (rho, drho))
     assert fisher.qfi(*rotated) == pytest.approx(fisher.qfi(rho, drho), rel=1e-10, abs=1e-12)
+
+
+# --- the stacked kernel against one-row calls -------------------------------
+
+
+@st.composite
+def information_rows(draw, axis):
+    """Pauli coordinates ``(c, d)`` of a state and its derivative: a mixed
+    state, a pure one with a tangent derivative, or the pure state along the
+    measured ``axis``, whose ``-axis`` outcome has zero probability and,
+    for a tangent derivative, zero derivative."""
+    kind = draw(st.sampled_from(["mixed", "pure", "measured axis"]))
+    n = axis if kind == "measured axis" else draw(directions)
+    radius = draw(mixed_radii) if kind == "mixed" else 1.0
+    dr = draw(derivatives)
+    if kind != "mixed":
+        dr = dr - (dr @ n) * n
+    return np.concatenate([[1.0], radius * n]), np.concatenate([[0.0], dr])
+
+
+def _corrupt(c, d, axis, defect):
+    """A row that fails one check of the kernel."""
+    c, d = c.copy(), d.copy()
+    if defect == "trace":
+        c[0] += 1e-9
+    elif defect == "positivity":
+        c[1:] = 1.001 * axis
+    elif defect == "non-finite derivative":
+        d[2] = np.nan
+    elif defect == "infinite derivative":
+        d[3] = -np.inf
+    elif defect == "non-traceless derivative":
+        d[0] = 1e-6
+    else:  # the -axis outcome: zero probability, nonzero derivative
+        c[1:], d[1:] = axis, -0.5 * axis
+    return c, d
+
+
+DEFECTS = [
+    "trace",
+    "positivity",
+    "non-finite derivative",
+    "infinite derivative",
+    "non-traceless derivative",
+    "singular outcome",
+]
+
+
+@st.composite
+def information_stacks(draw):
+    axis = draw(directions)
+    rows = draw(st.lists(information_rows(axis), min_size=1, max_size=6))
+    defects = draw(st.lists(st.tuples(st.sampled_from(DEFECTS), st.integers(0, 6)), max_size=2))
+    for defect, at in defects:
+        rows.insert(min(at, len(rows)), _corrupt(*rows[min(at, len(rows) - 1)], axis, defect))
+    c, d = (np.array(col) for col in zip(*rows))
+    return axis, c, d
+
+
+def _one_row_at_a_time(c, d, povm):
+    """The kernel called on each row alone: the results, or the first error."""
+    results = []
+    for i in range(len(c)):
+        try:
+            results.append(fisher._information(c[i : i + 1], d[i : i + 1], povm))
+        except QGrapeError as exc:
+            return exc
+    return [np.concatenate(part) for part in zip(*results)]
+
+
+@SETTINGS
+@given(information_stacks(), st.booleans())
+def test_stacked_information_matches_one_row_calls(stack, measured):
+    axis, c, d = stack
+    povm = fisher.Povm.along(axis) if measured else None
+    expected = _one_row_at_a_time(c, d, povm)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as excinfo:
+            fisher._information(c, d, povm)
+        assert str(excinfo.value) == str(expected)
+        return
+    for got, want in zip(fisher._information(c, d, povm), expected):
+        np.testing.assert_array_equal(got, want)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -419,6 +420,61 @@ class TestFiniteDifferenceGradient:
         assert 1 < excinfo.value.step < 40
         assert excinfo.value.step == expected.value.step
         assert str(excinfo.value) == str(expected.value)
+
+
+    def test_information_error_of_an_earlier_entry_comes_first(self):
+        # a smuggled negative dephasing rate along x leaves the unperturbed
+        # |+> fixed (omega = 0) and amplifies any tilt out of the x axis.
+        # The weak sigma_z control of entry (0, 0, +) tilts it by 2e-7
+        # only: the state stays stable, but its minus outcome then has
+        # probability ~1e-14 with a derivative ~1e-6, which the CFI rejects.
+        # The strong one of the later entry (0, 1, +) tilts it by 2e-3,
+        # and that trajectory goes unstable.
+        noise = dyn.Dephasing(theta=math.pi / 2, phi=0.0, gamma=0.1)
+        object.__setattr__(noise, "gamma", -1.0)
+        prob = dyn.frequency_estimation_problem(
+            0.0, noise, dyn.plus_state(), 3.0,
+            control_generators=(0.1 * dyn.SIGMA_Z, 1000.0 * dyn.SIGMA_Z),
+        )
+        grid = dyn.ControlGrid.zeros(30, 2, 0.1)
+        objective = grape.cfi_objective(fisher.Povm.plus_minus())
+        dyn.propagate(prob, grid)  # the unperturbed run passes
+        with pytest.raises(SingularOutcomeError) as expected:
+            ref.finite_difference_gradient_full(prob, grid, objective)
+        with pytest.raises(SingularOutcomeError) as excinfo:
+            grape.finite_difference_gradient(prob, grid, objective)
+        assert str(excinfo.value) == str(expected.value)
+        # each failure alone: the weak control's oracle is singular and the
+        # strong control's unstable
+        weak, strong = (
+            dyn.frequency_estimation_problem(
+                0.0, noise, dyn.plus_state(), 3.0, control_generators=(scale * dyn.SIGMA_Z,)
+            )
+            for scale in (0.1, 1000.0)
+        )
+        one_control = dyn.ControlGrid.zeros(30, 1, 0.1)
+        with pytest.raises(SingularOutcomeError):
+            grape.finite_difference_gradient(weak, one_control, objective)
+        with pytest.raises(NumericalStabilityError):
+            grape.finite_difference_gradient(strong, one_control, objective)
+
+    def test_working_set_does_not_grow_with_the_state_history(self):
+        # m = 400, p = 3: keeping the state of every bumped trajectory at
+        # every step after its bump would take m p * m * 8 doubles, about
+        # 31 MB; the working set, mostly the exponentials of the 2 m p bumped
+        # steps, peaks near 5 MB
+        rng = np.random.default_rng(15)
+        m, dt = 400, 0.01
+        prob = make_problem(NOISE_MODELS["emission"], horizon=m * dt)
+        grid = random_schedule(rng, m, dt)
+        grape.finite_difference_gradient(prob, grid, grape.qfi_objective())  # warm caches
+        tracemalloc.start()
+        try:
+            grape.finite_difference_gradient(prob, grid, grape.qfi_objective())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 class TestAscend:
