@@ -294,6 +294,11 @@ class EstimationProblem:
         """Real 4x4 ``G = dR/dx``, the precession of ``K``."""
         return _precession(self.encoding)
 
+    @cached_property
+    def probe_coords(self) -> np.ndarray:
+        """Pauli coordinates ``(1, r)`` of the probe."""
+        return _bloch(self.probe)
+
 
 def frequency_estimation_problem(
     omega0: float,
@@ -372,8 +377,10 @@ def step_count(horizon: float, dt: float) -> int:
 # The degree-18 Taylor polynomial T18(A) = sum_k A^k / k! is evaluated by
 # Paterson-Stockmeyer as a polynomial in A^4 whose coefficients are the
 # blocks B_i = sum_r A^r / (4i + r)!, r = 0..3; row i of _TAYLOR18 holds the
-# factors of I, A, A^2 and A^3 in B_i.  _THETA18 is the 1-norm up to which T18
-# has a relative backward error of at most 2^-53: the root of
+# factors of I, A, A^2 and A^3 in B_i.  The powers are stored power-major,
+# as (4, N, n, n), so that the five blocks of every matrix of a stack come
+# from one (5, 4) @ (4, N n^2) product.  _THETA18 is the 1-norm up to which
+# T18 has a relative backward error of at most 2^-53: the root of
 # sum_{k>18} |g_k| x^(k-1) = 2^-53 for the series
 # log(e^-x T18(x)) = sum_k g_k x^k (Al-Mohy & Higham, SIAM J. Matrix Anal.
 # Appl. 31, 970 (2009)).
@@ -391,36 +398,38 @@ def _expm(generators: np.ndarray, dt: float) -> np.ndarray:
     Each matrix gets its own scaling ``s = max(0, ceil(log2(|dt A|_1 /
     theta18)))``, applied exactly as a power of two, and only its own ``s``
     squarings, so a matrix's exponential is bitwise the same alone or in any
-    stack.  The polynomial takes seven stacked matrix products and no linear
-    solve.  A zero row of ``A`` gives the same row of the identity in the
-    result, exactly, so a trace-preserving Pauli generator's exponential keeps
-    the trace row ``(1, 0, 0, 0)``.  Real input gives real output, complex
-    input complex output.  Non-finite input gives non-finite output without
-    floating-point warnings.
+    stack.  The polynomial takes seven stacked matrix products, one
+    coefficient product on the power-major stack of I, A, A^2 and A^3, and no
+    linear solve; its Horner steps run in place.  A zero row of ``A`` gives the same row of the
+    identity in the result, exactly, so a trace-preserving Pauli generator's
+    exponential keeps the trace row ``(1, 0, 0, 0)``.  Real input gives real
+    output, complex input complex output.  Non-finite input gives non-finite
+    output without floating-point warnings.
     """
     a = np.asarray(generators)
-    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
     shape, n = a.shape, a.shape[-1]
+    a = a.reshape(-1, n, n)
+    powers = np.empty((4,) + a.shape, dtype=np.result_type(a.dtype, np.float64))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a = np.ascontiguousarray(dt * a).reshape(-1, n, n)
+        a = np.multiply(dt, a, out=powers[1], dtype=powers.dtype)
+        s = np.zeros(len(a), dtype=int)
         # column sums as one stacked product: a reduction over the middle
         # axis of small matrices costs several times more
         col_sums = np.ones(n) @ np.abs(a)
-        s = np.zeros(len(a), dtype=int)
         if (col_sums > _THETA18).any():
             s = np.ceil(np.log2(col_sums.max(axis=-1) / _THETA18))
             s = np.where(np.isfinite(s) & (s > 0), s, 0).astype(int)
-            a = np.ldexp(a.view(float), -s[:, None, None]).view(a.dtype)
-        powers = np.empty((len(a), 4, n, n), dtype=a.dtype)
-        powers[:, 0] = np.eye(n)
-        powers[:, 1] = a
-        np.matmul(a, a, out=powers[:, 2])
-        np.matmul(powers[:, 2], a, out=powers[:, 3])
-        a4 = powers[:, 2] @ powers[:, 2]
-        blocks = (_TAYLOR18 @ powers.reshape(-1, 4, n * n)).reshape(-1, 5, n, n)
-        x = blocks[:, 4]
+            flat = a.view(float)
+            np.ldexp(flat, -s[:, None, None], out=flat)
+        powers[0] = np.eye(n)
+        np.matmul(a, a, out=powers[2])
+        np.matmul(powers[2], a, out=powers[3])
+        a4 = powers[2] @ powers[2]
+        blocks = (_TAYLOR18 @ powers.reshape(4, -1)).reshape((5,) + a.shape)
+        term = np.empty_like(a4)
         for i in (3, 2, 1, 0):
-            x = x @ a4 + blocks[:, i]
+            blocks[i] += np.matmul(blocks[i + 1], a4, out=term)
+        x = blocks[0]
         for i in range(s.max(initial=0)):
             squared = s > i
             x[squared] = x[squared] @ x[squared]
@@ -439,26 +448,36 @@ def step_propagator(generator: np.ndarray, dt: float) -> np.ndarray:
 class Trajectory:
     """Cached propagation products, real and in Pauli coordinates.
 
-    ``coords[j]`` is the state after step j (``coords[0]`` is the probe),
-    ``generators[j-1]`` is ``R_j``, ``sensitivity[j]`` accumulates the
-    parameter sensitivity so that ``d(c_j)/dx = dt * sensitivity[j]``, and
+    ``rows[j]`` is the 8-vector ``y_j = (c_j, s_j)`` after step j (``rows[0]``
+    holds the probe and a zero sensitivity): ``coords`` is the view
+    ``rows[:, :4]`` of the states and ``sensitivity`` the view ``rows[:, 4:]``
+    of the accumulated parameter sensitivity, with
+    ``d(c_j)/dx = dt * sensitivity[j]``.  ``generators[j-1]`` is ``R_j`` and
     ``steps[j-1]`` is the 8x8 step ``B_j = [[E_j, 0], [G E_j, E_j]]`` with
-    ``E_j = exp(dt R_j)`` that advances ``(c, sensitivity)`` over step j.  The
-    final state and its derivative are also given as 2x2 matrices.
-    ``_memo`` holds what :mod:`qgrape.grape` evaluates on the final state,
-    per objective.
+    ``E_j = exp(dt R_j)`` that advances ``y`` over step j.  The final state
+    and its derivative are also given as 2x2 matrices.  ``_memo`` holds what
+    :mod:`qgrape.grape` evaluates on the final state, per objective.
     """
 
-    coords: np.ndarray
+    rows: np.ndarray
     steps: np.ndarray
     generators: np.ndarray
-    sensitivity: np.ndarray
     dt: float
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_steps(self) -> int:
         return self.steps.shape[0]
+
+    @property
+    def coords(self) -> np.ndarray:
+        """View (m+1, 4) of the states' Pauli coordinates in ``rows``."""
+        return self.rows[:, :4]
+
+    @property
+    def sensitivity(self) -> np.ndarray:
+        """View (m+1, 4) of the sensitivities in ``rows``."""
+        return self.rows[:, 4:]
 
     @property
     def step_propagators(self) -> np.ndarray:
@@ -485,12 +504,12 @@ def _first_bad(bad: np.ndarray) -> int:
 def _stability(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mask of the states of an (..., 4) stack of Pauli coordinates that lost
     positivity beyond the hard floor, their trace, or finiteness, and the
-    smaller eigenvalue of each."""
-    # past a bad step a state may have overflowed; its warnings are noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        lo = _min_eigenvalue(coords)
-        # written as "not good" so that a NaN state counts as bad
-        bad = ~((lo >= -POSITIVITY_HARD_FLOOR) & (np.abs(coords[..., 0] - 1.0) <= 1e-8))
+    smaller eigenvalue of each.  Past a bad step a state may have overflowed,
+    so the caller runs this under ``np.errstate(over="ignore",
+    invalid="ignore")``."""
+    lo = _min_eigenvalue(coords)
+    # written as "not good" so that a NaN state counts as bad
+    bad = ~((lo >= -POSITIVITY_HARD_FLOOR) & (np.abs(coords[..., 0] - 1.0) <= 1e-8))
     return bad, lo
 
 
@@ -544,8 +563,8 @@ def propagate(problem: EstimationProblem, grid: ControlGrid) -> Trajectory:
     gens = _generators(problem, grid.amplitudes)
     steps = _forward_steps(step_propagator(gens, grid.dt), problem.sensitivity_superop)
 
-    ys = np.zeros((grid.n_steps + 1, 8))
-    ys[0, :4] = _bloch(problem.probe)
+    ys = np.empty((grid.n_steps + 1, 8))
+    ys[0, :4], ys[0, 4:] = problem.probe_coords, 0.0
     # past a bad step the recursion may overflow; the check below reports the
     # first bad step, so the floating-point warnings of later ones are noise.
     # ndarray.dot into the next row is the cheapest call of the same 8x8
@@ -553,11 +572,9 @@ def propagate(problem: EstimationProblem, grid: ControlGrid) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         for j, step in enumerate(steps):
             step.dot(ys[j], out=ys[j + 1])
-    bad, lo = _stability(ys[1:, :4])
+        bad, lo = _stability(ys[1:, :4])
     first = _first_bad(bad)
     if first < grid.n_steps:
         raise _unstable(first + 1, lo[first])
 
-    return Trajectory(
-        coords=ys[:, :4], steps=steps, generators=gens, sensitivity=ys[:, 4:], dt=grid.dt
-    )
+    return Trajectory(rows=ys, steps=steps, generators=gens, dt=grid.dt)

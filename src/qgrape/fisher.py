@@ -41,6 +41,8 @@ SLD_RANK_TOL = 1e-12
 PURE_TANGENT_TOL = 1e-8
 OUTCOME_PROB_FLOOR = 1e-12
 OUTCOME_DERIV_FLOOR = 1e-9
+# bounds on |d| of a valid derivative: traceless within DERIVATIVE_TOL, finite
+_DERIVATIVE_BOUNDS = np.array([DERIVATIVE_TOL, *3 * [np.finfo(float).max]])
 
 
 def _coordinates(rho: np.ndarray, drho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,14 +133,14 @@ def _information(
     # mixed branch, or skip an outcome, with np.where, so the rows or
     # branches not used may divide by zero or meet non-finite numbers
     with np.errstate(divide="ignore", invalid="ignore"):
-        # written as "not good" so that NaN is rejected too
-        bad = ~(
+        # written as "good" so that NaN is rejected too; |d_i| <= the
+        # largest double says d_i is finite
+        good = (
             (np.abs(c[:, 0] - 1.0) <= TRACE_TOL)
             & (_min_eigenvalue(c) >= -POSITIVITY_SLACK)
-            & np.isfinite(d).all(axis=1)
-            & (np.abs(d[:, 0]) <= DERIVATIVE_TOL)
+            & (np.abs(d) <= _DERIVATIVE_BOUNDS).all(axis=1)
         )
-        stop = _first_bad(bad)
+        stop = _first_bad(~good)
         if povm is None:
             result = _qfi_rows(c[:stop], d[:stop])
         else:

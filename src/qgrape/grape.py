@@ -52,6 +52,8 @@ __all__ = [
 
 CONVERGENCE_WINDOW = 10
 MAX_BACKTRACK_HALVINGS = 20
+# steps of the finite-difference oracle whose states are checked together
+_STABILITY_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -140,21 +142,27 @@ def gradient(traj: Trajectory, problem: EstimationProblem, objective: Objective)
     exponential serves every control.  This is reverse-mode GRAPE on block
     forms (Goodwin & Kuprov, J. Chem. Phys. 143, 084113 (2015)).
     """
-    m, dt = traj.n_steps, traj.dt
+    m = traj.n_steps
     ybar = _backward_sweep(traj, objective)
-    # the rows (ybar_s, ybar_c + ybar_s G) pair with the columns (s, c)
-    left = np.stack([ybar[:, 4:], ybar[:, :4] + ybar[:, 4:] @ problem.sensitivity_superop], axis=1)
-    right = np.stack([traj.sensitivity[:-1], traj.coords[:-1]], axis=1)
-    weights = np.einsum("jsa,jsb->jab", right, left)
+    # the rows (ybar_s, ybar_c + ybar_s G) pair with the columns (s, c): the
+    # trajectory's rows y_{j-1} = (c, s), read back to front
+    left = np.empty((m, 2, 4))
+    left[:, 0] = ybar[:, 4:]
+    np.matmul(ybar[:, 4:], problem.sensitivity_superop, out=left[:, 1])
+    left[:, 1] += ybar[:, :4]
+    right = traj.rows[:-1].reshape(m, 2, 4)[:, ::-1]
+    block = np.empty((m, 8, 8))
+    block[:, :4, :4] = block[:, 4:, 4:] = traj.generators
+    block[:, 4:, :4] = 0.0
+    weights = np.einsum("jsa,jsb->jab", right, left, out=block[:, :4, 4:])
     # X_j is linear in C_j, so C is exponentiated scaled by a power of two to
     # entries below 1 and X scaled back, both exactly: then the generators
     # alone set the kernel's scaling, as in Al-Mohy & Higham's Frechet
     # derivative algorithm (SIAM J. Matrix Anal. Appl. 30, 1639 (2009))
     _, scale = np.frexp(np.abs(weights).max(initial=0.0))
-    block = np.zeros((m, 8, 8))
-    block[:, :4, :4] = block[:, 4:, 4:] = traj.generators
-    block[:, :4, 4:] = np.ldexp(weights, -scale)
-    integrals = np.ldexp(_expm(block, dt)[:, :4, 4:], scale)
+    np.ldexp(weights, -scale, out=weights)
+    integrals = _expm(block, traj.dt)[:, :4, 4:]
+    np.ldexp(integrals, scale, out=integrals)
     return np.einsum("kab,jba->jk", problem.control_superops, integrals)
 
 
@@ -173,11 +181,12 @@ def finite_difference_gradient(
     after it, so it equals, bit for bit, what a full re-propagation would
     compute.  Only the 2 m p bumped steps are exponentiated anew, as one
     stack.  All 2 m p trajectories advance together in one loop over the
-    steps, each state passing the check of :func:`propagate` as it is made,
-    and their final states are evaluated in one stacked call.  Errors follow
-    entry order ``(j, k, sign)``: the first entry whose trajectory goes
-    unstable (:class:`NumericalStabilityError` naming its first bad step) or
-    whose final state fails the evaluation raises.
+    steps, every state passing the check of :func:`propagate` in blocks of
+    ``_STABILITY_BLOCK`` steps, and their final states are evaluated in one
+    stacked call.  Errors follow entry order ``(j, k, sign)``: the first
+    entry whose trajectory goes unstable (:class:`NumericalStabilityError`
+    naming its first bad step) or whose final state fails the evaluation
+    raises.
     """
     if not (np.isfinite(delta) and delta > 0):
         raise ValidationError(f"delta must be finite and positive, got {delta}")
@@ -201,22 +210,33 @@ def finite_difference_gradient(
     # the trajectories in entry order, so that those bumped at or before
     # step i are the first 2 p (i + 1); each step is one (8, 8) @ (8, 1)
     # product per trajectory, as in propagate (an (8, 8) @ (8, n) block
-    # would round differently), and only each trajectory's current state
-    # and its first bad step are kept
-    base_ys = np.concatenate([base.coords, base.sensitivity], axis=1)[:, :, None]
-    ys, out = np.empty((2, 2 * m * p, 8, 1))
-    first_bad = np.zeros(2 * m * p, dtype=int)
-    first_lo = np.empty(2 * m * p)
+    # would round differently).  The states of a block of steps are kept,
+    # slot 0 holding those before it, and checked together; then only each
+    # trajectory's current state and its first bad step are kept.  A
+    # trajectory's slots hold the maximally mixed state until it is made,
+    # which passes the check
+    n, length = 2 * m * p, min(m, _STABILITY_BLOCK)
+    base_ys = base.rows[:, :, None]
+    states = np.zeros((length + 1, n, 8, 1))
+    states[:, :, 0] = 1.0
+    first_bad = np.zeros(n, dtype=int)
+    first_lo = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(m):
-            done, active = 2 * p * i, 2 * p * (i + 1)
-            np.matmul(base.steps[i], ys[:done], out=out[:done])
-            np.matmul(bumped_steps[i], base_ys[i], out=out[done:active])
-            ys, out = out, ys
-            bad, lo = _stability(ys[:active, :4, 0])
-            if bad.any():
-                fresh = bad & (first_bad[:active] == 0)
-                first_bad[:active][fresh], first_lo[:active][fresh] = i + 1, lo[fresh]
+        for start in range(0, m, length):
+            end = min(start + length, m)
+            for i in range(start, end):
+                done, active = 2 * p * i, 2 * p * (i + 1)
+                prev, cur = states[i - start], states[i - start + 1]
+                np.matmul(base.steps[i], prev[:done], out=cur[:done])
+                np.matmul(bumped_steps[i], base_ys[i], out=cur[done:active])
+            bad, lo = _stability(states[1 : end - start + 1, :active, :4, 0])
+            fresh = bad.any(axis=0) & (first_bad[:active] == 0)
+            if fresh.any():
+                at = bad[:, fresh].argmax(axis=0)
+                first_bad[:active][fresh] = start + 1 + at
+                first_lo[:active][fresh] = lo[at, fresh.nonzero()[0]]
+            states[0] = states[end - start]
+    ys = states[0]
 
     stop = _first_bad(first_bad > 0)
     values = _information(ys[:stop, :4, 0], dt * ys[:stop, 4:, 0], objective.povm)[0]

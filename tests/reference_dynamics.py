@@ -19,6 +19,12 @@ generators, and the trajectory that the Liouville-space gradient references
 in ``reference_gradient`` read.  Its constructors (:func:`vectorize`,
 :func:`commutator_superop`, :func:`dissipator` and the change of basis
 ``PAULI_BASIS``) live here and share no code with the library's generators.
+
+:func:`expm_matrix_major` is the Taylor scaling-and-squaring kernel as it was
+before :func:`qgrape.dynamics._expm` stored its powers power-major, formed
+its coefficient blocks in one product and skipped the column sums under a
+bound: the same arithmetic by another route, so the suite requires the two to
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -118,6 +124,64 @@ def pauli_superop(liouvillian: np.ndarray) -> np.ndarray:
     return 2.0 * PAULI_BASIS.conj().T @ liouvillian @ PAULI_BASIS
 
 
+# The degree-18 Taylor polynomial T18(A) = sum_k A^k / k! is evaluated by
+# Paterson-Stockmeyer as a polynomial in A^4 whose coefficients are the
+# blocks B_i = sum_r A^r / (4i + r)!, r = 0..3; row i of _TAYLOR18 holds the
+# factors of I, A, A^2 and A^3 in B_i.  _THETA18 is the 1-norm up to which T18
+# has a relative backward error of at most 2^-53: the root of
+# sum_{k>18} |g_k| x^(k-1) = 2^-53 for the series
+# log(e^-x T18(x)) = sum_k g_k x^k (Al-Mohy & Higham, SIAM J. Matrix Anal.
+# Appl. 31, 970 (2009)).
+_TAYLOR18 = np.array(
+    [[1.0 / math.factorial(k) if k <= 18 else 0.0 for k in range(4 * i, 4 * i + 4)]
+     for i in range(5)]
+)
+_THETA18 = 1.090863719290036
+
+
+def expm_matrix_major(generators: np.ndarray, dt: float) -> np.ndarray:
+    """``exp(dt * A)`` for one square matrix or every matrix of a stack, by
+    scaling and squaring with the degree-18 Taylor polynomial.
+
+    Each matrix gets its own scaling ``s = max(0, ceil(log2(|dt A|_1 /
+    theta18)))``, applied exactly as a power of two, and only its own ``s``
+    squarings, so a matrix's exponential is bitwise the same alone or in any
+    stack.  The polynomial takes seven stacked matrix products and no linear
+    solve.  A zero row of ``A`` gives the same row of the identity in the
+    result, exactly, so a trace-preserving Pauli generator's exponential keeps
+    the trace row ``(1, 0, 0, 0)``.  Real input gives real output, complex
+    input complex output.  Non-finite input gives non-finite output without
+    floating-point warnings.
+    """
+    a = np.asarray(generators)
+    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
+    shape, n = a.shape, a.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a = np.ascontiguousarray(dt * a).reshape(-1, n, n)
+        # column sums as one stacked product: a reduction over the middle
+        # axis of small matrices costs several times more
+        col_sums = np.ones(n) @ np.abs(a)
+        s = np.zeros(len(a), dtype=int)
+        if (col_sums > _THETA18).any():
+            s = np.ceil(np.log2(col_sums.max(axis=-1) / _THETA18))
+            s = np.where(np.isfinite(s) & (s > 0), s, 0).astype(int)
+            a = np.ldexp(a.view(float), -s[:, None, None]).view(a.dtype)
+        powers = np.empty((len(a), 4, n, n), dtype=a.dtype)
+        powers[:, 0] = np.eye(n)
+        powers[:, 1] = a
+        np.matmul(a, a, out=powers[:, 2])
+        np.matmul(powers[:, 2], a, out=powers[:, 3])
+        a4 = powers[:, 2] @ powers[:, 2]
+        blocks = (_TAYLOR18 @ powers.reshape(-1, 4, n * n)).reshape(-1, 5, n, n)
+        x = blocks[:, 4]
+        for i in (3, 2, 1, 0):
+            x = x @ a4 + blocks[:, i]
+        for i in range(s.max(initial=0)):
+            squared = s > i
+            x[squared] = x[squared] @ x[squared]
+    return x.reshape(shape)
+
+
 def _check_controls(problem: EstimationProblem, grid: ControlGrid) -> None:
     if grid.n_controls != problem.n_controls:
         raise ValidationError(
@@ -164,10 +228,9 @@ def propagate_stepwise(problem: EstimationProblem, grid: ControlGrid) -> Traject
         sens[j + 1] = s
 
     return Trajectory(
-        coords=coords,
+        rows=np.concatenate([coords, sens], axis=1),
         steps=steps,
         generators=gens,
-        sensitivity=sens,
         dt=grid.dt,
     )
 

@@ -31,6 +31,11 @@ adjoint sweep replaced is kept as :func:`backward_rows`, on the library's
 real trajectory.  The finite-difference oracle is kept in its original form, one full
 :func:`qgrape.dynamics.propagate` per perturbed entry; the library's version,
 which re-propagates only from the bumped step on, must equal it bit for bit.
+The stacked gradient is also kept as :func:`stacked_exact_gradient`, with the
+Van Loan block built from copies (two ``np.stack`` calls, a zero-filled block,
+an out-of-place ``ldexp``) and exponentiated by the frozen kernel
+``reference_dynamics.expm_matrix_major``; the library's gradient, which
+writes into one preallocated block, must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -47,9 +52,9 @@ from qgrape.dynamics import (
     Trajectory as PauliTrajectory,
 )
 from qgrape.errors import ValidationError
-from qgrape.grape import Objective, _final_information, evaluate_objective
+from qgrape.grape import Objective, _backward_sweep, _final_information, evaluate_objective
 from reference_dynamics import LiouvilleTrajectory as Trajectory
-from reference_dynamics import commutator_superop, unvectorize, vectorize
+from reference_dynamics import commutator_superop, expm_matrix_major, unvectorize, vectorize
 
 logger = logging.getLogger(__name__)
 
@@ -246,6 +251,25 @@ def looped_exact_gradient(
     control, and the weights of :func:`objective_weights`."""
     w1, w2 = objective_weights(traj, objective)
     return _gradient_exact_looped(traj, problem, w1, w2)
+
+
+def stacked_exact_gradient(
+    traj: PauliTrajectory, problem: EstimationProblem, objective: Objective
+) -> np.ndarray:
+    """The library's exact gradient table (m, p) on its real trajectory, with
+    the Van Loan block assembled from copies."""
+    m, dt = traj.n_steps, traj.dt
+    ybar = _backward_sweep(traj, objective)
+    # the rows (ybar_s, ybar_c + ybar_s G) pair with the columns (s, c)
+    left = np.stack([ybar[:, 4:], ybar[:, :4] + ybar[:, 4:] @ problem.sensitivity_superop], axis=1)
+    right = np.stack([traj.sensitivity[:-1], traj.coords[:-1]], axis=1)
+    weights = np.einsum("jsa,jsb->jab", right, left)
+    _, scale = np.frexp(np.abs(weights).max(initial=0.0))
+    block = np.zeros((m, 8, 8))
+    block[:, :4, :4] = block[:, 4:, 4:] = traj.generators
+    block[:, :4, 4:] = np.ldexp(weights, -scale)
+    integrals = np.ldexp(expm_matrix_major(block, dt)[:, :4, 4:], scale)
+    return np.einsum("kab,jba->jk", problem.control_superops, integrals)
 
 
 def finite_difference_gradient_full(

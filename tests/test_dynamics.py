@@ -16,6 +16,7 @@ from reference_dynamics import (
     commutator_superop,
     dephasing_axis,
     dissipator,
+    expm_matrix_major,
     pauli_superop,
     propagate_liouville,
     propagate_stepwise,
@@ -385,6 +386,38 @@ class TestStackedExponential:
             stacked = dyn._expm(a, 0.5)
             for i, mat in enumerate(a):
                 np.testing.assert_array_equal(stacked[i], dyn._expm(mat, 0.5), err_msg=name)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_equals_matrix_major_reference(self, n):
+        # the power-major layout, the single coefficient product and the
+        # in-place Horner steps keep the arithmetic of the frozen
+        # matrix-major kernel, real and complex
+        for name, a in kernel_cases(np.random.default_rng(70 + n), n).items():
+            for stack in (a, np.ascontiguousarray(a.real)):
+                got, want = dyn._expm(stack, 0.5), expm_matrix_major(stack, 0.5)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        # n max|dt a| on both sides of theta18, with and without scaling
+        rng = np.random.default_rng(80 + n)
+        bound = dyn._THETA18 / n
+        for ratio in (0.5, 0.9, 0.999, 1.0, 1.001, 1.1, 2.0, 8.0):
+            a = rng.normal(size=(30, n, n)) + 1j * rng.normal(size=(30, n, n))
+            for stack in (a, np.ascontiguousarray(a.real)):
+                # each matrix's largest entry times n is ratio * theta18
+                stack = stack * (ratio * bound / np.abs(stack).max(axis=(-2, -1)))[:, None, None]
+                got, want = dyn._expm(stack, 1.0), expm_matrix_major(stack, 1.0)
+                assert got.tobytes() == want.tobytes(), (ratio, stack.dtype)
+                solo = dyn._expm(stack[0], 1.0)
+                assert solo.tobytes() == expm_matrix_major(stack[0], 1.0).tobytes()
+        # a stack long enough that the one coefficient product is far larger
+        # than the per-matrix ones, which a BLAS may give to another kernel
+        a = 0.3 * rng.normal(size=(2000, n, n))
+        assert dyn._expm(a, 1.0).tobytes() == expm_matrix_major(a, 1.0).tobytes()
+        # a non-finite entry
+        for bad in (math.nan, math.inf):
+            stack = 0.1 * rng.normal(size=(3, n, n))
+            stack[1, 0, 1] = bad
+            got, want = dyn._expm(stack, 1.0), expm_matrix_major(stack, 1.0)
+            assert got.tobytes() == want.tobytes(), bad
 
     @pytest.mark.parametrize(
         "noise",

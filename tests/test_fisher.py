@@ -320,6 +320,61 @@ class TestCfi:
             fisher.cfi(rho, drho, fisher.Povm.plus_minus())
 
 
+def _row_error(c, d):
+    """The error that the per-row checks give a state and its derivative in
+    Pauli coordinates, or None."""
+    try:
+        dyn._check_state(c)
+    except ValidationError as exc:
+        return str(exc)
+    if not np.isfinite(d).all():
+        return "state derivative must be finite"
+    if not abs(d[0]) <= fisher.DERIVATIVE_TOL:
+        return "state derivative must be traceless"
+    return None
+
+
+class TestStackedValidity:
+    def test_mask_follows_the_row_checks_at_their_edges(self):
+        # each threshold exactly and one ulp to either side: the stacked
+        # kernel rejects the rows that the per-row checks reject, first one
+        # first, with the same message
+        def ulps(x):
+            return (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))
+
+        ok_c, ok_d = np.array([1.0, 0.3, 0.0, 0.0]), np.array([0.0, 0.0, 0.1, 0.0])
+        rows = []
+        for tol in (-dyn.TRACE_TOL, dyn.TRACE_TOL):
+            rows += [(np.array([t, 0.3, 0.0, 0.0]), ok_d) for t in ulps(1.0 + tol)]
+        # (c0 - |r|)/2 at -POSITIVITY_SLACK
+        edge = 1.0 + 2.0 * dyn.POSITIVITY_SLACK
+        rows += [(np.array([1.0, 0.0, r, 0.0]), ok_d) for r in ulps(edge)]
+        rows += [(np.array([1.0, -0.6 * r, 0.0, 0.8 * r]), ok_d) for r in ulps(edge)]
+        for tol in (-fisher.DERIVATIVE_TOL, fisher.DERIVATIVE_TOL):
+            rows += [(ok_c, np.array([t, 0.0, 0.1, 0.0])) for t in ulps(tol)]
+        for bad in (math.nan, math.inf, -math.inf):
+            for i in range(4):
+                rows += [(ok_c, np.where(np.arange(4) == i, bad, ok_d))]
+                rows += [(np.where(np.arange(4) == i, bad, ok_c), ok_d)]
+        rows += [(np.full(4, math.nan), np.full(4, math.inf))]
+        expected = [_row_error(c, d) for c, d in rows]
+        assert None in expected and len(set(expected)) > 3
+        for i, (c, d) in enumerate(rows):
+            for stack_c, stack_d, want in (
+                (c[None], d[None], expected[i]),
+                # behind a good row and ahead of every later row
+                (np.array([ok_c, c, *[r[0] for r in rows[i + 1:]]]),
+                 np.array([ok_d, d, *[r[1] for r in rows[i + 1:]]]),
+                 expected[i] or next(filter(None, expected[i + 1:]), None)),
+            ):
+                if want is None:
+                    fisher._information(stack_c, stack_d, None)
+                    continue
+                with pytest.raises(ValidationError) as excinfo:
+                    fisher._information(stack_c, stack_d, None)
+                assert str(excinfo.value) == want, i
+
+
 class TestTerminalDerivative:
     def test_zero_horizon(self):
         prob = dyn.frequency_estimation_problem(1.0, None, dyn.plus_state(), 0.0)

@@ -188,6 +188,29 @@ class TestGradientPaths:
             want = np.concatenate([2.0 * dt * lam, 2.0 * dt * q - mu], axis=1)
             assert np.abs(z - want).max() <= 1e-13 * np.abs(want).max(), objective.kind
 
+    def test_equals_copying_assembly_reference(self):
+        # the in-place Van Loan assembly and the power-major kernel keep the
+        # arithmetic of the copying assembly and the matrix-major kernel
+        rng = np.random.default_rng(16)
+        povm = fisher.Povm.plus_minus()
+        cases = [(name, noise, 40, dyn.PAULIS, 1.0) for name, noise in NOISE_MODELS.items()]
+        cases += [("emission p=1", NOISE_MODELS["emission"], 25, dyn.PAULIS[:1], 1.0)]
+        cases += [("transverse p=0", NOISE_MODELS["transverse"], 10, (), 1.0)]
+        # amplitudes large enough that the block exponentials are scaled
+        cases += [("emission strong", NOISE_MODELS["emission"], 40, dyn.PAULIS, 40.0)]
+        for name, noise, m, gens, scale in cases:
+            dt = 0.05
+            prob = dyn.frequency_estimation_problem(
+                1.0, noise, dyn.plus_state(), m * dt, control_generators=gens
+            )
+            grid = random_schedule(rng, m, dt, p=len(gens), scale=scale)
+            traj = dyn.propagate(prob, grid)
+            for objective in (grape.qfi_objective(), grape.cfi_objective(povm)):
+                got = grape.gradient(traj, prob, objective)
+                want = ref.stacked_exact_gradient(traj, prob, objective)
+                assert got.shape == (m, len(gens))
+                assert got.tobytes() == want.tobytes(), f"{name} {objective.kind}"
+
     def test_no_controls_give_an_empty_table(self):
         prob = dyn.frequency_estimation_problem(
             1.0, NOISE_MODELS["emission"], dyn.plus_state(), 1.0, control_generators=()
@@ -421,6 +444,29 @@ class TestFiniteDifferenceGradient:
         assert excinfo.value.step == expected.value.step
         assert str(excinfo.value) == str(expected.value)
 
+    @pytest.mark.parametrize(
+        "rate, steps, first_bad", [(-2.0, 40, 13), (-1.0, 40, 24), (-0.5, 60, 47)]
+    )
+    def test_first_bad_step_inside_a_checked_block(self, rate, steps, first_bad):
+        # the unstable-bump set-up of the test above, with the first bad
+        # step of the raising trajectory neither the first nor the last of
+        # the block of steps whose states are checked together
+        noise = dyn.Dephasing(theta=0.0, phi=0.0, gamma=0.1)
+        object.__setattr__(noise, "gamma", rate)
+        prob = dyn.frequency_estimation_problem(
+            1.0, noise, dyn.zero_state(), steps * 0.1,
+            control_generators=(dyn.SIGMA_Z, dyn.SIGMA_X),
+        )
+        grid = dyn.ControlGrid.zeros(steps, 2, 0.1)
+        with pytest.raises(NumericalStabilityError) as expected:
+            ref.finite_difference_gradient_full(prob, grid, grape.qfi_objective(), delta=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalStabilityError) as excinfo:
+                grape.finite_difference_gradient(prob, grid, grape.qfi_objective(), delta=1e-3)
+        assert excinfo.value.step == expected.value.step == first_bad
+        assert (first_bad - 1) % grape._STABILITY_BLOCK not in (0, grape._STABILITY_BLOCK - 1)
+        assert str(excinfo.value) == str(expected.value)
 
     def test_information_error_of_an_earlier_entry_comes_first(self):
         # a smuggled negative dephasing rate along x leaves the unperturbed
