@@ -169,20 +169,12 @@ def _cmd_oracle(args) -> int:
     elif args.model == "spontaneous":
         value = oracles.spontaneous_free_qfi(args.gamma_plus, args.gamma_minus, args.horizon)
     elif args.model == "parallel-pulse":
-        value = oracles.parallel_single_pulse_qfi(
-            oracles.SinglePulsePlan(
-                t0=args.t0, horizon=args.horizon, omega0=args.omega0, gamma=args.gamma
-            )
-        )
+        value = oracles.parallel_single_pulse_qfi(args.gamma, args.omega0, args.horizon, args.t0)
     else:
+        if args.gamma_plus != 0.0:
+            raise ConfigError("the back-to-plane pulse strategy assumes gamma_plus = 0")
         value = oracles.spontaneous_single_pulse_qfi(
-            oracles.SinglePulsePlan(
-                t0=args.t0,
-                horizon=args.horizon,
-                omega0=args.omega0,
-                gamma_plus=args.gamma_plus,
-                gamma_minus=args.gamma_minus,
-            )
+            args.gamma_minus, args.omega0, args.horizon, args.t0
         )
     print(f"{value:.6g}")
     return 0

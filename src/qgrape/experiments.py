@@ -21,6 +21,7 @@ import math
 import platform
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from .dynamics import (
     step_count,
     zero_state,
 )
-from .errors import ConfigError, QGrapeError
+from .errors import ConfigError, QGrapeError, ValidationError
 from .fisher import Povm
 from .grape import AscentConfig, Objective, ascend, cfi_objective, objective_value, qfi_objective
 
@@ -105,6 +106,10 @@ class ScenarioConfig:
                 raise ConfigError("sweep grid must be strictly increasing")
         if not 0 < self.horizon < math.inf:
             raise ConfigError(f"horizon must be finite and positive, got {self.horizon}")
+        try:
+            self.noise_model()
+        except ValidationError as exc:
+            raise ConfigError(f"noise: {exc}") from exc
 
     @property
     def dt(self) -> float:
@@ -367,43 +372,43 @@ def _theta_axis(config: ScenarioConfig):
     return tuple(probes), point, {}
 
 
-def _single_pulse_qfi(config: ScenarioConfig, horizon: float, t0: np.ndarray) -> np.ndarray:
-    """Closed-form information of one instantaneous pulse at each pulse time
-    of the array ``t0``: the parallel dephasing oracle for dephasing noise,
-    the decay oracle otherwise.  Each oracle reads only its own rate fields
-    of the plan."""
-    plan = oracles.SinglePulsePlan(
-        t0=0.0,
-        horizon=horizon,
-        omega0=config.omega0_true,
-        gamma=config.noise_gamma,
-        gamma_plus=config.noise_gamma_plus,
-        gamma_minus=config.noise_gamma_minus,
-    )
-    if config.noise_kind == "dephasing":
-        return oracles._parallel_pulse_qfi(plan, t0)
-    return oracles._spontaneous_pulse_qfi(plan, t0)
+def _single_pulse_forms(config: ScenarioConfig):
+    """The closed forms that apply to ``config``'s noise: the single-pulse
+    oracle, as a function of (horizon, t0), and the matching free-evolution
+    information, as a function of the horizon.  Parallel dephasing
+    (theta = 0) and decay without a raising rate have them; for any other
+    noise this is ``None``."""
+    if config.noise_kind == "dephasing" and abs(config.noise_theta) < 1e-9:
+        return (
+            partial(oracles.parallel_single_pulse_qfi, config.noise_gamma, config.omega0_true),
+            partial(oracles.parallel_free_qfi, config.noise_gamma),
+        )
+    if config.noise_kind == "spontaneous" and config.noise_gamma_plus == 0.0:
+        return (
+            partial(oracles.spontaneous_single_pulse_qfi, config.noise_gamma_minus,
+                    config.omega0_true),
+            partial(oracles.spontaneous_free_qfi, 0.0, config.noise_gamma_minus),
+        )
+    return None
 
 
 def _best_single_pulse(config: ScenarioConfig, horizon: float) -> float:
-    return float(_single_pulse_qfi(config, horizon, np.linspace(0.0, horizon, 400)).max())
+    """Best closed-form single-pulse information over 400 evenly spaced pulse
+    times, or ``nan`` where no single-pulse closed form applies."""
+    forms = _single_pulse_forms(config)
+    if forms is None:
+        return math.nan
+    return float(forms[0](horizon, np.linspace(0.0, horizon, 400)).max())
 
 
 def _oracle_curve(config: ScenarioConfig, horizon: float) -> float:
-    """Reference curve for time scans: the held-at-plus closed form for
-    transverse dephasing, the best single-pulse value for parallel dephasing
-    and for spontaneous emission without a raising rate, T^2 without noise,
-    and ``nan`` where none of these applies."""
+    """Reference curve for time scans: T^2 without noise, the held-at-plus
+    closed form for transverse dephasing, and the best single pulse of
+    :func:`_best_single_pulse` otherwise."""
     if config.noise_kind == "none":
         return horizon**2
-    if config.noise_kind == "dephasing":
-        if abs(config.noise_theta - math.pi / 2) < 1e-9:
-            return oracles.transverse_controlled_qfi(config.noise_gamma, horizon)
-        if abs(config.noise_theta) < 1e-9:
-            return _best_single_pulse(config, horizon)
-        return math.nan
-    if config.noise_gamma_plus != 0.0:
-        return math.nan
+    if config.noise_kind == "dephasing" and abs(config.noise_theta - math.pi / 2) < 1e-9:
+        return oracles.transverse_controlled_qfi(config.noise_gamma, horizon)
     return _best_single_pulse(config, horizon)
 
 
@@ -452,24 +457,18 @@ def _omega_hat_axis(config: ScenarioConfig):
 def _t0_axis(config: ScenarioConfig):
     """Closed-form single-pulse information as a function of the pulse time,
     with the free-evolution value as the horizontal reference."""
-    if config.noise_kind == "dephasing" and abs(config.noise_theta) > 1e-9:
-        raise ConfigError("single-pulse analysis covers parallel dephasing (theta = 0)")
-    if config.noise_kind == "none":
-        raise ConfigError("single-pulse analysis requires a noise model")
-    if config.noise_kind == "spontaneous" and config.noise_gamma_plus != 0.0:
-        raise ConfigError("single-pulse analysis of spontaneous emission assumes gamma_plus = 0")
+    forms = _single_pulse_forms(config)
+    if forms is None:
+        raise ConfigError("single-pulse analysis covers parallel dephasing (theta = 0) and "
+                          "spontaneous emission without a raising rate (gamma_plus = 0)")
     if config.sweep_start < 0 or config.sweep_stop > config.horizon:
         raise ConfigError("t0 grid must lie within [0, T]")
-    if config.noise_kind == "dephasing":
-        reference = oracles.parallel_free_qfi(config.noise_gamma, config.horizon)
-    else:
-        reference = oracles.spontaneous_free_qfi(
-            config.noise_gamma_plus, config.noise_gamma_minus, config.horizon
-        )
+    pulse, free = forms
+    reference = free(config.horizon)
 
     def point(index: int, t0: float):
-        value = float(_single_pulse_qfi(config, config.horizon, np.array([t0]))[0])
-        return {"pulse_scan": dict(oracle_qfi=value, uncontrolled_qfi=reference)}, {}
+        return {"pulse_scan": dict(oracle_qfi=pulse(config.horizon, t0),
+                                   uncontrolled_qfi=reference)}, {}
 
     return ("pulse_scan",), point, {}
 

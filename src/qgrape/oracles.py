@@ -11,7 +11,6 @@ instantaneous rotation at time t0, and evolves freely again until T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .errors import UndefinedRotationError, ValidationError
 from .fisher import _qfi_bloch
 
 __all__ = [
-    "SinglePulsePlan",
     "transverse_controlled_qfi",
     "transverse_bloch",
     "parallel_free_qfi",
@@ -40,32 +38,19 @@ def _check_nonnegative(**values: float) -> None:
             raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
 
 
-@dataclass(frozen=True)
-class SinglePulsePlan:
-    """One instantaneous rotation at t0 within a horizon T.
-
-    For parallel dephasing the pulse is a fixed pi/2 rotation about y; for
-    spontaneous emission it is the y-rotation bringing the Bloch vector
-    (evaluated at the reference frequency ``omega0``) back to the x-y plane.
-    ``gamma``/``gamma_plus``/``gamma_minus`` select the noise strength.
-    """
-
-    t0: float
-    horizon: float
-    omega0: float = 1.0
-    gamma: float = 0.0
-    gamma_plus: float = 0.0
-    gamma_minus: float = 0.0
-
-    def __post_init__(self):
-        _check_nonnegative(horizon=self.horizon, gamma=self.gamma,
-                           gamma_plus=self.gamma_plus, gamma_minus=self.gamma_minus)
-        if not math.isfinite(self.omega0):
-            raise ValidationError(f"omega0 must be finite, got {self.omega0}")
-        if not 0.0 <= self.t0 <= self.horizon:
-            raise ValidationError(
-                f"pulse time t0 = {self.t0} must lie in [0, {self.horizon}]"
-            )
+def _pulse_times(horizon: float, omega0: float, t0, **rates: float) -> np.ndarray:
+    """The pulse times ``t0`` (a float or an array) as a flat array, once the
+    rates and horizon are finite and nonnegative, ``omega0`` is finite and
+    every pulse time lies in [0, T]."""
+    _check_nonnegative(horizon=horizon, **rates)
+    if not math.isfinite(omega0):
+        raise ValidationError(f"omega0 must be finite, got {omega0}")
+    times = np.asarray(t0, dtype=float).ravel()
+    # written as "not good" so that a NaN pulse time is rejected too
+    first = _first_bad(~((0.0 <= times) & (times <= horizon)))
+    if first < times.size:
+        raise ValidationError(f"pulse time t0 = {times[first]} must lie in [0, {horizon}]")
+    return times
 
 
 def transverse_controlled_qfi(gamma: float, horizon: float) -> float:
@@ -120,34 +105,31 @@ def parallel_free_qfi(gamma: float, horizon: float) -> float:
     return horizon * horizon * math.exp(-2.0 * gamma * horizon)
 
 
-def parallel_single_pulse_qfi(plan: SinglePulsePlan) -> float:
+def parallel_single_pulse_qfi(gamma: float, omega0: float, horizon: float, t0):
     """Information at T for a pi/2 y-pulse applied at t0 under parallel
-    dephasing.
+    dephasing at rate ``gamma``, for a float ``t0`` or at every pulse time of
+    an array ``t0`` (the result then has its shape).
 
     The final Bloch vector is
     ``(e^{-gT} sin(w d) sin(w t0), e^{-gT} cos(w d) sin(w t0),
     e^{-g t0} cos(w t0))`` with ``d = T - t0``; it and its derivative in w
     go to :func:`qgrape.fisher.qfi_bloch`.
     """
-    return float(_parallel_pulse_qfi(plan, np.array([plan.t0]))[0])
-
-
-def _parallel_pulse_qfi(plan: SinglePulsePlan, t0: np.ndarray) -> np.ndarray:
-    """:func:`parallel_single_pulse_qfi` of ``plan`` at every pulse time of
-    the array ``t0`` (``plan.t0`` is not read)."""
-    gamma, w, horizon = plan.gamma, plan.omega0, plan.horizon
-    tail = horizon - t0
-    sin_b, cos_b = np.sin(w * t0), np.cos(w * t0)
+    times = _pulse_times(horizon, omega0, t0, gamma=gamma)
+    w = omega0
+    tail = horizon - times
+    sin_b, cos_b = np.sin(w * times), np.cos(w * times)
     sin_a, cos_a = np.sin(w * tail), np.cos(w * tail)
     decay_t = math.exp(-gamma * horizon)
-    decay_0 = np.exp(-gamma * t0)
+    decay_0 = np.exp(-gamma * times)
     r = [decay_t * sin_a * sin_b, decay_t * cos_a * sin_b, decay_0 * cos_b]
     dr = [
-        decay_t * (tail * cos_a * sin_b + t0 * sin_a * cos_b),
-        decay_t * (t0 * cos_a * cos_b - tail * sin_a * sin_b),
-        -decay_0 * t0 * sin_b,
+        decay_t * (tail * cos_a * sin_b + times * sin_a * cos_b),
+        decay_t * (times * cos_a * cos_b - tail * sin_a * sin_b),
+        -decay_0 * times * sin_b,
     ]
-    return _qfi_bloch(np.stack(r, axis=1), np.stack(dr, axis=1))
+    value = _qfi_bloch(np.stack(r, axis=1), np.stack(dr, axis=1))
+    return float(value[0]) if np.ndim(t0) == 0 else value.reshape(np.shape(t0))
 
 
 def spontaneous_free_bloch(
@@ -186,9 +168,11 @@ def spontaneous_free_qfi(gamma_plus: float, gamma_minus: float, horizon: float) 
     return horizon * horizon * math.exp(-(gamma_plus + gamma_minus) * horizon)
 
 
-def _spontaneous_pulse_qfi(plan: SinglePulsePlan, t0: np.ndarray) -> np.ndarray:
-    """:func:`spontaneous_single_pulse_qfi` of ``plan`` at every pulse time
-    of the array ``t0`` (``plan.t0`` is not read).
+def spontaneous_single_pulse_qfi(gamma_minus: float, omega0: float, horizon: float, t0):
+    """Information at T for the pulse that rotates the probe back to the x-y
+    plane at t0 under decay at rate ``gamma_minus`` (no raising rate), for a
+    float ``t0`` or at every pulse time of an array ``t0`` (the result then
+    has its shape).
 
     The final Bloch vector and its frequency derivative for the back-to-plane
     pulse strategy go to :func:`qgrape.fisher.qfi_bloch`, with the rotation
@@ -197,18 +181,18 @@ def _spontaneous_pulse_qfi(plan: SinglePulsePlan, t0: np.ndarray) -> np.ndarray:
     frequency, is held fixed.  The first pulse time whose rotation is
     undefined or whose state fails the information check raises.
     """
-    if plan.gamma_plus != 0.0:
-        raise ValidationError("the back-to-plane pulse strategy assumes gamma_plus = 0")
-    gamma = plan.gamma_minus
-    w, horizon = plan.omega0, plan.horizon
+    times = _pulse_times(horizon, omega0, t0, gamma_minus=gamma_minus)
+    gamma, w = gamma_minus, omega0
 
-    cos_b, sin_b = np.cos(w * t0), np.sin(w * t0)
-    env = np.exp(-0.5 * gamma * t0)
+    cos_b, sin_b = np.cos(w * times), np.sin(w * times)
+    env = np.exp(-0.5 * gamma * times)
     plane_norm = np.hypot(env * cos_b, -1.0 + env * env)
     stop = _first_bad(plane_norm < 1e-12)
     # the rotation is undefined at stop: the pulse times from there on are
     # not evaluated
-    pulse, cos_b, sin_b, env, plane_norm = (a[:stop] for a in (t0, cos_b, sin_b, env, plane_norm))
+    pulse, cos_b, sin_b, env, plane_norm = (
+        a[:stop] for a in (times, cos_b, sin_b, env, plane_norm)
+    )
     pre = (env * cos_b, env * sin_b, -1.0 + env * env)
     d_pre_x, d_pre_y = -pulse * env * sin_b, pulse * env * cos_b  # d_pre_z = 0
     # the y-rotation by (c1, c3) takes pre to (plane_norm, r2(t0), 0)
@@ -231,14 +215,8 @@ def _spontaneous_pulse_qfi(plan: SinglePulsePlan, t0: np.ndarray) -> np.ndarray:
         relax_tail * dq[2],
     ]
     value = _qfi_bloch(np.stack(r, axis=1), np.stack(dr, axis=1))
-    if stop < len(t0):
+    if stop < len(times):
         raise UndefinedRotationError(
-            f"pre-pulse state at t0 = {float(t0[stop])} has no x-z component to rotate"
+            f"pre-pulse state at t0 = {float(times[stop])} has no x-z component to rotate"
         )
-    return value
-
-
-def spontaneous_single_pulse_qfi(plan: SinglePulsePlan) -> float:
-    """Information at T for the pulse that rotates the probe back to the x-y
-    plane at t0 under decay (gamma_plus = 0)."""
-    return float(_spontaneous_pulse_qfi(plan, np.array([plan.t0]))[0])
+    return float(value[0]) if np.ndim(t0) == 0 else value.reshape(np.shape(t0))

@@ -230,14 +230,8 @@ def test_criterion_07_enhancement_ordering_across_angles():
 def test_criterion_08_single_pulse_parallel_strategy():
     gamma = 0.1
     def best_pulse(horizon):
-        return max(
-            oracles.parallel_single_pulse_qfi(
-                oracles.SinglePulsePlan(
-                    t0=float(t0), horizon=horizon, omega0=OMEGA, gamma=gamma
-                )
-            )
-            for t0 in np.linspace(0.0, horizon, 800)
-        )
+        t0 = np.linspace(0.0, horizon, 800)
+        return oracles.parallel_single_pulse_qfi(gamma, OMEGA, horizon, t0).max()
 
     long_gain = best_pulse(15.0) - oracles.parallel_free_qfi(gamma, 15.0)
     short_gain = best_pulse(5.0) - oracles.parallel_free_qfi(gamma, 5.0)

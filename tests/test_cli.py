@@ -82,6 +82,15 @@ def test_oracle_pulse_models(capsys):
     assert float(capsys.readouterr().out) == pytest.approx(256 * np.exp(-1.6), rel=1e-4)
 
 
+def test_oracle_spontaneous_pulse_rejects_raising_rate(capsys):
+    # the back-to-plane closed form holds for decay alone
+    args = ["spontaneous-pulse", "--gamma-plus", "0.1", "--horizon", "4", "--t0", "1"]
+    assert main(["oracle", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gamma_plus = 0" in captured.err
+
+
 @pytest.mark.parametrize(
     "args, name",
     [

@@ -175,6 +175,26 @@ class TestSnapshotFormat:
         assert "config error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            "noise = dephasing\nnoise.gamma = -0.1\n",
+            "noise = dephasing\nnoise.theta = 4.0\nnoise.gamma = 0.1\n",
+            "noise = spontaneous\nnoise.gamma_minus = -0.2\n",
+        ],
+        ids=["dephasing_rate", "dephasing_angle", "emission_rate"],
+    )
+    def test_bad_noise_rejected_when_loaded(self, tmp_path, capsys, noise):
+        # checked once for the whole config, not flagged at every sweep point
+        text = noise + "omega0_true = 1\nT = 1\nsweep = horizon\nsweep.start = 0.5\n"
+        with pytest.raises(ConfigError, match="noise"):
+            exp.parse_config_text(text)
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 class TestEnergyCost:
     def test_zero_schedule(self):
         table = exp.energy_cost(dyn.ControlGrid.zeros(10, 3, 0.5))
@@ -349,22 +369,21 @@ class TestPulseScan:
 
 class TestBestSinglePulse:
     CASES = {
-        "parallel": (dict(noise_theta=0.0), oracles.parallel_single_pulse_qfi, dict(gamma=0.1)),
+        "parallel": (dict(noise_theta=0.0), oracles.parallel_single_pulse_qfi, 0.1),
         "emission": (
             dict(noise_kind="spontaneous", noise_gamma=0.0, noise_gamma_minus=0.2),
             oracles.spontaneous_single_pulse_qfi,
-            dict(gamma_minus=0.2),
+            0.2,
         ),
     }
 
     @pytest.mark.parametrize("noise", sorted(CASES))
     @pytest.mark.parametrize("horizon", [1.0, 4.5, 12.0])
     def test_stacked_scan_is_the_max_of_the_public_calls(self, noise, horizon):
-        fields, closed_form, rates = self.CASES[noise]
+        fields, closed_form, rate = self.CASES[noise]
         config = small_sweep_config(**fields)
         scalar = max(
-            closed_form(oracles.SinglePulsePlan(t0=float(t0), horizon=horizon, omega0=1.0, **rates))
-            for t0 in np.linspace(0.0, horizon, 400)
+            closed_form(rate, 1.0, horizon, float(t0)) for t0 in np.linspace(0.0, horizon, 400)
         )
         got = exp._best_single_pulse(config, horizon)
         # the closed forms' numpy.sin/cos/exp may round an array apart from
@@ -379,14 +398,15 @@ class TestBestSinglePulse:
         config = small_sweep_config(noise_kind="spontaneous", noise_gamma=0.0)
         t0 = np.linspace(0.0, horizon, 400)[199]
         assert abs(t0 - math.pi / 2) < 1e-15
-        plan = oracles.SinglePulsePlan(t0=t0, horizon=horizon, omega0=1.0)
         with pytest.raises(UndefinedRotationError) as expected:
-            oracles.spontaneous_single_pulse_qfi(plan)
+            oracles.spontaneous_single_pulse_qfi(0.0, 1.0, horizon, t0)
         with pytest.raises(UndefinedRotationError) as excinfo:
             exp._best_single_pulse(config, horizon)
         assert str(excinfo.value) == str(expected.value)
+        # a horizon that holds both undefined pulse times: the first one raises
+        scan = np.array([0.5, t0, 1.5 * math.pi])
         with pytest.raises(UndefinedRotationError) as excinfo:
-            oracles._spontaneous_pulse_qfi(plan, np.array([0.5, t0, 1.5 * math.pi]))
+            oracles.spontaneous_single_pulse_qfi(0.0, 1.0, 2.0 * math.pi, scan)
         assert str(excinfo.value) == str(expected.value)
 
 

@@ -617,12 +617,8 @@ class TestAscend:
         )
         report = grape.ascend(prob, config, grape.qfi_objective())
         free = oracles.parallel_free_qfi(gamma, horizon)
-        best_pulse = max(
-            oracles.parallel_single_pulse_qfi(
-                oracles.SinglePulsePlan(t0=float(t), horizon=horizon, omega0=1.0, gamma=gamma)
-            )
-            for t in np.linspace(0.0, horizon, 400)
-        )
+        t0 = np.linspace(0.0, horizon, 400)
+        best_pulse = oracles.parallel_single_pulse_qfi(gamma, 1.0, horizon, t0).max()
         assert report.objective_history[-1] >= 2.0 * free
         assert report.objective_history[-1] >= best_pulse
 
@@ -657,6 +653,19 @@ class TestAscentConfigValidation:
             grape.AscentConfig(dt=0.1, init_mode="user_supplied")
         with pytest.raises(ValidationError):
             grape.AscentConfig(dt=0.1, momentum=1.0)
+
+    def test_initial_grid_outside_user_supplied_mode_rejected(self):
+        # any other mode would start elsewhere and drop the grid unread
+        start = dyn.ControlGrid.zeros(20, 3, 0.1)
+        for mode in ("random", "zero"):
+            with pytest.raises(ValidationError, match="user_supplied"):
+                grape.AscentConfig(dt=0.1, init_mode=mode, initial_grid=start)
+
+    def test_initial_grid_step_width_must_be_dt(self):
+        # the ascent would run at the grid's width while the config records dt
+        start = dyn.ControlGrid.zeros(40, 3, 0.05)
+        with pytest.raises(ValidationError, match="step width"):
+            grape.AscentConfig(dt=0.1, init_mode="user_supplied", initial_grid=start)
 
     def test_objective_validation(self):
         with pytest.raises(ValidationError):

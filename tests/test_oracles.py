@@ -116,62 +116,38 @@ class TestParallelFreeQfi:
 
 class TestParallelSinglePulse:
     def test_pulse_at_zero_parks_the_state_at_the_pole(self):
-        plan = oracles.SinglePulsePlan(t0=0.0, horizon=10.0, omega0=1.0, gamma=0.1)
-        assert oracles.parallel_single_pulse_qfi(plan) == pytest.approx(0.0, abs=1e-12)
+        assert oracles.parallel_single_pulse_qfi(0.1, 1.0, 10.0, 0.0) == pytest.approx(
+            0.0, abs=1e-12
+        )
 
     def test_pulse_at_horizon_recovers_free_value(self):
-        plan = oracles.SinglePulsePlan(t0=15.0, horizon=15.0, omega0=1.0, gamma=0.1)
-        assert oracles.parallel_single_pulse_qfi(plan) == pytest.approx(
+        assert oracles.parallel_single_pulse_qfi(0.1, 1.0, 15.0, 15.0) == pytest.approx(
             oracles.parallel_free_qfi(0.1, 15.0), rel=1e-12
         )
 
     def test_long_horizon_pulse_beats_free_evolution(self):
         horizon = 15.0
         free = oracles.parallel_free_qfi(0.1, horizon)
-        best = max(
-            oracles.parallel_single_pulse_qfi(
-                oracles.SinglePulsePlan(t0=float(t0), horizon=horizon, omega0=1.0, gamma=0.1)
-            )
-            for t0 in np.linspace(0.0, horizon, 600)
-        )
-        assert best > free
+        t0 = np.linspace(0.0, horizon, 600)
+        assert oracles.parallel_single_pulse_qfi(0.1, 1.0, horizon, t0).max() > free
 
     def test_short_horizon_pulse_never_beats_free_evolution(self):
         horizon = 5.0
         free = oracles.parallel_free_qfi(0.1, horizon)
-        best = max(
-            oracles.parallel_single_pulse_qfi(
-                oracles.SinglePulsePlan(t0=float(t0), horizon=horizon, omega0=1.0, gamma=0.1)
-            )
-            for t0 in np.linspace(0.0, horizon, 600)
-        )
-        assert best <= free + 1e-12
+        t0 = np.linspace(0.0, horizon, 600)
+        assert oracles.parallel_single_pulse_qfi(0.1, 1.0, horizon, t0).max() <= free + 1e-12
 
     def test_multiple_interior_peaks_for_long_horizon(self):
         horizon = 15.0
-        grid = np.linspace(0.0, horizon, 1500)
-        values = np.array(
-            [
-                oracles.parallel_single_pulse_qfi(
-                    oracles.SinglePulsePlan(t0=float(t0), horizon=horizon, omega0=1.0, gamma=0.1)
-                )
-                for t0 in grid
-            ]
-        )
+        t0 = np.linspace(0.0, horizon, 1500)
+        values = oracles.parallel_single_pulse_qfi(0.1, 1.0, horizon, t0)
         interior = (values[1:-1] > values[:-2]) & (values[1:-1] > values[2:])
         assert interior.sum() >= 2
 
     def test_continuity_in_pulse_time(self):
         horizon = 15.0
-        grid = np.linspace(0.0, horizon, 3000)
-        values = np.array(
-            [
-                oracles.parallel_single_pulse_qfi(
-                    oracles.SinglePulsePlan(t0=float(t0), horizon=horizon, omega0=1.0, gamma=0.1)
-                )
-                for t0 in grid
-            ]
-        )
+        t0 = np.linspace(0.0, horizon, 3000)
+        values = oracles.parallel_single_pulse_qfi(0.1, 1.0, horizon, t0)
         assert np.abs(np.diff(values)).max() < 0.2  # no jumps on a fine grid
 
     def test_matches_numeric_pulse_pipeline(self):
@@ -197,12 +173,37 @@ class TestParallelSinglePulse:
         r = final_bloch(1.0)
         dr = (final_bloch(1.0 + delta) - final_bloch(1.0 - delta)) / (2 * delta)
         numeric = fisher.qfi_bloch(r, dr)
-        plan = oracles.SinglePulsePlan(t0=t0, horizon=horizon, omega0=1.0, gamma=gamma)
-        assert oracles.parallel_single_pulse_qfi(plan) == pytest.approx(numeric, abs=1e-4)
+        value = oracles.parallel_single_pulse_qfi(gamma, 1.0, horizon, t0)
+        assert value == pytest.approx(numeric, abs=1e-4)
 
     def test_pulse_time_outside_horizon_rejected(self):
         with pytest.raises(ValidationError):
-            oracles.SinglePulsePlan(t0=6.0, horizon=5.0)
+            oracles.parallel_single_pulse_qfi(0.1, 1.0, 5.0, 6.0)
+
+
+class TestSinglePulseTimes:
+    ORACLES = {
+        "parallel": oracles.parallel_single_pulse_qfi,
+        "emission": oracles.spontaneous_single_pulse_qfi,
+    }
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    @pytest.mark.parametrize("bad", [4.25, -0.5, math.nan])
+    def test_array_entry_outside_horizon_is_named(self, name, bad):
+        t0 = np.array([0.5, 1.0, bad, 2.0])
+        with pytest.raises(ValidationError, match=f"t0 = {bad} must lie in"):
+            self.ORACLES[name](0.1, 1.0, 4.0, t0)
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_float_gives_float_and_array_gives_its_shape(self, name):
+        closed_form = self.ORACLES[name]
+        t0 = np.array([[0.5, 1.0, 1.5], [2.0, 2.5, 3.0]])
+        values = closed_form(0.1, 1.0, 4.0, t0)
+        assert isinstance(values, np.ndarray) and values.shape == t0.shape
+        for index in np.ndindex(t0.shape):
+            value = closed_form(0.1, 1.0, 4.0, float(t0[index]))
+            assert type(value) is float
+            assert abs(values[index] - value) <= 4 * np.spacing(value)
 
 
 class TestSpontaneousFree:
@@ -258,38 +259,20 @@ class TestSpontaneousFree:
 
 class TestSpontaneousSinglePulse:
     def test_pulse_at_zero_is_identity(self):
-        plan = oracles.SinglePulsePlan(t0=0.0, horizon=16.0, omega0=1.0, gamma_minus=0.1)
-        assert oracles.spontaneous_single_pulse_qfi(plan) == pytest.approx(
+        assert oracles.spontaneous_single_pulse_qfi(0.1, 1.0, 16.0, 0.0) == pytest.approx(
             oracles.spontaneous_free_qfi(0.0, 0.1, 16.0), rel=1e-12
         )
 
     def test_long_horizon_improves_with_pulse(self):
         horizon = 16.0
         free = oracles.spontaneous_free_qfi(0.0, 0.1, horizon)
-        best = max(
-            oracles.spontaneous_single_pulse_qfi(
-                oracles.SinglePulsePlan(
-                    t0=float(t0), horizon=horizon, omega0=1.0, gamma_minus=0.1
-                )
-            )
-            for t0 in np.linspace(0.0, horizon, 800)
-        )
-        assert best > free
-
-    def test_raising_rate_rejected(self):
-        plan = oracles.SinglePulsePlan(
-            t0=1.0, horizon=4.0, omega0=1.0, gamma_plus=0.1, gamma_minus=0.1
-        )
-        with pytest.raises(ValidationError):
-            oracles.spontaneous_single_pulse_qfi(plan)
+        t0 = np.linspace(0.0, horizon, 800)
+        assert oracles.spontaneous_single_pulse_qfi(0.1, 1.0, horizon, t0).max() > free
 
     def test_degenerate_rotation_rejected(self):
         # with no decay the pre-pulse state can sit exactly on the y-axis
-        plan = oracles.SinglePulsePlan(
-            t0=math.pi / 2, horizon=4.0, omega0=1.0, gamma_minus=0.0
-        )
         with pytest.raises(UndefinedRotationError):
-            oracles.spontaneous_single_pulse_qfi(plan)
+            oracles.spontaneous_single_pulse_qfi(0.0, 1.0, 4.0, math.pi / 2)
 
     def test_matches_numeric_pipeline_with_frozen_rotation(self):
         # numeric route: free decay to t0, instantaneous rotation built from
@@ -318,7 +301,5 @@ class TestSpontaneousSinglePulse:
         r = final_bloch(w_ref)
         dr = (final_bloch(w_ref + delta) - final_bloch(w_ref - delta)) / (2 * delta)
         numeric = fisher.qfi_bloch(r, dr)
-        plan = oracles.SinglePulsePlan(
-            t0=t0, horizon=horizon, omega0=w_ref, gamma_minus=gamma
-        )
-        assert oracles.spontaneous_single_pulse_qfi(plan) == pytest.approx(numeric, abs=1e-4)
+        value = oracles.spontaneous_single_pulse_qfi(gamma, w_ref, horizon, t0)
+        assert value == pytest.approx(numeric, abs=1e-4)
