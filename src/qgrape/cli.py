@@ -2,11 +2,10 @@
 
 Subcommands::
 
-    qgrape simulate --config FILE [--schedule FILE | --dt X]
-    qgrape optimize --config FILE [--out DIR] [--seed N]
-    qgrape sweep    --config FILE --out DIR [--seed N]
-    qgrape oracle   MODEL [--gamma X] [--gamma-plus X] [--gamma-minus X]
-                    [--omega0 X] [--horizon X] [--t0 X]
+    qgrape simulate --config FILE [--schedule FILE | --dt X] [--verbose]
+    qgrape optimize --config FILE [--out DIR] [--seed N] [--dt X]
+    qgrape sweep    --config FILE --out DIR [--seed N] [--dt X]
+    qgrape oracle   MODEL --horizon X [--PARAMETER X ...]  (the closed form's parameters)
     qgrape energy   --schedule FILE [--out DIR]
 
 Exit status: 0 on success, 1 on usage and configuration errors (unknown
@@ -17,14 +16,15 @@ propagation/optimization.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import experiments, oracles
-from .dynamics import ControlGrid, propagate, step_count
+from .dynamics import ControlGrid, step_count
 from .errors import ConfigError, QGrapeError, ValidationError
-from .grape import ascend, cfi_objective, objective_value, qfi_objective
+from .grape import ascend
 from .experiments import (
     ScenarioConfig,
     config_snapshot,
@@ -41,11 +41,27 @@ __all__ = ["main"]
 
 def _add_common(parser: argparse.ArgumentParser, ascent: bool = True) -> None:
     parser.add_argument("--config", required=True, help="scenario config file")
-    if ascent:  # simulate runs no ascent and writes nothing
+    if ascent:
         parser.add_argument("--out", default=None, help="output directory")
         parser.add_argument("--seed", type=int, default=None, help="override ascent seed")
-    parser.add_argument("--dt", type=float, default=None, help="override control step width")
-    parser.add_argument("--verbose", action="store_true")
+        widths = parser
+    else:
+        # simulate runs no ascent and writes nothing; a schedule sets its own step width
+        widths = parser.add_mutually_exclusive_group()
+        widths.add_argument("--schedule", help="schedule CSV to apply (default: no controls)")
+    widths.add_argument("--dt", type=float, default=None, help="override control step width")
+
+
+# each closed form of `qgrape oracle`; its flags are its parameters, with
+# these defaults (--horizon has none and is required)
+_ORACLES = {
+    "transverse": oracles.transverse_controlled_qfi,
+    "parallel": oracles.parallel_free_qfi,
+    "spontaneous": oracles.spontaneous_free_qfi,
+    "parallel-pulse": oracles.parallel_single_pulse_qfi,
+    "spontaneous-pulse": oracles.spontaneous_single_pulse_qfi,
+}
+_ORACLE_DEFAULTS = {"gamma": 0.1, "gamma_minus": 0.1, "gamma_plus": 0.0, "omega0": 1.0, "t0": 0.0}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="propagate a scenario and report its information")
     _add_common(sim, ascent=False)
-    sim.add_argument("--schedule", default=None, help="schedule CSV to apply (default: no controls)")
+    sim.add_argument("--verbose", action="store_true", help="also print qfi/T and qfi/T^2")
 
     opt = sub.add_parser("optimize", help="run gradient ascent on a scenario")
     _add_common(opt)
@@ -75,22 +91,19 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(swp)
 
     orc = sub.add_parser("oracle", help="evaluate a closed-form benchmark")
-    orc.add_argument(
-        "model",
-        choices=["transverse", "parallel", "spontaneous", "parallel-pulse", "spontaneous-pulse"],
-    )
-    orc.add_argument("--gamma", type=float, default=0.1)
-    orc.add_argument("--gamma-plus", type=float, default=0.0)
-    orc.add_argument("--gamma-minus", type=float, default=0.1)
-    orc.add_argument("--omega0", type=float, default=1.0)
-    orc.add_argument("--horizon", type=float, required=True)
-    orc.add_argument("--t0", type=float, default=0.0)
-    orc.add_argument("--verbose", action="store_true")
+    models = orc.add_subparsers(dest="model", required=True)
+    for model, oracle in _ORACLES.items():
+        # no abbreviations: --gamma must not stand for another model's --gamma-minus
+        parsed = models.add_parser(model, help=f"oracles.{oracle.__name__}", allow_abbrev=False)
+        parsed.set_defaults(oracle=oracle)
+        for name in inspect.signature(oracle).parameters:
+            default = _ORACLE_DEFAULTS.get(name)
+            parsed.add_argument("--" + name.replace("_", "-"), type=float, default=default,
+                                required=default is None)
 
     eng = sub.add_parser("energy", help="cumulative control energy of a schedule")
     eng.add_argument("--schedule", required=True, help="schedule CSV")
     eng.add_argument("--out", default=None, help="write energy table here instead of stdout")
-    eng.add_argument("--verbose", action="store_true")
     return parser
 
 
@@ -100,9 +113,6 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
 
 
 def _cmd_simulate(args) -> int:
-    if args.schedule is not None and args.dt is not None:
-        raise ConfigError("--dt cannot be combined with --schedule, whose t_start column "
-                          "sets the step width")
     config = _apply_overrides(load_config(args.config), args)
     problem = experiments._scenario_problem(config, config.omega0_true)
     if args.schedule is not None:
@@ -110,9 +120,7 @@ def _cmd_simulate(args) -> int:
     else:
         m = step_count(config.horizon, config.dt)
         grid = ControlGrid.zeros(m, problem.n_controls, config.dt)
-    traj = propagate(problem, grid)
-    q = objective_value(traj, qfi_objective())
-    c = objective_value(traj, cfi_objective(config.povm()))
+    q, c = experiments._qfi_cfi_of_grid(problem, grid, config.povm())
     print(f"qfi = {q:.6g}")
     print(f"cfi = {c:.6g}")
     if args.verbose:
@@ -162,21 +170,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.model == "transverse":
-        value = oracles.transverse_controlled_qfi(args.gamma, args.horizon)
-    elif args.model == "parallel":
-        value = oracles.parallel_free_qfi(args.gamma, args.horizon)
-    elif args.model == "spontaneous":
-        value = oracles.spontaneous_free_qfi(args.gamma_plus, args.gamma_minus, args.horizon)
-    elif args.model == "parallel-pulse":
-        value = oracles.parallel_single_pulse_qfi(args.gamma, args.omega0, args.horizon, args.t0)
-    else:
-        if args.gamma_plus != 0.0:
-            raise ConfigError("the back-to-plane pulse strategy assumes gamma_plus = 0")
-        value = oracles.spontaneous_single_pulse_qfi(
-            args.gamma_minus, args.omega0, args.horizon, args.t0
-        )
-    print(f"{value:.6g}")
+    names = inspect.signature(args.oracle).parameters
+    print(f"{args.oracle(**{name: getattr(args, name) for name in names}):.6g}")
     return 0
 
 

@@ -4,9 +4,11 @@ Scenarios are described by flat ``key = value`` config files (``#`` starts a
 comment; nested fields are dotted, e.g. ``ascent.step_size``).  ``_KEYS``
 lists every recognized key with its parser, the field it sets and its
 meaning; a key a file leaves out takes that field's dataclass default, and
-``omega0_true`` and ``T`` are required.
+``omega0_true`` and ``T`` are required.  ``_NOISE_KEYS`` lists the
+``noise.*`` keys that each noise kind reads.
 
-Unknown keys are rejected.  Every sweep writes CSV tables with the fixed
+Unknown keys, and ``noise.*`` keys that the selected noise kind does not
+read, are rejected.  Every sweep writes CSV tables with the fixed
 metric columns ``qfi, qfi_per_t, qfi_per_t2, cfi, oracle_qfi,
 uncontrolled_qfi`` after the sweep-axis column (12 significant digits, ``.``
 radix, ``\n`` line endings; absent metrics hold ``nan``), one ``manifest.txt``
@@ -91,7 +93,7 @@ class ScenarioConfig:
     sweep_points: int = 11
 
     def __post_init__(self):
-        if self.noise_kind not in ("dephasing", "spontaneous", "none"):
+        if self.noise_kind not in _NOISE_KEYS:
             raise ConfigError(f"unknown noise kind {self.noise_kind!r}")
         if self.objective_kind not in ("qfi", "cfi"):
             raise ConfigError(f"unknown objective {self.objective_kind!r}")
@@ -137,9 +139,7 @@ class ScenarioConfig:
         return Povm.plus_minus() if self.povm_name == "pm" else Povm.computational()
 
     def objective(self) -> Objective:
-        if self.objective_kind == "qfi":
-            return qfi_objective()
-        return cfi_objective(self.povm())
+        return Objective(self.povm() if self.objective_kind == "cfi" else None)
 
     def sweep_grid(self) -> np.ndarray:
         return np.linspace(self.sweep_start, self.sweep_stop, self.sweep_points)
@@ -194,12 +194,20 @@ _KEYS = {
     "sweep.stop": (_finite, "sweep_stop"),
     "sweep.points": (int, "sweep_points"),  # grid size (strictly increasing grid)
 }
+# the noise.* keys that each noise kind reads; a file may set no others
+_NOISE_KEYS = {
+    "none": (),
+    "dephasing": ("noise.theta", "noise.phi", "noise.gamma"),
+    "spontaneous": ("noise.gamma_plus", "noise.gamma_minus"),
+}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
-    """Parse the flat key-value format, rejecting unknown keys."""
+    """Parse the flat key-value format, rejecting unknown keys and noise keys
+    that the selected noise kind does not read."""
     scenario: dict[str, object] = {}
     ascent: dict[str, object] = {}
+    lines: dict[str, int] = {}  # key -> line number
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -213,8 +221,9 @@ def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
         parser, name = _KEYS[key]
         owner, _, name = name.rpartition(".")
         target = ascent if owner else scenario
-        if name in target:
+        if key in lines:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
+        lines[key] = lineno
         try:
             target[name] = parser(value)
         except ValueError as exc:
@@ -223,11 +232,16 @@ def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
         if _KEYS[required][1] not in scenario:
             raise ConfigError(f"{source}: missing required key {required!r}")
     try:
-        return ScenarioConfig(ascent=AscentConfig(**ascent), **scenario)
+        config = ScenarioConfig(ascent=AscentConfig(**ascent), **scenario)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:  # AscentConfig's ValidationError among them
         raise ConfigError(f"{source}: {exc}") from exc
+    kind = config.noise_kind
+    for key, lineno in lines.items():
+        if key.startswith("noise.") and key not in _NOISE_KEYS[kind]:
+            raise ConfigError(f"{source}:{lineno}: noise = {kind} does not read {key!r}")
+    return config
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -239,16 +253,16 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 def config_snapshot(config: ScenarioConfig) -> str:
     """Re-serializable key-value snapshot of a scenario: every key of
-    ``_KEYS``, the ``sweep`` keys only when a sweep is declared."""
+    ``_KEYS``, the ``noise.*`` keys of its noise kind only, and the ``sweep``
+    keys only when a sweep is declared."""
     lines = []
     for key, (_, name) in _KEYS.items():
         if key.startswith("sweep") and config.sweep_axis is None:
             continue
+        if key.startswith("noise.") and key not in _NOISE_KEYS[config.noise_kind]:
+            continue
         value = config.design_frequency if key == "omega0_hat" else attrgetter(name)(config)
-        line = f"{key} = {value if isinstance(value, str) else repr(value)}"
-        # a user_supplied initial grid comes from a library call, not a file
-        lines.append(f"# {line}: initial grid from a library call, not part of the file format"
-                     if value == "user_supplied" else line)
+        lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
     return "\n".join(lines) + "\n"
 
 

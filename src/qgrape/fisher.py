@@ -15,12 +15,16 @@ Both are computed one way, by :func:`_information` on the Pauli coordinates
 ``(Tr rho, r)`` and ``(Tr d(rho)/dx, dr)``; the 2x2 functions convert to them.
 It takes an (n, 4) stack of states and derivatives, so that one call serves
 every final state of the finite-difference oracle or of a single-pulse scan,
-and a single state is a one-row stack.  Every row comes out bitwise as it
-would alone: each 3-term dot product is one BLAS dot of a stacked
-``(n, 1, 3) @ (n, 3, 1)`` product, as for one pair of vectors (einsum and sum
-reductions round differently), the pure and mixed SLD branches and the
-skipped CFI outcomes are selected with ``np.where``, and the first bad row
-raises the error that it raises alone.
+and a single state is a one-row stack.  Each 3-term dot product is one BLAS
+dot of a stacked ``(n, 1, 3) @ (n, 3, 1)`` product, as for one pair of
+vectors (einsum and sum reductions round differently), the pure and mixed SLD
+branches and the skipped CFI outcomes are selected with ``np.where``, and the
+first bad row raises the error that it raises alone.  So every row comes out
+bitwise as it would alone wherever BLAS rounds a stacked product as it rounds
+a one-row one, as OpenBLAS's default kernels do.  Its Katmai kernels
+(``OPENBLAS_CORETYPE=Prescott``) do not: in a stack of 40 final states of
+oblique dephasing, 4 QFI rows differ from their one-row values in the last
+bits, and no CFI row does.
 """
 
 from __future__ import annotations
@@ -123,7 +127,10 @@ def _information(
     rows ``(W1, W2)`` of its first-order change ``2 W1 . dd - W2 . dc``: the
     Pauli rows of ``(L, L^2)`` for the QFI, of ``sum_y (dp_y/p_y)^k E_y``,
     k = 1, 2, for the CFI.  Returns ``(F, W1, W2)`` of shapes (n,), (n, 4)
-    and (n, 4); every row is bitwise what a one-row stack gives.
+    and (n, 4); every row is bitwise what a one-row stack gives where BLAS
+    rounds the stacked products as one-row ones (not under OpenBLAS's Katmai
+    kernels, where QFI rows can differ in the last bits; see the module
+    docstring).
 
     Each ``c[i]`` must pass :func:`qgrape.dynamics._check_state` and each
     ``d[i]`` be finite and traceless within ``DERIVATIVE_TOL``; the CFI also

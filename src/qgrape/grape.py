@@ -58,24 +58,21 @@ _STABILITY_BLOCK = 16
 
 @dataclass(frozen=True)
 class Objective:
-    """Optimization target: ``qfi`` or ``cfi`` under a fixed POVM."""
+    """Optimization target: the QFI, or the CFI of ``povm`` when one is set."""
 
-    kind: str
     povm: Povm | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("qfi", "cfi"):
-            raise ValidationError(f"objective kind must be 'qfi' or 'cfi', got {self.kind!r}")
-        if (self.kind == "cfi") != (self.povm is not None):
-            raise ValidationError("a cfi objective requires a POVM and a qfi objective takes none")
+    @property
+    def kind(self) -> str:
+        return "qfi" if self.povm is None else "cfi"
 
 
 def qfi_objective() -> Objective:
-    return Objective(kind="qfi")
+    return Objective()
 
 
 def cfi_objective(povm: Povm) -> Objective:
-    return Objective(kind="cfi", povm=povm)
+    return Objective(povm)
 
 
 def _final_information(traj: Trajectory, objective: Objective) -> tuple:
@@ -257,10 +254,9 @@ class AscentConfig:
     """Gradient-ascent settings.
 
     ``dt`` fixes the control grid geometry (the step count follows from the
-    problem horizon).  ``init_mode`` is one of ``zero``, ``random``
-    (amplitudes drawn uniformly from [-1, 1]), or ``user_supplied`` with
-    ``initial_grid`` set; that grid's step width must be ``dt``, and no other
-    mode takes a grid.  Convergence is declared when the objective change
+    problem horizon).  ``init_mode`` is ``zero`` or ``random`` (amplitudes
+    drawn uniformly from [-1, 1]); a start grid of one's own goes to
+    :func:`ascend` instead.  Convergence is declared when the objective change
     stays below ``convergence_tolerance * max(1, |F|)`` for 10 consecutive
     iterations.  The step is halved (up to 20 times) whenever it would
     decrease the objective, and a step that still decreases it is not taken,
@@ -278,7 +274,6 @@ class AscentConfig:
     convergence_tolerance: float = 1e-8
     seed: int = 0
     init_mode: str = "random"
-    initial_grid: ControlGrid | None = None
     momentum: float = 0.0
 
     def __post_init__(self):
@@ -291,18 +286,8 @@ class AscentConfig:
             raise ValidationError("max_iterations must be at least 1")
         if not 0 < self.convergence_tolerance < np.inf:
             raise ValidationError("convergence tolerance must be finite and positive")
-        if self.init_mode not in ("zero", "random", "user_supplied"):
+        if self.init_mode not in ("zero", "random"):
             raise ValidationError(f"unknown init mode {self.init_mode!r}")
-        if self.init_mode == "user_supplied" and self.initial_grid is None:
-            raise ValidationError("user_supplied init requires initial_grid")
-        if self.initial_grid is not None and self.init_mode != "user_supplied":
-            raise ValidationError(
-                f"initial_grid needs init_mode user_supplied, not {self.init_mode!r}"
-            )
-        if self.initial_grid is not None and self.initial_grid.dt != self.dt:
-            raise ValidationError(
-                f"initial_grid step width {self.initial_grid.dt} differs from dt = {self.dt}"
-            )
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum}")
 
@@ -325,9 +310,7 @@ class AscentReport:
         return AscentReport(grid, history, max(iteration - 1, 0), False, error, iteration)
 
 
-def _initial_grid(problem: EstimationProblem, config: AscentConfig) -> ControlGrid:
-    if config.init_mode == "user_supplied":
-        return config.initial_grid
+def _start_grid(problem: EstimationProblem, config: AscentConfig) -> ControlGrid:
     m = step_count(problem.horizon, config.dt)
     p = problem.n_controls
     if config.init_mode == "zero":
@@ -338,16 +321,21 @@ def _initial_grid(problem: EstimationProblem, config: AscentConfig) -> ControlGr
 
 
 def ascend(
-    problem: EstimationProblem, config: AscentConfig, objective: Objective
+    problem: EstimationProblem,
+    config: AscentConfig,
+    objective: Objective,
+    start: ControlGrid | None = None,
 ) -> AscentReport:
     """Maximize the objective by repeated gradient steps.
 
-    Each iteration propagates the current schedule, evaluates the objective,
-    computes the analytic gradient, and updates every amplitude by
-    ``step_size`` times its gradient entry.  The report records the objective
-    after every iteration (index 0 is the initial schedule).
+    The ascent starts from ``start`` when one is given, and runs at its step
+    width; otherwise from a grid of step width ``config.dt`` built by
+    ``config.init_mode``.  Each iteration propagates the current schedule,
+    evaluates the objective, computes the analytic gradient, and updates
+    every amplitude by ``step_size`` times its gradient entry.  The report
+    records the objective after every iteration (index 0 is the start).
     """
-    grid = _initial_grid(problem, config)
+    grid = _start_grid(problem, config) if start is None else start
     history: list[float] = []
     try:
         traj = propagate(problem, grid)

@@ -83,12 +83,41 @@ def test_oracle_pulse_models(capsys):
 
 
 def test_oracle_spontaneous_pulse_rejects_raising_rate(capsys):
-    # the back-to-plane closed form holds for decay alone
+    # the back-to-plane closed form holds for decay alone: it has no --gamma-plus
     args = ["spontaneous-pulse", "--gamma-plus", "0.1", "--horizon", "4", "--t0", "1"]
-    assert main(["oracle", *args]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", *args])
+    assert exc.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "gamma_plus = 0" in captured.err
+    assert "unrecognized arguments: --gamma-plus 0.1" in captured.err
+
+
+# each oracle model with every flag it takes, the value it prints, and a flag
+# of another model
+ORACLE_MODELS = {
+    "transverse": (["--gamma", "0.1", "--horizon", "5"], "21.3061", ["--omega0", "2"]),
+    "parallel": (["--gamma", "0.1", "--horizon", "10"], "13.5335", ["--t0", "1"]),
+    "spontaneous": (["--gamma-plus", "0", "--gamma-minus", "0.1", "--horizon", "20"],
+                    "54.1341", ["--gamma", "0.1"]),
+    "parallel-pulse": (["--gamma", "0.1", "--omega0", "1", "--horizon", "15", "--t0", "4"],
+                       "8.71018", ["--gamma-minus", "0.1"]),
+    "spontaneous-pulse": (["--gamma-minus", "0.1", "--omega0", "1", "--horizon", "16",
+                           "--t0", "7.1"], "60.799", ["--gamma", "0.1"]),
+}
+
+
+@pytest.mark.parametrize("model", sorted(ORACLE_MODELS))
+def test_oracle_models_take_exactly_their_parameters(model, capsys):
+    own, printed, foreign = ORACLE_MODELS[model]
+    assert main(["oracle", model, *own]) == 0
+    assert capsys.readouterr().out == printed + "\n"
+    for extra in (foreign, ["--verbose"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", model, *own, *extra])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unrecognized arguments: {' '.join(extra)}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -313,13 +342,31 @@ def test_simulate_rejects_dt_with_schedule(tmp_path, capsys):
     sched = tmp_path / "schedule.csv"
     exp.write_schedule(sched, dyn.ControlGrid.zeros(20, 3, 0.1))
     argv = ["simulate", "--config", str(cfg), "--schedule", str(sched)]
-    assert main(argv + ["--dt", "0.3"]) == 1
-    assert "--dt" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--dt", "0.3"])
+    assert exc.value.code == 1
+    assert "argument --dt: not allowed with argument --schedule" in capsys.readouterr().err
     assert main(argv) == 0
 
 
+def test_verbose_only_on_simulate(tmp_path, capsys):
+    # simulate is the one command that reads it
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("noise = dephasing\nnoise.gamma = 0.1\nomega0_true = 1.0\nT = 2.0\ndt = 0.1\n")
+    assert main(["simulate", "--config", str(cfg), "--verbose"]) == 0
+    assert "qfi_per_t2 = " in capsys.readouterr().out
+    sched = tmp_path / "schedule.csv"
+    exp.write_schedule(sched, dyn.ControlGrid.zeros(20, 3, 0.1))
+    for argv in (["optimize", "--config", str(cfg)],
+                 ["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")],
+                 ["energy", "--schedule", str(sched)]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--verbose"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
-    import qgrape.cli as cli_module
     from qgrape.errors import NumericalStabilityError
 
     cfg = tmp_path / "scenario.cfg"
@@ -328,7 +375,8 @@ def test_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
     def blow_up(*args, **kwargs):
         raise NumericalStabilityError("state lost positivity at step 3", step=3)
 
-    monkeypatch.setattr(cli_module, "propagate", blow_up)
+    # simulate evaluates its schedule through the sweep runner's function
+    monkeypatch.setattr(exp, "propagate", blow_up)
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert "numerical failure" in capsys.readouterr().err
 

@@ -58,17 +58,6 @@ class TestConfigParsing:
         assert again.noise_theta == config.noise_theta
         assert again.ascent.step_size == config.ascent.step_size
 
-    def test_snapshot_of_library_supplied_grid_parses_back(self):
-        start = dyn.ControlGrid.zeros(20, 3, 0.1)
-        config = small_sweep_config(
-            ascent=AscentConfig(dt=0.1, init_mode="user_supplied", initial_grid=start)
-        )
-        snapshot = exp.config_snapshot(config)
-        assert "# ascent.init_mode = user_supplied: initial grid from a library call" in snapshot
-        again = exp.parse_config_text(snapshot)
-        assert again.ascent.init_mode == AscentConfig().init_mode
-        assert again.horizon == config.horizon and again.sweep_axis == config.sweep_axis
-
     def test_unknown_key_rejected(self):
         # old configs may still carry the removed ascent options
         for key in ("foo", "ascent.backtracking", "ascent.init_low"):
@@ -107,14 +96,12 @@ class TestConfigParsing:
             exp.parse_config_text(base.format("left")).probe_state()
 
 
-# every key of the format, each away from its default
+# every key of the format that dephasing noise reads, each away from its default
 ALL_KEYS_CONFIG = """
 noise = dephasing
 noise.theta = 0.3
 noise.phi = 0.2
 noise.gamma = 0.15
-noise.gamma_plus = 0.01
-noise.gamma_minus = 0.02
 omega0_true = 1.25
 omega0_hat = 1.5
 probe = 0.6,0.0,0.8
@@ -141,15 +128,19 @@ class TestSnapshotFormat:
         snapshot = exp.config_snapshot(exp.parse_config_text(ALL_KEYS_CONFIG))
         assert snapshot == ALL_KEYS_CONFIG.lstrip("\n").replace("1e-9", "1e-09")
 
+    def test_noise_keys_of_the_selected_kind_only(self):
+        emission = "noise = spontaneous\nnoise.gamma_plus = 0.01\nnoise.gamma_minus = 0.02\n"
+        text = ALL_KEYS_CONFIG.replace(
+            "noise = dephasing\nnoise.theta = 0.3\nnoise.phi = 0.2\nnoise.gamma = 0.15\n", emission
+        )
+        snapshot = exp.config_snapshot(exp.parse_config_text(text))
+        assert snapshot == text.lstrip("\n").replace("1e-9", "1e-09")
+        assert exp.parse_config_text(snapshot) == exp.parse_config_text(text)
+
     def test_required_keys_only(self):
         snapshot = exp.config_snapshot(exp.parse_config_text("omega0_true = 1\nT = 1\n"))
         assert snapshot == (
             "noise = none\n"
-            "noise.theta = 1.5707963267948966\n"
-            "noise.phi = 0.0\n"
-            "noise.gamma = 0.0\n"
-            "noise.gamma_plus = 0.0\n"
-            "noise.gamma_minus = 0.0\n"
             "omega0_true = 1.0\n"
             "omega0_hat = 1.0\n"
             "probe = plus\n"
@@ -193,6 +184,29 @@ class TestSnapshotFormat:
         cfg.write_text(text)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "noise, key, line",
+        [
+            ("noise = spontaneous\nnoise.gamma = -0.1\nnoise.theta = 9\n", "noise.gamma", 2),
+            ("noise = spontaneous\nnoise.gamma_minus = 0.1\nnoise.phi = 0.2\n", "noise.phi", 3),
+            ("noise = dephasing\nnoise.gamma = 0.1\nnoise.gamma_minus = 0.2\n",
+             "noise.gamma_minus", 3),
+            ("noise.gamma = 0.1\n", "noise.gamma", 1),
+        ],
+        ids=["emission_gamma", "emission_phi", "dephasing_gamma_minus", "no_noise_gamma"],
+    )
+    def test_noise_keys_the_selected_kind_does_not_read_rejected(self, tmp_path, capsys,
+                                                                 noise, key, line):
+        # such a key would otherwise be accepted and never read
+        text = noise + "omega0_true = 1\nT = 1\nsweep = horizon\nsweep.start = 0.5\n"
+        with pytest.raises(ConfigError, match=f"<config>:{line}: .* does not read '{key}'"):
+            exp.parse_config_text(text)
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert f"does not read '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
 class TestEnergyCost:

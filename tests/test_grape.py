@@ -529,14 +529,8 @@ class TestAscend:
         prob = make_problem(dyn.Dephasing(math.pi / 2, 0.0, gamma), horizon=horizon)
         m = 100
         start = dyn.ControlGrid.constant([0.0, 0.0, -0.5 * (1 + 1e-4)], m, horizon / m)
-        config = grape.AscentConfig(
-            dt=horizon / m,
-            step_size=0.05,
-            max_iterations=60,
-            init_mode="user_supplied",
-            initial_grid=start,
-        )
-        report = grape.ascend(prob, config, grape.qfi_objective())
+        config = grape.AscentConfig(dt=horizon / m, step_size=0.05, max_iterations=60)
+        report = grape.ascend(prob, config, grape.qfi_objective(), start=start)
         assert report.converged
         target = oracles.transverse_controlled_qfi(gamma, horizon)
         assert report.objective_history[0] == pytest.approx(target, rel=1e-4)
@@ -654,23 +648,9 @@ class TestAscentConfigValidation:
         with pytest.raises(ValidationError):
             grape.AscentConfig(dt=0.1, momentum=1.0)
 
-    def test_initial_grid_outside_user_supplied_mode_rejected(self):
-        # any other mode would start elsewhere and drop the grid unread
-        start = dyn.ControlGrid.zeros(20, 3, 0.1)
-        for mode in ("random", "zero"):
-            with pytest.raises(ValidationError, match="user_supplied"):
-                grape.AscentConfig(dt=0.1, init_mode=mode, initial_grid=start)
-
-    def test_initial_grid_step_width_must_be_dt(self):
-        # the ascent would run at the grid's width while the config records dt
-        start = dyn.ControlGrid.zeros(40, 3, 0.05)
-        with pytest.raises(ValidationError, match="step width"):
-            grape.AscentConfig(dt=0.1, init_mode="user_supplied", initial_grid=start)
-
-    def test_objective_validation(self):
-        with pytest.raises(ValidationError):
-            grape.Objective(kind="fidelity")
-        with pytest.raises(ValidationError):
-            grape.Objective(kind="cfi")
-        with pytest.raises(ValidationError):
-            grape.Objective(kind="qfi", povm=fisher.Povm.plus_minus())
+    def test_objective_kind_follows_povm(self):
+        povm = fisher.Povm.plus_minus()
+        assert grape.Objective().kind == "qfi"
+        assert grape.Objective(povm).kind == "cfi"
+        assert grape.qfi_objective() == grape.Objective()
+        assert grape.cfi_objective(povm) == grape.Objective(povm)
