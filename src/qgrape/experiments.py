@@ -4,11 +4,11 @@ Scenarios are described by flat ``key = value`` config files (``#`` starts a
 comment; nested fields are dotted, e.g. ``ascent.step_size``).  ``_KEYS``
 lists every recognized key with its parser, the field it sets and its
 meaning; a key a file leaves out takes that field's dataclass default, and
-``omega0_true`` and ``T`` are required.  ``_NOISE_KEYS`` lists the
-``noise.*`` keys that each noise kind reads.
+``omega0_true`` and ``T`` are required.  ``_keys_read`` lists the keys that
+a scenario reads.
 
-Unknown keys, and ``noise.*`` keys that the selected noise kind does not
-read, are rejected.  Every sweep writes CSV tables with the fixed
+Unknown keys, and keys that the scenario does not read, are rejected with
+their line.  Every sweep writes CSV tables with the fixed
 metric columns ``qfi, qfi_per_t, qfi_per_t2, cfi, oracle_qfi,
 uncontrolled_qfi`` after the sweep-axis column (12 significant digits, ``.``
 radix, ``\n`` line endings; absent metrics hold ``nan``), one ``manifest.txt``
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import platform
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
@@ -71,18 +71,14 @@ AXIS_NAMES = {"theta": "theta", "omega_hat": "omega0", "t0": "t0", "horizon": "h
 class ScenarioConfig:
     """Parsed scenario description; ``_KEYS`` maps the file keys to its fields.
 
-    The control step width is held once, as ``ascent.dt``.
+    The control step width is held once, as ``ascent.dt``.  ``noise`` is the
+    noise model, which checks its own rates and angles when it is built.
     """
 
     omega0_true: float
     horizon: float
     ascent: AscentConfig
-    noise_kind: str = "none"
-    noise_theta: float = math.pi / 2
-    noise_phi: float = 0.0
-    noise_gamma: float = 0.0
-    noise_gamma_plus: float = 0.0
-    noise_gamma_minus: float = 0.0
+    noise: NoiseModel = None
     omega0_hat: float | None = None
     probe: str = "plus"
     objective_kind: str = "qfi"
@@ -93,8 +89,8 @@ class ScenarioConfig:
     sweep_points: int = 11
 
     def __post_init__(self):
-        if self.noise_kind not in _NOISE_KEYS:
-            raise ConfigError(f"unknown noise kind {self.noise_kind!r}")
+        if self.noise_kind is None:
+            raise ConfigError(f"unknown noise model {self.noise!r}")
         if self.objective_kind not in ("qfi", "cfi"):
             raise ConfigError(f"unknown objective {self.objective_kind!r}")
         if self.povm_name not in ("pm", "z"):
@@ -108,10 +104,7 @@ class ScenarioConfig:
                 raise ConfigError("sweep grid must be strictly increasing")
         if not 0 < self.horizon < math.inf:
             raise ConfigError(f"horizon must be finite and positive, got {self.horizon}")
-        try:
-            self.noise_model()
-        except ValidationError as exc:
-            raise ConfigError(f"noise: {exc}") from exc
+        self.probe_state()  # a bad probe fails here, not at every sweep point
 
     @property
     def dt(self) -> float:
@@ -121,16 +114,12 @@ class ScenarioConfig:
     def design_frequency(self) -> float:
         return self.omega0_true if self.omega0_hat is None else self.omega0_hat
 
+    @property
+    def noise_kind(self) -> str | None:
+        return next((k for k, m in _NOISE_KINDS.items() if type(m) is type(self.noise)), None)
+
     def noise_model(self, theta: float | None = None) -> NoiseModel:
-        if self.noise_kind == "none":
-            return None
-        if self.noise_kind == "dephasing":
-            return Dephasing(
-                theta=self.noise_theta if theta is None else theta,
-                phi=self.noise_phi,
-                gamma=self.noise_gamma,
-            )
-        return SpontaneousEmission(self.noise_gamma_plus, self.noise_gamma_minus)
+        return self.noise if theta is None else replace(self.noise, theta=theta)
 
     def probe_state(self) -> np.ndarray:
         return _parse_probe(self.probe)
@@ -168,14 +157,15 @@ def _finite(text: str) -> float:
 
 
 # The file format, in snapshot order: key -> (parser, field it sets).  A field
-# ``ascent.<name>`` is that field of ``ScenarioConfig.ascent``.
+# ``ascent.<name>`` or ``noise.<name>`` is that field of ``ScenarioConfig.ascent``
+# or ``.noise``; ``noise`` names the model's kind, ``ScenarioConfig.noise_kind``.
 _KEYS = {
     "noise": (str, "noise_kind"),  # dephasing | spontaneous | none
-    "noise.theta": (_finite, "noise_theta"),  # dephasing axis polar angle (radians)
-    "noise.phi": (_finite, "noise_phi"),  # dephasing axis azimuth (radians)
-    "noise.gamma": (_finite, "noise_gamma"),  # dephasing rate
-    "noise.gamma_plus": (_finite, "noise_gamma_plus"),  # raising rate (spontaneous)
-    "noise.gamma_minus": (_finite, "noise_gamma_minus"),  # lowering rate (spontaneous)
+    "noise.theta": (_finite, "noise.theta"),  # dephasing axis polar angle (radians)
+    "noise.phi": (_finite, "noise.phi"),  # dephasing axis azimuth (radians)
+    "noise.gamma": (_finite, "noise.gamma"),  # dephasing rate
+    "noise.gamma_plus": (_finite, "noise.gamma_plus"),  # raising rate (spontaneous)
+    "noise.gamma_minus": (_finite, "noise.gamma_minus"),  # lowering rate (spontaneous)
     "omega0_true": (_finite, "omega0_true"),  # true frequency (required)
     "omega0_hat": (_finite, "omega0_hat"),  # design frequency used to build controls
     "probe": (str, "probe"),  # plus | zero | r1,r2,r3
@@ -194,19 +184,26 @@ _KEYS = {
     "sweep.stop": (_finite, "sweep_stop"),
     "sweep.points": (int, "sweep_points"),  # grid size (strictly increasing grid)
 }
-# the noise.* keys that each noise kind reads; a file may set no others
-_NOISE_KEYS = {
-    "none": (),
-    "dephasing": ("noise.theta", "noise.phi", "noise.gamma"),
-    "spontaneous": ("noise.gamma_plus", "noise.gamma_minus"),
+# Each ``noise`` kind and its model, holding the values of keys a file leaves out.
+_NOISE_KINDS = {
+    "none": None,
+    "dephasing": Dephasing(theta=math.pi / 2, phi=0.0, gamma=0.0),
+    "spontaneous": SpontaneousEmission(gamma_plus=0.0, gamma_minus=0.0),
 }
 
 
+def _keys_read(model: NoiseModel, sweep_axis: str | None) -> list[str]:
+    """The keys a scenario reads, in ``_KEYS`` order: ``noise.<field>`` for each
+    field of its noise model, ``sweep*`` only with a sweep, and every other key."""
+    noise = ["noise." + f.name for f in fields(model)] if model is not None else []
+    skipped = ("noise.",) if sweep_axis is not None else ("noise.", "sweep")
+    return [key for key in _KEYS if key in noise or not key.startswith(skipped)]
+
+
 def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
-    """Parse the flat key-value format, rejecting unknown keys and noise keys
-    that the selected noise kind does not read."""
-    scenario: dict[str, object] = {}
-    ascent: dict[str, object] = {}
+    """Parse the flat key-value format, rejecting unknown keys and keys that
+    the scenario does not read (see :func:`_keys_read`)."""
+    owners: dict[str, dict[str, object]] = {"": {}, "ascent": {}, "noise": {}}
     lines: dict[str, int] = {}  # key -> line number
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -220,28 +217,34 @@ def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         parser, name = _KEYS[key]
         owner, _, name = name.rpartition(".")
-        target = ascent if owner else scenario
         if key in lines:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         lines[key] = lineno
         try:
-            target[name] = parser(value)
+            owners[owner][name] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
+    scenario = owners[""]
     for required in ("omega0_true", "T"):
         if _KEYS[required][1] not in scenario:
             raise ConfigError(f"{source}: missing required key {required!r}")
-    try:
-        config = ScenarioConfig(ascent=AscentConfig(**ascent), **scenario)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:  # AscentConfig's ValidationError among them
-        raise ConfigError(f"{source}: {exc}") from exc
-    kind = config.noise_kind
+    kind = scenario.pop("noise_kind", "none")
+    if kind not in _NOISE_KINDS:
+        raise ConfigError(f"{source}:{lines['noise']}: unknown noise kind {kind!r}")
+    default = _NOISE_KINDS[kind]
+    read = _keys_read(default, scenario.get("sweep_axis"))
     for key, lineno in lines.items():
-        if key.startswith("noise.") and key not in _NOISE_KEYS[kind]:
-            raise ConfigError(f"{source}:{lineno}: noise = {kind} does not read {key!r}")
-    return config
+        if key not in read:
+            head = f"noise = {kind}" if key.startswith("noise.") else "sweep = none"
+            raise ConfigError(f"{source}:{lineno}: {head} does not read {key!r}")
+    try:
+        noise = None if default is None else replace(default, **owners["noise"])
+    except ValidationError as exc:
+        raise ConfigError(f"{source}: noise: {exc}") from exc
+    try:
+        return ScenarioConfig(noise=noise, ascent=AscentConfig(**owners["ascent"]), **scenario)
+    except ValidationError as exc:  # AscentConfig checks its own fields
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -252,15 +255,11 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 
 def config_snapshot(config: ScenarioConfig) -> str:
-    """Re-serializable key-value snapshot of a scenario: every key of
-    ``_KEYS``, the ``noise.*`` keys of its noise kind only, and the ``sweep``
-    keys only when a sweep is declared."""
+    """Re-serializable key-value snapshot of a scenario: exactly the keys it
+    reads (see :func:`_keys_read`), in ``_KEYS`` order."""
     lines = []
-    for key, (_, name) in _KEYS.items():
-        if key.startswith("sweep") and config.sweep_axis is None:
-            continue
-        if key.startswith("noise.") and key not in _NOISE_KEYS[config.noise_kind]:
-            continue
+    for key in _keys_read(config.noise, config.sweep_axis):
+        name = _KEYS[key][1]
         value = config.design_frequency if key == "omega0_hat" else attrgetter(name)(config)
         lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
     return "\n".join(lines) + "\n"
@@ -366,7 +365,7 @@ def _theta_axis(config: ScenarioConfig):
     ``qfi``/``cfi``, free evolution of the same probe in ``uncontrolled_qfi``,
     and the noiseless reference T^2 in ``oracle_qfi``.
     """
-    if config.noise_kind != "dephasing":
+    if not isinstance(config.noise, Dephasing):
         raise ConfigError("theta sweep requires dephasing noise")
     m = step_count(config.horizon, config.dt)
     povm = config.povm()
@@ -392,16 +391,16 @@ def _single_pulse_forms(config: ScenarioConfig):
     information, as a function of the horizon.  Parallel dephasing
     (theta = 0) and decay without a raising rate have them; for any other
     noise this is ``None``."""
-    if config.noise_kind == "dephasing" and abs(config.noise_theta) < 1e-9:
+    noise = config.noise
+    if isinstance(noise, Dephasing) and abs(noise.theta) < 1e-9:
         return (
-            partial(oracles.parallel_single_pulse_qfi, config.noise_gamma, config.omega0_true),
-            partial(oracles.parallel_free_qfi, config.noise_gamma),
+            partial(oracles.parallel_single_pulse_qfi, noise.gamma, config.omega0_true),
+            partial(oracles.parallel_free_qfi, noise.gamma),
         )
-    if config.noise_kind == "spontaneous" and config.noise_gamma_plus == 0.0:
+    if isinstance(noise, SpontaneousEmission) and noise.gamma_plus == 0.0:
         return (
-            partial(oracles.spontaneous_single_pulse_qfi, config.noise_gamma_minus,
-                    config.omega0_true),
-            partial(oracles.spontaneous_free_qfi, 0.0, config.noise_gamma_minus),
+            partial(oracles.spontaneous_single_pulse_qfi, noise.gamma_minus, config.omega0_true),
+            partial(oracles.spontaneous_free_qfi, 0.0, noise.gamma_minus),
         )
     return None
 
@@ -419,10 +418,10 @@ def _oracle_curve(config: ScenarioConfig, horizon: float) -> float:
     """Reference curve for time scans: T^2 without noise, the held-at-plus
     closed form for transverse dephasing, and the best single pulse of
     :func:`_best_single_pulse` otherwise."""
-    if config.noise_kind == "none":
+    if config.noise is None:
         return horizon**2
-    if config.noise_kind == "dephasing" and abs(config.noise_theta - math.pi / 2) < 1e-9:
-        return oracles.transverse_controlled_qfi(config.noise_gamma, horizon)
+    if isinstance(config.noise, Dephasing) and abs(config.noise.theta - math.pi / 2) < 1e-9:
+        return oracles.transverse_controlled_qfi(config.noise.gamma, horizon)
     return _best_single_pulse(config, horizon)
 
 

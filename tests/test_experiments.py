@@ -32,9 +32,7 @@ def small_sweep_config(**overrides):
         convergence_tolerance=1e-10, init_mode="zero",
     )
     fields = dict(
-        noise_kind="dephasing",
-        noise_theta=math.pi / 2,
-        noise_gamma=0.1,
+        noise=dyn.Dephasing(theta=math.pi / 2, phi=0.0, gamma=0.1),
         omega0_true=1.0,
         horizon=2.0,
         ascent=ascent,
@@ -51,11 +49,11 @@ class TestConfigParsing:
     def test_round_trip_of_documented_keys(self):
         config = exp.parse_config_text(BASE_CONFIG)
         assert config.noise_kind == "dephasing"
-        assert config.noise_gamma == 0.1
+        assert config.noise.gamma == 0.1
         assert config.horizon == 2.0
         assert config.ascent.seed == 7
         again = exp.parse_config_text(exp.config_snapshot(config))
-        assert again.noise_theta == config.noise_theta
+        assert again.noise.theta == config.noise.theta
         assert again.ascent.step_size == config.ascent.step_size
 
     def test_unknown_key_rejected(self):
@@ -194,20 +192,72 @@ class TestSnapshotFormat:
             ("noise = dephasing\nnoise.gamma = 0.1\nnoise.gamma_minus = 0.2\n",
              "noise.gamma_minus", 3),
             ("noise.gamma = 0.1\n", "noise.gamma", 1),
+            # without a sweep, no sweep.* key is read; the scenario runs as simulate
+            ("sweep.start = 0.5\n", "sweep.start", 1),
+            ("sweep.stop = 3.0\n", "sweep.stop", 1),
+            ("omega0_true = 1\nsweep.points = 1\n", "sweep.points", 2),
         ],
-        ids=["emission_gamma", "emission_phi", "dephasing_gamma_minus", "no_noise_gamma"],
+        ids=["emission_gamma", "emission_phi", "dephasing_gamma_minus", "no_noise_gamma",
+             "no_sweep_start", "no_sweep_stop", "no_sweep_points"],
     )
     def test_noise_keys_the_selected_kind_does_not_read_rejected(self, tmp_path, capsys,
                                                                  noise, key, line):
         # such a key would otherwise be accepted and never read
-        text = noise + "omega0_true = 1\nT = 1\nsweep = horizon\nsweep.start = 0.5\n"
-        with pytest.raises(ConfigError, match=f"<config>:{line}: .* does not read '{key}'"):
+        if key.startswith("sweep."):
+            text = noise + "T = 1\n" + ("" if "omega0_true" in noise else "omega0_true = 1\n")
+            setting = "sweep = none"
+            command = ["simulate"]
+        else:
+            text = noise + "omega0_true = 1\nT = 1\nsweep = horizon\nsweep.start = 0.5\n"
+            setting = "noise = .*"
+            command = ["sweep", "--out", str(tmp_path / "run")]
+        with pytest.raises(ConfigError, match=f"<config>:{line}: {setting} does not read '{key}'"):
+            exp.parse_config_text(text)
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(text)
+        assert main([*command, "--config", str(cfg)]) == 1
+        assert f"does not read '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_bad_probe_rejected_when_loaded(self, tmp_path, capsys):
+        # checked once for the whole config, not flagged at every sweep point
+        text = ("omega0_true = 1\nT = 2\nprobe = left\n"
+                "sweep = horizon\nsweep.start = 1\nsweep.stop = 2\nsweep.points = 2\n")
+        with pytest.raises(ConfigError, match="probe must be"):
             exp.parse_config_text(text)
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(text)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
-        assert f"does not read '{key}'" in capsys.readouterr().err
+        assert "probe must be" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [{}, dict(sweep_axis="horizon", sweep_start=1.0, sweep_stop=2.0, sweep_points=3)],
+        ids=["no_sweep", "horizon_sweep"],
+    )
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            None,
+            dyn.Dephasing(theta=1.1, phi=0.4, gamma=0.2),
+            dyn.SpontaneousEmission(gamma_plus=0.05, gamma_minus=0.1),
+        ],
+        ids=["noiseless", "oblique", "emission"],
+    )
+    def test_snapshot_of_a_library_built_config_is_a_fixed_point(self, noise, sweep):
+        config = exp.ScenarioConfig(
+            omega0_true=1.0, horizon=2.0, ascent=AscentConfig(), noise=noise, **sweep
+        )
+        snapshot = exp.config_snapshot(config)
+        again = exp.parse_config_text(snapshot)
+        assert exp.config_snapshot(again) == snapshot
+        assert (again.noise, again.sweep_axis) == (noise, config.sweep_axis)
+
+    def test_unknown_noise_model_rejected(self):
+        with pytest.raises(ConfigError, match="unknown noise model"):
+            exp.ScenarioConfig(omega0_true=1.0, horizon=1.0, ascent=AscentConfig(),
+                               noise="dephasing")
 
 class TestEnergyCost:
     def test_zero_schedule(self):
@@ -247,7 +297,9 @@ class TestThetaSweep:
             assert row["oracle_qfi"] == pytest.approx(4.0)
 
     def test_noiseless_limit_matches_reference(self):
-        config = small_sweep_config(noise_gamma=0.0, sweep_points=2)
+        config = small_sweep_config(
+            noise=dyn.Dephasing(theta=math.pi / 2, phi=0.0, gamma=0.0), sweep_points=2
+        )
         record = exp.run_sweep(config)
         for row in record.tables["theta_probe_plus"]:
             assert row["qfi"] == pytest.approx(4.0, abs=1e-6)
@@ -288,9 +340,7 @@ class TestTimeScan:
     def test_emission_with_raising_rate_keeps_optimized_points(self):
         # the single-pulse reference assumes gamma_plus = 0, so it reads nan
         config = small_sweep_config(
-            noise_kind="spontaneous",
-            noise_gamma_plus=0.02,
-            noise_gamma_minus=0.1,
+            noise=dyn.SpontaneousEmission(gamma_plus=0.02, gamma_minus=0.1),
             sweep_axis="horizon",
             sweep_start=1.0,
             sweep_stop=2.0,
@@ -330,7 +380,7 @@ class TestRobustnessScan:
 class TestPulseScan:
     def test_parallel_pulse_scan_matches_oracle(self):
         config = small_sweep_config(
-            noise_theta=0.0,
+            noise=dyn.Dephasing(theta=0.0, phi=0.0, gamma=0.1),
             horizon=15.0,
             sweep_axis="t0",
             sweep_start=0.0,
@@ -350,9 +400,7 @@ class TestPulseScan:
 
     def test_emission_pulse_scan_with_raising_rate_rejected(self):
         config = small_sweep_config(
-            noise_kind="spontaneous",
-            noise_gamma_plus=0.02,
-            noise_gamma_minus=0.1,
+            noise=dyn.SpontaneousEmission(gamma_plus=0.02, gamma_minus=0.1),
             sweep_axis="t0",
             sweep_start=0.0,
             sweep_stop=2.0,
@@ -364,9 +412,7 @@ class TestPulseScan:
     def test_spontaneous_pulse_scan_shows_gain_only_for_long_horizons(self):
         def scan(horizon):
             config = small_sweep_config(
-                noise_kind="spontaneous",
-                noise_gamma=0.0,
-                noise_gamma_minus=0.1,
+                noise=dyn.SpontaneousEmission(gamma_plus=0.0, gamma_minus=0.1),
                 horizon=horizon,
                 sweep_axis="t0",
                 sweep_start=0.0,
@@ -383,9 +429,13 @@ class TestPulseScan:
 
 class TestBestSinglePulse:
     CASES = {
-        "parallel": (dict(noise_theta=0.0), oracles.parallel_single_pulse_qfi, 0.1),
+        "parallel": (
+            dict(noise=dyn.Dephasing(theta=0.0, phi=0.0, gamma=0.1)),
+            oracles.parallel_single_pulse_qfi,
+            0.1,
+        ),
         "emission": (
-            dict(noise_kind="spontaneous", noise_gamma=0.0, noise_gamma_minus=0.2),
+            dict(noise=dyn.SpontaneousEmission(gamma_plus=0.0, gamma_minus=0.2)),
             oracles.spontaneous_single_pulse_qfi,
             0.2,
         ),
@@ -409,7 +459,9 @@ class TestBestSinglePulse:
         # the y axis, so the back-to-plane rotation is undefined there; grid
         # point 199 of the best-pulse scan is pi/2
         horizon = math.pi / 2 * 399 / 199
-        config = small_sweep_config(noise_kind="spontaneous", noise_gamma=0.0)
+        config = small_sweep_config(
+            noise=dyn.SpontaneousEmission(gamma_plus=0.0, gamma_minus=0.0)
+        )
         t0 = np.linspace(0.0, horizon, 400)[199]
         assert abs(t0 - math.pi / 2) < 1e-15
         with pytest.raises(UndefinedRotationError) as expected:
@@ -468,7 +520,7 @@ class TestOutputFiles:
 
     def test_csv_has_12_significant_digits_and_lf_endings(self, tmp_path):
         config = small_sweep_config(
-            noise_theta=0.0,
+            noise=dyn.Dephasing(theta=0.0, phi=0.0, gamma=0.1),
             horizon=15.0,
             sweep_axis="t0",
             sweep_start=0.0,
