@@ -95,6 +95,11 @@ class ScenarioConfig:
             raise ConfigError(f"unknown objective {self.objective_kind!r}")
         if self.povm_name not in ("pm", "z"):
             raise ConfigError(f"unknown POVM {self.povm_name!r}")
+        # as the file parser does, so that every config writes a snapshot
+        for name in ("omega0_true", "omega0_hat", "sweep_start", "sweep_stop"):
+            value = getattr(self, name)
+            if value is not None and not abs(value) < math.inf:
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.sweep_axis is not None:
             if self.sweep_axis not in AXIS_NAMES:
                 raise ConfigError(f"unknown sweep axis {self.sweep_axis!r}")
@@ -179,6 +184,7 @@ _KEYS = {
     "ascent.convergence_tolerance": (_finite, "ascent.convergence_tolerance"),
     "ascent.seed": (int, "ascent.seed"),  # RNG seed for initialization
     "ascent.init_mode": (str, "ascent.init_mode"),  # zero | random (uniform in [-1, 1])
+    "ascent.momentum": (_finite, "ascent.momentum"),  # heavy-ball coefficient in [0, 1)
     "sweep": (str, "sweep_axis"),  # theta | omega_hat | t0 | horizon
     "sweep.start": (_finite, "sweep_start"),  # sweep-axis bounds
     "sweep.stop": (_finite, "sweep_stop"),
@@ -256,11 +262,13 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 def config_snapshot(config: ScenarioConfig) -> str:
     """Re-serializable key-value snapshot of a scenario: exactly the keys it
-    reads (see :func:`_keys_read`), in ``_KEYS`` order."""
+    reads (see :func:`_keys_read`), in ``_KEYS`` order, each value as its key's
+    parser reads it (an integer under a float key is written ``1.0``)."""
     lines = []
     for key in _keys_read(config.noise, config.sweep_axis):
-        name = _KEYS[key][1]
+        parser, name = _KEYS[key]
         value = config.design_frequency if key == "omega0_hat" else attrgetter(name)(config)
+        value = parser(value)
         lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
     return "\n".join(lines) + "\n"
 

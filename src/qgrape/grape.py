@@ -12,6 +12,11 @@ It matches central finite differences of the objective to the differencing
 error itself; :func:`finite_difference_gradient` is that oracle.  The paper's
 first-order operator formula for the same gradient is kept in the test suite
 as a reference.
+
+:func:`ascend` climbs that gradient with one step rule: each iteration tries a
+heavy-ball move and then the gradient step halved again and again, and takes
+the first candidate that does not lower the objective.  A candidate that fails
+to propagate or to evaluate is rejected like one that lowers it.
 """
 
 from __future__ import annotations
@@ -258,14 +263,15 @@ class AscentConfig:
     drawn uniformly from [-1, 1]); a start grid of one's own goes to
     :func:`ascend` instead.  Convergence is declared when the objective change
     stays below ``convergence_tolerance * max(1, |F|)`` for 10 consecutive
-    iterations.  The step is halved (up to 20 times) whenever it would
-    decrease the objective, and a step that still decreases it is not taken,
-    so the recorded objective history is non-decreasing.
-
-    ``momentum`` (heavy-ball coefficient, 0 disables) accelerates progress
-    along the flat ridges these information landscapes develop; a momentum
-    step that fails to improve resets the velocity and falls back to the
-    plain safeguarded gradient step, so monotonicity is preserved.
+    iterations.  Each iteration tries candidate moves in turn and takes the
+    first that does not lower the objective: with ``momentum`` > 0 (the
+    heavy-ball coefficient; 0 disables it) and a nonzero velocity ``v``, first
+    ``momentum v + step_size g``, which carries progress along the flat ridges
+    these information landscapes develop; then ``step_size g`` halved up to 20
+    times.  The velocity becomes the move taken, or zero when none is.  A
+    candidate whose propagation or objective raises is rejected like one that
+    lowers the objective, and when every candidate is rejected no move is
+    taken, so the recorded objective history is non-decreasing.
     """
 
     dt: float = 0.05
@@ -320,6 +326,19 @@ def _start_grid(problem: EstimationProblem, config: AscentConfig) -> ControlGrid
     return ControlGrid(amps, config.dt)
 
 
+def _moves(config: AscentConfig, velocity: np.ndarray, table: np.ndarray):
+    """The candidate moves of one iteration, in the order they are tried: the
+    heavy-ball move ``momentum v + step_size g`` while there is a velocity to
+    carry, then ``step_size g / 2^i`` for i = 0..``MAX_BACKTRACK_HALVINGS``.
+    With no velocity the heavy-ball move is the first halving move."""
+    if config.momentum > 0.0 and velocity.any():
+        yield config.momentum * velocity + config.step_size * table
+    step = config.step_size
+    for _ in range(MAX_BACKTRACK_HALVINGS + 1):
+        yield step * table
+        step *= 0.5
+
+
 def ascend(
     problem: EstimationProblem,
     config: AscentConfig,
@@ -330,10 +349,13 @@ def ascend(
 
     The ascent starts from ``start`` when one is given, and runs at its step
     width; otherwise from a grid of step width ``config.dt`` built by
-    ``config.init_mode``.  Each iteration propagates the current schedule,
-    evaluates the objective, computes the analytic gradient, and updates
-    every amplitude by ``step_size`` times its gradient entry.  The report
-    records the objective after every iteration (index 0 is the start).
+    ``config.init_mode``.  Each iteration computes the analytic gradient ``g``
+    of the current schedule and takes the first candidate move (see
+    :class:`AscentConfig`) whose schedule keeps the objective from falling.
+    The report records the objective after every iteration (index 0 is the
+    start).  An iteration fails, ending the run with the error in the report,
+    when its gradient raises or when every candidate raised; it reports the
+    last candidate's error.
     """
     grid = _start_grid(problem, config) if start is None else start
     history: list[float] = []
@@ -351,33 +373,25 @@ def ascend(
     for it in range(1, config.max_iterations + 1):
         try:
             table = gradient(traj, problem, objective)
-            cand = None
-            if config.momentum > 0.0:
-                velocity = config.momentum * velocity + config.step_size * table
-                trial = ControlGrid(grid.amplitudes + velocity, grid.dt)
-                try:
-                    trial_traj = propagate(problem, trial)
-                    trial_value = objective_value(trial_traj, objective)
-                except QGrapeError:
-                    trial_value = -np.inf  # unusable trial: restart as below
-                if trial_value >= value:
-                    cand, cand_traj, cand_value = trial, trial_traj, trial_value
-                else:
-                    velocity = np.zeros_like(velocity)  # ridge overshoot; restart
-            if cand is None:
-                step = config.step_size
-                for _ in range(MAX_BACKTRACK_HALVINGS + 1):
-                    cand = ControlGrid(grid.amplitudes + step * table, grid.dt)
-                    cand_traj = propagate(problem, cand)
-                    cand_value = objective_value(cand_traj, objective)
-                    if cand_value >= value:
-                        break
-                    step *= 0.5
-                if cand_value < value:
-                    cand, cand_traj, cand_value = grid, traj, value
-                velocity = cand.amplitudes - grid.amplitudes
         except QGrapeError as exc:
             return AscentReport.failed(grid, history, it, exc)
+        all_raised = True
+        for move in _moves(config, velocity, table):
+            try:
+                cand = ControlGrid(grid.amplitudes + move, grid.dt)
+                cand_traj = propagate(problem, cand)
+                cand_value = objective_value(cand_traj, objective)
+            except QGrapeError as exc:  # rejected, as a candidate that lowers F
+                error = exc
+                continue
+            all_raised = False
+            if cand_value >= value:
+                break
+        else:  # every candidate lowered F or raised: no move is taken
+            if all_raised:
+                return AscentReport.failed(grid, history, it, error)
+            cand, cand_traj, cand_value, move = grid, traj, value, np.zeros_like(velocity)
+        velocity = move
         delta = abs(cand_value - value)
         grid, traj, value = cand, cand_traj, cand_value
         history.append(value)

@@ -1,11 +1,12 @@
 """Closed-form benchmarks for the qubit frequency-estimation scenarios.
 
-These are analytic solutions of the Bloch equations for the three noise
-models (dephasing transverse or parallel to the encoding axis, spontaneous
-emission) together with the Fisher information they imply.  They serve as
-ground truth for the numeric pipeline and as the analysis backend for
-single-pulse control strategies, where the probe evolves freely, receives one
-instantaneous rotation at time t0, and evolves freely again until T.
+These are the Fisher information of analytic solutions of the Bloch
+equations for the three noise models (dephasing transverse or parallel to the
+encoding axis, spontaneous emission).  They serve as ground truth for the
+numeric pipeline and as the analysis backend for single-pulse control
+strategies, where the probe evolves freely, receives one instantaneous
+rotation at time t0, and evolves freely again until T.  The free Bloch
+vectors themselves are test references, in ``tests/reference_oracles.py``.
 """
 
 from __future__ import annotations
@@ -20,15 +21,11 @@ from .fisher import _qfi_bloch
 
 __all__ = [
     "transverse_controlled_qfi",
-    "transverse_bloch",
     "parallel_free_qfi",
     "parallel_single_pulse_qfi",
-    "spontaneous_free_bloch",
     "spontaneous_free_qfi",
     "spontaneous_single_pulse_qfi",
 ]
-
-SERIES_CROSSOVER = 1e-6
 
 
 def _check_nonnegative(**values: float) -> None:
@@ -65,39 +62,6 @@ def transverse_controlled_qfi(gamma: float, horizon: float) -> float:
     return 2.0 / (gamma * gamma) * (math.expm1(-u) + u)
 
 
-def transverse_bloch(gamma: float, omega0: float, t: float) -> np.ndarray:
-    """Bloch vector of the transverse-dephasing evolution from (1, 0, 0).
-
-    With ``a = sqrt(gamma^2 - 4 omega0^2)``:
-    ``r1 = exp(-gamma t/2) [(gamma/a) sinh(a t/2) + cosh(a t/2)]``,
-    ``r2 = -(2 omega0/a) exp(-gamma t/2) sinh(a t/2)``, ``r3 = 0``.
-    For ``gamma^2 < 4 omega0^2`` the root is imaginary and the hyperbolic
-    functions turn trigonometric; at a = 0 the t-linear limit applies.
-    """
-    _check_nonnegative(gamma=gamma, t=t)
-    disc = gamma * gamma - 4.0 * omega0 * omega0
-    envelope = math.exp(-0.5 * gamma * t)
-    half_t = 0.5 * t
-    if disc >= 0.0:
-        z = math.sqrt(disc) * half_t
-        if z < SERIES_CROSSOVER:
-            sinhc = 1.0 + z * z / 6.0
-        else:
-            sinhc = math.sinh(z) / z
-        cosh_term = math.cosh(z)
-    else:
-        z = math.sqrt(-disc) * half_t
-        if z < SERIES_CROSSOVER:
-            sinhc = 1.0 - z * z / 6.0
-        else:
-            sinhc = math.sin(z) / z
-        cosh_term = math.cos(z)
-    sinh_over_a = half_t * sinhc  # sinh(a t/2)/a on either branch
-    r1 = envelope * (gamma * sinh_over_a + cosh_term)
-    r2 = -2.0 * omega0 * envelope * sinh_over_a
-    return np.array([r1, r2, 0.0])
-
-
 def parallel_free_qfi(gamma: float, horizon: float) -> float:
     """``T^2 exp(-2 gamma T)``: free-evolution information under parallel
     dephasing from |+>; maximal at T = 1/gamma."""
@@ -130,35 +94,6 @@ def parallel_single_pulse_qfi(gamma: float, omega0: float, horizon: float, t0):
     ]
     value = _qfi_bloch(np.stack(r, axis=1), np.stack(dr, axis=1))
     return float(value[0]) if np.ndim(t0) == 0 else value.reshape(np.shape(t0))
-
-
-def spontaneous_free_bloch(
-    gamma_plus: float,
-    gamma_minus: float,
-    omega0: float,
-    t: float,
-    r0,
-) -> np.ndarray:
-    """Free spontaneous-emission evolution of an arbitrary Bloch vector.
-
-    Transverse components rotate at omega0 and damp at ``(g+ + g-)/2``; the
-    longitudinal component relaxes toward ``(g+ - g-)/(g+ + g-)`` at rate
-    ``g+ + g-``.  Zero total rate gives pure rotation.
-    """
-    _check_nonnegative(gamma_plus=gamma_plus, gamma_minus=gamma_minus, t=t)
-    r0 = np.asarray(r0, dtype=float)
-    total = gamma_plus + gamma_minus
-    c, s = math.cos(omega0 * t), math.sin(omega0 * t)
-    envelope = math.exp(-0.5 * total * t)
-    r1 = envelope * (c * r0[0] - s * r0[1])
-    r2 = envelope * (c * r0[1] + s * r0[0])
-    if total == 0.0:
-        r3 = r0[2]
-    else:
-        fixed_point = (gamma_plus - gamma_minus) / total
-        relax = math.exp(-total * t)
-        r3 = fixed_point * (1.0 - relax) + relax * r0[2]
-    return np.array([r1, r2, r3])
 
 
 def spontaneous_free_qfi(gamma_plus: float, gamma_minus: float, horizon: float) -> float:

@@ -8,7 +8,6 @@ import pytest
 from scipy.linalg import expm
 
 from qgrape import dynamics as dyn
-from qgrape import oracles
 from qgrape.errors import NumericalStabilityError, ValidationError
 
 from reference_dynamics import (
@@ -23,6 +22,7 @@ from reference_dynamics import (
     unvectorize,
     vectorize,
 )
+from reference_oracles import transverse_bloch
 
 NOISE_MODELS = {
     "noiseless": None,
@@ -501,7 +501,7 @@ class TestPropagate:
             grid = dyn.ControlGrid.constant([0.0, 0.0, -omega], m, 1e-3)
             traj = dyn.propagate(prob, grid)
             r = dyn.bloch_from_density(traj.final_state)
-            np.testing.assert_allclose(r, oracles.transverse_bloch(gamma, omega, t), atol=1e-6)
+            np.testing.assert_allclose(r, transverse_bloch(gamma, omega, t), atol=1e-6)
 
     def test_refining_sampled_smooth_controls_converges_first_order(self):
         rng = np.random.default_rng(2)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,6 +113,7 @@ ascent.max_iterations = 77
 ascent.convergence_tolerance = 1e-9
 ascent.seed = 13
 ascent.init_mode = zero
+ascent.momentum = 0.6
 sweep = theta
 sweep.start = 0.5
 sweep.stop = 2.5
@@ -151,6 +153,7 @@ class TestSnapshotFormat:
             "ascent.convergence_tolerance = 1e-08\n"
             "ascent.seed = 0\n"
             "ascent.init_mode = random\n"
+            "ascent.momentum = 0.0\n"
         )
 
     @pytest.mark.parametrize("mode", ["random_uniform", "user_supplied"])
@@ -232,9 +235,16 @@ class TestSnapshotFormat:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
-        "sweep",
-        [{}, dict(sweep_axis="horizon", sweep_start=1.0, sweep_stop=2.0, sweep_points=3)],
-        ids=["no_sweep", "horizon_sweep"],
+        "scenario",
+        [
+            {},
+            dict(sweep_axis="horizon", sweep_start=1.0, sweep_stop=2.0, sweep_points=3),
+            # every number an int, under keys whose parser reads a float
+            dict(omega0_true=1, horizon=2, omega0_hat=1,
+                 ascent=AscentConfig(dt=1, step_size=1, convergence_tolerance=1, momentum=0),
+                 sweep_axis="horizon", sweep_start=1, sweep_stop=2, sweep_points=3),
+        ],
+        ids=["no_sweep", "horizon_sweep", "integers"],
     )
     @pytest.mark.parametrize(
         "noise",
@@ -242,17 +252,32 @@ class TestSnapshotFormat:
             None,
             dyn.Dephasing(theta=1.1, phi=0.4, gamma=0.2),
             dyn.SpontaneousEmission(gamma_plus=0.05, gamma_minus=0.1),
+            dyn.Dephasing(theta=0, phi=0, gamma=1),
+            dyn.SpontaneousEmission(gamma_plus=0, gamma_minus=1),
         ],
-        ids=["noiseless", "oblique", "emission"],
+        ids=["noiseless", "oblique", "emission", "integer_parallel", "integer_emission"],
     )
-    def test_snapshot_of_a_library_built_config_is_a_fixed_point(self, noise, sweep):
-        config = exp.ScenarioConfig(
-            omega0_true=1.0, horizon=2.0, ascent=AscentConfig(), noise=noise, **sweep
-        )
+    def test_snapshot_of_a_library_built_config_is_a_fixed_point(self, noise, scenario):
+        fields = {**dict(omega0_true=1.0, horizon=2.0, ascent=AscentConfig()), **scenario}
+        config = exp.ScenarioConfig(noise=noise, **fields)
         snapshot = exp.config_snapshot(config)
         again = exp.parse_config_text(snapshot)
         assert exp.config_snapshot(again) == snapshot
         assert (again.noise, again.sweep_axis) == (noise, config.sweep_axis)
+
+    def test_snapshot_reloads_the_config_built_in_code(self):
+        # every field, momentum among them, survives the file format; the
+        # snapshot names the design frequency even when it is the true one
+        config = small_sweep_config()
+        assert config.ascent.momentum == 0.9
+        again = exp.parse_config_text(exp.config_snapshot(config))
+        assert again == replace(config, omega0_hat=config.omega0_true)
+
+    @pytest.mark.parametrize("name", ["omega0_true", "omega0_hat", "sweep_start", "sweep_stop"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_numbers_rejected_in_code(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            small_sweep_config(**{name: value})
 
     def test_unknown_noise_model_rejected(self):
         with pytest.raises(ConfigError, match="unknown noise model"):

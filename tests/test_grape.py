@@ -600,6 +600,80 @@ class TestAscend:
         assert report.failed_iteration == 3
         assert len(report.objective_history) == report.iterations_used + 1
 
+    @staticmethod
+    def _count_candidates(monkeypatch, on_candidate):
+        """Route ascend's propagations through ``on_candidate(iteration, index,
+        grid)``, ``index`` counting the candidates of the iteration from 0;
+        the start grid's propagation is iteration 0."""
+        state = {"iteration": 0, "index": 0}
+        real_gradient, real_propagate = grape.gradient, grape.propagate
+
+        def counted_gradient(*args, **kwargs):
+            state["iteration"] += 1
+            state["index"] = 0
+            return real_gradient(*args, **kwargs)
+
+        def counted_propagate(problem, grid):
+            state["index"] += 1
+            on_candidate(state["iteration"], state["index"] - 1, grid)
+            return real_propagate(problem, grid)
+
+        monkeypatch.setattr(grape, "gradient", counted_gradient)
+        monkeypatch.setattr(grape, "propagate", counted_propagate)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_raising_first_candidate_is_skipped(self, monkeypatch, momentum):
+        # in iteration 2 the first candidate is the heavy-ball move when
+        # momentum is on, the full gradient step otherwise
+        def raise_first_of_second(iteration, index, grid):
+            if (iteration, index) == (2, 0):
+                raise NumericalStabilityError("synthetic first candidate")
+
+        self._count_candidates(monkeypatch, raise_first_of_second)
+        prob = make_problem(NOISE_MODELS["parallel"], horizon=1.0)
+        config = grape.AscentConfig(
+            dt=0.1, step_size=0.1, max_iterations=5, seed=1, momentum=momentum
+        )
+        report = grape.ascend(prob, config, grape.qfi_objective())
+        assert report.error is None and report.failed_iteration is None
+        assert report.iterations_used == 5
+        hist = report.objective_history
+        assert all(b >= a for a, b in zip(hist, hist[1:]))
+        assert hist[2] > hist[1]
+
+    def test_iteration_fails_only_when_every_candidate_raised(self, monkeypatch):
+        def raise_every_candidate(iteration, index, grid):
+            if iteration > 0:
+                raise NumericalStabilityError(f"synthetic candidate {index}")
+
+        self._count_candidates(monkeypatch, raise_every_candidate)
+        prob = make_problem(NOISE_MODELS["parallel"], horizon=1.0)
+        config = grape.AscentConfig(dt=0.1, step_size=0.1, max_iterations=5, seed=1)
+        report = grape.ascend(prob, config, grape.qfi_objective())
+        assert report.failed_iteration == 1
+        assert report.iterations_used == 0 and len(report.objective_history) == 1
+        last = grape.MAX_BACKTRACK_HALVINGS
+        assert report.error == f"NumericalStabilityError: synthetic candidate {last}"
+
+    def test_no_schedule_is_propagated_twice_in_an_iteration(self, monkeypatch):
+        # a step size this large overshoots, so heavy-ball moves are rejected
+        # and halving runs after them
+        seen: dict[int, list[bytes]] = {}
+
+        def record(iteration, index, grid):
+            seen.setdefault(iteration, []).append(grid.amplitudes.tobytes())
+
+        self._count_candidates(monkeypatch, record)
+        prob = make_problem(NOISE_MODELS["parallel"], horizon=1.0)
+        config = grape.AscentConfig(
+            dt=0.1, step_size=20.0, max_iterations=30, seed=3, momentum=0.9
+        )
+        report = grape.ascend(prob, config, grape.qfi_objective())
+        assert report.error is None
+        assert max(len(grids) for grids in seen.values()) > 2
+        for iteration, grids in seen.items():
+            assert len(set(grids)) == len(grids), f"iteration {iteration}"
+
     def test_parallel_long_horizon_beats_single_pulse_strategy(self):
         # beyond the coherence window, repeated pulses must at least match
         # (and here beat) both twice the free value and the best single pulse

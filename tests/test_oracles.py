@@ -7,6 +7,8 @@ from qgrape import dynamics as dyn
 from qgrape import fisher, oracles
 from qgrape.errors import UndefinedRotationError, ValidationError
 
+from reference_oracles import spontaneous_free_bloch, transverse_bloch
+
 
 class TestTransverseControlledQfi:
     def test_reference_value(self):
@@ -38,14 +40,14 @@ class TestTransverseBloch:
     def test_stationary_at_zero_frequency(self):
         for t in (0.0, 1.0, 10.0):
             np.testing.assert_allclose(
-                oracles.transverse_bloch(0.1, 0.0, t), [1.0, 0.0, 0.0], atol=1e-14
+                transverse_bloch(0.1, 0.0, t), [1.0, 0.0, 0.0], atol=1e-14
             )
 
     def test_second_order_frequency_expansion(self):
         # 1 - r1 grows as the controlled-information kernel times delta^2
         gamma, t = 0.1, 4.0
         delta = 1e-4
-        r1 = oracles.transverse_bloch(gamma, delta, t)[0]
+        r1 = transverse_bloch(gamma, delta, t)[0]
         kernel = (math.exp(-gamma * t) + gamma * t - 1.0) / gamma**2
         assert (1.0 - r1) == pytest.approx(kernel * delta * delta, rel=1e-4)
 
@@ -53,8 +55,8 @@ class TestTransverseBloch:
         omega = 0.3
         t = 2.0
         gamma_c = 2.0 * omega
-        left = oracles.transverse_bloch(gamma_c * (1 - 1e-9), omega, t)
-        right = oracles.transverse_bloch(gamma_c * (1 + 1e-9), omega, t)
+        left = transverse_bloch(gamma_c * (1 - 1e-9), omega, t)
+        right = transverse_bloch(gamma_c * (1 + 1e-9), omega, t)
         np.testing.assert_allclose(left, right, atol=1e-8)
 
     def test_oscillatory_branch_against_ode_quadrature(self):
@@ -74,7 +76,7 @@ class TestTransverseBloch:
             k3 = rhs(r + 0.5 * h * k2)
             k4 = rhs(r + h * k3)
             r = r + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        closed = oracles.transverse_bloch(gamma, omega, t_end)
+        closed = transverse_bloch(gamma, omega, t_end)
         np.testing.assert_allclose(closed[:2], r, atol=1e-10)
 
     def test_matches_propagation_in_counter_rotated_frame(self):
@@ -87,7 +89,7 @@ class TestTransverseBloch:
             traj = dyn.propagate(prob, grid)
             np.testing.assert_allclose(
                 dyn.bloch_from_density(traj.final_state),
-                oracles.transverse_bloch(gamma, omega, t),
+                transverse_bloch(gamma, omega, t),
                 atol=1e-6,
             )
 
@@ -208,17 +210,17 @@ class TestSinglePulseTimes:
 
 class TestSpontaneousFree:
     def test_symmetric_rates_have_no_longitudinal_offset(self):
-        r = oracles.spontaneous_free_bloch(0.2, 0.2, 1.0, 50.0, [1.0, 0.0, 0.0])
+        r = spontaneous_free_bloch(0.2, 0.2, 1.0, 50.0, [1.0, 0.0, 0.0])
         assert r[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_decay_relaxation_curve(self):
         gamma = 0.3
         for t in (0.5, 2.0, 10.0):
-            r = oracles.spontaneous_free_bloch(0.0, gamma, 1.0, t, [1.0, 0.0, 0.0])
+            r = spontaneous_free_bloch(0.0, gamma, 1.0, t, [1.0, 0.0, 0.0])
             assert r[2] == pytest.approx(-1.0 + math.exp(-gamma * t), abs=1e-12)
 
     def test_zero_rates_pure_rotation(self):
-        r = oracles.spontaneous_free_bloch(0.0, 0.0, 1.0, 2.0, [1.0, 0.0, 0.0])
+        r = spontaneous_free_bloch(0.0, 0.0, 1.0, 2.0, [1.0, 0.0, 0.0])
         np.testing.assert_allclose(r, [math.cos(2.0), math.sin(2.0), 0.0], atol=1e-12)
 
     def test_matches_numeric_propagation(self):
@@ -232,7 +234,7 @@ class TestSpontaneousFree:
             traj = dyn.propagate(prob, dyn.ControlGrid.zeros(int(t / 1e-3), 3, 1e-3))
             np.testing.assert_allclose(
                 dyn.bloch_from_density(traj.final_state),
-                oracles.spontaneous_free_bloch(gamma_plus, gamma_minus, w, t, r0),
+                spontaneous_free_bloch(gamma_plus, gamma_minus, w, t, r0),
                 atol=1e-6,
             )
 
@@ -280,7 +282,7 @@ class TestSpontaneousSinglePulse:
         # in the frequency with the rotation held fixed
         gamma, w_ref, t0, horizon = 0.1, 1.0, 5.0, 13.0
         noise = dyn.SpontaneousEmission(0.0, gamma)
-        pre_ref = oracles.spontaneous_free_bloch(0.0, gamma, w_ref, t0, [1.0, 0.0, 0.0])
+        pre_ref = spontaneous_free_bloch(0.0, gamma, w_ref, t0, [1.0, 0.0, 0.0])
         h = math.hypot(pre_ref[0], pre_ref[2])
         c1, c3 = pre_ref[0] / h, pre_ref[2] / h
         rot = np.array([[c1, 0.0, c3], [0.0, 1.0, 0.0], [-c3, 0.0, c1]])
