@@ -29,6 +29,7 @@ from .grape import (
     AscentReport,
     Objective,
     ascend,
+    ascend_batch,
     cfi_objective,
     finite_difference_gradient,
     gradient,

@@ -25,7 +25,12 @@ exponentiates the real (m, 4, 4) stack in one batched call of a Taylor
 scaling-and-squaring kernel, and loops only over one real 8-vector that
 carries the state and its sensitivity, one product per step.  The (m, 8, 8)
 step matrices of that loop stay in the :class:`Trajectory`, where the
-gradient and the finite-difference oracle read them.
+gradient and the finite-difference oracle read them.  The time axis may be
+flat over several schedules: ``_propagate_each`` lays the m_1 + m_2 + ...
+steps of many (problem, grid) pairs end to end and builds, exponentiates and
+checks them in one call each, as the lock-step ascents of
+:mod:`qgrape.grape` do; only the 8-vector loop runs per schedule.  Every
+kernel on that axis gives each step bitwise what it gives the step alone.
 
 Conventions (fixed once, asserted by tests):
 
@@ -46,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalStabilityError, ValidationError
+from .errors import NumericalStabilityError, QGrapeError, ValidationError
 
 __all__ = [
     "IDENTITY",
@@ -358,10 +363,14 @@ class ControlGrid:
         return ControlGrid(np.tile(row, (n_steps, 1)), dt)
 
 
-def _generators(problem: EstimationProblem, amplitudes: np.ndarray) -> np.ndarray:
+def _generators(
+    problem: EstimationProblem, amplitudes: np.ndarray, free: np.ndarray | None = None
+) -> np.ndarray:
     """Real stack (m, 4, 4) of the generators ``R0 + sum_k V_k dR/dV_k`` for
-    an (m, p) amplitude table."""
-    return problem.free_superop + np.einsum("jk,kab->jab", amplitudes, problem.control_superops)
+    an (m, p) amplitude table; ``R0`` is the problem's free generator unless
+    ``free`` gives another 4x4 matrix or one per step."""
+    free = problem.free_superop if free is None else free
+    return free + np.einsum("jk,kab->jab", amplitudes, problem.control_superops)
 
 
 def step_count(horizon: float, dt: float) -> int:
@@ -405,11 +414,18 @@ def _expm(generators: np.ndarray, dt: float) -> np.ndarray:
     exponential keeps the trace row ``(1, 0, 0, 0)``.  Real input gives real
     output, complex input complex output.  Non-finite input gives non-finite
     output without floating-point warnings.
+
+    The temporaries (the powers, A^4, the five blocks and one product) are
+    slices of one allocation per call: glibc serves a chunk this large by
+    mmap, and once it is freed raises its mmap threshold above it
+    (mallopt(3)), so the next call's stack comes from the heap instead of
+    fresh, page-faulting pages.  The result is a view into that allocation.
     """
     a = np.asarray(generators)
     shape, n = a.shape, a.shape[-1]
     a = a.reshape(-1, n, n)
-    powers = np.empty((4,) + a.shape, dtype=np.result_type(a.dtype, np.float64))
+    work = np.empty((11,) + a.shape, dtype=np.result_type(a.dtype, np.float64))
+    powers, a4, blocks, term = work[:4], work[4], work[5:10], work[10]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a = np.multiply(dt, a, out=powers[1], dtype=powers.dtype)
         s = np.zeros(len(a), dtype=int)
@@ -424,9 +440,8 @@ def _expm(generators: np.ndarray, dt: float) -> np.ndarray:
         powers[0] = np.eye(n)
         np.matmul(a, a, out=powers[2])
         np.matmul(powers[2], a, out=powers[3])
-        a4 = powers[2] @ powers[2]
-        blocks = (_TAYLOR18 @ powers.reshape(4, -1)).reshape((5,) + a.shape)
-        term = np.empty_like(a4)
+        np.matmul(powers[2], powers[2], out=a4)
+        np.matmul(_TAYLOR18, powers.reshape(4, -1), out=blocks.reshape(5, -1))
         for i in (3, 2, 1, 0):
             blocks[i] += np.matmul(blocks[i + 1], a4, out=term)
         x = blocks[0]
@@ -456,7 +471,9 @@ class Trajectory:
     ``steps[j-1]`` is the 8x8 step ``B_j = [[E_j, 0], [G E_j, E_j]]`` with
     ``E_j = exp(dt R_j)`` that advances ``y`` over step j.  The final state
     and its derivative are also given as 2x2 matrices.  ``_memo`` holds what
-    :mod:`qgrape.grape` evaluates on the final state, per objective.
+    :mod:`qgrape.grape` evaluates on the final state, per objective.  The
+    trajectories of one ``_propagate_each`` call are views of its flat
+    arrays.
     """
 
     rows: np.ndarray
@@ -550,6 +567,19 @@ def propagate(problem: EstimationProblem, grid: ControlGrid) -> Trajectory:
     intermediate state loses positivity beyond the hard floor, its trace, or
     finiteness.
     """
+    (result,) = _propagate_each([problem], [grid])
+    if isinstance(result, QGrapeError):
+        raise result
+    return result
+
+
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays one after another along the first axis; a single array is
+    returned as it is, uncopied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _check_grid(problem: EstimationProblem, grid: ControlGrid) -> None:
     if grid.n_controls != problem.n_controls:
         raise ValidationError(
             f"grid has {grid.n_controls} controls, problem has {problem.n_controls}"
@@ -560,21 +590,60 @@ def propagate(problem: EstimationProblem, grid: ControlGrid) -> Trajectory:
             f"{problem.horizon!r}"
         )
 
-    gens = _generators(problem, grid.amplitudes)
-    steps = _forward_steps(step_propagator(gens, grid.dt), problem.sensitivity_superop)
 
-    ys = np.empty((grid.n_steps + 1, 8))
-    ys[0, :4], ys[0, 4:] = problem.probe_coords, 0.0
+def _propagate_each(
+    problems: Sequence[EstimationProblem], grids: Sequence[ControlGrid]
+) -> list[Trajectory | QGrapeError]:
+    """:func:`propagate` of every (problem, grid) pair on one flat step axis:
+    each entry is the pair's trajectory, or the error that :func:`propagate`
+    raises for it.  The pairs share the step width and the control and
+    sensitivity generators (the first valid pair's are used); their free
+    generators, probes and step counts may differ.  The generators, step
+    exponentials, steps and stability checks of all pairs are each one stacked
+    call; only the 8-vector recursion loops per pair.  A single pair's arrays
+    are used as they are, without copies."""
+    results: list = []
+    for problem, grid in zip(problems, grids):
+        try:
+            _check_grid(problem, grid)
+            results.append(None)
+        except ValidationError as exc:
+            results.append(exc)
+    valid = [i for i, result in enumerate(results) if result is None]
+    if not valid:
+        return results
+    first, dt = problems[valid[0]], grids[valid[0]].dt
+    counts = [grids[i].n_steps for i in valid]
+    amplitudes = _stacked([grids[i].amplitudes for i in valid])
+    free = None if len(valid) == 1 else np.repeat(
+        [problems[i].free_superop for i in valid], counts, axis=0
+    )
+    gens = _generators(first, amplitudes, free)
+    steps = _forward_steps(step_propagator(gens, dt), first.sensitivity_superop)
+
+    # pair i's rows y_0..y_m lie at ys[r:r + m + 1], its steps at steps[o:o + m]
+    ys = np.empty((len(gens) + len(valid), 8))
+    rows = list(ys)
     # past a bad step the recursion may overflow; the check below reports the
     # first bad step, so the floating-point warnings of later ones are noise.
     # ndarray.dot into the next row is the cheapest call of the same 8x8
     # product as @.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, step in enumerate(steps):
-            step.dot(ys[j], out=ys[j + 1])
-        bad, lo = _stability(ys[1:, :4])
-    first = _first_bad(bad)
-    if first < grid.n_steps:
-        raise _unstable(first + 1, lo[first])
-
-    return Trajectory(rows=ys, steps=steps, generators=gens, dt=grid.dt)
+        r = o = 0
+        for i, m in zip(valid, counts):
+            ys[r, :4], ys[r, 4:] = problems[i].probe_coords, 0.0
+            for step, prev, nxt in zip(steps[o : o + m], rows[r : r + m], rows[r + 1 : r + m + 1]):
+                step.dot(prev, out=nxt)
+            r, o = r + m + 1, o + m
+        bad, lo = _stability(ys[:, :4])
+    r = o = 0
+    for i, m in zip(valid, counts):
+        first_bad = _first_bad(bad[r + 1 : r + m + 1])
+        if first_bad < m:
+            results[i] = _unstable(first_bad + 1, lo[r + 1 + first_bad])
+        else:
+            results[i] = Trajectory(
+                rows=ys[r : r + m + 1], steps=steps[o : o + m], generators=gens[o : o + m], dt=dt
+            )
+        r, o = r + m + 1, o + m
+    return results

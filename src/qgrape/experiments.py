@@ -46,7 +46,16 @@ from .dynamics import (
 )
 from .errors import ConfigError, QGrapeError, ValidationError
 from .fisher import Povm
-from .grape import AscentConfig, Objective, ascend, cfi_objective, objective_value, qfi_objective
+from .grape import (
+    AscentConfig,
+    AscentReport,
+    Objective,
+    ascend,
+    ascend_batch,
+    cfi_objective,
+    objective_value,
+    qfi_objective,
+)
 
 __all__ = [
     "METRIC_COLUMNS",
@@ -327,13 +336,22 @@ def _qfi_cfi_of_grid(
 def _optimize(
     problem: EstimationProblem, config: ScenarioConfig, seed: int
 ) -> tuple[ControlGrid, float]:
-    ascent = replace(config.ascent, seed=seed)
-    report = ascend(problem, ascent, config.objective())
+    report = ascend(problem, replace(config.ascent, seed=seed), config.objective())
+    return _optimized_grid(report), report.objective_history[-1]
+
+
+def _optimized_grid(report: AscentReport) -> ControlGrid:
+    """The schedule an ascent ended with, or its error as a point's error."""
     if report.error is not None:
         raise QGrapeError(
             f"ascent failed at iteration {report.failed_iteration}: {report.error}"
         )
-    return report.final_grid, report.objective_history[-1]
+    return report.final_grid
+
+
+def _point_ascent(config: ScenarioConfig, index: int) -> AscentConfig:
+    """Ascent settings of sweep point ``index``: its own seed."""
+    return replace(config.ascent, seed=_point_seed(config.ascent.seed, index))
 
 
 def _metric_row(axis_value: float, horizon: float, **metrics) -> dict:
@@ -351,19 +369,23 @@ def _optimized_metrics(
     problem: EstimationProblem,
     m: int,
     povm: Povm,
-    index: int,
+    report: AscentReport,
     oracle_qfi: float,
 ) -> tuple[dict, ControlGrid]:
     """Metrics and schedule of one optimized point: free evolution, then the
-    schedule optimized with point ``index``'s seed, both evaluated at the true
+    schedule of the point's ascent ``report``, both evaluated at the true
     frequency."""
     true_problem = replace(problem, x=config.omega0_true)
     free = ControlGrid.zeros(m, problem.n_controls, config.dt)
     q_free, _ = _qfi_cfi_of_grid(true_problem, free, povm)
-    grid, _ = _optimize(problem, config, _point_seed(config.ascent.seed, index))
+    grid = _optimized_grid(report)
     q_opt, c_opt = _qfi_cfi_of_grid(true_problem, grid, povm)
     metrics = dict(qfi=q_opt, cfi=c_opt, oracle_qfi=oracle_qfi, uncontrolled_qfi=q_free)
     return metrics, grid
+
+
+def _no_ascents(index: int, value: float) -> list:
+    return []
 
 
 def _theta_axis(config: ScenarioConfig):
@@ -371,7 +393,8 @@ def _theta_axis(config: ScenarioConfig):
 
     One table per probe (|+> and |0>): optimized information in
     ``qfi``/``cfi``, free evolution of the same probe in ``uncontrolled_qfi``,
-    and the noiseless reference T^2 in ``oracle_qfi``.
+    and the noiseless reference T^2 in ``oracle_qfi``.  Both probes of a
+    point climb with the point's seed.
     """
     if not isinstance(config.noise, Dephasing):
         raise ConfigError("theta sweep requires dephasing noise")
@@ -379,18 +402,22 @@ def _theta_axis(config: ScenarioConfig):
     povm = config.povm()
     probes = {"theta_probe_plus": plus_state(), "theta_probe_zero": zero_state()}
 
-    def point(index: int, theta: float):
+    def ascents(index: int, theta: float):
+        ascent = _point_ascent(config, index)
+        return [
+            (_scenario_problem(config, config.design_frequency, theta=theta, probe=probe), ascent)
+            for probe in probes.values()
+        ]
+
+    def point(index: int, theta: float, runs):
         metrics, schedules = {}, {}
-        for name, probe in probes.items():
-            problem = _scenario_problem(
-                config, config.design_frequency, theta=theta, probe=probe
-            )
+        for name, (problem, report) in zip(probes, runs):
             metrics[name], schedules[f"schedule_{name}_{index:03d}"] = _optimized_metrics(
-                config, problem, m, povm, index, oracle_qfi=config.horizon**2
+                config, problem, m, povm, report, oracle_qfi=config.horizon**2
             )
         return metrics, schedules
 
-    return tuple(probes), point, {}
+    return tuple(probes), ascents, point, {}
 
 
 def _single_pulse_forms(config: ScenarioConfig):
@@ -442,15 +469,24 @@ def _horizon_axis(config: ScenarioConfig):
     """
     povm = config.povm()
 
-    def point(index: int, horizon: float):
-        m = step_count(horizon, config.dt)
+    def ascents(index: int, horizon: float):
+        step_count(horizon, config.dt)  # a horizon off the step grid has no ascent
         problem = _scenario_problem(config, config.design_frequency, horizon=horizon)
+        return [(problem, _point_ascent(config, index))]
+
+    def point(index: int, horizon: float, runs):
+        ((problem, report),) = runs
         metrics, grid = _optimized_metrics(
-            config, problem, m, povm, index, oracle_qfi=_oracle_curve(config, horizon)
+            config,
+            problem,
+            step_count(horizon, config.dt),
+            povm,
+            report,
+            oracle_qfi=_oracle_curve(config, horizon),
         )
         return {"horizon_scan": metrics}, {f"schedule_horizon_{index:03d}": grid}
 
-    return ("horizon_scan",), point, {}
+    return ("horizon_scan",), ascents, point, {}
 
 
 def _omega_hat_axis(config: ScenarioConfig):
@@ -466,13 +502,13 @@ def _omega_hat_axis(config: ScenarioConfig):
     grid, _ = _optimize(design_problem, config, config.ascent.seed)
     free = ControlGrid.zeros(m, design_problem.n_controls, config.dt)
 
-    def point(index: int, omega: float):
+    def point(index: int, omega: float, runs):
         problem = _scenario_problem(config, omega)
         q_ctl, c_ctl = _qfi_cfi_of_grid(problem, grid, povm)
         q_free, _ = _qfi_cfi_of_grid(problem, free, povm)
         return {"robustness_scan": dict(qfi=q_ctl, cfi=c_ctl, uncontrolled_qfi=q_free)}, {}
 
-    return ("robustness_scan",), point, {"schedule_design": grid}
+    return ("robustness_scan",), _no_ascents, point, {"schedule_design": grid}
 
 
 def _t0_axis(config: ScenarioConfig):
@@ -487,16 +523,19 @@ def _t0_axis(config: ScenarioConfig):
     pulse, free = forms
     reference = free(config.horizon)
 
-    def point(index: int, t0: float):
+    def point(index: int, t0: float, runs):
         return {"pulse_scan": dict(oracle_qfi=pulse(config.horizon, t0),
                                    uncontrolled_qfi=reference)}, {}
 
-    return ("pulse_scan",), point, {}
+    return ("pulse_scan",), _no_ascents, point, {}
 
 
 # Each axis checks its preconditions, runs any set-up shared by all points,
-# and returns (table names, point function, schedules written once).  A point
-# function maps (index, axis value) to ({table: metrics}, {name: schedule}).
+# and returns (table names, ascents, point function, schedules written once).
+# ``ascents`` maps (index, axis value) to the (problem, ascent config) pairs
+# the point optimizes, and raises the point's error if it cannot set them up;
+# the point function maps (index, axis value, [(problem, report)] of those
+# ascents) to ({table: metrics}, {name: schedule}).
 _SWEEP_AXES = {
     "theta": _theta_axis,
     "horizon": _horizon_axis,
@@ -508,23 +547,44 @@ _SWEEP_AXES = {
 def run_sweep(config: ScenarioConfig) -> RunRecord:
     """Run the sweep declared by ``config.sweep_axis``.
 
-    Points are evaluated in grid order.  A point whose evaluation raises a
+    The ascents of all optimized points (theta and horizon axes) run first,
+    together in one lock-step :func:`qgrape.grape.ascend_batch`; then the
+    points are evaluated and their rows written in grid order.  Each ascent's
+    report is bitwise the one it gets alone, so the outputs are the same
+    bytes as those of one ascent per point.  A point whose evaluation raises a
     :class:`QGrapeError` is listed under the manifest's flagged points and
     leaves a row of ``nan`` and no schedule, instead of aborting the sweep.
-    An optimized point whose ``qfi`` ends below its ``uncontrolled_qfi`` is
-    listed in a manifest section of its own; its row is written as computed.
+    Its error is the first one the point meets in order: setting up, free
+    evolution, its ascent ("ascent failed at iteration N: ..."), then the
+    optimized schedule's evaluation.  An optimized point whose ``qfi`` ends
+    below its ``uncontrolled_qfi`` is listed in a manifest section of its
+    own; its row is written as computed.
     """
     if config.sweep_axis is None:
         raise ConfigError("config declares no sweep axis")
     start = time.perf_counter()
-    table_names, point, schedules = _SWEEP_AXES[config.sweep_axis](config)
+    table_names, ascents, point, schedules = _SWEEP_AXES[config.sweep_axis](config)
     label = "T" if config.sweep_axis == "horizon" else AXIS_NAMES[config.sweep_axis]
+    values = config.sweep_grid().tolist()
+    plans: list = []
+    for index, value in enumerate(values):
+        try:
+            plans.append(ascents(index, value))
+        except QGrapeError as exc:  # the point raises it when evaluated
+            plans.append(exc)
+    members = [member for plan in plans if isinstance(plan, list) for member in plan]
+    reports = iter(
+        ascend_batch([p for p, _ in members], [c for _, c in members], config.objective())
+    )
     tables: dict[str, list[dict]] = {name: [] for name in table_names}
     flagged: list[str] = []
     below: list[str] = []
-    for index, value in enumerate(config.sweep_grid().tolist()):
+    for index, (value, plan) in enumerate(zip(values, plans)):
         try:
-            metrics, point_schedules = point(index, value)
+            if isinstance(plan, QGrapeError):
+                raise plan
+            runs = [(problem, next(reports)) for problem, _ in plan]
+            metrics, point_schedules = point(index, value, runs)
         except QGrapeError as exc:
             flagged.append(f"{label}={value:.6g}: {type(exc).__name__}: {exc}")
             metrics, point_schedules = dict.fromkeys(table_names, {}), {}

@@ -14,10 +14,11 @@ The classical Fisher information of a POVM ``{E_y}`` is
 Both are computed one way, by :func:`_information` on the Pauli coordinates
 ``(Tr rho, r)`` and ``(Tr d(rho)/dx, dr)``; the 2x2 functions convert to them.
 It takes an (n, 4) stack of states and derivatives, so that one call serves
-every final state of the finite-difference oracle or of a single-pulse scan,
-and a single state is a one-row stack.  Each 3-term dot product is one BLAS
-dot of a stacked ``(n, 1, 3) @ (n, 3, 1)`` product, as for one pair of
-vectors (einsum and sum reductions round differently), the pure and mixed SLD
+every final state of the finite-difference oracle, of a single-pulse scan or
+of a round of lock-step ascents, and a single state is a one-row stack.
+Each 3-term dot product is one BLAS dot of a stacked
+``(n, 1, 3) @ (n, 3, 1)`` product, as for one pair of vectors (einsum and
+sum reductions round differently), the pure and mixed SLD
 branches and the skipped CFI outcomes are selected with ``np.where``, and the
 first bad row raises the error that it raises alone.  So every row comes out
 bitwise as it would alone wherever BLAS rounds a stacked product as it rounds

@@ -6,7 +6,7 @@ import pytest
 
 from qgrape import dynamics as dyn
 from qgrape import experiments as exp
-from qgrape import fisher, oracles
+from qgrape import fisher, grape, oracles
 from qgrape.cli import main
 from qgrape.errors import ConfigError, UndefinedRotationError
 from qgrape.grape import AscentConfig
@@ -642,3 +642,61 @@ class TestOutputFiles:
         }
         assert sections["[flagged_points]"] == ["T=3: QGrapeError: synthetic"]
         assert sections["[below_uncontrolled]"] == record.below_uncontrolled
+
+
+def _run_files(config, out) -> dict[str, bytes]:
+    """Every file a sweep writes, the manifest without its wall clock."""
+    exp.write_run(exp.run_sweep(config), out)
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    files["manifest.txt"] = b"".join(
+        line for line in files["manifest.txt"].splitlines(keepends=True)
+        if not line.startswith(b"wall_clock_seconds")
+    )
+    return files
+
+
+class TestLockStepSweep:
+    """``run_sweep`` climbs all points in one lock-step batch; every file it
+    writes is the same bytes as when each point climbs in a batch of its own.
+    This relies on BLAS rounding a stacked Fisher-information product as a
+    one-row one (see ``fisher``)."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # ragged step counts, one horizon (1.55) off the step grid
+            dict(sweep_axis="horizon", sweep_start=0.1, sweep_stop=3.0, sweep_points=5,
+                 noise=dyn.SpontaneousEmission(gamma_plus=0.02, gamma_minus=0.1)),
+            dict(sweep_axis="horizon", sweep_start=1.0, sweep_stop=4.0, sweep_points=4,
+                 objective_kind="cfi"),
+            dict(sweep_axis="theta", sweep_points=5,
+                 noise=dyn.Dephasing(theta=1.1, phi=0.4, gamma=0.2)),
+        ],
+        ids=["horizon", "horizon_cfi", "theta"],
+    )
+    def test_same_bytes_as_one_member_batches(self, tmp_path, monkeypatch, overrides):
+        ascent = AscentConfig(dt=0.1, max_iterations=15, seed=2, momentum=0.8)
+        config = small_sweep_config(ascent=ascent, **overrides)
+        together = _run_files(config, tmp_path / "together")
+
+        def one_member_batches(problems, configs, objective):
+            return [grape.ascend_batch([p], [c], objective)[0] for p, c in zip(problems, configs)]
+
+        monkeypatch.setattr(exp, "ascend_batch", one_member_batches)
+        assert _run_files(config, tmp_path / "alone") == together
+
+    def test_free_evolution_error_comes_before_the_ascent(self):
+        # every trajectory of this model loses positivity at step 1, the free
+        # evolution's as well as the ascent's start: the point reports the
+        # former, not "ascent failed at iteration 0: ..."
+        noise = dyn.SpontaneousEmission(0.05, 0.2)
+        object.__setattr__(noise, "gamma_minus", -0.6)
+        config = small_sweep_config(
+            noise=noise, probe="zero", sweep_axis="horizon", sweep_start=1.0, sweep_stop=2.0,
+            ascent=AscentConfig(dt=0.1, max_iterations=3),
+        )
+        record = exp.run_sweep(config)
+        assert [line.split(": ", 1)[1] for line in record.flagged] == 3 * [
+            "NumericalStabilityError: state lost positivity/trace at step 1 "
+            "(min eigenvalue -6.168e-02)"
+        ]

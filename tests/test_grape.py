@@ -211,6 +211,35 @@ class TestGradientPaths:
                 assert got.shape == (m, len(gens))
                 assert got.tobytes() == want.tobytes(), f"{name} {objective.kind}"
 
+    @pytest.mark.parametrize("generic", [False, True], ids=["pauli", "generic"])
+    def test_stacked_trajectories_get_their_own_gradient(self, generic):
+        # the flat step axis of lock-step ascents: every trajectory's table is
+        # bitwise its gradient alone, ragged step counts and one-step
+        # trajectories included (numpy multiplies and contracts a single row
+        # with other kernels than a stack of rows, which shows once the row
+        # sums have several rounded terms, as with generic generators)
+        rng = np.random.default_rng(22)
+
+        def hermitian():
+            a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            return (a + a.conj().T) / 2
+
+        encoding, gens = (hermitian(), (hermitian(), hermitian())) if generic else (
+            0.5 * dyn.SIGMA_Z, dyn.PAULIS[:2])
+        trajs, probs = [], []
+        for i, m in enumerate((1, 37, 1, 120, 2, 1)):
+            noise = list(NOISE_MODELS.values())[i % 4]
+            probs.append(
+                dyn.EstimationProblem(1.0, encoding, gens, noise, dyn.plus_state(), m * 0.05)
+            )
+            trajs.append(dyn.propagate(probs[-1], random_schedule(rng, m, 0.05, p=2, scale=3.0)))
+        for objective in (grape.qfi_objective(), grape.cfi_objective(fisher.Povm.plus_minus())):
+            for traj in trajs:
+                grape.objective_value(traj, objective)
+            tables = grape._gradients(trajs, probs[0], objective)
+            for traj, prob, table in zip(trajs, probs, tables):
+                assert table.tobytes() == grape.gradient(traj, prob, objective).tobytes()
+
     def test_no_controls_give_an_empty_table(self):
         prob = dyn.frequency_estimation_problem(
             1.0, NOISE_MODELS["emission"], dyn.plus_state(), 1.0, control_generators=()
@@ -585,7 +614,7 @@ class TestAscend:
         prob = make_problem(NOISE_MODELS["parallel"], horizon=1.0)
         config = grape.AscentConfig(dt=0.1, step_size=0.1, max_iterations=10, seed=1)
         calls = {"n": 0}
-        real = grape.gradient
+        real = grape._gradients
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
@@ -593,7 +622,7 @@ class TestAscend:
                 raise QGrapeError("synthetic failure")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(grape, "gradient", flaky)
+        monkeypatch.setattr(grape, "_gradients", flaky)
         report = grape.ascend(prob, config, grape.qfi_objective())
         assert not report.converged
         assert report.error is not None and "synthetic failure" in report.error
@@ -602,24 +631,30 @@ class TestAscend:
 
     @staticmethod
     def _count_candidates(monkeypatch, on_candidate):
-        """Route ascend's propagations through ``on_candidate(iteration, index,
-        grid)``, ``index`` counting the candidates of the iteration from 0;
-        the start grid's propagation is iteration 0."""
+        """Route ascend's batched propagations through ``on_candidate(iteration,
+        index, grid)``, ``index`` counting the candidates of the iteration from
+        0; the start grid's propagation is iteration 0.  A ``QGrapeError`` that
+        ``on_candidate`` raises becomes that candidate's propagation error."""
         state = {"iteration": 0, "index": 0}
-        real_gradient, real_propagate = grape.gradient, grape.propagate
+        real_gradients, real_propagate = grape._gradients, grape._propagate_each
 
-        def counted_gradient(*args, **kwargs):
+        def counted_gradients(*args, **kwargs):
             state["iteration"] += 1
             state["index"] = 0
-            return real_gradient(*args, **kwargs)
+            return real_gradients(*args, **kwargs)
 
-        def counted_propagate(problem, grid):
+        def counted_propagate(problems, grids):
+            assert len(grids) == 1  # ascend is a one-member batch
+            results = real_propagate(problems, grids)
             state["index"] += 1
-            on_candidate(state["iteration"], state["index"] - 1, grid)
-            return real_propagate(problem, grid)
+            try:
+                on_candidate(state["iteration"], state["index"] - 1, grids[0])
+            except QGrapeError as exc:
+                results[0] = exc
+            return results
 
-        monkeypatch.setattr(grape, "gradient", counted_gradient)
-        monkeypatch.setattr(grape, "propagate", counted_propagate)
+        monkeypatch.setattr(grape, "_gradients", counted_gradients)
+        monkeypatch.setattr(grape, "_propagate_each", counted_propagate)
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     def test_raising_first_candidate_is_skipped(self, monkeypatch, momentum):
@@ -707,7 +742,150 @@ class TestAscend:
         assert report.objective_history[-1] >= 0.95 * target
 
 
+def assert_same_report(got, want):
+    """Bitwise equality of two ascent reports."""
+    assert np.array(got.objective_history).tobytes() == np.array(want.objective_history).tobytes()
+    assert got.final_grid.amplitudes.tobytes() == want.final_grid.amplitudes.tobytes()
+    assert got.final_grid.dt == want.final_grid.dt
+    assert (got.iterations_used, got.converged, got.error, got.failed_iteration) == (
+        want.iterations_used, want.converged, want.error, want.failed_iteration
+    )
+
+
+def negative_rate_emission():
+    """Emission with a negative rate smuggled past the dataclass check, as in
+    test_dynamics: every trajectory loses positivity at its first step."""
+    noise = dyn.SpontaneousEmission(0.0, 0.2)
+    object.__setattr__(noise, "gamma_minus", -0.6)
+    return noise
+
+
+class TestAscendBatch:
+    """Every member of a lock-step batch gets bitwise the report that a
+    one-member batch (``ascend``) gives it.  This relies on BLAS rounding a
+    stacked Fisher-information product as a one-row one (see ``fisher``)."""
+
+    @staticmethod
+    def check(problems, configs, objective, starts=None):
+        reports = grape.ascend_batch(problems, configs, objective, starts)
+        starts = [None] * len(problems) if starts is None else starts
+        assert len(reports) == len(problems)
+        for problem, config, start, report in zip(problems, configs, starts, reports):
+            assert_same_report(report, grape.ascend(problem, config, objective, start=start))
+        return reports
+
+    @pytest.mark.parametrize("group_steps", [None, 100], ids=["one_group", "groups"])
+    def test_ragged_steps_with_and_without_momentum(self, monkeypatch, group_steps):
+        # with groups of at most 100 steps the members climb in the groups
+        # (20, 45), (70), (95), (120, alone though longer)
+        if group_steps is not None:
+            monkeypatch.setattr(grape, "_BATCH_STEPS", group_steps)
+        noises = list(NOISE_MODELS.values())
+        problems, configs = [], []
+        for i, m in enumerate((20, 45, 70, 95, 120)):
+            problems.append(make_problem(noises[i % len(noises)], horizon=m * 0.05))
+            configs.append(grape.AscentConfig(
+                dt=0.05, max_iterations=12, seed=i, momentum=0.9 if i % 2 else 0.0
+            ))
+        for objective in (grape.qfi_objective(), grape.cfi_objective(fisher.Povm.plus_minus())):
+            reports = self.check(problems, configs, objective)
+            assert all(r.error is None and r.iterations_used == 12 for r in reports)
+
+    def test_one_step_members(self):
+        # numpy multiplies and contracts a single row with other kernels than
+        # a stack; a one-step member must still get its one-member report.
+        # Generic generators, so that the row sums have several rounded terms
+        rng = np.random.default_rng(21)
+
+        def hermitian():
+            a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            return (a + a.conj().T) / 2
+
+        encoding, controls = hermitian(), (hermitian(), hermitian(), hermitian())
+        problems = [
+            dyn.EstimationProblem(1.0, encoding, controls, NOISE_MODELS["emission"],
+                                  dyn.plus_state(), horizon)
+            for horizon in (0.1, 0.1, 0.2, 3.0)
+        ]
+        configs = [grape.AscentConfig(dt=0.1, max_iterations=8, seed=s) for s in range(4)]
+        self.check(problems, configs, grape.qfi_objective())
+
+    def test_failing_member_leaves_the_others_running(self):
+        problems = [
+            make_problem(NOISE_MODELS["transverse"], horizon=2.0),
+            make_problem(negative_rate_emission(), horizon=2.0, probe=dyn.zero_state()),
+            make_problem(NOISE_MODELS["parallel"], horizon=1.0),
+        ]
+        configs = [grape.AscentConfig(dt=0.05, max_iterations=10, seed=s) for s in range(3)]
+        reports = self.check(problems, configs, grape.qfi_objective())
+        assert reports[1].failed_iteration == 0
+        assert reports[1].error.startswith("NumericalStabilityError: state lost positivity")
+        assert reports[0].error is None and reports[2].error is None
+        assert reports[0].iterations_used == reports[2].iterations_used == 10
+
+    def test_member_whose_objective_raises(self):
+        # the stacked CFI call raises for the singular member (see
+        # test_cfi_gradient_singular_outcome_raises); each member is then
+        # evaluated alone, so only that one fails
+        horizon = 2.0 * math.pi + 1e-7
+        zeros = dyn.ControlGrid.zeros(10, 3, horizon / 10)
+        config = grape.AscentConfig(dt=horizon / 10, max_iterations=6, seed=2)
+        problems = [make_problem(NOISE_MODELS["transverse"], horizon=horizon),
+                    make_problem(None, horizon=horizon)]
+        objective = grape.cfi_objective(fisher.Povm.plus_minus())
+        reports = self.check(problems, [config, config], objective, starts=[None, zeros])
+        assert reports[0].error is None and reports[0].iterations_used == 6
+        assert reports[1].failed_iteration == 0
+        assert reports[1].error.startswith("SingularOutcomeError")
+
+    def test_member_that_converges_early(self):
+        # a start at the held optimum converges within a few iterations, while
+        # a random start keeps climbing to its iteration cap
+        gamma, horizon, m = 0.1, 5.0, 100
+        problem = make_problem(dyn.Dephasing(math.pi / 2, 0.0, gamma), horizon=horizon)
+        held = dyn.ControlGrid.constant([0.0, 0.0, -0.5 * (1 + 1e-4)], m, horizon / m)
+        config = grape.AscentConfig(dt=horizon / m, step_size=0.05, max_iterations=60)
+        climbing = grape.AscentConfig(dt=horizon / m, max_iterations=60, seed=4, momentum=0.9)
+        reports = self.check(
+            [problem, problem, make_problem(NOISE_MODELS["emission"], horizon=3.0)],
+            [config, climbing, climbing],
+            grape.qfi_objective(),
+            starts=[held, None, None],
+        )
+        assert reports[0].converged and reports[0].iterations_used < 60
+        assert not reports[1].converged and reports[1].iterations_used == 60
+
+    def test_members_must_share_the_model_and_step_width(self):
+        config = grape.AscentConfig(dt=0.1, max_iterations=2)
+        prob = make_problem(NOISE_MODELS["transverse"], horizon=1.0)
+        other_controls = dyn.frequency_estimation_problem(
+            1.0, None, dyn.plus_state(), 1.0, control_generators=dyn.PAULIS[:2]
+        )
+        other_dt = grape.AscentConfig(dt=0.05, max_iterations=2)
+        for problems, configs in (([prob, other_controls], [config, config]),
+                                  ([prob, prob], [config, other_dt])):
+            with pytest.raises(ValidationError, match="must share"):
+                grape.ascend_batch(problems, configs, grape.qfi_objective())
+        assert grape.ascend_batch([], [], grape.qfi_objective()) == []
+
+
 class TestAscentConfigValidation:
+    @pytest.mark.parametrize(
+        "name, value",
+        [("seed", 1.5), ("seed", True), ("seed", "3"), ("seed", -1),
+         ("max_iterations", 2.5), ("max_iterations", True), ("max_iterations", 3.0)],
+    )
+    def test_counts_must_be_integers(self, name, value):
+        # a float seed used to build and then fail in numpy's SeedSequence with
+        # a bare TypeError, which would abort a whole sweep batch
+        with pytest.raises(ValidationError, match=name):
+            grape.AscentConfig(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        config = grape.AscentConfig(seed=np.int64(3), max_iterations=np.int32(2))
+        prob = make_problem(None, horizon=0.5)
+        assert grape.ascend(prob, config, grape.qfi_objective()).iterations_used == 2
+
     def test_bad_values_rejected(self):
         with pytest.raises(ValidationError):
             grape.AscentConfig(dt=0.0)
