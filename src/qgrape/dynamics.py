@@ -453,10 +453,11 @@ def _expm(generators: np.ndarray, dt: float) -> np.ndarray:
 
 def step_propagator(generator: np.ndarray, dt: float) -> np.ndarray:
     """Matrix exponential ``exp(dt * R)`` of one 4x4 generator, or of every
-    generator in an (m, 4, 4) stack, in the generator's own dtype."""
+    generator in an (m, 4, 4) stack, in the generator's own dtype, as an
+    array of its own (``_expm`` returns a view of its work array)."""
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
-    return _expm(generator, dt)
+    return _expm(generator, dt).copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -619,7 +620,7 @@ def _propagate_each(
         [problems[i].free_superop for i in valid], counts, axis=0
     )
     gens = _generators(first, amplitudes, free)
-    steps = _forward_steps(step_propagator(gens, dt), first.sensitivity_superop)
+    steps = _forward_steps(_expm(gens, dt), first.sensitivity_superop)
 
     # pair i's rows y_0..y_m lie at ys[r:r + m + 1], its steps at steps[o:o + m]
     ys = np.empty((len(gens) + len(valid), 8))

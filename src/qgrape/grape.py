@@ -13,19 +13,19 @@ error itself; :func:`finite_difference_gradient` is that oracle.  The paper's
 first-order operator formula for the same gradient is kept in the test suite
 as a reference.
 
-:func:`ascend` climbs that gradient with one step rule: each iteration tries a
-heavy-ball move and then the gradient step halved again and again, and takes
-the first candidate that does not lower the objective.  A candidate that fails
-to propagate or to evaluate is rejected like one that lowers it.
+:func:`ascend` climbs that gradient with one step rule, the generator
+``_climb``: each iteration tries a heavy-ball move and then the gradient step
+halved again and again, and takes the first candidate that does not lower the
+objective.  A candidate that fails to propagate or to evaluate is rejected
+like one that lowers it.
 
 :func:`ascend_batch` runs many ascents in lock-step, and :func:`ascend` is its
-one-member case.  Each member keeps its own step-rule state; each round
-computes the gradients of the members that need one, then propagates and
-evaluates one candidate per member, with every stacked kernel called once
-for the round on one flat step axis of all the members' steps.  Only the
-8-vector loops run per member.  Each member's report is bitwise what it would
-be alone, wherever BLAS rounds a stacked Fisher-information product as a
-one-row one (see :mod:`qgrape.fisher`).
+one-member case.  Each round has two stages, the gradients that the members'
+``_climb`` ask for and then the schedules they ask to evaluate, and each stage
+calls every stacked kernel once on one flat step axis of the members' steps.
+Only the 8-vector loops run per member.  Each member's report is bitwise what
+it would be alone, wherever BLAS rounds a stacked Fisher-information product
+as a one-row one (see :mod:`qgrape.fisher`).
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .dynamics import (
     _unstable,
     propagate,
     step_count,
-    step_propagator,
 )
 from .errors import QGrapeError, ValidationError
 from .fisher import Povm, _information
@@ -72,12 +71,12 @@ __all__ = [
 
 CONVERGENCE_WINDOW = 10
 MAX_BACKTRACK_HALVINGS = 20
-# The most steps that :func:`ascend_batch` climbs together.  A member keeps
-# alive the flat arrays of the round it last moved in, so memory grows with
-# the group.  On a 2-vCPU host a 21-point theta sweep at m = 400 (42 members)
-# took 6-7 s and 61 MB peak in groups of 1,024 steps, 7.7 s and 110 MB in
-# groups of 4,096 and 8.6 s and 214 MB as one group; one ascent per point
-# took 10-12 s and 38 MB
+# The most steps that :func:`ascend_batch` climbs together.  A running member
+# keeps alive the flat arrays of the round it last moved in, so memory grows
+# with the group.  On a 2-vCPU host a 21-point theta sweep at m = 400 (42
+# members, 20 iterations) peaked at 45 MB in groups of 1,024 steps, 73 MB in
+# groups of 4,096, 204 MB as one group and 40 MB one member at a time; each
+# took 3-6 s, a spread that the host's own speed swings cover
 _BATCH_STEPS = 1024
 # steps of the finite-difference oracle whose states are checked together
 _STABILITY_BLOCK = 16
@@ -256,7 +255,7 @@ def finite_difference_gradient(
     """Central-difference gradient of the discretized objective: the test
     oracle for the analytic gradient.  It shares the forward model with
     :func:`gradient` (the steps of :func:`propagate`, and ``_generators``,
-    :func:`step_propagator` and ``_forward_steps`` for the bumped steps) but
+    ``_expm`` and ``_forward_steps`` for the bumped steps) but
     none of its derivative algebra: no adjoint sweep, no block exponential.
 
     Entry (j, k) is ``(F(V_k(j) + delta) - F(V_k(j) - delta)) / (2 delta)``.
@@ -291,7 +290,7 @@ def finite_difference_gradient(
     bumped[:, k, 0, k] += delta
     bumped[:, k, 1, k] = bumped[:, k, 0, k] - 2.0 * delta
     bumped_steps = _forward_steps(
-        step_propagator(_generators(problem, bumped.reshape(-1, p)), dt).reshape(m, 2 * p, 4, 4),
+        _expm(_generators(problem, bumped.reshape(-1, p)), dt).reshape(m, 2 * p, 4, 4),
         problem.sensitivity_superop,
     )
 
@@ -454,67 +453,128 @@ def ascend_batch(
 ) -> list[AscentReport]:
     """:func:`ascend` of every (problem, config, start) member, in lock-step.
 
-    Each round computes the gradients of the members that took a move or
-    started, then propagates and evaluates the next candidate of every
-    member on one flat step axis (see :func:`_gradients` and
-    ``qgrape.dynamics._propagate_each``); a member that finishes leaves the
-    rounds.  Members climb in consecutive groups of at most
-    ``_BATCH_STEPS`` steps (a longer member climbs alone), which bounds the
-    memory a batch holds.  Each report is bitwise the one :func:`ascend`
-    gives the member alone, where BLAS rounds a stacked Fisher-information
-    product as a one-row one (see :mod:`qgrape.fisher`).  The members share
-    the objective, the step width and the problem's control generators and
-    encoding; their free generators, probes, horizons and ascent settings
-    may differ.
+    Each member's step rule runs as its own :func:`_climb`, and each round
+    has two stages: one :func:`_gradients` call for the members that ask for
+    a gradient, then one ``_evaluate`` call for the schedules that members
+    ask for, the first candidate of a member whose gradient just came
+    included.  A finished member leaves the rounds and holds no arrays.
+    Members climb in consecutive groups of at most ``_BATCH_STEPS`` steps (a
+    longer member climbs alone), which bounds the memory a round takes.  Each
+    report is bitwise the one :func:`ascend` gives the member alone, where
+    BLAS rounds a stacked Fisher-information product as a one-row one (see
+    :mod:`qgrape.fisher`).  The members share the objective, the step width
+    and the problem's control generators and encoding; their free
+    generators, probes, horizons and ascent settings may differ.
     """
     starts = [None] * len(problems) if starts is None else starts
-    climbs = [
-        _Climb(problem, config, _start_grid(problem, config) if start is None else start)
+    members = [
+        (problem, config, _start_grid(problem, config) if start is None else start)
         for problem, config, start in zip(problems, configs, starts, strict=True)
     ]
-    if not climbs:
+    if not members:
         return []
-    first, dt = climbs[0].problem, climbs[0].grid.dt
-    for climb in climbs[1:]:
+    first, dt = problems[0], members[0][2].dt
+    for problem, _, grid in members[1:]:
         if not (
-            climb.grid.dt == dt
-            and np.array_equal(climb.problem.control_superops, first.control_superops)
-            and np.array_equal(climb.problem.sensitivity_superop, first.sensitivity_superop)
+            grid.dt == dt
+            and np.array_equal(problem.control_superops, first.control_superops)
+            and np.array_equal(problem.sensitivity_superop, first.sensitivity_superop)
         ):
             raise ValidationError(
                 "the members of a batch must share the step width, the control "
                 "generators and the encoding"
             )
 
-    group: list[_Climb] = []
-    for climb in climbs:
-        if group and sum(c.grid.n_steps for c in group) + climb.grid.n_steps > _BATCH_STEPS:
-            _climb_together(group, first, objective)
+    reports, group = [], []
+    for member in members:
+        if group and sum(g.n_steps for _, _, g in group) + member[2].n_steps > _BATCH_STEPS:
+            reports += _climb_together(group, first, objective)
             group = []
-        group.append(climb)
-    _climb_together(group, first, objective)
-    return [c.report for c in climbs]
+        group.append(member)
+    return reports + _climb_together(group, first, objective)
 
 
-def _climb_together(climbs: list[_Climb], problem: EstimationProblem, objective: Objective):
-    """Run the rounds of :func:`ascend_batch` until every member is done;
-    ``problem`` holds the members' shared control and sensitivity generators."""
-    results = _evaluate([c.problem for c in climbs], [c.grid for c in climbs], objective)
-    for climb, result in zip(climbs, results):
-        climb.start(result)
-    active = [c for c in climbs if c.report is None]
-    while active:
-        stale = [c for c in active if c.moves is None]
-        if stale:
-            trajs = [c.traj for c in stale]
+def _climb(config: AscentConfig, grid: ControlGrid):
+    """The step rule of :func:`ascend` from ``grid``, as a generator that
+    leaves the numerics to its caller: ``result = yield grid`` asks for the
+    trajectory and objective value of a schedule, ``table = yield traj`` for
+    the gradient table of a trajectory.  Each answer is that or the
+    :class:`QGrapeError` it raised; the generator returns the report."""
+    result = yield grid
+    if isinstance(result, QGrapeError):
+        return AscentReport.failed(grid, [], 0, result)
+    traj, value = result
+    history = [value]
+    streak = 0
+    velocity = np.zeros_like(grid.amplitudes)
+    for it in range(1, config.max_iterations + 1):
+        table = yield traj
+        if isinstance(table, QGrapeError):
+            return AscentReport.failed(grid, history, it, table)
+        all_raised = True
+        for move in _moves(config, velocity, table):
+            try:
+                cand = ControlGrid(grid.amplitudes + move, grid.dt)
+            except QGrapeError as exc:
+                result = exc
+            else:
+                result = yield cand
+            if isinstance(result, QGrapeError):  # rejected, as a candidate that lowers F
+                error = result
+                continue
+            all_raised = False
+            cand_traj, cand_value = result
+            if cand_value >= value:
+                break
+        else:  # every candidate lowered F or raised: no move is taken
+            if all_raised:
+                return AscentReport.failed(grid, history, it, error)
+            cand, cand_traj, cand_value, move = grid, traj, value, np.zeros_like(velocity)
+        velocity = move
+        delta = abs(cand_value - value)
+        grid, traj, value = cand, cand_traj, cand_value
+        history.append(value)
+        streak = streak + 1 if delta < config.convergence_tolerance * max(1.0, abs(value)) else 0
+        if streak >= CONVERGENCE_WINDOW:
+            return AscentReport(grid, history, it, True)
+    return AscentReport(grid, history, config.max_iterations, False)
+
+
+def _climb_together(
+    members: list[tuple], problem: EstimationProblem, objective: Objective
+) -> list[AscentReport]:
+    """Run the :func:`_climb` of every (problem, config, grid) member in
+    rounds until each has returned its report; ``problem`` holds the
+    members' shared control and sensitivity generators.  Each round answers
+    every pending gradient request with one :func:`_gradients` call, then
+    every pending evaluation with one :func:`_evaluate` call, in member
+    order."""
+    climbs = [_climb(config, grid) for _, config, grid in members]
+    reports: list = [None] * len(climbs)
+    requests: dict = {}  # what each running member waits for, in member order
+
+    def answer(i: int, value) -> None:
+        try:
+            requests[i] = climbs[i].send(value)
+        except StopIteration as done:
+            reports[i] = done.value
+            requests.pop(i, None)
+
+    for i in range(len(climbs)):
+        answer(i, None)
+    while requests:
+        asking = [i for i, request in requests.items() if isinstance(request, Trajectory)]
+        if asking:
+            trajs = [requests[i] for i in asking]
             tables = _each(lambda ts: _gradients(ts, problem, objective), trajs)
-            for climb, table in zip(stale, tables):
-                climb.begin_iteration(table)
-        trying = [c for c in active if c.candidate is not None]
-        results = _evaluate([c.problem for c in trying], [c.candidate for c in trying], objective)
-        for climb, result in zip(trying, results):
-            climb.judge(result)
-        active = [c for c in active if c.report is None]
+            for i, table in zip(asking, tables):
+                answer(i, table)
+        trying = [i for i, request in requests.items() if isinstance(request, ControlGrid)]
+        grids = [requests[i] for i in trying]
+        results = _evaluate([members[i][0] for i in trying], grids, objective)
+        for i, result in zip(trying, results):
+            answer(i, result)
+    return reports
 
 
 def _evaluate(
@@ -536,92 +596,3 @@ def _evaluate(
                     result._memo[objective] = row
                     results[i] = result, row[0]
     return results
-
-
-class _Climb:
-    """One member's step-rule state in :func:`ascend_batch`: its schedule,
-    trajectory, value, velocity and convergence streak, the iteration it is
-    in, that iteration's remaining candidate moves, and the candidate waiting
-    for evaluation.  ``moves`` is None while the member needs a gradient;
-    ``report`` is set when the member is done."""
-
-    def __init__(self, problem: EstimationProblem, config: AscentConfig, grid: ControlGrid):
-        self.problem, self.config, self.grid = problem, config, grid
-        self.history: list[float] = []
-        self.velocity = np.zeros_like(grid.amplitudes)
-        self.streak = 0
-        self.iteration = 0
-        self.moves = self.candidate = self.move = self.error = self.report = None
-        self.all_raised = True
-
-    def start(self, result) -> None:
-        """Take the start grid's trajectory and value, or fail in iteration 0."""
-        if isinstance(result, QGrapeError):
-            self.fail(result)
-            return
-        self.traj, self.value = result
-        self.history.append(self.value)
-        self.iteration = 1
-
-    def begin_iteration(self, table) -> None:
-        """Take the gradient table, or fail the iteration on its error."""
-        if isinstance(table, QGrapeError):
-            self.fail(table)
-            return
-        self.moves = _moves(self.config, self.velocity, table)
-        self.all_raised = True
-        self.next_candidate()
-
-    def next_candidate(self) -> None:
-        """Queue the next candidate move whose schedule can be built; when
-        none is left, end the iteration without a move, or fail it if every
-        candidate raised."""
-        for move in self.moves:
-            try:
-                self.candidate = ControlGrid(self.grid.amplitudes + move, self.grid.dt)
-            except QGrapeError as exc:  # rejected, as a candidate that lowers F
-                self.error = exc
-                continue
-            self.move = move
-            return
-        self.candidate = None
-        if self.all_raised:
-            self.fail(self.error)
-        else:
-            self.end_iteration(self.grid, self.traj, self.value, np.zeros_like(self.velocity))
-
-    def judge(self, result) -> None:
-        """Take the queued candidate if its value does not lower the
-        objective; otherwise queue the next one."""
-        if isinstance(result, QGrapeError):  # rejected, as a candidate that lowers F
-            self.error = result
-            self.next_candidate()
-            return
-        self.all_raised = False
-        traj, value = result
-        if value >= self.value:
-            self.end_iteration(self.candidate, traj, value, self.move)
-        else:
-            self.next_candidate()
-
-    def end_iteration(self, grid: ControlGrid, traj: Trajectory, value: float, move) -> None:
-        self.velocity = move
-        delta = abs(value - self.value)
-        self.grid, self.traj, self.value = grid, traj, value
-        self.history.append(value)
-        self.candidate = self.moves = None
-        if delta < self.config.convergence_tolerance * max(1.0, abs(value)):
-            self.streak += 1
-            if self.streak >= CONVERGENCE_WINDOW:
-                self.report = AscentReport(grid, self.history, self.iteration, True)
-                return
-        else:
-            self.streak = 0
-        if self.iteration == self.config.max_iterations:
-            self.report = AscentReport(grid, self.history, self.iteration, False)
-        else:
-            self.iteration += 1
-
-    def fail(self, exc: QGrapeError) -> None:
-        self.candidate = None
-        self.report = AscentReport.failed(self.grid, self.history, self.iteration, exc)

@@ -328,6 +328,10 @@ class TestStepPropagator:
         with pytest.raises(ValidationError):
             dyn.step_propagator(np.zeros((4, 4)), 0.0)
 
+    def test_result_owns_its_memory(self):
+        # a view would keep the exponential's whole work array alive
+        assert dyn.step_propagator(np.zeros((10, 4, 4)), 0.1).base is None
+
 
 def kernel_cases(rng, n, k=20):
     """Named (k, n, n) stacks for the stacked exponential."""

@@ -855,6 +855,44 @@ class TestAscendBatch:
         assert reports[0].converged and reports[0].iterations_used < 60
         assert not reports[1].converged and reports[1].iterations_used == 60
 
+    def test_member_whose_candidates_cannot_be_built(self, monkeypatch):
+        # an infinite gradient table makes every candidate schedule
+        # non-finite, so that member fails as its gradient arrives, before
+        # any candidate of the round is evaluated
+        real = grape._gradients
+
+        def infinite_for_one(trajs, problem, objective):
+            tables = real(trajs, problem, objective)
+            return [np.full_like(table, np.inf) if traj.n_steps == 30 else table
+                    for traj, table in zip(trajs, tables)]
+
+        monkeypatch.setattr(grape, "_gradients", infinite_for_one)
+        problems = [make_problem(noise, horizon=m * 0.05)
+                    for noise, m in zip(NOISE_MODELS.values(), (20, 30, 40))]
+        configs = [grape.AscentConfig(dt=0.05, max_iterations=5, seed=s, momentum=0.9)
+                   for s in range(3)]
+        reports = self.check(problems, configs, grape.qfi_objective())
+        assert reports[1].failed_iteration == 1 and reports[1].iterations_used == 0
+        assert reports[1].error == "ValidationError: control amplitudes must be finite"
+        assert reports[0].error is None and reports[2].error is None
+
+    def test_finished_members_release_their_arrays(self):
+        # members of 400 steps climb in groups of two, so twenty members make
+        # ten groups; a finished member must not keep the flat arrays of its
+        # last round alive until the batch returns
+        problem = make_problem(NOISE_MODELS["transverse"], horizon=20.0)
+        config = grape.AscentConfig(dt=0.05, max_iterations=2)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                grape.ascend_batch([problem] * n, [config] * n, grape.qfi_objective())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20) < 1.5 * peak(2)
+
     def test_members_must_share_the_model_and_step_width(self):
         config = grape.AscentConfig(dt=0.1, max_iterations=2)
         prob = make_problem(NOISE_MODELS["transverse"], horizon=1.0)
