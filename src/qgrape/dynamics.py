@@ -335,7 +335,7 @@ class ControlGrid:
         amps = np.asarray(self.amplitudes, dtype=float)
         if amps.ndim != 2:
             raise ValidationError(f"amplitudes must be an (m, p) table, got ndim={amps.ndim}")
-        if not np.all(np.isfinite(amps)):
+        if not np.isfinite(amps).all():
             raise ValidationError("control amplitudes must be finite")
         if not 0 < self.dt < math.inf:
             raise ValidationError(f"dt must be finite and positive, got {self.dt}")
@@ -369,8 +369,9 @@ def _generators(
     """Real stack (m, 4, 4) of the generators ``R0 + sum_k V_k dR/dV_k`` for
     an (m, p) amplitude table; ``R0`` is the problem's free generator unless
     ``free`` gives another 4x4 matrix or one per step."""
-    free = problem.free_superop if free is None else free
-    return free + np.einsum("jk,kab->jab", amplitudes, problem.control_superops)
+    gens = np.einsum("jk,kab->jab", amplitudes, problem.control_superops)
+    gens += problem.free_superop if free is None else free
+    return gens
 
 
 def step_count(horizon: float, dt: float) -> int:
@@ -398,6 +399,9 @@ _TAYLOR18 = np.array(
      for i in range(5)]
 )
 _THETA18 = 1.090863719290036
+# the identity and the all-ones row of every size up to 16 that _expm takes
+_IDENTITIES = tuple(np.eye(n) for n in range(17))
+_ONES = np.ones(16)
 
 
 def _expm(generators: np.ndarray, dt: float) -> np.ndarray:
@@ -415,29 +419,31 @@ def _expm(generators: np.ndarray, dt: float) -> np.ndarray:
     output, complex input complex output.  Non-finite input gives non-finite
     output without floating-point warnings.
 
-    The temporaries (the powers, A^4, the five blocks and one product) are
-    slices of one allocation per call: glibc serves a chunk this large by
-    mmap, and once it is freed raises its mmap threshold above it
-    (mallopt(3)), so the next call's stack comes from the heap instead of
-    fresh, page-faulting pages.  The result is a view into that allocation.
+    The temporaries (the powers, A^4, the five blocks and one slot, for
+    ``|dt A|`` and then each Horner product) are slices of one allocation per
+    call: glibc serves a chunk this large by mmap, and once it is freed raises
+    its mmap threshold above it (mallopt(3)), so the next call's stack comes
+    from the heap instead of fresh, page-faulting pages.  The result is a view
+    into that allocation.
     """
     a = np.asarray(generators)
     shape, n = a.shape, a.shape[-1]
     a = a.reshape(-1, n, n)
-    work = np.empty((11,) + a.shape, dtype=np.result_type(a.dtype, np.float64))
+    work = np.empty((11,) + a.shape, dtype=np.promote_types(a.dtype, np.float64))
     powers, a4, blocks, term = work[:4], work[4], work[5:10], work[10]
+    squarings = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a = np.multiply(dt, a, out=powers[1], dtype=powers.dtype)
-        s = np.zeros(len(a), dtype=int)
         # column sums as one stacked product: a reduction over the middle
         # axis of small matrices costs several times more
-        col_sums = np.ones(n) @ np.abs(a)
-        if (col_sums > _THETA18).any():
+        col_sums = _ONES[:n] @ np.abs(a, out=term.real)
+        if np.count_nonzero(col_sums > _THETA18):
             s = np.ceil(np.log2(col_sums.max(axis=-1) / _THETA18))
             s = np.where(np.isfinite(s) & (s > 0), s, 0).astype(int)
+            squarings = s.max()
             flat = a.view(float)
             np.ldexp(flat, -s[:, None, None], out=flat)
-        powers[0] = np.eye(n)
+        powers[0] = _IDENTITIES[n]
         np.matmul(a, a, out=powers[2])
         np.matmul(powers[2], a, out=powers[3])
         np.matmul(powers[2], powers[2], out=a4)
@@ -445,9 +451,10 @@ def _expm(generators: np.ndarray, dt: float) -> np.ndarray:
         for i in (3, 2, 1, 0):
             blocks[i] += np.matmul(blocks[i + 1], a4, out=term)
         x = blocks[0]
-        for i in range(s.max(initial=0)):
+        for i in range(squarings):
             squared = s > i
-            x[squared] = x[squared] @ x[squared]
+            y = x[squared]
+            x[squared] = y @ y
     return x.reshape(shape)
 
 
@@ -516,24 +523,25 @@ class Trajectory:
 
 def _first_bad(bad: np.ndarray) -> int:
     """Index of the first true entry of a row mask, or its length if none."""
-    return int(bad.argmax()) if bad.any() else len(bad)
+    return int(bad.argmax()) if np.count_nonzero(bad) else len(bad)
 
 
-def _stability(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _stability(coords: np.ndarray) -> np.ndarray:
     """Mask of the states of an (..., 4) stack of Pauli coordinates that lost
-    positivity beyond the hard floor, their trace, or finiteness, and the
-    smaller eigenvalue of each.  Past a bad step a state may have overflowed,
-    so the caller runs this under ``np.errstate(over="ignore",
-    invalid="ignore")``."""
-    lo = _min_eigenvalue(coords)
-    # written as "not good" so that a NaN state counts as bad
-    bad = ~((lo >= -POSITIVITY_HARD_FLOOR) & (np.abs(coords[..., 0] - 1.0) <= 1e-8))
-    return bad, lo
+    positivity beyond the hard floor, their trace, or finiteness.  Past a bad
+    step a state may have overflowed, so the caller runs this under
+    ``np.errstate(over="ignore", invalid="ignore")``."""
+    # twice the smaller eigenvalue, exactly; written as "not good" so that a
+    # NaN state counts as bad
+    c0 = coords[..., 0]
+    twice_lo = c0 - np.sqrt((coords[..., 1:] ** 2).sum(axis=-1))
+    return ~((twice_lo >= -2.0 * POSITIVITY_HARD_FLOOR) & (np.abs(c0 - 1.0) <= 1e-8))
 
 
-def _unstable(step: int, lo: float) -> NumericalStabilityError:
-    """The error for a trajectory whose first bad state is the one after
-    ``step``, with smaller eigenvalue ``lo``."""
+def _unstable(step: int, state: np.ndarray) -> NumericalStabilityError:
+    """The error for a trajectory whose first bad state, with Pauli
+    coordinates ``state``, is the one after ``step``."""
+    lo = _min_eigenvalue(state)
     return NumericalStabilityError(
         f"state lost positivity/trace at step {step} (min eigenvalue {lo:.3e})", step=step
     )
@@ -623,7 +631,7 @@ def _propagate_each(
     steps = _forward_steps(_expm(gens, dt), first.sensitivity_superop)
 
     # pair i's rows y_0..y_m lie at ys[r:r + m + 1], its steps at steps[o:o + m]
-    ys = np.empty((len(gens) + len(valid), 8))
+    ys = np.zeros((len(gens) + len(valid), 8))
     rows = list(ys)
     # past a bad step the recursion may overflow; the check below reports the
     # first bad step, so the floating-point warnings of later ones are noise.
@@ -632,16 +640,16 @@ def _propagate_each(
     with np.errstate(over="ignore", invalid="ignore"):
         r = o = 0
         for i, m in zip(valid, counts):
-            ys[r, :4], ys[r, 4:] = problems[i].probe_coords, 0.0
+            ys[r, :4] = problems[i].probe_coords
             for step, prev, nxt in zip(steps[o : o + m], rows[r : r + m], rows[r + 1 : r + m + 1]):
                 step.dot(prev, out=nxt)
             r, o = r + m + 1, o + m
-        bad, lo = _stability(ys[:, :4])
+        bad = _stability(ys[:, :4])
     r = o = 0
     for i, m in zip(valid, counts):
         first_bad = _first_bad(bad[r + 1 : r + m + 1])
         if first_bad < m:
-            results[i] = _unstable(first_bad + 1, lo[r + 1 + first_bad])
+            results[i] = _unstable(first_bad + 1, ys[r + 1 + first_bad, :4])
         else:
             results[i] = Trajectory(
                 rows=ys[r : r + m + 1], steps=steps[o : o + m], generators=gens[o : o + m], dt=dt

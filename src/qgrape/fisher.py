@@ -46,8 +46,10 @@ SLD_RANK_TOL = 1e-12
 PURE_TANGENT_TOL = 1e-8
 OUTCOME_PROB_FLOOR = 1e-12
 OUTCOME_DERIV_FLOOR = 1e-9
-# bounds on |d| of a valid derivative: traceless within DERIVATIVE_TOL, finite
-_DERIVATIVE_BOUNDS = np.array([DERIVATIVE_TOL, *3 * [np.finfo(float).max]])
+# bounds on a valid row's |c0 - 1|, |r| - c0 (minus twice the smaller
+# eigenvalue) and |d|, which is traceless within DERIVATIVE_TOL and finite
+_ROW_BOUNDS = np.array(
+    [TRACE_TOL, 2 * POSITIVITY_SLACK, DERIVATIVE_TOL, *3 * [np.finfo(float).max]])
 
 
 def _coordinates(rho: np.ndarray, drho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -66,8 +68,8 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _is_pure(norm_sq: np.ndarray) -> np.ndarray:
-    return 1.0 - np.sqrt(norm_sq) <= SLD_RANK_TOL
+def _is_pure(norm: np.ndarray) -> np.ndarray:
+    return 1.0 - norm <= SLD_RANK_TOL
 
 
 def _sld_bloch(r: np.ndarray, dr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -76,10 +78,12 @@ def _sld_bloch(r: np.ndarray, dr: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     Each branch divides by zero where the other one applies, so the caller
     ignores those floating-point warnings."""
     norm_sq, radial = _dot(r, r), _dot(r, dr)
-    pure, norm = _is_pure(norm_sq), np.sqrt(norm_sq)
+    norm = np.sqrt(norm_sq)
+    pure = _is_pure(norm)
     s = radial / norm
     a_pure = s / (2.0 * (1.0 + norm))
-    a = np.where(pure, a_pure, -radial / (1.0 - norm_sq))
+    # -radial / (1 - |r|^2), bitwise
+    a = np.where(pure, a_pure, radial / (norm_sq - 1.0))
     # b = dr - coef r with coef = a if mixed, (s - a)/|r| if pure
     b = dr - np.where(pure, (s - a_pure) / norm, a)[:, None] * r
     # max(F, 0), keeping a NaN
@@ -141,14 +145,14 @@ def _information(
     # mixed branch, or skip an outcome, with np.where, so the rows or
     # branches not used may divide by zero or meet non-finite numbers
     with np.errstate(divide="ignore", invalid="ignore"):
-        # written as "good" so that NaN is rejected too; |d_i| <= the
-        # largest double says d_i is finite
-        good = (
-            (np.abs(c[:, 0] - 1.0) <= TRACE_TOL)
-            & (_min_eigenvalue(c) >= -POSITIVITY_SLACK)
-            & (np.abs(d) <= _DERIVATIVE_BOUNDS).all(axis=1)
-        )
-        stop = _first_bad(~good)
+        # each row's deviations against _ROW_BOUNDS in one comparison, written
+        # as "good" so that NaN is rejected too; |d_i| <= the largest double
+        # says d_i is finite
+        dev = np.empty((len(c), 6))
+        np.abs(c[:, 0] - 1.0, out=dev[:, 0])
+        np.subtract(np.sqrt((c[:, 1:] ** 2).sum(axis=-1)), c[:, 0], out=dev[:, 1])
+        np.abs(d, out=dev[:, 2:])
+        stop = _first_bad(~(dev <= _ROW_BOUNDS).all(axis=1))
         if povm is None:
             result = _qfi_rows(c[:stop], d[:stop])
         else:
@@ -169,7 +173,8 @@ def _qfi_bloch(r: np.ndarray, dr: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         radial = _dot(r, dr)
         finite = np.isfinite(r).all(axis=1) & np.isfinite(dr).all(axis=1)
-        bad = ~finite | (_is_pure(_dot(r, r)) & ~(np.abs(radial) <= PURE_TANGENT_TOL))
+        pure = _is_pure(np.sqrt(_dot(r, r)))
+        bad = ~finite | (pure & ~(np.abs(radial) <= PURE_TANGENT_TOL))
     stop = _first_bad(bad)
     value = _information(
         np.column_stack([np.ones(stop), r[:stop]]), np.column_stack([np.zeros(stop), dr[:stop]]), None

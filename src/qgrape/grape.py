@@ -213,31 +213,32 @@ def _gradients(
     # numpy multiplies and contracts a single row with other kernels than a
     # stack of rows, so a one-step trajectory in a stack gets its rows alone
     singles = [o for o, m in zip(offsets, counts) if m == 1] if n > 1 else []
-    # the rows (ybar_s, ybar_c + ybar_s G) pair with the columns (s, c): the
-    # trajectory's rows y_{j-1} = (c, s), read back to front
-    left = np.empty((n, 2, 4))
-    left[:, 0] = ybar[:, 4:]
-    np.matmul(ybar[:, 4:], problem.sensitivity_superop, out=left[:, 1])
+    # the rows ybar_s and ybar_c + ybar_s G pair with the columns s and c of
+    # the trajectory's rows y_{j-1} = (c, s)
+    row_c = ybar[:, 4:] @ problem.sensitivity_superop
     for o in singles:
-        np.matmul(ybar[o : o + 1, 4:], problem.sensitivity_superop, out=left[o : o + 1, 1])
-    left[:, 1] += ybar[:, :4]
-    right = _stacked([t.rows[:-1] for t in trajs]).reshape(n, 2, 4)[:, ::-1]
-    block = np.empty((n, 8, 8))
+        row_c[o : o + 1] = ybar[o : o + 1, 4:] @ problem.sensitivity_superop
+    row_c += ybar[:, :4]
+    ys = _stacked([t.rows[:-1] for t in trajs])
+    # C_j = sum_s col_s row_s, bitwise as einsum("jsa,jsb->jab") at half its
+    # cost, in contiguous temporaries until it is scaled into the block
+    weights = ys[:, 4:, None] * ybar[:, None, 4:]
+    weights += ys[:, :4, None] * row_c[:, None, :]
+    block = np.zeros((n, 8, 8))
     block[:, :4, :4] = block[:, 4:, 4:] = _stacked([t.generators for t in trajs])
-    block[:, 4:, :4] = 0.0
-    # C_j = sum_s col_s row_s, bitwise as einsum("jsa,jsb->jab") at half its cost
-    weights = np.multiply(right[:, 0, :, None], left[:, 0, None, :], out=block[:, :4, 4:])
-    weights += right[:, 1, :, None] * left[:, 1, None, :]
     # X_j is linear in C_j, so C is exponentiated scaled by a power of two to
     # entries below 1 and X scaled back, both exactly: then the generators
     # alone set the kernel's scaling, as in Al-Mohy & Higham's Frechet
     # derivative algorithm (SIAM J. Matrix Anal. Appl. 30, 1639 (2009)).
-    # Each trajectory has its own power of two, one per row in a stack; a
-    # lone trajectory keeps a scalar exponent, which ldexp applies faster
-    peaks = np.abs(weights)
-    _, scale = np.frexp([peaks[o : o + m].max(initial=0.0) for o, m in zip(offsets, counts)])
-    scale = scale[0] if len(trajs) == 1 else np.repeat(scale, counts)[:, None, None]
-    np.ldexp(weights, -scale, out=weights)
+    # Each trajectory's power of two is that of its largest |C| entry, all
+    # from one reduction; one without steps takes no part, since reduceat
+    # would give it its neighbour's first entry.  When only one trajectory
+    # has steps its exponent stays a scalar, which ldexp applies faster
+    sizes = [m for m in counts if m]
+    starts = [16 * o for o, m in zip(offsets, counts) if m]
+    _, scale = np.frexp(np.maximum.reduceat(np.abs(weights).reshape(-1), starts))
+    scale = scale[0] if len(sizes) == 1 else np.repeat(scale, sizes)[:, None, None]
+    np.ldexp(weights, -scale, out=block[:, :4, 4:])
     integrals = _expm(block, trajs[0].dt)[:, :4, 4:]
     np.ldexp(integrals, scale, out=integrals)
     table = np.einsum("kab,jba->jk", problem.control_superops, integrals)
@@ -307,7 +308,7 @@ def finite_difference_gradient(
     states = np.zeros((length + 1, n, 8, 1))
     states[:, :, 0] = 1.0
     first_bad = np.zeros(n, dtype=int)
-    first_lo = np.empty(n)
+    first_state = np.empty((n, 4))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, m, length):
             end = min(start + length, m)
@@ -316,19 +317,19 @@ def finite_difference_gradient(
                 prev, cur = states[i - start], states[i - start + 1]
                 np.matmul(base.steps[i], prev[:done], out=cur[:done])
                 np.matmul(bumped_steps[i], base_ys[i], out=cur[done:active])
-            bad, lo = _stability(states[1 : end - start + 1, :active, :4, 0])
+            bad = _stability(states[1 : end - start + 1, :active, :4, 0])
             fresh = bad.any(axis=0) & (first_bad[:active] == 0)
             if fresh.any():
                 at = bad[:, fresh].argmax(axis=0)
                 first_bad[:active][fresh] = start + 1 + at
-                first_lo[:active][fresh] = lo[at, fresh.nonzero()[0]]
+                first_state[:active][fresh] = states[1 + at, fresh.nonzero()[0], :4, 0]
             states[0] = states[end - start]
     ys = states[0]
 
     stop = _first_bad(first_bad > 0)
     values = _information(ys[:stop, :4, 0], dt * ys[:stop, 4:, 0], objective.povm)[0]
     if stop < len(ys):
-        raise _unstable(int(first_bad[stop]), first_lo[stop])
+        raise _unstable(int(first_bad[stop]), first_state[stop])
     return ((values[0::2] - values[1::2]) / (2.0 * delta)).reshape(m, p)
 
 
@@ -546,9 +547,9 @@ def _climb_together(
     """Run the :func:`_climb` of every (problem, config, grid) member in
     rounds until each has returned its report; ``problem`` holds the
     members' shared control and sensitivity generators.  Each round answers
-    every pending gradient request with one :func:`_gradients` call, then
-    every pending evaluation with one :func:`_evaluate` call, in member
-    order."""
+    every pending gradient request with one :func:`_gradients` call (an error
+    that it raises answers every request), then every pending evaluation with
+    one :func:`_evaluate` call, in member order."""
     climbs = [_climb(config, grid) for _, config, grid in members]
     reports: list = [None] * len(climbs)
     requests: dict = {}  # what each running member waits for, in member order
@@ -566,7 +567,10 @@ def _climb_together(
         asking = [i for i, request in requests.items() if isinstance(request, Trajectory)]
         if asking:
             trajs = [requests[i] for i in asking]
-            tables = _each(lambda ts: _gradients(ts, problem, objective), trajs)
+            try:
+                tables = _gradients(trajs, problem, objective)
+            except QGrapeError as exc:  # every asking member's iteration fails
+                tables = [exc] * len(trajs)
             for i, table in zip(asking, tables):
                 answer(i, table)
         trying = [i for i, request in requests.items() if isinstance(request, ControlGrid)]

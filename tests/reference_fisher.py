@@ -1,5 +1,6 @@
 """Eigendecomposition SLD and QFI, the reference for the Bloch-coordinate
-closed form in :mod:`qgrape.fisher`.
+closed form in :mod:`qgrape.fisher`, and the stacked Fisher-information
+kernel as it was before its numpy work was cut.
 
 ``2 drho = rho L + L rho`` is solved element by element in the eigenbasis of
 rho from a LAPACK ``eigh``.  Pairs of eigenvalues whose sum is at most
@@ -7,14 +8,29 @@ rho from a LAPACK ``eigh``.  Pairs of eigenvalues whose sum is at most
 a (numerically) pure state: the library's purity rule ``1 - |r| <=
 SLD_RANK_TOL`` is the same cut, since the smaller eigenvalue is
 ``(1 - |r|)/2``.
+
+:func:`information_before_cut` is :func:`qgrape.fisher._information` as it
+was before its validity mask, SLD branches and weight rows were written with
+fewer numpy calls; the library kernel must give the same bits and raise the
+same errors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qgrape.dynamics import validate_density
-from qgrape.fisher import SLD_RANK_TOL
+from qgrape.dynamics import POSITIVITY_SLACK, TRACE_TOL, _check_state, validate_density
+from qgrape.errors import SingularOutcomeError, ValidationError
+from qgrape.fisher import (
+    DERIVATIVE_TOL,
+    OUTCOME_DERIV_FLOOR,
+    OUTCOME_PROB_FLOOR,
+    SLD_RANK_TOL,
+    Povm,
+)
+
+# bounds on |d| of a valid derivative: traceless within DERIVATIVE_TOL, finite
+_DERIVATIVE_BOUNDS = np.array([DERIVATIVE_TOL, *3 * [np.finfo(float).max]])
 
 
 def sld(rho: np.ndarray, drho: np.ndarray, tol: float = SLD_RANK_TOL) -> np.ndarray:
@@ -38,3 +54,76 @@ def qfi(rho: np.ndarray, drho: np.ndarray, tol: float = SLD_RANK_TOL) -> float:
     l_op = sld(rho, drho, tol=tol)
     value = np.trace(rho @ l_op @ l_op).real
     return float(max(value, 0.0))
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _is_pure(norm_sq: np.ndarray) -> np.ndarray:
+    return 1.0 - np.sqrt(norm_sq) <= SLD_RANK_TOL
+
+
+def _sld_bloch(r: np.ndarray, dr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    norm_sq, radial = _dot(r, r), _dot(r, dr)
+    pure, norm = _is_pure(norm_sq), np.sqrt(norm_sq)
+    s = radial / norm
+    a_pure = s / (2.0 * (1.0 + norm))
+    a = np.where(pure, a_pure, -radial / (1.0 - norm_sq))
+    b = dr - np.where(pure, (s - a_pure) / norm, a)[:, None] * r
+    return a, b, np.maximum(_dot(dr, b), 0.0)
+
+
+def _qfi_rows(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    a, b, value = _sld_bloch(c[:, 1:], d[:, 1:])
+    w1, w2 = np.empty(c.shape), np.empty(c.shape)
+    w1[:, 0], w1[:, 1:] = a, b
+    w2[:, 0], w2[:, 1:] = a * a + _dot(b, b), (2.0 * a)[:, None] * b
+    return value, w1, w2
+
+
+def _cfi_rows(
+    c: np.ndarray, d: np.ndarray, povm: Povm
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    p, dp = (povm.rows @ c[:, :, None])[:, :, 0], (povm.rows @ d[:, :, None])[:, :, 0]
+    vanishing = p < OUTCOME_PROB_FLOOR
+    singular = vanishing & ~(np.abs(dp) < OUTCOME_DERIV_FLOOR)
+    if singular.any():
+        i, y = np.argwhere(singular)[0]
+        raise SingularOutcomeError(
+            f"outcome {y} has probability {p[i, y]:.3e} but derivative {dp[i, y]:.3e}"
+        )
+    ratio = np.where(vanishing, 0.0, dp / p)
+    terms = np.where(vanishing, 0.0, dp * dp / p)
+    value, w1, w2 = np.zeros(len(c)), np.zeros(c.shape), np.zeros(c.shape)
+    for y, row in enumerate(povm.rows):
+        value += terms[:, y]
+        w1 += ratio[:, y, None] * row
+        w2 += (ratio[:, y] * ratio[:, y])[:, None] * row
+    return value, w1, w2
+
+
+def information_before_cut(
+    c: np.ndarray, d: np.ndarray, povm: Povm | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(F, W1, W2)`` of every row of the (n, 4) stacks ``c`` and ``d``, the
+    QFI for ``povm=None`` and the CFI otherwise; the first bad row raises the
+    error that it raises alone."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = (c[:, 0] - np.sqrt((c[:, 1:] ** 2).sum(axis=-1))) / 2.0
+        good = (
+            (np.abs(c[:, 0] - 1.0) <= TRACE_TOL)
+            & (lo >= -POSITIVITY_SLACK)
+            & (np.abs(d) <= _DERIVATIVE_BOUNDS).all(axis=1)
+        )
+        stop = int(good.argmin()) if not good.all() else len(c)
+        if povm is None:
+            result = _qfi_rows(c[:stop], d[:stop])
+        else:
+            result = _cfi_rows(c[:stop], d[:stop], povm)
+    if stop < len(c):
+        _check_state(c[stop])
+        if not np.isfinite(d[stop]).all():
+            raise ValidationError("state derivative must be finite")
+        raise ValidationError("state derivative must be traceless")
+    return result

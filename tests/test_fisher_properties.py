@@ -11,6 +11,7 @@ from hypothesis import strategies as st  # noqa: E402
 from qgrape import dynamics as dyn  # noqa: E402
 from qgrape import fisher  # noqa: E402
 from qgrape.errors import QGrapeError  # noqa: E402
+from reference_fisher import information_before_cut  # noqa: E402
 
 # fixed examples, no example database: every run checks the same cases
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -133,9 +134,9 @@ DEFECTS = [
 
 
 @st.composite
-def information_stacks(draw):
+def information_stacks(draw, max_rows=6):
     axis = draw(directions)
-    rows = draw(st.lists(information_rows(axis), min_size=1, max_size=6))
+    rows = draw(st.lists(information_rows(axis), min_size=1, max_size=max_rows))
     defects = draw(st.lists(st.tuples(st.sampled_from(DEFECTS), st.integers(0, 6)), max_size=2))
     for defect, at in defects:
         rows.insert(min(at, len(rows)), _corrupt(*rows[min(at, len(rows) - 1)], axis, defect))
@@ -167,3 +168,21 @@ def test_stacked_information_matches_one_row_calls(stack, measured):
         return
     for got, want in zip(fisher._information(c, d, povm), expected):
         np.testing.assert_array_equal(got, want)
+
+
+@SETTINGS
+@given(information_stacks(max_rows=50), st.booleans())
+def test_information_equals_the_kernel_before_the_cut(stack, measured):
+    # bitwise the arithmetic of the frozen kernel, and the same first error,
+    # on stacks of mixed rows, pure rows and rows with a vanishing outcome
+    axis, c, d = stack
+    povm = fisher.Povm.along(axis) if measured else None
+    try:
+        expected = information_before_cut(c, d, povm)
+    except QGrapeError as exc:
+        with pytest.raises(type(exc)) as excinfo:
+            fisher._information(c, d, povm)
+        assert str(excinfo.value) == str(exc)
+        return
+    got = fisher._information(c, d, povm)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]

@@ -240,6 +240,45 @@ class TestGradientPaths:
             for traj, prob, table in zip(trajs, probs, tables):
                 assert table.tobytes() == grape.gradient(traj, prob, objective).tobytes()
 
+    def test_each_member_scales_its_weights_by_its_own_power_of_two(self):
+        # every trajectory's Van Loan weights C are scaled by the power of two
+        # of its own largest entry, and its table is bitwise its table alone.
+        # The stack holds trajectories without steps (first, in the middle and
+        # last, where a reduceat over all members would read a neighbour's
+        # entry or read past the end), a one-step one, and weights whose peaks
+        # lie many binades apart, down to exactly 0 for a maximally mixed
+        # probe under dephasing: the power of two of a member with small
+        # weights would blow the large weights of another past the kernel's
+        # scaling threshold
+        rng = np.random.default_rng(23)
+        dephasing, emission = NOISE_MODELS["transverse"], NOISE_MODELS["emission"]
+        axis = np.array([0.6, 0.0, 0.8])
+        members = [
+            (dephasing, dyn.plus_state(), 0),
+            (dephasing, dyn.density_from_bloch(1e-15 * axis), 5),
+            (emission, dyn.plus_state(), 1),
+            (dephasing, dyn.density_from_bloch(1e-30 * axis), 4),
+            (dephasing, dyn.plus_state(), 0),
+            (emission, dyn.density_from_bloch(0.5 * axis), 7),
+            (dephasing, dyn.density_from_bloch(np.zeros(3)), 3),
+            (None, dyn.zero_state(), 0),
+        ]
+        trajs, probs = [], []
+        for noise, probe, m in members:
+            probs.append(make_problem(noise, horizon=m * 0.05, probe=probe))
+            trajs.append(dyn.propagate(probs[-1], random_schedule(rng, m, 0.05, scale=2.0)))
+        for objective in (grape.qfi_objective(), grape.cfi_objective(fisher.Povm.plus_minus())):
+            peaks = []
+            for traj in trajs:
+                grape.objective_value(traj, objective)
+                _, w1, w2 = grape._final_information(traj, objective)
+                peaks.append(max(np.abs(w1).max(), np.abs(w2).max()))
+            assert peaks[6] == 0.0 and 0.0 < peaks[3] < 2.0**-90 < peaks[1] < 2.0**-40 < peaks[2]
+            tables = grape._gradients(trajs, probs[0], objective)
+            for traj, prob, table in zip(trajs, probs, tables):
+                assert table.shape == (traj.n_steps, 3)
+                assert table.tobytes() == grape.gradient(traj, prob, objective).tobytes()
+
     def test_no_controls_give_an_empty_table(self):
         prob = dyn.frequency_estimation_problem(
             1.0, NOISE_MODELS["emission"], dyn.plus_state(), 1.0, control_generators=()
@@ -875,6 +914,29 @@ class TestAscendBatch:
         assert reports[1].failed_iteration == 1 and reports[1].iterations_used == 0
         assert reports[1].error == "ValidationError: control amplitudes must be finite"
         assert reports[0].error is None and reports[2].error is None
+
+    def test_raising_gradient_fails_every_asking_member(self, monkeypatch):
+        # the stacked gradient call of the second round raises: every member
+        # asked for a gradient there, so each one's iteration 2 fails with it
+        calls = {"n": 0}
+        real = grape._gradients
+
+        def flaky(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise QGrapeError("synthetic failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(grape, "_gradients", flaky)
+        problems = [make_problem(noise, horizon=m * 0.05)
+                    for noise, m in zip(NOISE_MODELS.values(), (20, 30, 40))]
+        configs = [grape.AscentConfig(dt=0.05, max_iterations=5, seed=s) for s in range(3)]
+        reports = grape.ascend_batch(problems, configs, grape.qfi_objective())
+        assert calls["n"] == 2
+        for report in reports:
+            assert report.error == "QGrapeError: synthetic failure"
+            assert report.failed_iteration == 2 and report.iterations_used == 1
+            assert len(report.objective_history) == 2
 
     def test_finished_members_release_their_arrays(self):
         # members of 400 steps climb in groups of two, so twenty members make
