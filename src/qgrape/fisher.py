@@ -16,16 +16,10 @@ Both are computed one way, by :func:`_information` on the Pauli coordinates
 It takes an (n, 4) stack of states and derivatives, so that one call serves
 every final state of the finite-difference oracle, of a single-pulse scan or
 of a round of lock-step ascents, and a single state is a one-row stack.
-Each 3-term dot product is one BLAS dot of a stacked
-``(n, 1, 3) @ (n, 3, 1)`` product, as for one pair of vectors (einsum and
-sum reductions round differently), the pure and mixed SLD
-branches and the skipped CFI outcomes are selected with ``np.where``, and the
-first bad row raises the error that it raises alone.  So every row comes out
-bitwise as it would alone wherever BLAS rounds a stacked product as it rounds
-a one-row one, as OpenBLAS's default kernels do.  Its Katmai kernels
-(``OPENBLAS_CORETYPE=Prescott``) do not: in a stack of 40 final states of
-oblique dephasing, 4 QFI rows differ from their one-row values in the last
-bits, and no CFI row does.
+Every dot product is its elementwise products added left to right, the pure and
+mixed SLD branches and the skipped CFI outcomes are selected with ``np.where``,
+and the first bad row raises the error that it raises alone, so that every row
+comes out bitwise as it would alone, in any stack and at any memory alignment.
 """
 
 from __future__ import annotations
@@ -63,9 +57,13 @@ def _coordinates(rho: np.ndarray, drho: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dot products ``u[i] @ v[i]`` of the rows of two (n, 3) stacks, each
-    one BLAS dot as for a single pair; einsum and sum round differently."""
-    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+    """Dot products of the 3-vectors on the last axis of ``u`` and ``v``,
+    broadcast, as ``u0 v0 + u1 v1 + u2 v2`` elementwise, so that a row rounds
+    the same alone, in any stack and at any alignment, as a BLAS dot, einsum
+    or a sum reduction need not.  The other axes come out reversed: (n, 3)
+    stacks give (n,), an (n, 1, 3) and a (p, 3) stack give (p, n)."""
+    products = (u * v).T
+    return products[0] + products[1] + products[2]
 
 
 def _is_pure(norm: np.ndarray) -> np.ndarray:
@@ -102,25 +100,28 @@ def _qfi_rows(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 def _cfi_rows(
     c: np.ndarray, d: np.ndarray, povm: Povm
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # p_y = rows[y] . c as one BLAS product per state, as for a single state
-    p, dp = (povm.rows @ c[:, :, None])[:, :, 0], (povm.rows @ d[:, :, None])[:, :, 0]
+    # p_y = rows[y] . c and dp_y = rows[y] . d, outcome-major, the products
+    # added left to right as in _dot, with c and d in one stack
+    products = (np.concatenate((c, d))[:, None] * povm.rows).T
+    both = products[0] + products[1] + products[2] + products[3]
+    p, dp = both[:, : len(c)], both[:, len(c) :]
     # an outcome with vanishing probability and derivative carries no
     # information; with a nonzero derivative the information diverges
     vanishing = p < OUTCOME_PROB_FLOOR
     singular = vanishing & ~(np.abs(dp) < OUTCOME_DERIV_FLOOR)
     if singular.any():
-        i, y = np.argwhere(singular)[0]
+        i, y = np.argwhere(singular.T)[0]
         raise SingularOutcomeError(
-            f"outcome {y} has probability {p[i, y]:.3e} but derivative {dp[i, y]:.3e}"
+            f"outcome {y} has probability {p[y, i]:.3e} but derivative {dp[y, i]:.3e}"
         )
     # a vanishing outcome adds exact zeros, the same as skipping it
     ratio = np.where(vanishing, 0.0, dp / p)
     terms = np.where(vanishing, 0.0, dp * dp / p)
     value, w1, w2 = np.zeros(len(c)), np.zeros(c.shape), np.zeros(c.shape)
-    for y, row in enumerate(povm.rows):
-        value += terms[:, y]
-        w1 += ratio[:, y, None] * row
-        w2 += (ratio[:, y] * ratio[:, y])[:, None] * row
+    for row, r, term in zip(povm.rows, ratio, terms):
+        value += term
+        w1 += r[:, None] * row
+        w2 += (r * r)[:, None] * row
     return value, w1, w2
 
 
@@ -132,10 +133,7 @@ def _information(
     rows ``(W1, W2)`` of its first-order change ``2 W1 . dd - W2 . dc``: the
     Pauli rows of ``(L, L^2)`` for the QFI, of ``sum_y (dp_y/p_y)^k E_y``,
     k = 1, 2, for the CFI.  Returns ``(F, W1, W2)`` of shapes (n,), (n, 4)
-    and (n, 4); every row is bitwise what a one-row stack gives where BLAS
-    rounds the stacked products as one-row ones (not under OpenBLAS's Katmai
-    kernels, where QFI rows can differ in the last bits; see the module
-    docstring).
+    and (n, 4); every row is bitwise what a one-row stack gives.
 
     Each ``c[i]`` must pass :func:`qgrape.dynamics._check_state` and each
     ``d[i]`` be finite and traceless within ``DERIVATIVE_TOL``; the CFI also

@@ -24,8 +24,8 @@ one-member case.  Each round has two stages, the gradients that the members'
 ``_climb`` ask for and then the schedules they ask to evaluate, and each stage
 calls every stacked kernel once on one flat step axis of the members' steps.
 Only the 8-vector loops run per member.  Each member's report is bitwise what
-it would be alone, wherever BLAS rounds a stacked Fisher-information product
-as a one-row one (see :mod:`qgrape.fisher`).
+it would be alone: every per-row product of the Fisher information and of the
+gradient's assembly is elementwise, so a row rounds the same in any stack.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .dynamics import (
     step_count,
 )
 from .errors import QGrapeError, ValidationError
-from .fisher import Povm, _information
+from .fisher import Povm, _dot, _information
 
 __all__ = [
     "Objective",
@@ -80,6 +80,10 @@ MAX_BACKTRACK_HALVINGS = 20
 _BATCH_STEPS = 1024
 # steps of the finite-difference oracle whose states are checked together
 _STABILITY_BLOCK = 16
+# flat indices of X23, X31, X12 over X32, X13, X21 in an (8, 8) exponential
+# of top-right block X (X_ab at 8 a + 4 + b), and of P32, P13, P21 in a 4x4 P
+_AXIAL_BLOCK = np.array([[23, 29, 14], [30, 15, 21]])
+_AXIAL_GENERATOR = np.array([14, 7, 9])
 
 
 @dataclass(frozen=True)
@@ -123,7 +127,7 @@ def _final_rows(trajs: list[Trajectory], objective: Objective) -> list[tuple]:
     """Objective and weight rows of the final state and its parameter
     derivative (see :func:`qgrape.fisher._information`) of trajectories of
     one step width, in one stacked call."""
-    finals = trajs[0].rows[-1:] if len(trajs) == 1 else np.array([t.rows[-1] for t in trajs])
+    finals = _stacked([t.rows[-1:] for t in trajs])
     value, w1, w2 = _information(finals[:, :4], trajs[0].dt * finals[:, 4:], objective.povm)
     return [(float(v), a, b) for v, a, b in zip(value, w1, w2)]
 
@@ -202,28 +206,26 @@ def _gradients(
     trajectories share the step width and the problem's control and
     sensitivity generators.  The backward sweeps loop per trajectory into one
     flat table; the Van Loan stack, its exponential and the contraction with
-    the control generators are each one call.  A single trajectory's arrays
-    are used as they are, without copies."""
+    the control generators are each one call, every per-row product
+    elementwise, so that each table is bitwise its table alone.  A single
+    trajectory's arrays are used as they are, without copies."""
     counts = [t.n_steps for t in trajs]
     offsets = list(accumulate(counts, initial=0))
     n = offsets[-1]
     ybar = np.empty((n, 8))
     for traj, o, m in zip(trajs, offsets, counts):
         _backward_sweep(traj, objective, ybar[o : o + m])
-    # numpy multiplies and contracts a single row with other kernels than a
-    # stack of rows, so a one-step trajectory in a stack gets its rows alone
-    singles = [o for o, m in zip(offsets, counts) if m == 1] if n > 1 else []
     # the rows ybar_s and ybar_c + ybar_s G pair with the columns s and c of
-    # the trajectory's rows y_{j-1} = (c, s)
-    row_c = ybar[:, 4:] @ problem.sensitivity_superop
-    for o in singles:
-        row_c[o : o + 1] = ybar[o : o + 1, 4:] @ problem.sensitivity_superop
-    row_c += ybar[:, :4]
+    # y_{j-1} = (c, s).  G is a precession, zero in its first row; ybar_s G
+    # runs component-major, each multiply and add along the steps
+    ybar_t = ybar.T
+    scaled = ybar_t[5:, None] * problem.sensitivity_superop[1:, :, None]
+    row_c = ybar_t[:4] + scaled[0] + scaled[1] + scaled[2]
     ys = _stacked([t.rows[:-1] for t in trajs])
-    # C_j = sum_s col_s row_s, bitwise as einsum("jsa,jsb->jab") at half its
-    # cost, in contiguous temporaries until it is scaled into the block
+    # C_j = sum_s col_s row_s as two elementwise outer products, in
+    # contiguous temporaries until it is scaled into the block
     weights = ys[:, 4:, None] * ybar[:, None, 4:]
-    weights += ys[:, :4, None] * row_c[:, None, :]
+    weights += ys[:, :4, None] * row_c.T[:, None, :]
     block = np.zeros((n, 8, 8))
     block[:, :4, :4] = block[:, 4:, 4:] = _stacked([t.generators for t in trajs])
     # X_j is linear in C_j, so C is exponentiated scaled by a power of two to
@@ -233,17 +235,19 @@ def _gradients(
     # Each trajectory's power of two is that of its largest |C| entry, all
     # from one reduction; one without steps takes no part, since reduceat
     # would give it its neighbour's first entry.  When only one trajectory
-    # has steps its exponent stays a scalar, which ldexp applies faster
+    # has steps its exponent stays one entry, which ldexp applies faster
     sizes = [m for m in counts if m]
     starts = [16 * o for o, m in zip(offsets, counts) if m]
     _, scale = np.frexp(np.maximum.reduceat(np.abs(weights).reshape(-1), starts))
-    scale = scale[0] if len(sizes) == 1 else np.repeat(scale, sizes)[:, None, None]
-    np.ldexp(weights, -scale, out=block[:, :4, 4:])
-    integrals = _expm(block, trajs[0].dt)[:, :4, 4:]
-    np.ldexp(integrals, scale, out=integrals)
-    table = np.einsum("kab,jba->jk", problem.control_superops, integrals)
-    for o in singles:
-        table[o] = np.einsum("kab,jba->jk", problem.control_superops, integrals[o : o + 1])
+    scale = scale[:1] if len(sizes) == 1 else np.repeat(scale, sizes)[:, None]
+    np.ldexp(weights, -scale[..., None], out=block[:, :4, 4:])
+    # every P_k is a precession too, skew and zero outside its Bloch block, so
+    # Tr(P_k X) = w . v_k with the axial vectors w = (X23 - X32, X31 - X13,
+    # X12 - X21) and v_k = (P_k32, P_k13, P_k21)
+    pairs = _expm(block, trajs[0].dt).reshape(n, 64)[:, _AXIAL_BLOCK]
+    axial = pairs[:, 0] - pairs[:, 1]
+    table = _dot(axial[:, None], problem.control_superops.reshape(-1, 16)[:, _AXIAL_GENERATOR]).T
+    np.ldexp(table, scale, out=table)
     return [table[o : o + m] for o, m in zip(offsets, counts)]
 
 
@@ -263,15 +267,12 @@ def finite_difference_gradient(
     Each perturbed trajectory starts from the state of one unperturbed
     :func:`propagate` before its bumped step and takes that run's 8x8 steps
     after it.  It equals, bit for bit, what a full re-propagation would
-    compute wherever the stacked information kernel rounds every final state
-    as it rounds that state alone.  Under OpenBLAS's Katmai kernels
-    (``OPENBLAS_CORETYPE=Prescott``) the stacked QFI does not, and 16 of the
-    120 entries of one test case differ by up to 2.2e-11.  Only the 2 m p
-    bumped steps are exponentiated anew, as one stack.  All 2 m p
-    trajectories advance together in one loop over the steps, every state
-    passing the check of :func:`propagate` in blocks of
-    ``_STABILITY_BLOCK`` steps, and their final states are evaluated in one
-    stacked call.  Errors follow entry order ``(j, k, sign)``: the first
+    compute, since the stacked information kernel rounds every final state as
+    it rounds that state alone.  Only the 2 m p bumped steps are exponentiated
+    anew, as one stack.  All 2 m p trajectories advance together in one loop
+    over the steps, every state passing the check of :func:`propagate` in
+    blocks of ``_STABILITY_BLOCK`` steps, and their final states are evaluated
+    in one stacked call.  Errors follow entry order ``(j, k, sign)``: the first
     entry whose trajectory goes unstable (:class:`NumericalStabilityError`
     naming its first bad step) or whose final state fails the evaluation
     raises.
@@ -454,18 +455,17 @@ def ascend_batch(
 ) -> list[AscentReport]:
     """:func:`ascend` of every (problem, config, start) member, in lock-step.
 
-    Each member's step rule runs as its own :func:`_climb`, and each round
-    has two stages: one :func:`_gradients` call for the members that ask for
-    a gradient, then one ``_evaluate`` call for the schedules that members
-    ask for, the first candidate of a member whose gradient just came
-    included.  A finished member leaves the rounds and holds no arrays.
-    Members climb in consecutive groups of at most ``_BATCH_STEPS`` steps (a
-    longer member climbs alone), which bounds the memory a round takes.  Each
-    report is bitwise the one :func:`ascend` gives the member alone, where
-    BLAS rounds a stacked Fisher-information product as a one-row one (see
-    :mod:`qgrape.fisher`).  The members share the objective, the step width
-    and the problem's control generators and encoding; their free
-    generators, probes, horizons and ascent settings may differ.
+    Each member's step rule runs as its own :func:`_climb`, and each round has
+    two stages: one :func:`_gradients` call for the members that ask for a
+    gradient, then one ``_evaluate`` call for the schedules that members ask
+    for, the first candidate of a member whose gradient just came included.  A
+    finished member leaves the rounds and holds no arrays.  Members climb in
+    consecutive groups of at most ``_BATCH_STEPS`` steps (a longer member
+    climbs alone), which bounds the memory a round takes.  Each report is
+    bitwise the one :func:`ascend` gives the member alone.  The members share
+    the objective, the step width and the problem's control generators and
+    encoding; their free generators, probes, horizons and ascent settings may
+    differ.
     """
     starts = [None] * len(problems) if starts is None else starts
     members = [

@@ -11,8 +11,8 @@ SLD_RANK_TOL`` is the same cut, since the smaller eigenvalue is
 
 :func:`information_before_cut` is :func:`qgrape.fisher._information` as it
 was before its validity mask, SLD branches and weight rows were written with
-fewer numpy calls; the library kernel must give the same bits and raise the
-same errors.
+fewer numpy calls, and with the library's elementwise dot products; the
+library kernel must give the same bits and raise the same errors.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ def qfi(rho: np.ndarray, drho: np.ndarray, tol: float = SLD_RANK_TOL) -> float:
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+    products = (u * v).T
+    return products[0] + products[1] + products[2]
 
 
 def _is_pure(norm_sq: np.ndarray) -> np.ndarray:
@@ -85,7 +86,8 @@ def _qfi_rows(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 def _cfi_rows(
     c: np.ndarray, d: np.ndarray, povm: Povm
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    p, dp = (povm.rows @ c[:, :, None])[:, :, 0], (povm.rows @ d[:, :, None])[:, :, 0]
+    pc, pd = (povm.rows[:, None] * c).T, (povm.rows[:, None] * d).T
+    p, dp = pc[0] + pc[1] + pc[2] + pc[3], pd[0] + pd[1] + pd[2] + pd[3]
     vanishing = p < OUTCOME_PROB_FLOOR
     singular = vanishing & ~(np.abs(dp) < OUTCOME_DERIV_FLOOR)
     if singular.any():

@@ -657,9 +657,7 @@ def _run_files(config, out) -> dict[str, bytes]:
 
 class TestLockStepSweep:
     """``run_sweep`` climbs all points in one lock-step batch; every file it
-    writes is the same bytes as when each point climbs in a batch of its own.
-    This relies on BLAS rounding a stacked Fisher-information product as a
-    one-row one (see ``fisher``)."""
+    writes is the same bytes as when each point climbs in a batch of its own."""
 
     @pytest.mark.parametrize(
         "overrides",

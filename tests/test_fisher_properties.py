@@ -155,19 +155,31 @@ def _one_row_at_a_time(c, d, povm):
     return [np.concatenate(part) for part in zip(*results)]
 
 
+def _off_alignment(a):
+    """A copy of ``a`` that starts 8 bytes past a 16-byte boundary."""
+    buf = np.zeros(a.nbytes + 24, dtype=np.uint8)
+    offset = -buf.ctypes.data % 16 + 8
+    copy = np.frombuffer(buf, dtype=a.dtype, count=a.size, offset=offset).reshape(a.shape)
+    copy[...] = a
+    return copy
+
+
 @SETTINGS
 @given(information_stacks(), st.booleans())
 def test_stacked_information_matches_one_row_calls(stack, measured):
     axis, c, d = stack
     povm = fisher.Povm.along(axis) if measured else None
     expected = _one_row_at_a_time(c, d, povm)
-    if isinstance(expected, Exception):
-        with pytest.raises(type(expected)) as excinfo:
-            fisher._information(c, d, povm)
-        assert str(excinfo.value) == str(expected)
-        return
-    for got, want in zip(fisher._information(c, d, povm), expected):
-        np.testing.assert_array_equal(got, want)
+    # the stack as drawn, and the same stack at another alignment: a row's
+    # bits depend on neither its neighbours nor its address
+    for c, d in ((c, d), (_off_alignment(c), _off_alignment(d))):
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as excinfo:
+                fisher._information(c, d, povm)
+            assert str(excinfo.value) == str(expected)
+            continue
+        for got, want in zip(fisher._information(c, d, povm), expected):
+            np.testing.assert_array_equal(got, want)
 
 
 @SETTINGS

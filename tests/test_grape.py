@@ -190,7 +190,10 @@ class TestGradientPaths:
 
     def test_equals_copying_assembly_reference(self):
         # the in-place Van Loan assembly and the power-major kernel keep the
-        # arithmetic of the copying assembly and the matrix-major kernel
+        # arithmetic of the copying assembly and the matrix-major kernel.  The
+        # Pauli generators' precession entries are 0 and powers of two, so
+        # the library's elementwise products with G and P_k round as the
+        # reference's matrix products do
         rng = np.random.default_rng(16)
         povm = fisher.Povm.plus_minus()
         cases = [(name, noise, 40, dyn.PAULIS, 1.0) for name, noise in NOISE_MODELS.items()]
@@ -215,9 +218,8 @@ class TestGradientPaths:
     def test_stacked_trajectories_get_their_own_gradient(self, generic):
         # the flat step axis of lock-step ascents: every trajectory's table is
         # bitwise its gradient alone, ragged step counts and one-step
-        # trajectories included (numpy multiplies and contracts a single row
-        # with other kernels than a stack of rows, which shows once the row
-        # sums have several rounded terms, as with generic generators)
+        # trajectories included, also with generic generators, whose row
+        # sums have several rounded terms
         rng = np.random.default_rng(22)
 
         def hermitian():
@@ -801,8 +803,7 @@ def negative_rate_emission():
 
 class TestAscendBatch:
     """Every member of a lock-step batch gets bitwise the report that a
-    one-member batch (``ascend``) gives it.  This relies on BLAS rounding a
-    stacked Fisher-information product as a one-row one (see ``fisher``)."""
+    one-member batch (``ascend``) gives it."""
 
     @staticmethod
     def check(problems, configs, objective, starts=None):
