@@ -147,8 +147,8 @@ def _cmd_optimize(args) -> int:
         write_schedule(out / "schedule.csv", report.final_grid)
         history = "\n".join(f"{i},{v:.11e}" for i, v in enumerate(report.objective_history))
         (out / "history.csv").write_text("iteration,objective\n" + history + "\n",
-                                         encoding="utf-8")
-        (out / "config.cfg").write_text(config_snapshot(config), encoding="utf-8")
+                                         encoding="utf-8", newline="\n")
+        (out / "config.cfg").write_text(config_snapshot(config), encoding="utf-8", newline="\n")
         print(f"wrote {out / 'schedule.csv'}")
     return 0
 
@@ -183,7 +183,7 @@ def _cmd_energy(args) -> int:
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "energy.csv").write_text(text, encoding="utf-8")
+        (out / "energy.csv").write_text(text, encoding="utf-8", newline="\n")
         print(f"wrote {out / 'energy.csv'}")
     else:
         print(text, end="")

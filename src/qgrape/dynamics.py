@@ -45,7 +45,7 @@ Conventions (fixed once, asserted by tests):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -469,7 +469,7 @@ def step_propagator(generator: np.ndarray, dt: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Cached propagation products, real and in Pauli coordinates.
+    """Propagation products, real and in Pauli coordinates.
 
     ``rows[j]`` is the 8-vector ``y_j = (c_j, s_j)`` after step j (``rows[0]``
     holds the probe and a zero sensitivity): ``coords`` is the view
@@ -478,17 +478,14 @@ class Trajectory:
     ``d(c_j)/dx = dt * sensitivity[j]``.  ``generators[j-1]`` is ``R_j`` and
     ``steps[j-1]`` is the 8x8 step ``B_j = [[E_j, 0], [G E_j, E_j]]`` with
     ``E_j = exp(dt R_j)`` that advances ``y`` over step j.  The final state
-    and its derivative are also given as 2x2 matrices.  ``_memo`` holds what
-    :mod:`qgrape.grape` evaluates on the final state, per objective.  The
-    trajectories of one ``_propagate_each`` call are views of its flat
-    arrays.
+    and its derivative are also given as 2x2 matrices.  The trajectories of
+    one ``_propagate_each`` call are views of its flat arrays.
     """
 
     rows: np.ndarray
     steps: np.ndarray
     generators: np.ndarray
     dt: float
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_steps(self) -> int:

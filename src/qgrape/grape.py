@@ -23,8 +23,11 @@ like one that lowers it.
 one-member case.  Each round has two stages, the gradients that the members'
 ``_climb`` ask for and then the schedules they ask to evaluate, and each stage
 calls every stacked kernel once on one flat step axis of the members' steps.
-Only the 8-vector loops run per member.  Each member's report is bitwise what
-it would be alone: every per-row product of the Fisher information and of the
+An evaluated schedule comes back as its trajectory with the objective and
+weight rows of its final state, and a member asks for a gradient by handing
+back the pair it accepted, so nothing is cached on a trajectory.  Only the
+8-vector loops run per member.  Each member's report is bitwise what it would
+be alone: every per-row product of the Fisher information and of the
 gradient's assembly is elementwise, so a row rounds the same in any stack.
 """
 
@@ -132,18 +135,9 @@ def _final_rows(trajs: list[Trajectory], objective: Objective) -> list[tuple]:
     return [(float(v), a, b) for v, a, b in zip(value, w1, w2)]
 
 
-def _final_information(traj: Trajectory, objective: Objective) -> tuple:
-    """:func:`_final_rows` of one trajectory, memoized on it: an ascent
-    evaluates each candidate and later takes the gradient of the one it
-    accepts."""
-    if objective not in traj._memo:
-        traj._memo[objective] = _final_rows([traj], objective)[0]
-    return traj._memo[objective]
-
-
 def objective_value(traj: Trajectory, objective: Objective) -> float:
-    """Objective evaluated on a cached trajectory."""
-    return _final_information(traj, objective)[0]
+    """Objective of the final state of a propagated trajectory."""
+    return _final_rows([traj], objective)[0][0]
 
 
 def evaluate_objective(
@@ -153,14 +147,13 @@ def evaluate_objective(
     return objective_value(propagate(problem, grid), objective)
 
 
-def _backward_sweep(
-    traj: Trajectory, objective: Objective, out: np.ndarray | None = None
-) -> np.ndarray:
+def _backward_sweep(traj: Trajectory, row: tuple, out: np.ndarray | None = None) -> np.ndarray:
     """Adjoint rows ``ybar_j = dF/dy_j``, j = 1..m, of the recursion
     ``y_j = B_j y_{j-1}`` of :func:`qgrape.dynamics.propagate` as an (m, 8)
-    table, written into ``out`` when given: ``ybar_m = (-W2, 2 dt W1)`` and
-    ``ybar_{j-1} = ybar_j B_j`` on the trajectory's own steps ``B_j``."""
-    _, w1, w2 = _final_information(traj, objective)
+    table, written into ``out`` when given: ``ybar_m = (-W2, 2 dt W1)`` with
+    the weight rows of the trajectory's :func:`_final_rows` row
+    ``(F, W1, W2)``, and ``ybar_{j-1} = ybar_j B_j`` on its own steps ``B_j``."""
+    _, w1, w2 = row
     ybar = np.empty((traj.n_steps, 8)) if out is None else out
     # slices, so that a trajectory without steps gets an empty table
     ybar[-1:, :4], ybar[-1:, 4:] = -w2, 2.0 * traj.dt * w1
@@ -196,25 +189,25 @@ def gradient(traj: Trajectory, problem: EstimationProblem, objective: Objective)
     exponential serves every control.  This is reverse-mode GRAPE on block
     forms (Goodwin & Kuprov, J. Chem. Phys. 143, 084113 (2015)).
     """
-    return _gradients([traj], problem, objective)[0]
+    return _gradients([(traj, _final_rows([traj], objective)[0])], problem)[0]
 
 
-def _gradients(
-    trajs: list[Trajectory], problem: EstimationProblem, objective: Objective
-) -> list[np.ndarray]:
-    """:func:`gradient` of each trajectory, all on one flat step axis.  The
-    trajectories share the step width and the problem's control and
-    sensitivity generators.  The backward sweeps loop per trajectory into one
-    flat table; the Van Loan stack, its exponential and the contraction with
-    the control generators are each one call, every per-row product
+def _gradients(evaluated: list[tuple], problem: EstimationProblem) -> list[np.ndarray]:
+    """:func:`gradient` of each evaluated ``(traj, row)`` pair, ``row`` the
+    trajectory's :func:`_final_rows` row ``(F, W1, W2)``, all on one flat step
+    axis.  The trajectories share the step width and the problem's control
+    and sensitivity generators.  The backward sweeps loop per trajectory into
+    one flat table; the Van Loan stack, its exponential and the contraction
+    with the control generators are each one call, every per-row product
     elementwise, so that each table is bitwise its table alone.  A single
     trajectory's arrays are used as they are, without copies."""
+    trajs = [traj for traj, _ in evaluated]
     counts = [t.n_steps for t in trajs]
     offsets = list(accumulate(counts, initial=0))
     n = offsets[-1]
     ybar = np.empty((n, 8))
-    for traj, o, m in zip(trajs, offsets, counts):
-        _backward_sweep(traj, objective, ybar[o : o + m])
+    for (traj, row), o, m in zip(evaluated, offsets, counts):
+        _backward_sweep(traj, row, ybar[o : o + m])
     # the rows ybar_s and ybar_c + ybar_s G pair with the columns s and c of
     # y_{j-1} = (c, s).  G is a precession, zero in its first row; ybar_s G
     # runs component-major, each multiply and add along the steps
@@ -498,18 +491,20 @@ def ascend_batch(
 def _climb(config: AscentConfig, grid: ControlGrid):
     """The step rule of :func:`ascend` from ``grid``, as a generator that
     leaves the numerics to its caller: ``result = yield grid`` asks for the
-    trajectory and objective value of a schedule, ``table = yield traj`` for
-    the gradient table of a trajectory.  Each answer is that or the
+    evaluation of a schedule, the pair of its trajectory and that
+    trajectory's :func:`_final_rows` row ``(F, W1, W2)``, and
+    ``table = yield accepted`` hands the accepted schedule's pair back for
+    the gradient table of its trajectory.  Each answer is that or the
     :class:`QGrapeError` it raised; the generator returns the report."""
-    result = yield grid
-    if isinstance(result, QGrapeError):
-        return AscentReport.failed(grid, [], 0, result)
-    traj, value = result
+    accepted = yield grid
+    if isinstance(accepted, QGrapeError):
+        return AscentReport.failed(grid, [], 0, accepted)
+    value = accepted[1][0]
     history = [value]
     streak = 0
     velocity = np.zeros_like(grid.amplitudes)
     for it in range(1, config.max_iterations + 1):
-        table = yield traj
+        table = yield accepted
         if isinstance(table, QGrapeError):
             return AscentReport.failed(grid, history, it, table)
         all_raised = True
@@ -524,16 +519,16 @@ def _climb(config: AscentConfig, grid: ControlGrid):
                 error = result
                 continue
             all_raised = False
-            cand_traj, cand_value = result
+            cand_value = result[1][0]
             if cand_value >= value:
                 break
         else:  # every candidate lowered F or raised: no move is taken
             if all_raised:
                 return AscentReport.failed(grid, history, it, error)
-            cand, cand_traj, cand_value, move = grid, traj, value, np.zeros_like(velocity)
+            cand, result, cand_value, move = grid, accepted, value, np.zeros_like(velocity)
         velocity = move
         delta = abs(cand_value - value)
-        grid, traj, value = cand, cand_traj, cand_value
+        grid, accepted, value = cand, result, cand_value
         history.append(value)
         streak = streak + 1 if delta < config.convergence_tolerance * max(1.0, abs(value)) else 0
         if streak >= CONVERGENCE_WINDOW:
@@ -547,9 +542,10 @@ def _climb_together(
     """Run the :func:`_climb` of every (problem, config, grid) member in
     rounds until each has returned its report; ``problem`` holds the
     members' shared control and sensitivity generators.  Each round answers
-    every pending gradient request with one :func:`_gradients` call (an error
-    that it raises answers every request), then every pending evaluation with
-    one :func:`_evaluate` call, in member order."""
+    every pending gradient request, an evaluated pair, with one
+    :func:`_gradients` call (an error that it raises answers every request),
+    then every pending evaluation, a schedule, with one :func:`_evaluate`
+    call, in member order."""
     climbs = [_climb(config, grid) for _, config, grid in members]
     reports: list = [None] * len(climbs)
     requests: dict = {}  # what each running member waits for, in member order
@@ -564,13 +560,12 @@ def _climb_together(
     for i in range(len(climbs)):
         answer(i, None)
     while requests:
-        asking = [i for i, request in requests.items() if isinstance(request, Trajectory)]
+        asking = [i for i, request in requests.items() if isinstance(request, tuple)]
         if asking:
-            trajs = [requests[i] for i in asking]
             try:
-                tables = _gradients(trajs, problem, objective)
+                tables = _gradients([requests[i] for i in asking], problem)
             except QGrapeError as exc:  # every asking member's iteration fails
-                tables = [exc] * len(trajs)
+                tables = [exc] * len(asking)
             for i, table in zip(asking, tables):
                 answer(i, table)
         trying = [i for i, request in requests.items() if isinstance(request, ControlGrid)]
@@ -583,10 +578,11 @@ def _climb_together(
 
 def _evaluate(
     problems: list[EstimationProblem], grids: list[ControlGrid], objective: Objective
-) -> list[tuple[Trajectory, float] | QGrapeError]:
-    """Propagate every (problem, grid) pair on one flat step axis and evaluate
-    the objective of each trajectory, memoized on it: each entry is the
-    trajectory and its value, or the error of the pair."""
+) -> list[tuple[Trajectory, tuple] | QGrapeError]:
+    """Propagate every (problem, grid) pair on one flat step axis and take the
+    :func:`_final_rows` row ``(F, W1, W2)`` of each trajectory in one stacked
+    call: each entry is the trajectory and its row, or the error of the
+    pair."""
     results = _propagate_each(problems, grids)
     trajs = [r for r in results if isinstance(r, Trajectory)]
     if trajs:
@@ -594,9 +590,5 @@ def _evaluate(
         for i, result in enumerate(results):
             if isinstance(result, Trajectory):
                 row = next(rows)
-                if isinstance(row, QGrapeError):
-                    results[i] = row
-                else:
-                    result._memo[objective] = row
-                    results[i] = result, row[0]
+                results[i] = row if isinstance(row, QGrapeError) else (result, row)
     return results

@@ -52,7 +52,7 @@ from qgrape.dynamics import (
     Trajectory as PauliTrajectory,
 )
 from qgrape.errors import ValidationError
-from qgrape.grape import Objective, _backward_sweep, _final_information, evaluate_objective
+from qgrape.grape import Objective, _backward_sweep, _final_rows, evaluate_objective
 from reference_dynamics import LiouvilleTrajectory as Trajectory
 from reference_dynamics import commutator_superop, expm_matrix_major, unvectorize, vectorize
 
@@ -185,7 +185,7 @@ def backward_rows(
     ``lam_{j-1} = lam_j E_j``, ``mu_{j-1} = mu_j E_j`` and
     ``q_{j-1} = q_j E_j + lam_{j-1} G``, on the real Pauli trajectory and
     with the library's weight rows."""
-    _, w1, w2 = _final_information(traj, objective)
+    _, w1, w2 = _final_rows([traj], objective)[0]
     m, props = traj.n_steps, traj.step_propagators
     dgen = problem.sensitivity_superop
     rows = np.empty((m + 1, 3, 4))
@@ -259,11 +259,14 @@ def stacked_exact_gradient(
     """The library's exact gradient table (m, p) on its real trajectory, with
     the Van Loan block assembled from copies."""
     m, dt = traj.n_steps, traj.dt
-    ybar = _backward_sweep(traj, objective)
+    ybar = _backward_sweep(traj, _final_rows([traj], objective)[0])
     # the rows (ybar_s, ybar_c + ybar_s G) pair with the columns (s, c)
     left = np.stack([ybar[:, 4:], ybar[:, :4] + ybar[:, 4:] @ problem.sensitivity_superop], axis=1)
     right = np.stack([traj.sensitivity[:-1], traj.coords[:-1]], axis=1)
-    weights = np.einsum("jsa,jsb->jab", right, left)
+    # C_j = sum_s col_s row_s as two elementwise outer products added in s
+    # order, which every numpy version rounds alike
+    weights = right[:, 0, :, None] * left[:, 0, None, :]
+    weights += right[:, 1, :, None] * left[:, 1, None, :]
     _, scale = np.frexp(np.abs(weights).max(initial=0.0))
     block = np.zeros((m, 8, 8))
     block[:, :4, :4] = block[:, 4:, 4:] = traj.generators

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -179,7 +180,7 @@ class TestGradientPaths:
         prob = make_problem(noise, horizon=m * dt)
         traj = dyn.propagate(prob, random_schedule(rng, m, dt))
         for objective in (grape.qfi_objective(), grape.cfi_objective(fisher.Povm.plus_minus())):
-            ybar = grape._backward_sweep(traj, objective)
+            ybar = grape._backward_sweep(traj, grape._final_rows([traj], objective)[0])
             # the Van Loan left rows (ybar_s, ybar_c + ybar_s G)
             z = np.concatenate(
                 [ybar[:, 4:], ybar[:, :4] + ybar[:, 4:] @ prob.sensitivity_superop], axis=1
@@ -236,9 +237,8 @@ class TestGradientPaths:
             )
             trajs.append(dyn.propagate(probs[-1], random_schedule(rng, m, 0.05, p=2, scale=3.0)))
         for objective in (grape.qfi_objective(), grape.cfi_objective(fisher.Povm.plus_minus())):
-            for traj in trajs:
-                grape.objective_value(traj, objective)
-            tables = grape._gradients(trajs, probs[0], objective)
+            evaluated = [(traj, grape._final_rows([traj], objective)[0]) for traj in trajs]
+            tables = grape._gradients(evaluated, probs[0])
             for traj, prob, table in zip(trajs, probs, tables):
                 assert table.tobytes() == grape.gradient(traj, prob, objective).tobytes()
 
@@ -270,16 +270,29 @@ class TestGradientPaths:
             probs.append(make_problem(noise, horizon=m * 0.05, probe=probe))
             trajs.append(dyn.propagate(probs[-1], random_schedule(rng, m, 0.05, scale=2.0)))
         for objective in (grape.qfi_objective(), grape.cfi_objective(fisher.Povm.plus_minus())):
-            peaks = []
+            peaks, evaluated = [], []
             for traj in trajs:
-                grape.objective_value(traj, objective)
-                _, w1, w2 = grape._final_information(traj, objective)
+                row = grape._final_rows([traj], objective)[0]
+                _, w1, w2 = row
                 peaks.append(max(np.abs(w1).max(), np.abs(w2).max()))
+                evaluated.append((traj, row))
             assert peaks[6] == 0.0 and 0.0 < peaks[3] < 2.0**-90 < peaks[1] < 2.0**-40 < peaks[2]
-            tables = grape._gradients(trajs, probs[0], objective)
+            tables = grape._gradients(evaluated, probs[0])
             for traj, prob, table in zip(trajs, probs, tables):
                 assert table.shape == (traj.n_steps, 3)
                 assert table.tobytes() == grape.gradient(traj, prob, objective).tobytes()
+
+    def test_evaluation_leaves_the_trajectory_as_it_was(self):
+        # the objective and its gradient read a trajectory and write nothing
+        # on it, so that no call depends on the calls made before it
+        rng = np.random.default_rng(24)
+        prob = make_problem(NOISE_MODELS["emission"], horizon=1.0)
+        traj = dyn.propagate(prob, random_schedule(rng, 20, 0.05))
+        before = pickle.dumps(traj)
+        for objective in (grape.qfi_objective(), grape.cfi_objective(fisher.Povm.plus_minus())):
+            grape.objective_value(traj, objective)
+            grape.gradient(traj, prob, objective)
+            assert pickle.dumps(traj) == before, objective.kind
 
     def test_no_controls_give_an_empty_table(self):
         prob = dyn.frequency_estimation_problem(
@@ -901,10 +914,10 @@ class TestAscendBatch:
         # any candidate of the round is evaluated
         real = grape._gradients
 
-        def infinite_for_one(trajs, problem, objective):
-            tables = real(trajs, problem, objective)
+        def infinite_for_one(evaluated, problem):
+            tables = real(evaluated, problem)
             return [np.full_like(table, np.inf) if traj.n_steps == 30 else table
-                    for traj, table in zip(trajs, tables)]
+                    for (traj, _), table in zip(evaluated, tables)]
 
         monkeypatch.setattr(grape, "_gradients", infinite_for_one)
         problems = [make_problem(noise, horizon=m * 0.05)
