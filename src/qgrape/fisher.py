@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import IDENTITY, POSITIVITY_SLACK, SIGMA_X, SIGMA_Y, SIGMA_Z, TRACE_TOL
+from .dynamics import IDENTITY, POSITIVITY_SLACK, SIGMA_X, SIGMA_Y, SIGMA_Z, TRACE_TOL, _norm_sq
 from .dynamics import _bloch, _check_hermitian, _check_state, _density, _first_bad, _min_eigenvalue
 from .errors import InconsistentInputError, SingularOutcomeError, ValidationError
 
@@ -43,7 +43,7 @@ OUTCOME_DERIV_FLOOR = 1e-9
 # bounds on a valid row's |c0 - 1|, |r| - c0 (minus twice the smaller
 # eigenvalue) and |d|, which is traceless within DERIVATIVE_TOL and finite
 _ROW_BOUNDS = np.array(
-    [TRACE_TOL, 2 * POSITIVITY_SLACK, DERIVATIVE_TOL, *3 * [np.finfo(float).max]])
+    [TRACE_TOL, 2 * POSITIVITY_SLACK, DERIVATIVE_TOL, *3 * [np.finfo(float).max]])[:, None]
 
 
 def _coordinates(rho: np.ndarray, drho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,15 +108,15 @@ def _cfi_rows(
     # an outcome with vanishing probability and derivative carries no
     # information; with a nonzero derivative the information diverges
     vanishing = p < OUTCOME_PROB_FLOOR
-    singular = vanishing & ~(np.abs(dp) < OUTCOME_DERIV_FLOOR)
-    if singular.any():
-        i, y = np.argwhere(singular.T)[0]
-        raise SingularOutcomeError(
-            f"outcome {y} has probability {p[y, i]:.3e} but derivative {dp[y, i]:.3e}"
-        )
-    # a vanishing outcome adds exact zeros, the same as skipping it
-    ratio = np.where(vanishing, 0.0, dp / p)
-    terms = np.where(vanishing, 0.0, dp * dp / p)
+    ratio, terms = dp / p, dp * dp / p
+    if np.count_nonzero(vanishing):  # the check and np.where only where needed
+        singular = vanishing & ~(np.abs(dp) < OUTCOME_DERIV_FLOOR)
+        if singular.any():
+            i, y = np.argwhere(singular.T)[0]
+            raise SingularOutcomeError(
+                f"outcome {y} has probability {p[y, i]:.3e} but derivative {dp[y, i]:.3e}")
+        # a vanishing outcome adds exact zeros, the same as skipping it
+        ratio, terms = np.where(vanishing, 0.0, ratio), np.where(vanishing, 0.0, terms)
     value, w1, w2 = np.zeros(len(c)), np.zeros(c.shape), np.zeros(c.shape)
     for row, r, term in zip(povm.rows, ratio, terms):
         value += term
@@ -145,12 +145,12 @@ def _information(
     with np.errstate(divide="ignore", invalid="ignore"):
         # each row's deviations against _ROW_BOUNDS in one comparison, written
         # as "good" so that NaN is rejected too; |d_i| <= the largest double
-        # says d_i is finite
-        dev = np.empty((len(c), 6))
-        np.abs(c[:, 0] - 1.0, out=dev[:, 0])
-        np.subtract(np.sqrt((c[:, 1:] ** 2).sum(axis=-1)), c[:, 0], out=dev[:, 1])
-        np.abs(d, out=dev[:, 2:])
-        stop = _first_bad(~(dev <= _ROW_BOUNDS).all(axis=1))
+        # says d_i is finite; one deviation per row, so no call reduces a short axis
+        dev = np.empty((6, len(c)))
+        np.abs(c[:, 0] - 1.0, out=dev[0])
+        np.subtract(np.sqrt(_norm_sq(c)), c[:, 0], out=dev[1])
+        np.abs(d.T, out=dev[2:])
+        stop = _first_bad(~(dev <= _ROW_BOUNDS).all(axis=0))
         if povm is None:
             result = _qfi_rows(c[:stop], d[:stop])
         else:

@@ -262,13 +262,14 @@ def finite_difference_gradient(
     after it.  It equals, bit for bit, what a full re-propagation would
     compute, since the stacked information kernel rounds every final state as
     it rounds that state alone.  Only the 2 m p bumped steps are exponentiated
-    anew, as one stack.  All 2 m p trajectories advance together in one loop
-    over the steps, every state passing the check of :func:`propagate` in
-    blocks of ``_STABILITY_BLOCK`` steps, and their final states are evaluated
-    in one stacked call.  Errors follow entry order ``(j, k, sign)``: the first
-    entry whose trajectory goes unstable (:class:`NumericalStabilityError`
-    naming its first bad step) or whose final state fails the evaluation
-    raises.
+    anew, as one stack, and take their trajectories' first states in one
+    stacked product.  From there all 2 m p trajectories advance together in
+    one loop over the steps, one product per step, every state passing the
+    check of :func:`propagate` in blocks of ``_STABILITY_BLOCK`` steps, and
+    their final states are evaluated in one stacked call.  Errors follow
+    entry order ``(j, k, sign)``: the first entry whose trajectory goes
+    unstable (:class:`NumericalStabilityError` naming its first bad step) or
+    whose final state fails the evaluation raises.
     """
     if not (np.isfinite(delta) and delta > 0):
         raise ValidationError(f"delta must be finite and positive, got {delta}")
@@ -292,25 +293,26 @@ def finite_difference_gradient(
     # the trajectories in entry order, so that those bumped at or before
     # step i are the first 2 p (i + 1); each step is one (8, 8) @ (8, 1)
     # product per trajectory, as in propagate (an (8, 8) @ (8, n) block
-    # would round differently).  The states of a block of steps are kept,
-    # slot 0 holding those before it, and checked together; then only each
-    # trajectory's current state and its first bad step are kept.  A
-    # trajectory's slots hold the maximally mixed state until it is made,
-    # which passes the check
+    # would round differently), the bumped ones in one call.  The states of a
+    # block of steps are kept, slot 0 holding those before it, and checked
+    # together; then only each trajectory's current state and first bad step
+    # are kept.  A trajectory's slots hold the maximally mixed state, which
+    # passes the check, until its first state enters the block's staircase
     n, length = 2 * m * p, min(m, _STABILITY_BLOCK)
-    base_ys = base.rows[:, :, None]
     states = np.zeros((length + 1, n, 8, 1))
     states[:, :, 0] = 1.0
     first_bad = np.zeros(n, dtype=int)
     first_state = np.empty((n, 4))
     with np.errstate(over="ignore", invalid="ignore"):
+        firsts = np.matmul(bumped_steps, base.rows[:m, None, :, None]).reshape(n, 8, 1)
         for start in range(0, m, length):
             end = min(start + length, m)
+            made = np.arange(2 * p * start, 2 * p * end)
+            states[made // (2 * p) - start + 1, made] = firsts[made]
             for i in range(start, end):
                 done, active = 2 * p * i, 2 * p * (i + 1)
                 prev, cur = states[i - start], states[i - start + 1]
                 np.matmul(base.steps[i], prev[:done], out=cur[:done])
-                np.matmul(bumped_steps[i], base_ys[i], out=cur[done:active])
             bad = _stability(states[1 : end - start + 1, :active, :4, 0])
             fresh = bad.any(axis=0) & (first_bad[:active] == 0)
             if fresh.any():

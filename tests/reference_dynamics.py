@@ -25,6 +25,11 @@ before :func:`qgrape.dynamics._expm` stored its powers power-major, formed
 its coefficient blocks in one product and skipped the column sums under a
 bound: the same arithmetic by another route, so the suite requires the two to
 agree bit for bit.
+
+:func:`stability_before_cut` is the state check of
+:func:`qgrape.dynamics._stability` as it was before ``|r|^2`` was added
+elementwise, from numpy's sum over the 3-wide axis instead; the library's
+mask must be the same on every stack.
 """
 
 from __future__ import annotations
@@ -180,6 +185,14 @@ def expm_matrix_major(generators: np.ndarray, dt: float) -> np.ndarray:
             squared = s > i
             x[squared] = x[squared] @ x[squared]
     return x.reshape(shape)
+
+
+def stability_before_cut(coords: np.ndarray) -> np.ndarray:
+    """Mask of the states of an (..., 4) stack of Pauli coordinates that lost
+    positivity beyond the hard floor, their trace, or finiteness."""
+    c0 = coords[..., 0]
+    twice_lo = c0 - np.sqrt((coords[..., 1:] ** 2).sum(axis=-1))
+    return ~((twice_lo >= -2.0 * POSITIVITY_HARD_FLOOR) & (np.abs(c0 - 1.0) <= 1e-8))
 
 
 def _check_controls(problem: EstimationProblem, grid: ControlGrid) -> None:
