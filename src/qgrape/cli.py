@@ -25,16 +25,6 @@ from . import experiments, oracles
 from .dynamics import ControlGrid, step_count
 from .errors import ConfigError, QGrapeError, ValidationError
 from .grape import ascend
-from .experiments import (
-    ScenarioConfig,
-    config_snapshot,
-    energy_cost,
-    load_config,
-    read_schedule,
-    run_sweep,
-    write_run,
-    write_schedule,
-)
 
 __all__ = ["main"]
 
@@ -107,16 +97,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
+def _apply_overrides(config: experiments.ScenarioConfig, args) -> experiments.ScenarioConfig:
     changes = {k: v for k in ("seed", "dt") if (v := getattr(args, k, None)) is not None}
     return replace(config, ascent=replace(config.ascent, **changes))
 
 
 def _cmd_simulate(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+    config = _apply_overrides(experiments.load_config(args.config), args)
     problem = experiments._scenario_problem(config, config.omega0_true)
     if args.schedule is not None:
-        grid = read_schedule(args.schedule)
+        grid = experiments.read_schedule(args.schedule)
     else:
         m = step_count(config.horizon, config.dt)
         grid = ControlGrid.zeros(m, problem.n_controls, config.dt)
@@ -130,7 +120,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+    config = _apply_overrides(experiments.load_config(args.config), args)
     problem = experiments._scenario_problem(config, config.design_frequency)
     report = ascend(problem, config.ascent, config.objective())
     if report.error is not None:
@@ -143,12 +133,12 @@ def _cmd_optimize(args) -> int:
     print(f"converged = {report.converged}")
     if args.out is not None:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_schedule(out / "schedule.csv", report.final_grid)
-        history = "\n".join(f"{i},{v:.11e}" for i, v in enumerate(report.objective_history))
-        (out / "history.csv").write_text("iteration,objective\n" + history + "\n",
-                                         encoding="utf-8", newline="\n")
-        (out / "config.cfg").write_text(config_snapshot(config), encoding="utf-8", newline="\n")
+        experiments.write_schedule(out / "schedule.csv", report.final_grid)
+        history = enumerate(report.objective_history)
+        experiments._write_lines(out / "history.csv",
+                                 experiments._table_lines(("iteration", "objective"), history))
+        experiments._write_lines(out / "config.cfg",
+                                 experiments.config_snapshot(config).splitlines())
         print(f"wrote {out / 'schedule.csv'}")
     return 0
 
@@ -156,9 +146,9 @@ def _cmd_optimize(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.out is None:
         raise ConfigError("sweep requires --out DIR")
-    config = _apply_overrides(load_config(args.config), args)
-    record = run_sweep(config)
-    written = write_run(record, args.out)
+    config = _apply_overrides(experiments.load_config(args.config), args)
+    record = experiments.run_sweep(config)
+    written = experiments.write_run(record, args.out)
     for path in written:
         print(f"wrote {path}")
     if record.flagged:
@@ -176,17 +166,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    grid = read_schedule(args.schedule)
-    table = energy_cost(grid)
-    lines = ["t,energy"] + [f"{t:.11e},{e:.11e}" for t, e in table]
-    text = "\n".join(lines) + "\n"
+    table = experiments.energy_cost(experiments.read_schedule(args.schedule))
+    lines = experiments._table_lines(("t", "energy"), table)
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "energy.csv").write_text(text, encoding="utf-8", newline="\n")
-        print(f"wrote {out / 'energy.csv'}")
+        print(f"wrote {experiments._write_lines(Path(args.out) / 'energy.csv', lines)}")
     else:
-        print(text, end="")
+        print(*lines, sep="\n")
     return 0
 
 

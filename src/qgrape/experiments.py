@@ -8,13 +8,18 @@ meaning; a key a file leaves out takes that field's dataclass default, and
 a scenario reads.
 
 Unknown keys, and keys that the scenario does not read, are rejected with
-their line.  Every sweep writes CSV tables with the fixed
-metric columns ``qfi, qfi_per_t, qfi_per_t2, cfi, oracle_qfi,
-uncontrolled_qfi`` after the sweep-axis column (12 significant digits, ``.``
-radix, ``\n`` line endings; absent metrics hold ``nan``), one ``manifest.txt``
-with the config snapshot, seed, versions and wall clock, and the optimized
-schedules as ``step_index, t_start, V_1..V_p`` CSV files.  Identical configs
-and seeds reproduce identical bytes.
+their line.
+
+This module owns every file format: ``_write_lines`` writes each file
+(UTF-8, ``\n`` endings), ``_table_lines`` formats each CSV table and
+``_read_table`` parses each CSV read back.  A table is a header row, then
+rows of index cells (``step_index``, ``iteration``) as integers and every
+other cell at 12 significant digits (``nan`` where a metric does not apply).
+A sweep writes tables ``<axis>, qfi, qfi_per_t, qfi_per_t2, cfi, oracle_qfi,
+uncontrolled_qfi``, schedules ``step_index, t_start, V_1..V_p`` and a
+``manifest.txt`` (config snapshot, seed, versions, wall clock); ``qgrape
+optimize`` writes ``history.csv`` and ``config.cfg``, ``qgrape energy`` a
+``t, energy`` table.  Identical configs and seeds reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import math
 import platform
 import time
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from operator import attrgetter
@@ -621,29 +627,56 @@ def energy_cost(grid: ControlGrid) -> list[tuple[float, float]]:
     return [(i * grid.dt, float(e)) for i, e in enumerate(totals)]
 
 
-def _format_value(value: float) -> str:
-    return f"{value:.11e}"
+def _table_lines(header: Sequence[str], rows: Iterable[Sequence[float]]) -> list[str]:
+    """CSV lines: the header, then one line per row.  An ``int`` cell (a step
+    or iteration index) is written as is, every other number at 12
+    significant digits."""
+    cells = (",".join(str(v) if isinstance(v, int) else f"{v:.11e}" for v in row) for row in rows)
+    return [",".join(header), *cells]
+
+
+def _write_lines(path: str | Path, lines: Iterable[str]) -> Path:
+    """Write ``lines`` as UTF-8 text, each ending in ``\\n``, making the
+    directory if need be; returns the path."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8", newline="\n")
+    return path
+
+
+def _read_table(path: str | Path) -> tuple[list[str], list[list[float]]]:
+    """Header cells and numeric rows of a CSV file; trailing blank lines are
+    dropped, and an empty file has the header ``[""]``.  A missing file, a
+    row whose width differs from the header's, or a malformed number raises
+    :class:`ConfigError`."""
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"file not found: {path}")
+    first, *lines = path.read_text(encoding="utf-8").rstrip().split("\n")
+    header = first.split(",")
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ConfigError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: malformed value: {exc}") from exc
+    return header, rows
 
 
 def write_run(record: RunRecord, out_dir: str | Path) -> list[Path]:
     """Write all tables, schedules, and the manifest; returns written paths."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    header = (record.axis_name,) + METRIC_COLUMNS
+    written = []
     for name, rows in record.tables.items():
-        path = out / f"{name}.csv"
-        lines = [",".join((record.axis_name,) + METRIC_COLUMNS)]
-        for row in rows:
-            cells = [_format_value(row["axis"])]
-            cells += [_format_value(row[col]) for col in METRIC_COLUMNS]
-            lines.append(",".join(cells))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-        written.append(path)
+        cells = ([row["axis"], *(row[col] for col in METRIC_COLUMNS)] for row in rows)
+        written.append(_write_lines(out / f"{name}.csv", _table_lines(header, cells)))
     for name, grid in record.schedules.items():
-        path = out / f"{name}.csv"
-        write_schedule(path, grid)
-        written.append(path)
-    manifest = out / "manifest.txt"
+        write_schedule(out / f"{name}.csv", grid)
+        written.append(out / f"{name}.csv")
     body = [
         "[versions]",
         *(f"{k} = {v}" for k, v in record.versions.items()),
@@ -657,46 +690,28 @@ def write_run(record: RunRecord, out_dir: str | Path) -> list[Path]:
         body += ["", "[flagged_points]", *record.flagged]
     if record.below_uncontrolled:
         body += ["", "[below_uncontrolled]", *record.below_uncontrolled]
-    body += ["", "[config]", record.config_snapshot.rstrip("\n")]
-    manifest.write_text("\n".join(body) + "\n", encoding="utf-8", newline="\n")
-    written.append(manifest)
+    body += ["", "[config]", *record.config_snapshot.splitlines()]
+    written.append(_write_lines(out / "manifest.txt", body))
     return written
 
 
 def write_schedule(path: str | Path, grid: ControlGrid) -> None:
     """Schedule CSV: ``step_index, t_start, V_1..V_p``."""
-    p = grid.n_controls
-    header = ["step_index", "t_start"] + [f"V_{k + 1}" for k in range(p)]
-    lines = [",".join(header)]
-    for j in range(grid.n_steps):
-        cells = [str(j), _format_value(j * grid.dt)]
-        cells += [_format_value(v) for v in grid.amplitudes[j]]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    header = ["step_index", "t_start"] + [f"V_{k + 1}" for k in range(grid.n_controls)]
+    rows = ([j, j * float(grid.dt), *v] for j, v in enumerate(grid.amplitudes.tolist()))
+    _write_lines(path, _table_lines(header, rows))
 
 
 def read_schedule(path: str | Path) -> ControlGrid:
     """Load a schedule CSV written by :func:`write_schedule`.
 
-    Every row must hold as many numeric cells as the header, and ``t_start``
-    must advance by one uniform ``dt``.
+    The header must start ``step_index,t_start``, every row must hold as many
+    numeric cells as the header, and ``t_start`` must advance by one uniform
+    ``dt``.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"schedule file not found: {path}")
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
-    if not lines or not lines[0].startswith("step_index,t_start"):
-        raise ConfigError(f"{path}: not a schedule file")
-    width = len(lines[0].split(","))
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ConfigError(f"{path}:{lineno}: expected {width} cells, got {len(cells)}")
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: malformed value: {exc}") from exc
+    header, rows = _read_table(path)
+    if header[:2] != ["step_index", "t_start"]:
+        raise ConfigError(f"{path}:1: not a schedule file")
     if len(rows) < 2:
         raise ConfigError(f"{path}: schedule needs at least two rows to infer dt")
     table = np.asarray(rows)
@@ -715,21 +730,8 @@ def read_schedule(path: str | Path) -> ControlGrid:
 
 def check_output_schema(path: str | Path) -> None:
     """Validate a sweep CSV: header columns, row widths, parseable decimals."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ConfigError(f"{path}: empty output file")
-    header = lines[0].split(",")
-    if len(header) != 1 + len(METRIC_COLUMNS) or tuple(header[1:]) != METRIC_COLUMNS:
-        raise ConfigError(f"{path}: malformed header {lines[0]!r}")
+    header, _ = _read_table(path)
+    if tuple(header[1:]) != METRIC_COLUMNS:
+        raise ConfigError(f"{path}:1: malformed header {','.join(header)!r}")
     if header[0] not in AXIS_NAMES.values():
-        raise ConfigError(f"{path}: unknown sweep axis column {header[0]!r}")
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ConfigError(f"{path}:{lineno}: expected {len(header)} cells")
-        for cell in cells:
-            try:
-                float(cell)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: malformed value {cell!r}") from exc
+        raise ConfigError(f"{path}:1: unknown sweep axis column {header[0]!r}")

@@ -401,19 +401,24 @@ def test_energy_command(tmp_path, capsys):
     assert e_final == pytest.approx(2.5, abs=1e-9)
 
 
+SCHEDULE_HEADER = "step_index,t_start,V_1,V_2,V_3\n"
+
+
 @pytest.mark.parametrize(
-    "rows, bad_line",
+    "text, bad_line",
     [
-        ("0,0.0,0,0,1\n1,0.5,0,x,1\n", 3),  # non-numeric cell
-        ("0,0.0,0,0,1\n1,0.5,0,0\n", 3),  # ragged row
-        ("0,0.0,0,0,1\n1\n", 3),  # step index only
-        ("0,0.0,0,0,1\n1,0.5,0,0,1\n2,0.7,0,0,1\n", 4),  # non-uniform t_start
+        (SCHEDULE_HEADER + "0,0.0,0,0,1\n1,0.5,0,x,1\n", 3),  # non-numeric cell
+        (SCHEDULE_HEADER + "0,0.0,0,0,1\n1,0.5,0,0\n", 3),  # ragged row
+        (SCHEDULE_HEADER + "0,0.0,0,0,1\n1\n", 3),  # step index only
+        (SCHEDULE_HEADER + "0,0.0,0,0,1\n1,0.5,0,0,1\n2,0.7,0,0,1\n", 4),  # non-uniform t_start
+        # the header's first two cells are exactly step_index,t_start
+        ("step_index,t_start_s,V_1,V_2,V_3\n0,0.0,0,0,1\n1,0.5,0,0,1\n", 1),
     ],
-    ids=["non_numeric", "ragged", "index_only", "non_uniform"],
+    ids=["non_numeric", "ragged", "index_only", "non_uniform", "renamed_t_start"],
 )
-def test_malformed_schedule_is_config_error(tmp_path, capsys, rows, bad_line):
+def test_malformed_schedule_is_config_error(tmp_path, capsys, text, bad_line):
     sched = tmp_path / "bad.csv"
-    sched.write_text("step_index,t_start,V_1,V_2,V_3\n" + rows)
+    sched.write_text(text)
     assert main(["energy", "--schedule", str(sched)]) == 1
     assert f"bad.csv:{bad_line}:" in capsys.readouterr().err
 

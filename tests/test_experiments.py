@@ -538,6 +538,10 @@ class TestOutputFiles:
         csv2 = (out2 / "robustness_scan.csv").read_bytes()
         assert csv1 == csv2
         exp.check_output_schema(out1 / "robustness_scan.csv")
+        # trailing blank lines are dropped, as read_schedule drops them
+        with open(out1 / "robustness_scan.csv", "a", encoding="utf-8") as table:
+            table.write("\n\n")
+        exp.check_output_schema(out1 / "robustness_scan.csv")
         assert (out1 / "manifest.txt").exists()
         sched1 = (out1 / "schedule_design.csv").read_bytes()
         sched2 = (out2 / "schedule_design.csv").read_bytes()
@@ -569,6 +573,9 @@ class TestOutputFiles:
         )
         with pytest.raises(ConfigError):
             exp.check_output_schema(bad)
+        # a missing file is a ConfigError, as it is for read_schedule
+        with pytest.raises(ConfigError, match="not found"):
+            exp.check_output_schema(tmp_path / "missing.csv")
 
     def test_schedule_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
