@@ -347,6 +347,7 @@ class ControlGrid:
         if not 0 < self.dt < math.inf:
             raise ValidationError(f"dt must be finite and positive, got {self.dt}")
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "dt", float(self.dt))  # so that step times are floats
 
     @property
     def n_steps(self) -> int:

@@ -311,10 +311,6 @@ def _versions() -> dict[str, str]:
     }
 
 
-def _point_seed(base_seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([base_seed, index]).generate_state(1)[0])
-
-
 def _scenario_problem(
     config: ScenarioConfig,
     x: float,
@@ -339,13 +335,6 @@ def _qfi_cfi_of_grid(
     return objective_value(traj, qfi_objective()), objective_value(traj, cfi_objective(povm))
 
 
-def _optimize(
-    problem: EstimationProblem, config: ScenarioConfig, seed: int
-) -> tuple[ControlGrid, float]:
-    report = ascend(problem, replace(config.ascent, seed=seed), config.objective())
-    return _optimized_grid(report), report.objective_history[-1]
-
-
 def _optimized_grid(report: AscentReport) -> ControlGrid:
     """The schedule an ascent ended with, or its error as a point's error."""
     if report.error is not None:
@@ -357,7 +346,8 @@ def _optimized_grid(report: AscentReport) -> ControlGrid:
 
 def _point_ascent(config: ScenarioConfig, index: int) -> AscentConfig:
     """Ascent settings of sweep point ``index``: its own seed."""
-    return replace(config.ascent, seed=_point_seed(config.ascent.seed, index))
+    seed = np.random.SeedSequence([config.ascent.seed, index]).generate_state(1)[0]
+    return replace(config.ascent, seed=int(seed))
 
 
 def _metric_row(axis_value: float, horizon: float, **metrics) -> dict:
@@ -370,28 +360,17 @@ def _metric_row(axis_value: float, horizon: float, **metrics) -> dict:
     return row
 
 
-def _optimized_metrics(
-    config: ScenarioConfig,
-    problem: EstimationProblem,
-    m: int,
-    povm: Povm,
-    report: AscentReport,
-    oracle_qfi: float,
+def _schedule_metrics(
+    problem: EstimationProblem, report: AscentReport, povm: Povm, oracle_qfi: float = math.nan
 ) -> tuple[dict, ControlGrid]:
-    """Metrics and schedule of one optimized point: free evolution, then the
-    schedule of the point's ascent ``report``, both evaluated at the true
-    frequency."""
-    true_problem = replace(problem, x=config.omega0_true)
-    free = ControlGrid.zeros(m, problem.n_controls, config.dt)
-    q_free, _ = _qfi_cfi_of_grid(true_problem, free, povm)
+    """Metrics and schedule of one judged point, all under ``problem``: free
+    evolution on the grid shape of the ascent ``report``, then the schedule
+    the ascent ended with (its error first, see :func:`_optimized_grid`)."""
+    free = ControlGrid(np.zeros_like(report.final_grid.amplitudes), report.final_grid.dt)
+    q_free, _ = _qfi_cfi_of_grid(problem, free, povm)
     grid = _optimized_grid(report)
-    q_opt, c_opt = _qfi_cfi_of_grid(true_problem, grid, povm)
-    metrics = dict(qfi=q_opt, cfi=c_opt, oracle_qfi=oracle_qfi, uncontrolled_qfi=q_free)
-    return metrics, grid
-
-
-def _no_ascents(index: int, value: float) -> list:
-    return []
+    q_opt, c_opt = _qfi_cfi_of_grid(problem, grid, povm)
+    return dict(qfi=q_opt, cfi=c_opt, oracle_qfi=oracle_qfi, uncontrolled_qfi=q_free), grid
 
 
 def _theta_axis(config: ScenarioConfig):
@@ -404,7 +383,6 @@ def _theta_axis(config: ScenarioConfig):
     """
     if not isinstance(config.noise, Dephasing):
         raise ConfigError("theta sweep requires dephasing noise")
-    m = step_count(config.horizon, config.dt)
     povm = config.povm()
     probes = {"theta_probe_plus": plus_state(), "theta_probe_zero": zero_state()}
 
@@ -418,8 +396,8 @@ def _theta_axis(config: ScenarioConfig):
     def point(index: int, theta: float, runs):
         metrics, schedules = {}, {}
         for name, (problem, report) in zip(probes, runs):
-            metrics[name], schedules[f"schedule_{name}_{index:03d}"] = _optimized_metrics(
-                config, problem, m, povm, report, oracle_qfi=config.horizon**2
+            metrics[name], schedules[f"schedule_{name}_{index:03d}"] = _schedule_metrics(
+                replace(problem, x=config.omega0_true), report, povm, config.horizon**2
             )
         return metrics, schedules
 
@@ -482,13 +460,8 @@ def _horizon_axis(config: ScenarioConfig):
 
     def point(index: int, horizon: float, runs):
         ((problem, report),) = runs
-        metrics, grid = _optimized_metrics(
-            config,
-            problem,
-            step_count(horizon, config.dt),
-            povm,
-            report,
-            oracle_qfi=_oracle_curve(config, horizon),
+        metrics, grid = _schedule_metrics(
+            replace(problem, x=config.omega0_true), report, povm, _oracle_curve(config, horizon)
         )
         return {"horizon_scan": metrics}, {f"schedule_horizon_{index:03d}": grid}
 
@@ -500,21 +473,19 @@ def _omega_hat_axis(config: ScenarioConfig):
 
     Controls are optimized once at the design frequency, then evaluated with
     the true frequency swept across the grid; the uncontrolled baseline is
-    evaluated at the same true frequencies.
+    evaluated at the same true frequencies.  A failed design ascent aborts
+    the sweep.
     """
-    m = step_count(config.horizon, config.dt)
     povm = config.povm()
     design_problem = _scenario_problem(config, config.design_frequency)
-    grid, _ = _optimize(design_problem, config, config.ascent.seed)
-    free = ControlGrid.zeros(m, design_problem.n_controls, config.dt)
+    report = ascend(design_problem, config.ascent, config.objective())
+    grid = _optimized_grid(report)
 
     def point(index: int, omega: float, runs):
-        problem = _scenario_problem(config, omega)
-        q_ctl, c_ctl = _qfi_cfi_of_grid(problem, grid, povm)
-        q_free, _ = _qfi_cfi_of_grid(problem, free, povm)
-        return {"robustness_scan": dict(qfi=q_ctl, cfi=c_ctl, uncontrolled_qfi=q_free)}, {}
+        metrics, _ = _schedule_metrics(_scenario_problem(config, omega), report, povm)
+        return {"robustness_scan": metrics}, {}
 
-    return ("robustness_scan",), _no_ascents, point, {"schedule_design": grid}
+    return ("robustness_scan",), None, point, {"schedule_design": grid}
 
 
 def _t0_axis(config: ScenarioConfig):
@@ -533,14 +504,15 @@ def _t0_axis(config: ScenarioConfig):
         return {"pulse_scan": dict(oracle_qfi=pulse(config.horizon, t0),
                                    uncontrolled_qfi=reference)}, {}
 
-    return ("pulse_scan",), _no_ascents, point, {}
+    return ("pulse_scan",), None, point, {}
 
 
 # Each axis checks its preconditions, runs any set-up shared by all points,
 # and returns (table names, ascents, point function, schedules written once).
 # ``ascents`` maps (index, axis value) to the (problem, ascent config) pairs
 # the point optimizes, and raises the point's error if it cannot set them up;
-# the point function maps (index, axis value, [(problem, report)] of those
+# it is ``None`` for an axis whose points climb no ascent of their own.  The
+# point function maps (index, axis value, [(problem, report)] of those
 # ascents) to ({table: metrics}, {name: schedule}).
 _SWEEP_AXES = {
     "theta": _theta_axis,
@@ -553,18 +525,19 @@ _SWEEP_AXES = {
 def run_sweep(config: ScenarioConfig) -> RunRecord:
     """Run the sweep declared by ``config.sweep_axis``.
 
-    The ascents of all optimized points (theta and horizon axes) run first,
-    together in one lock-step :func:`qgrape.grape.ascend_batch`; then the
-    points are evaluated and their rows written in grid order.  Each ascent's
-    report is bitwise the one it gets alone, so the outputs are the same
-    bytes as those of one ascent per point.  A point whose evaluation raises a
-    :class:`QGrapeError` is listed under the manifest's flagged points and
-    leaves a row of ``nan`` and no schedule, instead of aborting the sweep.
-    Its error is the first one the point meets in order: setting up, free
+    The ascents of all points that climb their own (theta and horizon axes)
+    run first, together in one lock-step :func:`qgrape.grape.ascend_batch`;
+    then the points are evaluated and their rows written in grid order.  Each
+    ascent's report is bitwise the one it gets alone, so the outputs are the
+    same bytes as those of one ascent per point.  A point whose evaluation
+    raises a :class:`QGrapeError` is listed under the manifest's flagged
+    points and leaves a row of ``nan`` and no schedule, instead of aborting
+    the sweep.  Every judged point (theta, horizon, and ``omega_hat`` under
+    the one design schedule) meets its errors in one order: setting up, free
     evolution, its ascent ("ascent failed at iteration N: ..."), then the
-    optimized schedule's evaluation.  An optimized point whose ``qfi`` ends
-    below its ``uncontrolled_qfi`` is listed in a manifest section of its
-    own; its row is written as computed.
+    schedule's evaluation.  A point that climbed and whose ``qfi`` ends below
+    its ``uncontrolled_qfi`` is listed in a manifest section of its own; its
+    row is written as computed.
     """
     if config.sweep_axis is None:
         raise ConfigError("config declares no sweep axis")
@@ -575,7 +548,7 @@ def run_sweep(config: ScenarioConfig) -> RunRecord:
     plans: list = []
     for index, value in enumerate(values):
         try:
-            plans.append(ascents(index, value))
+            plans.append(ascents(index, value) if ascents else [])
         except QGrapeError as exc:  # the point raises it when evaluated
             plans.append(exc)
     members = [member for plan in plans if isinstance(plan, list) for member in plan]
@@ -598,8 +571,8 @@ def run_sweep(config: ScenarioConfig) -> RunRecord:
         for name in table_names:
             row = _metric_row(value, horizon, **metrics[name])
             tables[name].append(row)
-            # an optimized point (theta, horizon) should not end below free evolution
-            if config.sweep_axis in ("theta", "horizon") and row["qfi"] < row["uncontrolled_qfi"]:
+            # a point that climbed should not end below free evolution
+            if plan and row["qfi"] < row["uncontrolled_qfi"]:
                 where = label if len(table_names) == 1 else f"{name} {label}"
                 text = f"qfi {row['qfi']:.6g} < uncontrolled_qfi {row['uncontrolled_qfi']:.6g}"
                 below.append(f"{where}={value:.6g}: {text}")
@@ -698,7 +671,7 @@ def write_run(record: RunRecord, out_dir: str | Path) -> list[Path]:
 def write_schedule(path: str | Path, grid: ControlGrid) -> None:
     """Schedule CSV: ``step_index, t_start, V_1..V_p``."""
     header = ["step_index", "t_start"] + [f"V_{k + 1}" for k in range(grid.n_controls)]
-    rows = ([j, j * float(grid.dt), *v] for j, v in enumerate(grid.amplitudes.tolist()))
+    rows = ([j, j * grid.dt, *v] for j, v in enumerate(grid.amplitudes.tolist()))
     _write_lines(path, _table_lines(header, rows))
 
 

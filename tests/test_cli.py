@@ -380,6 +380,22 @@ def test_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert "numerical failure" in capsys.readouterr().err
 
+    # so do a sweep's judged points, starting with free evolution: each is
+    # flagged, and the sweep still exits 0
+    swept = tmp_path / "sweep.cfg"
+    swept.write_text(cfg.read_text() + "ascent.max_iterations = 2\nsweep = horizon\n"
+                     "sweep.start = 0.5\nsweep.stop = 1.0\nsweep.points = 2\n")
+    assert main(["sweep", "--config", str(swept), "--out", str(tmp_path / "run")]) == 0
+    assert "2 point(s) flagged; see manifest" in capsys.readouterr().err
+    manifest = (tmp_path / "run" / "manifest.txt").read_text()
+    assert "T=0.5: NumericalStabilityError: state lost positivity at step 3" in manifest
+
+    # an ascent whose gradient raises ends optimize with its iteration
+    monkeypatch.setattr(grape, "_gradients", blow_up)
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    assert ("optimization failed at iteration 1: NumericalStabilityError: state lost "
+            "positivity at step 3") in capsys.readouterr().err
+
 
 def test_schedule_horizon_mismatch_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "scenario.cfg"

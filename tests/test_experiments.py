@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -222,18 +223,6 @@ class TestSnapshotFormat:
         assert f"does not read '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    def test_bad_probe_rejected_when_loaded(self, tmp_path, capsys):
-        # checked once for the whole config, not flagged at every sweep point
-        text = ("omega0_true = 1\nT = 2\nprobe = left\n"
-                "sweep = horizon\nsweep.start = 1\nsweep.stop = 2\nsweep.points = 2\n")
-        with pytest.raises(ConfigError, match="probe must be"):
-            exp.parse_config_text(text)
-        cfg = tmp_path / "scenario.cfg"
-        cfg.write_text(text)
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
-        assert "probe must be" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
-
     @pytest.mark.parametrize(
         "scenario",
         [
@@ -279,6 +268,39 @@ class TestSnapshotFormat:
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             small_sweep_config(**{name: value})
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("objective = foo", "unknown objective 'foo'"),
+            ("objective.povm = y", "unknown POVM 'y'"),
+            ("sweep = bogus", "unknown sweep axis 'bogus'"),
+            ("sweep.points = 1", "sweep needs at least 2 points"),
+            ("sweep.stop = 1.0", "sweep grid must be strictly increasing"),
+            ("T = 0", "horizon must be finite and positive, got 0.0"),
+            ("garbage", "expected 'key = value', got 'garbage'"),
+            ("noise = foo", "unknown noise kind 'foo'"),
+            ("probe = 1,2,x", "bad probe Bloch vector '1,2,x'"),
+            ("probe = left", "probe must be 'plus', 'zero', or 'r1,r2,r3', got 'left'"),
+        ],
+        ids=["objective", "povm", "sweep_axis", "sweep_points", "sweep_order", "horizon",
+             "no_equals", "noise_kind", "probe_cell", "probe_name"],
+    )
+    def test_bad_setting_rejected_when_loaded(self, tmp_path, capsys, setting, message):
+        # checked once for the whole config, not flagged at every sweep point;
+        # each setting replaces the key of the same name in a valid horizon sweep
+        settings = {"omega0_true": "1.0", "T": "2.0", "sweep": "horizon",
+                    "sweep.start": "1.0", "sweep.stop": "2.0", "sweep.points": "2"}
+        key, _, value = setting.partition(" = ")
+        settings[key] = value
+        text = "".join(f"{k} = {v}\n" if v else f"{k}\n" for k, v in settings.items())
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            exp.parse_config_text(text)
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_noise_model_rejected(self):
         with pytest.raises(ConfigError, match="unknown noise model"):
             exp.ScenarioConfig(omega0_true=1.0, horizon=1.0, ascent=AscentConfig(),
@@ -294,6 +316,16 @@ class TestEnergyCost:
         grid = dyn.ControlGrid.constant([0.0, 0.0, -0.5], 200, 0.05)
         table = exp.energy_cost(grid)
         assert table[-1][1] == pytest.approx(0.25 * 10.0, abs=1e-9)
+
+    def test_integer_step_width_writes_float_times(self, tmp_path):
+        grid = dyn.ControlGrid(np.ones((3, 1)), 1)
+        assert type(grid.dt) is float
+        lines = exp._table_lines(("t", "energy"), exp.energy_cost(grid))
+        assert lines[1] == "0.00000000000e+00,0.00000000000e+00"
+        assert lines[-1] == "3.00000000000e+00,3.00000000000e+00"
+        exp.write_schedule(tmp_path / "schedule.csv", grid)
+        rows = (tmp_path / "schedule.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == [f"{t:.11e}" for t in (0.0, 1.0, 2.0)]
 
     def test_monotone_for_random_schedules(self):
         rng = np.random.default_rng(2)
@@ -345,6 +377,45 @@ class TestTimeScan:
             )
             assert row["qfi"] >= row["uncontrolled_qfi"] - 1e-9
             assert row["qfi_per_t"] == pytest.approx(row["qfi"] / row["axis"])
+
+    def test_noiseless_limit_matches_reference(self):
+        config = small_sweep_config(
+            noise=None, sweep_axis="horizon", sweep_start=1.0, sweep_stop=2.0, sweep_points=2
+        )
+        record = exp.run_sweep(config)
+        for row in record.tables["horizon_scan"]:
+            assert row["oracle_qfi"] == row["axis"] ** 2
+            assert row["qfi"] == pytest.approx(row["axis"] ** 2, abs=1e-6)
+            assert row["uncontrolled_qfi"] == pytest.approx(row["axis"] ** 2, abs=1e-6)
+
+    def test_failed_ascent_flags_its_point_alone(self, monkeypatch):
+        # an infinite gradient table for the 20-step member (T = 2) makes
+        # each of its candidate schedules non-finite: its ascent fails at
+        # iteration 1, and the other members climb as they do without it
+        config = small_sweep_config(
+            sweep_axis="horizon", sweep_start=1.0, sweep_stop=3.0, sweep_points=3,
+            ascent=AscentConfig(dt=0.1, max_iterations=5, seed=1),
+        )
+        clean = exp.run_sweep(config)
+        real = grape._gradients
+
+        def infinite_for_one(evaluated, problem):
+            tables = real(evaluated, problem)
+            return [np.full_like(table, np.inf) if traj.n_steps == 20 else table
+                    for (traj, _), table in zip(evaluated, tables)]
+
+        monkeypatch.setattr(grape, "_gradients", infinite_for_one)
+        record = exp.run_sweep(config)
+        assert record.flagged == [
+            "T=2: QGrapeError: ascent failed at iteration 1: ValidationError: control "
+            "amplitudes must be finite"
+        ]
+        rows, clean_rows = record.tables["horizon_scan"], clean.tables["horizon_scan"]
+        assert all(math.isnan(v) for k, v in rows[1].items() if k != "axis")
+        assert [rows[0], rows[2]] == [clean_rows[0], clean_rows[2]]
+        assert sorted(record.schedules) == ["schedule_horizon_000", "schedule_horizon_002"]
+        for name, grid in record.schedules.items():
+            assert np.array_equal(grid.amplitudes, clean.schedules[name].amplitudes)
 
     def test_transverse_scan_tracks_oracle_within_five_percent(self):
         ascent = AscentConfig(
@@ -398,8 +469,26 @@ class TestRobustnessScan:
         )
         record = exp.run_sweep(config)
         problem = exp._scenario_problem(config, config.design_frequency)
-        grid, value = exp._optimize(problem, config, config.ascent.seed)
+        report = grape.ascend(problem, config.ascent, config.objective())
+        value = report.objective_history[-1]
         assert record.tables["robustness_scan"][1]["qfi"] == pytest.approx(value, abs=1e-10)
+
+    def test_failed_design_ascent_aborts_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # an infinite gradient table leaves the design ascent no schedule to
+        # try, so it fails at iteration 1 and no point is judged
+        real = grape._gradients
+
+        def infinite(evaluated, problem):
+            return [np.full_like(table, np.inf) for table in real(evaluated, problem)]
+
+        monkeypatch.setattr(grape, "_gradients", infinite)
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(BASE_CONFIG + "sweep = omega_hat\nsweep.start = 0.9\nsweep.stop = 1.1\n"
+                       "sweep.points = 2\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert ("numerical failure: ascent failed at iteration 1: ValidationError: control "
+                "amplitudes must be finite") in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestPulseScan:
