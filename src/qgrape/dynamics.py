@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalStabilityError, QGrapeError, ValidationError
+from .errors import NumericalStabilityError, ValidationError
 
 __all__ = [
     "IDENTITY",
@@ -252,8 +252,6 @@ def _dissipation(noise: NoiseModel) -> np.ndarray:
         out[1, 1] = out[2, 2] = -0.5 * total
         out[3, 3] = -total
         out[3, 0] = noise.gamma_plus - noise.gamma_minus
-    elif noise is not None:
-        raise ValidationError(f"unknown noise model {noise!r}")
     return out
 
 
@@ -280,6 +278,8 @@ class EstimationProblem:
             raise ValidationError(f"x must be finite, got {self.x}")
         if not 0 <= self.horizon < math.inf:
             raise ValidationError(f"horizon must be finite and nonnegative, got {self.horizon}")
+        if not isinstance(self.noise, NoiseModel):
+            raise ValidationError(f"unknown noise model {self.noise!r}")
         validate_density(self.probe)
         _check_hermitian(self.encoding, "encoding")
         for k, gen in enumerate(self.control_generators):
@@ -581,10 +581,7 @@ def propagate(problem: EstimationProblem, grid: ControlGrid) -> Trajectory:
     intermediate state loses positivity beyond the hard floor, its trace, or
     finiteness.
     """
-    (result,) = _propagate_each([problem], [grid])
-    if isinstance(result, QGrapeError):
-        raise result
-    return result
+    return _propagate_each([problem], [grid])[0]
 
 
 def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
@@ -607,36 +604,29 @@ def _check_grid(problem: EstimationProblem, grid: ControlGrid) -> None:
 
 def _propagate_each(
     problems: Sequence[EstimationProblem], grids: Sequence[ControlGrid]
-) -> list[Trajectory | QGrapeError]:
-    """:func:`propagate` of every (problem, grid) pair on one flat step axis:
-    each entry is the pair's trajectory, or the error that :func:`propagate`
-    raises for it.  The pairs share the step width and the control and
-    sensitivity generators (the first valid pair's are used); their free
-    generators, probes and step counts may differ.  The generators, step
-    exponentials, steps and stability checks of all pairs are each one stacked
-    call; only the 8-vector recursion loops per pair.  A single pair's arrays
-    are used as they are, without copies."""
-    results: list = []
+) -> list[Trajectory]:
+    """:func:`propagate` of every (problem, grid) pair on one flat step axis,
+    one trajectory per pair.  It raises the error of the first pair that
+    :func:`propagate` rejects: the grid checks of all pairs come first, then
+    the first pair whose states go unstable.  The pairs share the step width
+    and the control and sensitivity generators (the first pair's are used);
+    their free generators, probes and step counts may differ.  The
+    generators, step exponentials, steps and stability checks of all pairs
+    are each one stacked call; only the 8-vector recursion loops per pair.  A
+    single pair's arrays are used as they are, without copies."""
     for problem, grid in zip(problems, grids):
-        try:
-            _check_grid(problem, grid)
-            results.append(None)
-        except ValidationError as exc:
-            results.append(exc)
-    valid = [i for i, result in enumerate(results) if result is None]
-    if not valid:
-        return results
-    first, dt = problems[valid[0]], grids[valid[0]].dt
-    counts = [grids[i].n_steps for i in valid]
-    amplitudes = _stacked([grids[i].amplitudes for i in valid])
-    free = None if len(valid) == 1 else np.repeat(
-        [problems[i].free_superop for i in valid], counts, axis=0
+        _check_grid(problem, grid)
+    first, dt = problems[0], grids[0].dt
+    counts = [grid.n_steps for grid in grids]
+    amplitudes = _stacked([grid.amplitudes for grid in grids])
+    free = None if len(grids) == 1 else np.repeat(
+        [problem.free_superop for problem in problems], counts, axis=0
     )
     gens = _generators(first, amplitudes, free)
     steps = _forward_steps(_expm(gens, dt), first.sensitivity_superop)
 
     # pair i's rows y_0..y_m lie at ys[r:r + m + 1], its steps at steps[o:o + m]
-    ys = np.zeros((len(gens) + len(valid), 8))
+    ys = np.zeros((len(gens) + len(grids), 8))
     rows = list(ys)
     # past a bad step the recursion may overflow; the check below reports the
     # first bad step, so the floating-point warnings of later ones are noise.
@@ -644,20 +634,18 @@ def _propagate_each(
     # product as @.
     with np.errstate(over="ignore", invalid="ignore"):
         r = o = 0
-        for i, m in zip(valid, counts):
-            ys[r, :4] = problems[i].probe_coords
+        for problem, m in zip(problems, counts):
+            ys[r, :4] = problem.probe_coords
             for step, prev, nxt in zip(steps[o : o + m], rows[r : r + m], rows[r + 1 : r + m + 1]):
                 step.dot(prev, out=nxt)
             r, o = r + m + 1, o + m
         bad = _stability(ys[:, :4])
+    trajs = []
     r = o = 0
-    for i, m in zip(valid, counts):
+    for m in counts:
         first_bad = _first_bad(bad[r + 1 : r + m + 1])
         if first_bad < m:
-            results[i] = _unstable(first_bad + 1, ys[r + 1 + first_bad, :4])
-        else:
-            results[i] = Trajectory(
-                rows=ys[r : r + m + 1], steps=steps[o : o + m], generators=gens[o : o + m], dt=dt
-            )
+            raise _unstable(first_bad + 1, ys[r + 1 + first_bad, :4])
+        trajs.append(Trajectory(ys[r : r + m + 1], steps[o : o + m], gens[o : o + m], dt))
         r, o = r + m + 1, o + m
-    return results
+    return trajs

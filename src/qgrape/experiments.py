@@ -365,12 +365,14 @@ def _schedule_metrics(
 ) -> tuple[dict, ControlGrid]:
     """Metrics and schedule of one judged point, all under ``problem``: free
     evolution on the grid shape of the ascent ``report``, then the schedule
-    the ascent ended with (its error first, see :func:`_optimized_grid`)."""
+    the ascent ended with (its error first, see :func:`_optimized_grid`).
+    Free evolution's CFI comes as ``uncontrolled_cfi``, which no table writes."""
     free = ControlGrid(np.zeros_like(report.final_grid.amplitudes), report.final_grid.dt)
-    q_free, _ = _qfi_cfi_of_grid(problem, free, povm)
+    q_free, c_free = _qfi_cfi_of_grid(problem, free, povm)
     grid = _optimized_grid(report)
     q_opt, c_opt = _qfi_cfi_of_grid(problem, grid, povm)
-    return dict(qfi=q_opt, cfi=c_opt, oracle_qfi=oracle_qfi, uncontrolled_qfi=q_free), grid
+    metrics = dict(qfi=q_opt, cfi=c_opt, oracle_qfi=oracle_qfi)
+    return dict(metrics, uncontrolled_qfi=q_free, uncontrolled_cfi=c_free), grid
 
 
 def _theta_axis(config: ScenarioConfig):
@@ -535,9 +537,9 @@ def run_sweep(config: ScenarioConfig) -> RunRecord:
     the sweep.  Every judged point (theta, horizon, and ``omega_hat`` under
     the one design schedule) meets its errors in one order: setting up, free
     evolution, its ascent ("ascent failed at iteration N: ..."), then the
-    schedule's evaluation.  A point that climbed and whose ``qfi`` ends below
-    its ``uncontrolled_qfi`` is listed in a manifest section of its own; its
-    row is written as computed.
+    schedule's evaluation.  A point that climbed and whose objective, ``qfi``
+    or ``cfi``, ends below free evolution's value of that same metric is
+    listed in a manifest section of its own; its row is written as computed.
     """
     if config.sweep_axis is None:
         raise ConfigError("config declares no sweep axis")
@@ -545,6 +547,7 @@ def run_sweep(config: ScenarioConfig) -> RunRecord:
     table_names, ascents, point, schedules = _SWEEP_AXES[config.sweep_axis](config)
     label = "T" if config.sweep_axis == "horizon" else AXIS_NAMES[config.sweep_axis]
     values = config.sweep_grid().tolist()
+    kind = config.objective_kind
     plans: list = []
     for index, value in enumerate(values):
         try:
@@ -571,10 +574,12 @@ def run_sweep(config: ScenarioConfig) -> RunRecord:
         for name in table_names:
             row = _metric_row(value, horizon, **metrics[name])
             tables[name].append(row)
-            # a point that climbed should not end below free evolution
-            if plan and row["qfi"] < row["uncontrolled_qfi"]:
+            # a point that climbed should not end below free evolution in the
+            # metric that its ascent climbed
+            free = metrics[name].get(f"uncontrolled_{kind}", math.nan)
+            if plan and row[kind] < free:
                 where = label if len(table_names) == 1 else f"{name} {label}"
-                text = f"qfi {row['qfi']:.6g} < uncontrolled_qfi {row['uncontrolled_qfi']:.6g}"
+                text = f"{kind} {row[kind]:.6g} < uncontrolled_{kind} {free:.6g}"
                 below.append(f"{where}={value:.6g}: {text}")
         schedules.update(point_schedules)
     return RunRecord(

@@ -29,6 +29,8 @@ back the pair it accepted, so nothing is cached on a trajectory.  Only the
 8-vector loops run per member.  Each member's report is bitwise what it would
 be alone: every per-row product of the Fisher information and of the
 gradient's assembly is elementwise, so a row rounds the same in any stack.
+When a stacked call raises, one rule, ``_each``, runs the stage again for
+each member alone, so that each gets the result or the error it gets alone.
 """
 
 from __future__ import annotations
@@ -109,11 +111,12 @@ def cfi_objective(povm: Povm) -> Objective:
 
 
 def _each(batched: Callable[[list], list], items: list) -> list:
-    """``batched(items)``, one result per item; when the stacked call raises a
-    :class:`QGrapeError`, each item runs alone, so that it gets the result or
-    the error that it gets alone."""
+    """``batched(items)``, one result per item: each item gets the result or
+    the :class:`QGrapeError` that it gets alone, the one rule that keeps the
+    members of a lock-step round apart.  Only when the stacked call raises
+    does each item run again alone."""
     try:
-        return batched(items)
+        return batched(items) if items else []
     except QGrapeError as exc:
         if len(items) == 1:
             return [exc]
@@ -453,8 +456,10 @@ def ascend_batch(
     Each member's step rule runs as its own :func:`_climb`, and each round has
     two stages: one :func:`_gradients` call for the members that ask for a
     gradient, then one ``_evaluate`` call for the schedules that members ask
-    for, the first candidate of a member whose gradient just came included.  A
-    finished member leaves the rounds and holds no arrays.  Members climb in
+    for, the first candidate of a member whose gradient just came included.
+    A stage whose stacked call raises runs again for each member alone (see
+    :func:`_each`), so a member that raises alone fails alone.  A finished
+    member leaves the rounds and holds no arrays.  Members climb in
     consecutive groups of at most ``_BATCH_STEPS`` steps (a longer member
     climbs alone), which bounds the memory a round takes.  Each report is
     bitwise the one :func:`ascend` gives the member alone.  The members share
@@ -496,8 +501,9 @@ def _climb(config: AscentConfig, grid: ControlGrid):
     evaluation of a schedule, the pair of its trajectory and that
     trajectory's :func:`_final_rows` row ``(F, W1, W2)``, and
     ``table = yield accepted`` hands the accepted schedule's pair back for
-    the gradient table of its trajectory.  Each answer is that or the
-    :class:`QGrapeError` it raised; the generator returns the report."""
+    the gradient table of its trajectory.  Each answer is that, or the
+    :class:`QGrapeError` that the request raises alone; the generator returns
+    the report."""
     accepted = yield grid
     if isinstance(accepted, QGrapeError):
         return AscentReport.failed(grid, [], 0, accepted)
@@ -544,10 +550,11 @@ def _climb_together(
     """Run the :func:`_climb` of every (problem, config, grid) member in
     rounds until each has returned its report; ``problem`` holds the
     members' shared control and sensitivity generators.  Each round answers
-    every pending gradient request, an evaluated pair, with one
-    :func:`_gradients` call (an error that it raises answers every request),
-    then every pending evaluation, a schedule, with one :func:`_evaluate`
-    call, in member order."""
+    every pending gradient request, an evaluated pair, with one stacked
+    :func:`_gradients` call, then every pending evaluation, a schedule, with
+    one :func:`_evaluate` call, in member order.  Both stages run under
+    :func:`_each`, so a member whose request raises alone fails alone and the
+    others go on."""
     climbs = [_climb(config, grid) for _, config, grid in members]
     reports: list = [None] * len(climbs)
     requests: dict = {}  # what each running member waits for, in member order
@@ -559,38 +566,30 @@ def _climb_together(
             reports[i] = done.value
             requests.pop(i, None)
 
+    def gradients(evaluated: list[tuple]) -> list[np.ndarray]:
+        return _gradients(evaluated, problem)
+
     for i in range(len(climbs)):
         answer(i, None)
     while requests:
         asking = [i for i, request in requests.items() if isinstance(request, tuple)]
-        if asking:
-            try:
-                tables = _gradients([requests[i] for i in asking], problem)
-            except QGrapeError as exc:  # every asking member's iteration fails
-                tables = [exc] * len(asking)
-            for i, table in zip(asking, tables):
-                answer(i, table)
+        for i, table in zip(asking, _each(gradients, [requests[i] for i in asking])):
+            answer(i, table)
         trying = [i for i, request in requests.items() if isinstance(request, ControlGrid)]
-        grids = [requests[i] for i in trying]
-        results = _evaluate([members[i][0] for i in trying], grids, objective)
+        results = _evaluate([(members[i][0], requests[i]) for i in trying], objective)
         for i, result in zip(trying, results):
             answer(i, result)
     return reports
 
 
-def _evaluate(
-    problems: list[EstimationProblem], grids: list[ControlGrid], objective: Objective
-) -> list[tuple[Trajectory, tuple] | QGrapeError]:
-    """Propagate every (problem, grid) pair on one flat step axis and take the
-    :func:`_final_rows` row ``(F, W1, W2)`` of each trajectory in one stacked
-    call: each entry is the trajectory and its row, or the error of the
-    pair."""
-    results = _propagate_each(problems, grids)
-    trajs = [r for r in results if isinstance(r, Trajectory)]
-    if trajs:
-        rows = iter(_each(lambda ts: _final_rows(ts, objective), trajs))
-        for i, result in enumerate(results):
-            if isinstance(result, Trajectory):
-                row = next(rows)
-                results[i] = row if isinstance(row, QGrapeError) else (result, row)
-    return results
+def _evaluate(pairs: list[tuple], objective: Objective) -> list[tuple | QGrapeError]:
+    """Each (problem, grid) pair's trajectory and the :func:`_final_rows` row
+    ``(F, W1, W2)`` of its final state, or the error that the pair raises
+    alone: one stacked :func:`_propagate_each` call and one stacked
+    :func:`_final_rows` call, under :func:`_each`."""
+
+    def evaluated(stack: list[tuple]) -> list[tuple]:
+        trajs = _propagate_each(*zip(*stack))
+        return list(zip(trajs, _final_rows(trajs, objective)))
+
+    return _each(evaluated, pairs)

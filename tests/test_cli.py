@@ -417,6 +417,17 @@ def test_energy_command(tmp_path, capsys):
     assert e_final == pytest.approx(2.5, abs=1e-9)
 
 
+def test_energy_out_writes_the_printed_table(tmp_path, capsys):
+    sched = tmp_path / "schedule.csv"
+    exp.write_schedule(sched, dyn.ControlGrid.constant([0.0, 0.0, -0.5], 20, 0.05))
+    assert main(["energy", "--schedule", str(sched)]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "run" / "energy.csv"
+    assert main(["energy", "--schedule", str(sched), "--out", str(out.parent)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert out.read_text() == printed
+
+
 SCHEDULE_HEADER = "step_index,t_start,V_1,V_2,V_3\n"
 
 

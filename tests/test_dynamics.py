@@ -68,6 +68,10 @@ class TestBlochConversions:
         with pytest.raises(ValidationError):
             dyn.density_from_bloch([1.0, 1.0, 0.0])
 
+    def test_two_component_vector_rejected(self):
+        with pytest.raises(ValidationError, match="3 components, got 2"):
+            dyn.density_from_bloch([0.5, 0.5])
+
 
 class TestCommutatorSuperop:
     def test_zero_hamiltonian(self):
@@ -203,8 +207,9 @@ class TestEstimationProblem:
             dict(encoding=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)),
             dict(encoding=np.eye(3, dtype=complex)),
             dict(encoding=np.full((2, 2), math.nan, dtype=complex)),
+            dict(noise="foo"),
         ],
-        ids=["nan_x", "inf_x", "non_hermitian", "3x3", "nan_encoding"],
+        ids=["nan_x", "inf_x", "non_hermitian", "3x3", "nan_encoding", "unknown_noise"],
     )
     def test_bad_model_rejected(self, changes):
         prob = dyn.frequency_estimation_problem(1.0, None, dyn.plus_state(), 1.0)
@@ -540,6 +545,10 @@ class TestPropagate:
         for horizon in (0.9, 0.0):
             with pytest.raises(ValidationError, match="positive multiple"):
                 dyn.step_count(horizon, 0.25)
+
+    def test_amplitudes_must_be_a_table(self):
+        with pytest.raises(ValidationError, match="ndim=1"):
+            dyn.ControlGrid(np.zeros(4), 0.25)
 
     def test_zero_step_horizonless_edge(self):
         prob = dyn.frequency_estimation_problem(1.0, None, dyn.plus_state(), 0.0)

@@ -174,8 +174,9 @@ class TestSnapshotFormat:
             "noise = dephasing\nnoise.gamma = -0.1\n",
             "noise = dephasing\nnoise.theta = 4.0\nnoise.gamma = 0.1\n",
             "noise = spontaneous\nnoise.gamma_minus = -0.2\n",
+            "noise = dephasing\nnoise.phi = 7.0\nnoise.gamma = 0.1\n",
         ],
-        ids=["dephasing_rate", "dephasing_angle", "emission_rate"],
+        ids=["dephasing_rate", "dephasing_angle", "emission_rate", "dephasing_phi"],
     )
     def test_bad_noise_rejected_when_loaded(self, tmp_path, capsys, noise):
         # checked once for the whole config, not flagged at every sweep point
@@ -305,6 +306,20 @@ class TestSnapshotFormat:
         with pytest.raises(ConfigError, match="unknown noise model"):
             exp.ScenarioConfig(omega0_true=1.0, horizon=1.0, ascent=AscentConfig(),
                                noise="dephasing")
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(noise=None), "theta sweep requires dephasing noise"),
+            (dict(noise=dyn.Dephasing(theta=0.0, phi=0.0, gamma=0.1), sweep_axis="t0",
+                  sweep_start=0.0, sweep_stop=3.0), "t0 grid must lie within [0, T]"),
+            (dict(sweep_axis=None), "config declares no sweep axis"),
+        ],
+        ids=["theta_without_dephasing", "t0_beyond_horizon", "no_sweep_axis"],
+    )
+    def test_sweep_preconditions_rejected_when_run(self, overrides, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            exp.run_sweep(small_sweep_config(**overrides))
 
 class TestEnergyCost:
     def test_zero_schedule(self):
@@ -666,6 +681,22 @@ class TestOutputFiles:
         with pytest.raises(ConfigError, match="not found"):
             exp.check_output_schema(tmp_path / "missing.csv")
 
+    @pytest.mark.parametrize(
+        "reader, text, message",
+        [
+            (exp.read_schedule, "step_index,t_start,V_1\n0,0.0,1\n",
+             "schedule needs at least two rows"),
+            (exp.check_output_schema, "bogus," + ",".join(exp.METRIC_COLUMNS) + "\n1,2,3,4,5,6,7\n",
+             "unknown sweep axis column 'bogus'"),
+        ],
+        ids=["one_row_schedule", "unknown_axis_column"],
+    )
+    def test_readers_reject_malformed_files(self, tmp_path, reader, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            reader(path)
+
     def test_schedule_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         grid = dyn.ControlGrid(rng.uniform(-1, 1, size=(7, 3)), 0.25)
@@ -738,6 +769,30 @@ class TestOutputFiles:
         }
         assert sections["[flagged_points]"] == ["T=3: QGrapeError: synthetic"]
         assert sections["[below_uncontrolled]"] == record.below_uncontrolled
+
+    def test_points_are_judged_by_the_metric_their_ascent_climbed(self, monkeypatch):
+        # the climbed CFI rises from 0 under free evolution while the QFI
+        # ends below free evolution's: no point is listed
+        config = exp.parse_config_text(
+            "noise = spontaneous\nnoise.gamma_minus = 0.2\nprobe = plus\nobjective = cfi\n"
+            "objective.povm = z\nomega0_true = 1.0\nT = 3.0\nascent.max_iterations = 20\n"
+            "sweep = horizon\nsweep.start = 1.0\nsweep.stop = 3.0\nsweep.points = 3\n"
+        )
+        record = exp.run_sweep(config)
+        rows = record.tables["horizon_scan"]
+        assert all(row["qfi"] < row["uncontrolled_qfi"] and row["cfi"] > 0 for row in rows)
+        assert record.below_uncontrolled == []
+        # a controlled CFI pushed below free evolution's is listed by its name
+        real = exp._qfi_cfi_of_grid
+
+        def lowered(problem, grid, povm):
+            q, c = real(problem, grid, povm)
+            return q, c - 10.0 if grid.amplitudes.any() else c
+
+        monkeypatch.setattr(exp, "_qfi_cfi_of_grid", lowered)
+        below = exp.run_sweep(config).below_uncontrolled
+        assert [line.split(":")[0] for line in below] == ["T=1", "T=2", "T=3"]
+        assert all(" < uncontrolled_cfi 0" in line for line in below)
 
 
 def _run_files(config, out) -> dict[str, bytes]:

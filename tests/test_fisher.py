@@ -226,6 +226,10 @@ class TestQfiBloch:
     def test_zero_derivative(self):
         assert fisher.qfi_bloch([0.3, 0.1, -0.2], [0, 0, 0]) == 0.0
 
+    def test_two_component_vectors_rejected(self):
+        with pytest.raises(ValidationError, match="3 finite components"):
+            fisher.qfi_bloch([0.3, 0.1], [0.0, 0.0])
+
     def test_agrees_with_density_route(self):
         rng = np.random.default_rng(29)
         for _ in range(30):

@@ -688,7 +688,7 @@ class TestAscend:
         """Route ascend's batched propagations through ``on_candidate(iteration,
         index, grid)``, ``index`` counting the candidates of the iteration from
         0; the start grid's propagation is iteration 0.  A ``QGrapeError`` that
-        ``on_candidate`` raises becomes that candidate's propagation error."""
+        ``on_candidate`` raises is raised as that candidate's propagation error."""
         state = {"iteration": 0, "index": 0}
         real_gradients, real_propagate = grape._gradients, grape._propagate_each
 
@@ -699,13 +699,10 @@ class TestAscend:
 
         def counted_propagate(problems, grids):
             assert len(grids) == 1  # ascend is a one-member batch
-            results = real_propagate(problems, grids)
+            trajs = real_propagate(problems, grids)
             state["index"] += 1
-            try:
-                on_candidate(state["iteration"], state["index"] - 1, grids[0])
-            except QGrapeError as exc:
-                results[0] = exc
-            return results
+            on_candidate(state["iteration"], state["index"] - 1, grids[0])
+            return trajs
 
         monkeypatch.setattr(grape, "_gradients", counted_gradients)
         monkeypatch.setattr(grape, "_propagate_each", counted_propagate)
@@ -929,28 +926,44 @@ class TestAscendBatch:
         assert reports[1].error == "ValidationError: control amplitudes must be finite"
         assert reports[0].error is None and reports[2].error is None
 
-    def test_raising_gradient_fails_every_asking_member(self, monkeypatch):
-        # the stacked gradient call of the second round raises: every member
-        # asked for a gradient there, so each one's iteration 2 fails with it
-        calls = {"n": 0}
-        real = grape._gradients
-
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise QGrapeError("synthetic failure")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(grape, "_gradients", flaky)
+    def test_raising_gradient_fails_its_member_alone(self, monkeypatch):
+        # a stacked gradient call that raises runs again for each asking
+        # member alone, so each member gets what it gets alone
         problems = [make_problem(noise, horizon=m * 0.05)
                     for noise, m in zip(NOISE_MODELS.values(), (20, 30, 40))]
         configs = [grape.AscentConfig(dt=0.05, max_iterations=5, seed=s) for s in range(3)]
-        reports = grape.ascend_batch(problems, configs, grape.qfi_objective())
-        assert calls["n"] == 2
-        for report in reports:
-            assert report.error == "QGrapeError: synthetic failure"
-            assert report.failed_iteration == 2 and report.iterations_used == 1
-            assert len(report.objective_history) == 2
+        objective = grape.qfi_objective()
+        solos = [grape.ascend(p, c, objective) for p, c in zip(problems, configs)]
+        real = grape._gradients
+
+        def stacks_raise(evaluated, problem):
+            if len(evaluated) > 1:
+                raise QGrapeError("synthetic stack failure")
+            return real(evaluated, problem)
+
+        monkeypatch.setattr(grape, "_gradients", stacks_raise)
+        for report, solo in zip(grape.ascend_batch(problems, configs, objective), solos):
+            assert_same_report(report, solo)
+            assert report.error is None and report.iterations_used == 5
+
+        # the 30-step member's gradient raises from its second one on, in a
+        # stack and alone: only that member fails, at iteration 2
+        calls = {"n": 0}
+
+        def raises_for_one(evaluated, problem):
+            if any(traj.n_steps == 30 for traj, _ in evaluated):
+                calls["n"] += 1
+                if calls["n"] >= 2:
+                    raise QGrapeError("synthetic failure")
+            return real(evaluated, problem)
+
+        monkeypatch.setattr(grape, "_gradients", raises_for_one)
+        reports = grape.ascend_batch(problems, configs, objective)
+        assert reports[1].error == "QGrapeError: synthetic failure"
+        assert reports[1].failed_iteration == 2 and reports[1].iterations_used == 1
+        assert reports[1].objective_history == solos[1].objective_history[:2]
+        assert_same_report(reports[0], solos[0])
+        assert_same_report(reports[2], solos[2])
 
     def test_finished_members_release_their_arrays(self):
         # members of 400 steps climb in groups of two, so twenty members make
