@@ -9,8 +9,8 @@ Subcommands::
     qgrape energy   --schedule FILE [--out DIR]
 
 Exit status: 0 on success, 1 on usage and configuration errors (unknown
-flags, missing files, bad keys or values), 2 on numerical failures during
-propagation/optimization.
+flags, missing or undecodable files, bad keys or values) and on files that
+cannot be written, 2 on numerical failures during propagation/optimization.
 """
 
 from __future__ import annotations
@@ -123,17 +123,13 @@ def _cmd_optimize(args) -> int:
     config = _apply_overrides(experiments.load_config(args.config), args)
     problem = experiments._scenario_problem(config, config.design_frequency)
     report = ascend(problem, config.ascent, config.objective())
-    if report.error is not None:
-        print(f"optimization failed at iteration {report.failed_iteration}: {report.error}",
-              file=sys.stderr)
-        return 2
-    final = report.objective_history[-1]
-    print(f"{config.objective_kind} = {final:.6g}")
+    grid = experiments._optimized_grid(report)
+    print(f"{config.objective_kind} = {report.objective_history[-1]:.6g}")
     print(f"iterations = {report.iterations_used}")
     print(f"converged = {report.converged}")
     if args.out is not None:
         out = Path(args.out)
-        experiments.write_schedule(out / "schedule.csv", report.final_grid)
+        experiments.write_schedule(out / "schedule.csv", grid)
         history = enumerate(report.objective_history)
         experiments._write_lines(out / "history.csv",
                                  experiments._table_lines(("iteration", "objective"), history))
@@ -195,6 +191,9 @@ def main(argv: list[str] | None = None) -> int:
     except QGrapeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # e.g. an output directory that is a file
+        print(f"file error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -543,15 +543,6 @@ def _stability(coords: np.ndarray) -> np.ndarray:
     return ~((twice_lo >= -2.0 * POSITIVITY_HARD_FLOOR) & (np.abs(c0 - 1.0) <= 1e-8))
 
 
-def _unstable(step: int, state: np.ndarray) -> NumericalStabilityError:
-    """The error for a trajectory whose first bad state, with Pauli
-    coordinates ``state``, is the one after ``step``."""
-    lo = _min_eigenvalue(state)
-    return NumericalStabilityError(
-        f"state lost positivity/trace at step {step} (min eigenvalue {lo:.3e})", step=step
-    )
-
-
 def _forward_steps(props: np.ndarray, dgen: np.ndarray) -> np.ndarray:
     """Stack (..., 8, 8) of the steps ``B = [[E, 0], [G E, E]]`` that advance
     ``(c, s)`` by the propagators ``E`` of an (..., 4, 4) stack, with ``G`` the
@@ -608,12 +599,13 @@ def _propagate_each(
     """:func:`propagate` of every (problem, grid) pair on one flat step axis,
     one trajectory per pair.  It raises the error of the first pair that
     :func:`propagate` rejects: the grid checks of all pairs come first, then
-    the first pair whose states go unstable.  The pairs share the step width
-    and the control and sensitivity generators (the first pair's are used);
-    their free generators, probes and step counts may differ.  The
-    generators, step exponentials, steps and stability checks of all pairs
-    are each one stacked call; only the 8-vector recursion loops per pair.  A
-    single pair's arrays are used as they are, without copies."""
+    the first pair whose states go unstable (every
+    :class:`NumericalStabilityError` is built here).  The pairs share the step
+    width and the control and sensitivity generators (the first pair's are
+    used); their free generators, probes and step counts may differ.  The
+    generators, step exponentials, steps and stability checks of all pairs are
+    each one stacked call, and only the 8-vector recursion loops per pair; a
+    single pair's arrays are used as they are."""
     for problem, grid in zip(problems, grids):
         _check_grid(problem, grid)
     first, dt = problems[0], grids[0].dt
@@ -643,9 +635,11 @@ def _propagate_each(
     trajs = []
     r = o = 0
     for m in counts:
-        first_bad = _first_bad(bad[r + 1 : r + m + 1])
-        if first_bad < m:
-            raise _unstable(first_bad + 1, ys[r + 1 + first_bad, :4])
+        step = _first_bad(bad[r + 1 : r + m + 1]) + 1
+        if step <= m:
+            lo = _min_eigenvalue(ys[r + step, :4])
+            raise NumericalStabilityError(f"state lost positivity/trace at step {step} "
+                                          f"(min eigenvalue {lo:.3e})", step=step)
         trajs.append(Trajectory(ys[r : r + m + 1], steps[o : o + m], gens[o : o + m], dt))
         r, o = r + m + 1, o + m
     return trajs

@@ -270,9 +270,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
 
 def load_config(path: str | Path) -> ScenarioConfig:
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_config_text(_read_text(path, "config file"), source=str(path))
 
 
 def config_snapshot(config: ScenarioConfig) -> str:
@@ -622,15 +620,24 @@ def _write_lines(path: str | Path, lines: Iterable[str]) -> Path:
     return path
 
 
+def _read_text(path: Path, kind: str) -> str:
+    """A file's UTF-8 text; a missing or undecodable file raises ConfigError."""
+    if not path.is_file():
+        raise ConfigError(f"{kind} not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # exc.object is the file's bytes
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
+
+
 def _read_table(path: str | Path) -> tuple[list[str], list[list[float]]]:
     """Header cells and numeric rows of a CSV file; trailing blank lines are
     dropped, and an empty file has the header ``[""]``.  A missing file, a
     row whose width differs from the header's, or a malformed number raises
     :class:`ConfigError`."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"file not found: {path}")
-    first, *lines = path.read_text(encoding="utf-8").rstrip().split("\n")
+    first, *lines = _read_text(path, "file").rstrip().split("\n")
     header = first.split(",")
     rows = []
     for lineno, line in enumerate(lines, start=2):

@@ -12,7 +12,8 @@ The classical Fisher information of a POVM ``{E_y}`` is
 ``sum_y (d p_y/dx)^2 / p_y`` with ``p_y = Tr(rho E_y)``.
 
 Both are computed one way, by :func:`_information` on the Pauli coordinates
-``(Tr rho, r)`` and ``(Tr d(rho)/dx, dr)``; the 2x2 functions convert to them.
+``(Tr rho, r)`` and ``(Tr d(rho)/dx, dr)``; the 2x2 functions, :func:`qfi_bloch`
+and the single-pulse oracles of :mod:`qgrape.oracles` convert to them.
 It takes an (n, 4) stack of states and derivatives, so that one call serves
 every final state of the finite-difference oracle, of a single-pulse scan or
 of a round of lock-step ascents, and a single state is a one-row stack.
@@ -163,29 +164,6 @@ def _information(
     return result
 
 
-def _qfi_bloch(r: np.ndarray, dr: np.ndarray) -> np.ndarray:
-    """:func:`qfi_bloch` of every row of (n, 3) stacks of Bloch vectors and
-    their derivatives; the first bad row raises the error that it raises
-    alone."""
-    # a non-finite row may meet inf * 0 or inf - inf before it is rejected
-    with np.errstate(invalid="ignore"):
-        radial = _dot(r, dr)
-        finite = np.isfinite(r).all(axis=1) & np.isfinite(dr).all(axis=1)
-        pure = _is_pure(np.sqrt(_dot(r, r)))
-        bad = ~finite | (pure & ~(np.abs(radial) <= PURE_TANGENT_TOL))
-    stop = _first_bad(bad)
-    value = _information(
-        np.column_stack([np.ones(stop), r[:stop]]), np.column_stack([np.zeros(stop), dr[:stop]]), None
-    )[0]
-    if stop < len(r):
-        if not finite[stop]:
-            raise ValidationError("Bloch vectors must have 3 finite components")
-        raise InconsistentInputError(
-            f"pure state, non-tangent derivative (r . dr = {radial[stop]:.3e})"
-        )
-    return value
-
-
 def sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """Symmetric logarithmic derivative of rho along drho, as a 2x2 matrix;
     the minimal-norm solution for a pure rho."""
@@ -202,9 +180,12 @@ def qfi_bloch(r, dr) -> float:
     """:func:`qfi` from a Bloch vector and its derivative; a pure ``r`` must
     come with a tangent ``dr`` (``r . dr = 0``)."""
     r, dr = np.asarray(r, dtype=float), np.asarray(dr, dtype=float)
-    if r.shape != (3,) or dr.shape != (3,):
+    if r.shape != (3,) or dr.shape != (3,) or not (np.isfinite(r).all() and np.isfinite(dr).all()):
         raise ValidationError("Bloch vectors must have 3 finite components")
-    return float(_qfi_bloch(r[None], dr[None])[0])
+    radial = _dot(r, dr)
+    if _is_pure(np.sqrt(_dot(r, r))) and not abs(radial) <= PURE_TANGENT_TOL:
+        raise InconsistentInputError(f"pure state, non-tangent derivative (r . dr = {radial:.3e})")
+    return float(_information(np.r_[1.0, r][None], np.r_[0.0, dr][None], None)[0][0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -53,7 +53,6 @@ from .dynamics import (
     _propagate_each,
     _stability,
     _stacked,
-    _unstable,
     propagate,
     step_count,
 )
@@ -270,9 +269,9 @@ def finite_difference_gradient(
     one loop over the steps, one product per step, every state passing the
     check of :func:`propagate` in blocks of ``_STABILITY_BLOCK`` steps, and
     their final states are evaluated in one stacked call.  Errors follow
-    entry order ``(j, k, sign)``: the first entry whose trajectory goes
-    unstable (:class:`NumericalStabilityError` naming its first bad step) or
-    whose final state fails the evaluation raises.
+    entry order ``(j, k, sign)``: the first entry that fails raises, an
+    unstable one with the error that :func:`propagate` raises for its bumped
+    schedule, one whose final state fails the evaluation with that error.
     """
     if not (np.isfinite(delta) and delta > 0):
         raise ValidationError(f"delta must be finite and positive, got {delta}")
@@ -296,39 +295,34 @@ def finite_difference_gradient(
     # the trajectories in entry order, so that those bumped at or before
     # step i are the first 2 p (i + 1); each step is one (8, 8) @ (8, 1)
     # product per trajectory, as in propagate (an (8, 8) @ (8, n) block
-    # would round differently), the bumped ones in one call.  The states of a
-    # block of steps are kept, slot 0 holding those before it, and checked
-    # together; then only each trajectory's current state and first bad step
-    # are kept.  A trajectory's slots hold the maximally mixed state, which
-    # passes the check, until its first state enters the block's staircase
+    # would round differently).  The states of a block of steps are kept, slot
+    # 0 holding those before it, and checked together.  A trajectory's slots
+    # hold the maximally mixed state, which passes the check, until its first
+    # state enters at its bumped step
     n, length = 2 * m * p, min(m, _STABILITY_BLOCK)
     states = np.zeros((length + 1, n, 8, 1))
     states[:, :, 0] = 1.0
-    first_bad = np.zeros(n, dtype=int)
-    first_state = np.empty((n, 4))
+    unstable = np.zeros(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         firsts = np.matmul(bumped_steps, base.rows[:m, None, :, None]).reshape(n, 8, 1)
         for start in range(0, m, length):
             end = min(start + length, m)
-            made = np.arange(2 * p * start, 2 * p * end)
-            states[made // (2 * p) - start + 1, made] = firsts[made]
             for i in range(start, end):
                 done, active = 2 * p * i, 2 * p * (i + 1)
                 prev, cur = states[i - start], states[i - start + 1]
                 np.matmul(base.steps[i], prev[:done], out=cur[:done])
-            bad = _stability(states[1 : end - start + 1, :active, :4, 0])
-            fresh = bad.any(axis=0) & (first_bad[:active] == 0)
-            if fresh.any():
-                at = bad[:, fresh].argmax(axis=0)
-                first_bad[:active][fresh] = start + 1 + at
-                first_state[:active][fresh] = states[1 + at, fresh.nonzero()[0], :4, 0]
+                cur[done:active] = firsts[done:active]
+            unstable[:active] |= _stability(states[1 : end - start + 1, :active, :4, 0]).any(axis=0)
             states[0] = states[end - start]
     ys = states[0]
 
-    stop = _first_bad(first_bad > 0)
+    stop = _first_bad(unstable)
     values = _information(ys[:stop, :4, 0], dt * ys[:stop, 4:, 0], objective.povm)[0]
-    if stop < len(ys):
-        raise _unstable(int(first_bad[stop]), first_state[stop])
+    if stop < n:
+        amplitudes = grid.amplitudes.copy()
+        amplitudes[stop // (2 * p)] = bumped.reshape(n, p)[stop]
+        propagate(problem, ControlGrid(amplitudes, dt))
+        raise QGrapeError(f"entry {stop} went unstable, but propagate passed its schedule")
     return ((values[0::2] - values[1::2]) / (2.0 * delta)).reshape(m, p)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import _first_bad
 from .errors import UndefinedRotationError, ValidationError
-from .fisher import _qfi_bloch
+from .fisher import _information
 
 __all__ = [
     "transverse_controlled_qfi",
@@ -76,8 +76,8 @@ def parallel_single_pulse_qfi(gamma: float, omega0: float, horizon: float, t0):
 
     The final Bloch vector is
     ``(e^{-gT} sin(w d) sin(w t0), e^{-gT} cos(w d) sin(w t0),
-    e^{-g t0} cos(w t0))`` with ``d = T - t0``; it and its derivative in w
-    go to :func:`qgrape.fisher.qfi_bloch`.
+    e^{-g t0} cos(w t0))`` with ``d = T - t0``; its Pauli rows ``(1, r)``, and
+    ``(0, dr)`` of its derivative in w, go to :func:`qgrape.fisher._information`.
     """
     times = _pulse_times(horizon, omega0, t0, gamma=gamma)
     w = omega0
@@ -92,7 +92,8 @@ def parallel_single_pulse_qfi(gamma: float, omega0: float, horizon: float, t0):
         decay_t * (times * cos_a * cos_b - tail * sin_a * sin_b),
         -decay_0 * times * sin_b,
     ]
-    value = _qfi_bloch(np.stack(r, axis=1), np.stack(dr, axis=1))
+    c = np.stack([np.ones_like(times), *r], axis=1)
+    value = _information(c, np.stack([np.zeros_like(times), *dr], axis=1), None)[0]
     return float(value[0]) if np.ndim(t0) == 0 else value.reshape(np.shape(t0))
 
 
@@ -109,12 +110,11 @@ def spontaneous_single_pulse_qfi(gamma_minus: float, omega0: float, horizon: flo
     float ``t0`` or at every pulse time of an array ``t0`` (the result then
     has its shape).
 
-    The final Bloch vector and its frequency derivative for the back-to-plane
-    pulse strategy go to :func:`qgrape.fisher.qfi_bloch`, with the rotation
-    frozen at the reference frequency: only the dynamics is differentiated;
-    the rotation matrix, built from the pre-pulse state at the reference
-    frequency, is held fixed.  The first pulse time whose rotation is
-    undefined or whose state fails the information check raises.
+    The final Bloch vector and its frequency derivative go, as Pauli rows, to
+    :func:`qgrape.fisher._information`.  Only the dynamics is differentiated:
+    the rotation, built from the pre-pulse state at the reference frequency,
+    is held fixed.  The first pulse time whose rotation is undefined or whose
+    state fails the information check raises.
     """
     times = _pulse_times(horizon, omega0, t0, gamma_minus=gamma_minus)
     gamma, w = gamma_minus, omega0
@@ -149,7 +149,8 @@ def spontaneous_single_pulse_qfi(gamma_minus: float, omega0: float, horizon: flo
         env_tail * (-tail * sin_a * q[1] + cos_a * dq[1] + tail * cos_a * q[0] + sin_a * dq[0]),
         relax_tail * dq[2],
     ]
-    value = _qfi_bloch(np.stack(r, axis=1), np.stack(dr, axis=1))
+    c = np.stack([np.ones_like(pulse), *r], axis=1)
+    value = _information(c, np.stack([np.zeros_like(pulse), *dr], axis=1), None)[0]
     if stop < len(times):
         raise UndefinedRotationError(
             f"pre-pulse state at t0 = {float(times[stop])} has no x-z component to rotate"

@@ -151,6 +151,10 @@ def test_bad_config_key_exits_one(tmp_path, capsys):
     cfg.write_text("omega0_true = 1\nT = 1\nturbo = yes\n")
     assert main(["simulate", "--config", str(cfg)]) == 1
     assert "turbo" in capsys.readouterr().err
+    # a byte that does not decode as UTF-8 is a config error naming its line
+    cfg.write_bytes(b"omega0_true = 1\nT = 1 \xff\n")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert "bad.cfg:2: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_simulate_reports_information(tmp_path, capsys):
@@ -261,6 +265,18 @@ def test_sweep_without_out_dir_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CONFIG)
     assert main(["sweep", "--config", str(cfg)]) == 1
+
+
+def test_out_path_that_is_a_file_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for command in ("optimize", "sweep"):
+        assert main([command, "--config", str(cfg), "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and str(taken) in err
+        assert "Traceback" not in err
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):
@@ -393,8 +409,8 @@ def test_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
     # an ascent whose gradient raises ends optimize with its iteration
     monkeypatch.setattr(grape, "_gradients", blow_up)
     assert main(["optimize", "--config", str(cfg)]) == 2
-    assert ("optimization failed at iteration 1: NumericalStabilityError: state lost "
-            "positivity at step 3") in capsys.readouterr().err
+    assert ("numerical failure: ascent failed at iteration 1: NumericalStabilityError: "
+            "state lost positivity at step 3") in capsys.readouterr().err
 
 
 def test_schedule_horizon_mismatch_is_config_error(tmp_path, capsys):
@@ -440,12 +456,13 @@ SCHEDULE_HEADER = "step_index,t_start,V_1,V_2,V_3\n"
         (SCHEDULE_HEADER + "0,0.0,0,0,1\n1,0.5,0,0,1\n2,0.7,0,0,1\n", 4),  # non-uniform t_start
         # the header's first two cells are exactly step_index,t_start
         ("step_index,t_start_s,V_1,V_2,V_3\n0,0.0,0,0,1\n1,0.5,0,0,1\n", 1),
+        (SCHEDULE_HEADER + "0,0.0,0,0,1\n1,0.5,0,\xff,1\n", 3),  # not UTF-8 once written
     ],
-    ids=["non_numeric", "ragged", "index_only", "non_uniform", "renamed_t_start"],
+    ids=["non_numeric", "ragged", "index_only", "non_uniform", "renamed_t_start", "non_utf8"],
 )
 def test_malformed_schedule_is_config_error(tmp_path, capsys, text, bad_line):
     sched = tmp_path / "bad.csv"
-    sched.write_text(text)
+    sched.write_text(text, encoding="latin-1")  # one byte per character
     assert main(["energy", "--schedule", str(sched)]) == 1
     assert f"bad.csv:{bad_line}:" in capsys.readouterr().err
 

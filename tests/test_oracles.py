@@ -182,6 +182,16 @@ class TestParallelSinglePulse:
         with pytest.raises(ValidationError):
             oracles.parallel_single_pulse_qfi(0.1, 1.0, 5.0, 6.0)
 
+    def test_noiseless_long_horizon_roundoff_is_no_error(self):
+        # with gamma = 0 the final state is pure and r . dr vanishes only to
+        # roundoff, about 1e-8 at T = 1e9; the oracle's rows go to the Fisher
+        # kernel as they are, with no tangency check of their own
+        horizon, t0 = 1e9, 5012531.328320802
+        value = oracles.parallel_single_pulse_qfi(0.0, 1.0, horizon, t0)
+        assert math.isfinite(value) and value == pytest.approx(5.77403e17, rel=1e-5)
+        values = oracles.parallel_single_pulse_qfi(0.0, 1.0, horizon, np.linspace(0, horizon, 400))
+        assert values.shape == (400,) and np.isfinite(values).all()
+
 
 class TestSinglePulseTimes:
     ORACLES = {
