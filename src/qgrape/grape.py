@@ -31,14 +31,24 @@ be alone: every per-row product of the Fisher information and of the
 gradient's assembly is elementwise, so a row rounds the same in any stack.
 When a stacked call raises, one rule, ``_each``, runs the stage again for
 each member alone, so that each gets the result or the error it gets alone.
+Since no report depends on which members climb beside it, the members are
+split into one share per core this process may run on, and every share but
+the first climbs in a child made by ``os.fork`` (Linux only; a platform
+without ``os.sched_getaffinity`` climbs one share), which sends its reports
+back pickled through a pipe.  The outputs are the same bytes on any number of
+cores.
 """
 
 from __future__ import annotations
 
 import numbers
+import os
+import pickle
+import signal
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -75,12 +85,14 @@ __all__ = [
 
 CONVERGENCE_WINDOW = 10
 MAX_BACKTRACK_HALVINGS = 20
-# The most steps that :func:`ascend_batch` climbs together.  A running member
-# keeps alive the flat arrays of the round it last moved in, so memory grows
-# with the group.  On a 2-vCPU host a 21-point theta sweep at m = 400 (42
-# members, 20 iterations) peaked at 45 MB in groups of 1,024 steps, 73 MB in
-# groups of 4,096, 204 MB as one group and 40 MB one member at a time; each
-# took 3-6 s, a spread that the host's own speed swings cover
+# The most steps that one share of :func:`ascend_batch` climbs together.  A
+# running member keeps alive the flat arrays of the round it last moved in, so
+# memory grows with the group.  On a 2-vCPU host a 21-point theta sweep at
+# m = 400 (42 members, 20 iterations, two shares of 21) peaked at 45 MB in
+# the calling process and 34 MB in its child in groups of 1,024 steps, 76 and
+# 62 MB in groups of 4,096, 111 and 102 MB with each share one group, and 40
+# and 30 MB one member at a time.  Each took 1.9-2.6 s, against 3.7-3.9 s on
+# one core; a child's peak counts the pages it shares with the calling process
 _BATCH_STEPS = 1024
 # steps of the finite-difference oracle whose states are checked together
 _STABILITY_BLOCK = 16
@@ -453,10 +465,16 @@ def ascend_batch(
     for, the first candidate of a member whose gradient just came included.
     A stage whose stacked call raises runs again for each member alone (see
     :func:`_each`), so a member that raises alone fails alone.  A finished
-    member leaves the rounds and holds no arrays.  Members climb in
-    consecutive groups of at most ``_BATCH_STEPS`` steps (a longer member
-    climbs alone), which bounds the memory a round takes.  Each report is
-    bitwise the one :func:`ascend` gives the member alone.  The members share
+    member leaves the rounds and holds no arrays.  The members are split into
+    one share per usable core (see :func:`_shares`); the caller climbs the
+    first share and a child forked for each other share climbs that one, so
+    one core or one member forks nothing.  A share climbs in consecutive
+    groups of at most ``_BATCH_STEPS`` steps (a longer member climbs alone),
+    which bounds the memory a round takes.  An exception raised in a share is
+    raised here, after every child has been reaped; when it comes from the
+    caller's own share, the children are killed first.  Each report is
+    bitwise the one :func:`ascend` gives the member alone, so the reports do
+    not depend on the number of cores.  The members share
     the objective, the step width and the problem's control generators and
     encoding; their free generators, probes, horizons and ascent settings may
     differ.
@@ -480,13 +498,93 @@ def ascend_batch(
                 "generators and the encoding"
             )
 
+    shares = _shares([grid.n_steps for _, _, grid in members])
+    climbs = [partial(_climb_share, [members[i] for i in share], first, objective)
+              for share in shares]
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for climb in climbs[1:]:
+            children.append(_forked(climb))
+        reports = dict(zip(shares[0], climbs[0]()))
+        for share, (_, pipe) in zip(shares[1:], children):
+            data = pipe.read()
+            if not data:
+                raise RuntimeError("a forked share of the batch ended without its reports")
+            result = pickle.loads(data)
+            if isinstance(result, BaseException):
+                raise result
+            reports.update(zip(share, result))
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    return [reports[i] for i in range(len(members))]
+
+
+def _shares(counts: list[int]) -> list[list[int]]:
+    """The indices of members of ``counts`` steps in one share per core that
+    this process may run on, and at most one per member: longest first, each
+    member joins the share with the fewest steps so far (the first of equals),
+    and each share keeps member order."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS and Windows have no affinity call
+        cores = 1
+    shares: list[list[int]] = [[] for _ in range(min(cores, len(counts)))]
+    loads = [0] * len(shares)
+    for i in sorted(range(len(counts)), key=lambda i: -counts[i]):
+        lightest = loads.index(min(loads))
+        shares[lightest].append(i)
+        loads[lightest] += counts[i]
+    return [sorted(share) for share in shares if share]
+
+
+def _climb_share(
+    members: list[tuple], problem: EstimationProblem, objective: Objective
+) -> list[AscentReport]:
+    """The reports of ``members`` in order, climbed in consecutive groups of
+    at most ``_BATCH_STEPS`` steps (a longer member climbs alone)."""
     reports, group = [], []
     for member in members:
         if group and sum(g.n_steps for _, _, g in group) + member[2].n_steps > _BATCH_STEPS:
-            reports += _climb_together(group, first, objective)
+            reports += _climb_together(group, problem, objective)
             group = []
         group.append(member)
-    return reports + _climb_together(group, first, objective)
+    return reports + _climb_together(group, problem, objective)
+
+
+def _forked(climb: Callable[[], list]) -> tuple[int, BinaryIO]:
+    """Run ``climb()`` in a forked child: its process id, and the read end of
+    the pipe to which it writes the pickled result, or the exception that
+    ``climb`` raised.  The child leaves by ``os._exit``, so it runs none of
+    its parent's exit handlers and flushes none of its buffers.  A fork, not
+    a fresh interpreter: re-importing numpy and qgrape takes about 0.2 s, more
+    than a whole horizon sweep; qgrape starts no threads, and OpenBLAS stops
+    its thread pool across a fork by its own handler."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    try:
+        os.close(read)
+        try:
+            result = climb()
+        except BaseException as exc:  # raised again in the parent
+            result = exc
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(result))
+    finally:
+        os._exit(0)
 
 
 def _climb(config: AscentConfig, grid: ControlGrid):

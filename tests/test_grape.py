@@ -1,4 +1,5 @@
 import math
+import os
 import pickle
 import tracemalloc
 import warnings
@@ -281,6 +282,30 @@ class TestGradientPaths:
             for traj, prob, table in zip(trajs, probs, tables):
                 assert table.shape == (traj.n_steps, 3)
                 assert table.tobytes() == grape.gradient(traj, prob, objective).tobytes()
+
+    @pytest.mark.parametrize("offset", [0.0, -1e-7, 1e-7, -1e-4, 1e-4])
+    def test_exceptional_point(self, offset):
+        # parallel dephasing at gamma = 0.2, its detuning cancelled by
+        # V_z = -omega/2, under a constant drive V_x: the y-z block of the
+        # generator, [[-gamma, -2 V_x], [2 V_x, 0]], is defective at
+        # V_x = gamma/4 = 0.05.  There and on both sides of it the QFI and
+        # CFI-along-y gradients meet criterion 04's bounds against central
+        # differences
+        omega, gamma, dt = 1.0, 0.2, 0.05
+        problem = make_problem(dyn.Dephasing(theta=0.0, phi=0.0, gamma=gamma), horizon=5.0,
+                               omega=omega)
+        grid = dyn.ControlGrid.constant([0.05 + offset, 0.0, -omega / 2], 100, dt)
+        if offset == 0.0:
+            eigenvalues = np.linalg.eigvals(dyn._generators(problem, grid.amplitudes[:1])[0])
+            gaps = np.abs(eigenvalues[:, None] - eigenvalues[None, :]) + np.eye(4)
+            assert gaps.min() < 1e-4
+        traj = dyn.propagate(problem, grid)
+        for objective in (grape.qfi_objective(), grape.cfi_objective(fisher.Povm.along([0, 1, 0]))):
+            analytic = grape.gradient(traj, problem, objective)
+            numeric = grape.finite_difference_gradient(problem, grid, objective, 1e-5)
+            diff = np.abs(analytic - numeric)
+            rel = diff / np.maximum(np.abs(numeric), 1e-300)
+            assert ((rel <= 1e-2) | (diff <= 1e-6)).all(), objective.kind
 
     def test_evaluation_leaves_the_trajectory_as_it_was(self):
         # the objective and its gradient read a trajectory and write nothing
@@ -966,11 +991,14 @@ class TestAscendBatch:
         assert_same_report(reports[2], solos[2])
 
     def test_finished_members_release_their_arrays(self):
-        # members of 400 steps climb in groups of two, so twenty members make
-        # ten groups; a finished member must not keep the flat arrays of its
-        # last round alive until the batch returns
+        # members of 400 steps climb in groups of two, so each share of twenty
+        # members climbs groups of two one after another; a finished member
+        # must not keep the flat arrays of its last round alive until the
+        # batch returns.  Only the caller's share is traced, so the baseline
+        # gives that share one group of two as well
         problem = make_problem(NOISE_MODELS["transverse"], horizon=20.0)
         config = grape.AscentConfig(dt=0.05, max_iterations=2)
+        shares = len(grape._shares([400] * 20))
 
         def peak(n):
             tracemalloc.start()
@@ -980,7 +1008,106 @@ class TestAscendBatch:
             finally:
                 tracemalloc.stop()
 
-        assert peak(20) < 1.5 * peak(2)
+        assert peak(20) < 1.5 * peak(2 * shares)
+
+    @staticmethod
+    def on_cores(monkeypatch, cores):
+        """Let this process run on ``cores`` cores, or on a platform without
+        an affinity call when ``cores`` is None; returns the list that each
+        fork appends its child's id to."""
+        if cores is None:
+            monkeypatch.delattr(os, "sched_getaffinity")
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        forks, real = [], os.fork
+
+        def fork():
+            pid = real()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_shares_split_longest_first_into_the_lightest(self, monkeypatch):
+        for cores, want in ((1, [[0, 1, 2, 3, 4, 5]]),
+                            (2, [[1, 2, 5], [0, 3, 4]]),
+                            (3, [[0, 5], [1, 4], [2, 3]])):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+            assert grape._shares([20, 40, 60, 80, 100, 120]) == want
+        # ties go to the first share, one share per member at most, and a
+        # share that gets no steps is dropped
+        assert grape._shares([50, 50, 50]) == [[0], [1], [2]]
+        assert grape._shares([7]) == [[0]]
+        assert grape._shares([0, 0]) == [[0, 1]]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert grape._shares([20, 40]) == [[0, 1]]
+
+    @pytest.mark.parametrize("cores", [None, 1, 2, 3])
+    def test_reports_do_not_depend_on_the_cores(self, monkeypatch, cores):
+        # a ragged batch as in a horizon sweep (m = 20..120) and a theta
+        # sweep's batch of two probes per point
+        objective = grape.qfi_objective()
+        ragged = [make_problem(NOISE_MODELS["emission"], horizon=m * 0.05)
+                  for m in range(20, 121, 20)]
+        theta = [make_problem(dyn.Dephasing(theta=t, phi=0.0, gamma=0.1), horizon=2.0,
+                              probe=probe)
+                 for t in (0.5, 1.0, 1.5) for probe in (dyn.plus_state(), dyn.zero_state())]
+        for problems in (ragged, theta):
+            configs = [grape.AscentConfig(dt=0.05, max_iterations=6, seed=s, momentum=0.9)
+                       for s in range(len(problems))]
+            solos = [grape.ascend(p, c, objective) for p, c in zip(problems, configs)]
+            forks = self.on_cores(monkeypatch, cores)
+            reports = grape.ascend_batch(problems, configs, objective)
+            monkeypatch.undo()
+            assert len(forks) == (cores or 1) - 1
+            assert len(reports) == len(problems)
+            for report, solo in zip(reports, solos):
+                assert_same_report(report, solo)
+            self.assert_no_child_left()
+
+    @pytest.mark.parametrize("where", ["child", "caller"])
+    def test_exception_of_a_share_reaches_the_caller(self, monkeypatch, where):
+        # with two cores the 40-step member climbs in the caller and the
+        # other two in a child
+        forks = self.on_cores(monkeypatch, 2)
+        raising = 20 if where == "child" else 40
+        real = grape._climb_together
+
+        def raises_for_one(members, problem, objective):
+            if any(grid.n_steps == raising for _, _, grid in members):
+                raise RuntimeError(f"synthetic failure at m = {raising}")
+            return real(members, problem, objective)
+
+        monkeypatch.setattr(grape, "_climb_together", raises_for_one)
+        problems = [make_problem(NOISE_MODELS["parallel"], horizon=m * 0.05) for m in (20, 30, 40)]
+        configs = [grape.AscentConfig(dt=0.05, max_iterations=3, seed=s) for s in range(3)]
+        with pytest.raises(RuntimeError, match=f"^synthetic failure at m = {raising}$"):
+            grape.ascend_batch(problems, configs, grape.qfi_objective())
+        assert len(forks) == 1
+        self.assert_no_child_left()
+
+    def test_child_that_ends_without_reports(self, monkeypatch):
+        self.on_cores(monkeypatch, 2)
+        real = grape._climb_together
+
+        def exits_for_one(members, problem, objective):
+            if any(grid.n_steps == 20 for _, _, grid in members):
+                os._exit(3)  # only ever in the child
+            return real(members, problem, objective)
+
+        monkeypatch.setattr(grape, "_climb_together", exits_for_one)
+        problems = [make_problem(NOISE_MODELS["parallel"], horizon=m * 0.05) for m in (20, 40)]
+        configs = [grape.AscentConfig(dt=0.05, max_iterations=3, seed=s) for s in range(2)]
+        with pytest.raises(RuntimeError, match="ended without its reports"):
+            grape.ascend_batch(problems, configs, grape.qfi_objective())
+        self.assert_no_child_left()
 
     def test_members_must_share_the_model_and_step_width(self):
         config = grape.AscentConfig(dt=0.1, max_iterations=2)
