@@ -5,7 +5,7 @@ comment; nested fields are dotted, e.g. ``ascent.step_size``).  ``_KEYS``
 lists every recognized key with its parser, the field it sets and its
 meaning; a key a file leaves out takes that field's dataclass default, and
 ``omega0_true`` and ``T`` are required.  ``_keys_read`` lists the keys that
-a scenario reads.
+a scenario reads: those of its noise kind and of its sweep axis.
 
 Unknown keys, and keys that the scenario does not read, are rejected with
 their line.
@@ -15,8 +15,8 @@ This module owns every file format: ``_write_lines`` writes each file
 ``_read_table`` parses each CSV read back.  A table is a header row, then
 rows of index cells (``step_index``, ``iteration``) as integers and every
 other cell at 12 significant digits (``nan`` where a metric does not apply).
-A sweep writes tables ``<axis>, qfi, qfi_per_t, qfi_per_t2, cfi, oracle_qfi,
-uncontrolled_qfi``, schedules ``step_index, t_start, V_1..V_p`` and a
+A sweep writes tables ``<axis>, <metric columns>``, as its ``_SWEEP_AXES``
+entry names them, schedules ``step_index, t_start, V_1..V_p`` and a
 ``manifest.txt`` (config snapshot, seed, versions, wall clock); ``qgrape
 optimize`` writes ``history.csv`` and ``config.cfg``, ``qgrape energy`` a
 ``t, energy`` table.  Identical configs and seeds reproduce identical bytes.
@@ -27,11 +27,12 @@ from __future__ import annotations
 import math
 import platform
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,7 +80,6 @@ __all__ = [
 ]
 
 METRIC_COLUMNS = ("qfi", "qfi_per_t", "qfi_per_t2", "cfi", "oracle_qfi", "uncontrolled_qfi")
-AXIS_NAMES = {"theta": "theta", "omega_hat": "omega0", "t0": "t0", "horizon": "horizon"}
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ class ScenarioConfig:
             if value is not None and not abs(value) < math.inf:
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.sweep_axis is not None:
-            if self.sweep_axis not in AXIS_NAMES:
+            if self.sweep_axis not in _SWEEP_AXES:
                 raise ConfigError(f"unknown sweep axis {self.sweep_axis!r}")
             if self.sweep_points < 2:
                 raise ConfigError("sweep needs at least 2 points")
@@ -142,7 +142,18 @@ class ScenarioConfig:
         return self.noise if theta is None else replace(self.noise, theta=theta)
 
     def probe_state(self) -> np.ndarray:
-        return _parse_probe(self.probe)
+        name = self.probe.strip().lower()
+        if name == "plus":
+            return plus_state()
+        if name == "zero":
+            return zero_state()
+        parts = self.probe.split(",")
+        if len(parts) == 3:
+            try:
+                return density_from_bloch([float(x) for x in parts])
+            except ValueError as exc:
+                raise ConfigError(f"bad probe Bloch vector {self.probe!r}: {exc}") from exc
+        raise ConfigError(f"probe must be 'plus', 'zero', or 'r1,r2,r3', got {self.probe!r}")
 
     def povm(self) -> Povm:
         return Povm.plus_minus() if self.povm_name == "pm" else Povm.computational()
@@ -152,21 +163,6 @@ class ScenarioConfig:
 
     def sweep_grid(self) -> np.ndarray:
         return np.linspace(self.sweep_start, self.sweep_stop, self.sweep_points)
-
-
-def _parse_probe(text: str) -> np.ndarray:
-    name = text.strip().lower()
-    if name == "plus":
-        return plus_state()
-    if name == "zero":
-        return zero_state()
-    parts = text.split(",")
-    if len(parts) == 3:
-        try:
-            return density_from_bloch([float(x) for x in parts])
-        except ValueError as exc:
-            raise ConfigError(f"bad probe Bloch vector {text!r}: {exc}") from exc
-    raise ConfigError(f"probe must be 'plus', 'zero', or 'r1,r2,r3', got {text!r}")
 
 
 def _finite(text: str) -> float:
@@ -213,12 +209,19 @@ _NOISE_KINDS = {
 }
 
 
+def _unread(sweep_axis: str | None) -> tuple[str, ...]:
+    """Prefixes of the keys a sweep axis does not read; ``sweep*`` without one."""
+    return ("sweep",) if sweep_axis is None else _SWEEP_AXES[sweep_axis].unread
+
+
 def _keys_read(model: NoiseModel, sweep_axis: str | None) -> list[str]:
     """The keys a scenario reads, in ``_KEYS`` order: ``noise.<field>`` for each
-    field of its noise model, ``sweep*`` only with a sweep, and every other key."""
+    field of its noise model and every other key, less those of
+    :func:`_unread`."""
     noise = ["noise." + f.name for f in fields(model)] if model is not None else []
-    skipped = ("noise.",) if sweep_axis is not None else ("noise.", "sweep")
-    return [key for key in _KEYS if key in noise or not key.startswith(skipped)]
+    unread = _unread(sweep_axis)
+    return [key for key in _KEYS
+            if (key in noise or not key.startswith("noise.")) and not key.startswith(unread)]
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
@@ -253,10 +256,13 @@ def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
     if kind not in _NOISE_KINDS:
         raise ConfigError(f"{source}:{lines['noise']}: unknown noise kind {kind!r}")
     default = _NOISE_KINDS[kind]
-    read = _keys_read(default, scenario.get("sweep_axis"))
+    axis = scenario.get("sweep_axis")
+    if axis is not None and axis not in _SWEEP_AXES:
+        raise ConfigError(f"{source}:{lines['sweep']}: unknown sweep axis {axis!r}")
+    read, unread = _keys_read(default, axis), _unread(axis)
     for key, lineno in lines.items():
         if key not in read:
-            head = f"noise = {kind}" if key.startswith("noise.") else "sweep = none"
+            head = f"sweep = {axis or 'none'}" if key.startswith(unread) else f"noise = {kind}"
             raise ConfigError(f"{source}:{lineno}: {head} does not read {key!r}")
     try:
         noise = None if default is None else replace(default, **owners["noise"])
@@ -290,7 +296,7 @@ def config_snapshot(config: ScenarioConfig) -> str:
 class RunRecord:
     """Results of one sweep: per-point metric rows plus reproduction data."""
 
-    axis_name: str
+    axis: str  # the sweep axis, a key of ``_SWEEP_AXES``
     tables: dict[str, list[dict]]
     config_snapshot: str
     seed: int
@@ -301,27 +307,11 @@ class RunRecord:
     below_uncontrolled: list[str] = field(default_factory=list)
 
 
-def _versions() -> dict[str, str]:
-    return {
-        "qgrape": _pkg_version,
-        "numpy": np.__version__,
-        "python": platform.python_version(),
-    }
-
-
-def _scenario_problem(
-    config: ScenarioConfig,
-    x: float,
-    theta: float | None = None,
-    probe: np.ndarray | None = None,
-    horizon: float | None = None,
-) -> EstimationProblem:
-    return frequency_estimation_problem(
-        omega0=x,
-        noise=config.noise_model(theta=theta),
-        probe=config.probe_state() if probe is None else probe,
-        horizon=config.horizon if horizon is None else horizon,
-    )
+def _scenario_problem(config: ScenarioConfig, x: float, **changes) -> EstimationProblem:
+    """``config``'s problem at frequency ``x``; ``changes`` replace its
+    ``noise``, ``probe`` or ``horizon``."""
+    given = dict(noise=config.noise, probe=config.probe_state(), horizon=config.horizon)
+    return frequency_estimation_problem(omega0=x, **{**given, **changes})
 
 
 def _qfi_cfi_of_grid(
@@ -348,16 +338,6 @@ def _point_ascent(config: ScenarioConfig, index: int) -> AscentConfig:
     return replace(config.ascent, seed=int(seed))
 
 
-def _metric_row(axis_value: float, horizon: float, **metrics) -> dict:
-    row = {"axis": float(axis_value)}
-    for col in METRIC_COLUMNS:
-        row[col] = float(metrics.get(col, math.nan))
-    if not math.isnan(row["qfi"]):
-        row["qfi_per_t"] = row["qfi"] / horizon
-        row["qfi_per_t2"] = row["qfi"] / horizon**2
-    return row
-
-
 def _schedule_metrics(
     problem: EstimationProblem, report: AscentReport, povm: Povm, oracle_qfi: float = math.nan
 ) -> tuple[dict, ControlGrid]:
@@ -369,8 +349,10 @@ def _schedule_metrics(
     q_free, c_free = _qfi_cfi_of_grid(problem, free, povm)
     grid = _optimized_grid(report)
     q_opt, c_opt = _qfi_cfi_of_grid(problem, grid, povm)
-    metrics = dict(qfi=q_opt, cfi=c_opt, oracle_qfi=oracle_qfi)
-    return dict(metrics, uncontrolled_qfi=q_free, uncontrolled_cfi=c_free), grid
+    horizon = problem.horizon
+    metrics = dict(qfi=q_opt, qfi_per_t=q_opt / horizon, qfi_per_t2=q_opt / horizon**2, cfi=c_opt)
+    metrics.update(oracle_qfi=oracle_qfi, uncontrolled_qfi=q_free, uncontrolled_cfi=c_free)
+    return metrics, grid
 
 
 def _theta_axis(config: ScenarioConfig):
@@ -379,7 +361,8 @@ def _theta_axis(config: ScenarioConfig):
     One table per probe (|+> and |0>): optimized information in
     ``qfi``/``cfi``, free evolution of the same probe in ``uncontrolled_qfi``,
     and the noiseless reference T^2 in ``oracle_qfi``.  Both probes of a
-    point climb with the point's seed.
+    point climb with the point's seed, so the axis reads no ``probe``, and
+    the swept angle stands in for ``noise.theta``.
     """
     if not isinstance(config.noise, Dephasing):
         raise ConfigError("theta sweep requires dephasing noise")
@@ -389,7 +372,8 @@ def _theta_axis(config: ScenarioConfig):
     def ascents(index: int, theta: float):
         ascent = _point_ascent(config, index)
         return [
-            (_scenario_problem(config, config.design_frequency, theta=theta, probe=probe), ascent)
+            (_scenario_problem(config, config.design_frequency, noise=config.noise_model(theta),
+                              probe=probe), ascent)
             for probe in probes.values()
         ]
 
@@ -490,7 +474,8 @@ def _omega_hat_axis(config: ScenarioConfig):
 
 def _t0_axis(config: ScenarioConfig):
     """Closed-form single-pulse information as a function of the pulse time,
-    with the free-evolution value as the horizontal reference."""
+    with the free-evolution value as the horizontal reference.  The closed
+    forms fix their own probe and pulse, so the axis reads no design key."""
     forms = _single_pulse_forms(config)
     if forms is None:
         raise ConfigError("single-pulse analysis covers parallel dephasing (theta = 0) and "
@@ -507,18 +492,30 @@ def _t0_axis(config: ScenarioConfig):
     return ("pulse_scan",), None, point, {}
 
 
-# Each axis checks its preconditions, runs any set-up shared by all points,
-# and returns (table names, ascents, point function, schedules written once).
-# ``ascents`` maps (index, axis value) to the (problem, ascent config) pairs
-# the point optimizes, and raises the point's error if it cannot set them up;
-# it is ``None`` for an axis whose points climb no ascent of their own.  The
-# point function maps (index, axis value, [(problem, report)] of those
-# ascents) to ({table: metrics}, {name: schedule}).
+class _Axis(NamedTuple):
+    """A sweep axis's contract.  ``setup`` checks the axis's preconditions,
+    runs any set-up shared by all points, and returns (table names, ascents,
+    point function, schedules written once).  ``ascents`` maps (index, axis
+    value) to the (problem, ascent config) pairs the point optimizes, and
+    raises the point's error if it cannot set them up; it is ``None`` for an
+    axis whose points climb no ascent of their own.  The point function maps
+    (index, axis value, [(problem, report)] of those ascents) to ({table:
+    metrics}, {name: schedule})."""
+
+    name: str  # the tables' axis column and the manifest's label
+    unread: tuple[str, ...]  # prefixes of the keys that the axis does not read
+    columns: tuple[str, ...]  # the metric columns of its tables
+    setup: Callable
+
+
 _SWEEP_AXES = {
-    "theta": _theta_axis,
-    "horizon": _horizon_axis,
-    "omega_hat": _omega_hat_axis,
-    "t0": _t0_axis,
+    "theta": _Axis("theta", ("probe", "noise.theta"), METRIC_COLUMNS, _theta_axis),
+    "horizon": _Axis("horizon", (), METRIC_COLUMNS, _horizon_axis),
+    # judged under the one design schedule, with no reference curve: no oracle_qfi
+    "omega_hat": _Axis("omega0", (), METRIC_COLUMNS[:4] + METRIC_COLUMNS[5:], _omega_hat_axis),
+    # closed forms alone: no design, no ascent, no optimized metric
+    "t0": _Axis("t0", ("omega0_hat", "probe", "dt", "objective", "ascent."),
+                ("oracle_qfi", "uncontrolled_qfi"), _t0_axis),
 }
 
 
@@ -542,8 +539,8 @@ def run_sweep(config: ScenarioConfig) -> RunRecord:
     if config.sweep_axis is None:
         raise ConfigError("config declares no sweep axis")
     start = time.perf_counter()
-    table_names, ascents, point, schedules = _SWEEP_AXES[config.sweep_axis](config)
-    label = "T" if config.sweep_axis == "horizon" else AXIS_NAMES[config.sweep_axis]
+    axis = _SWEEP_AXES[config.sweep_axis]
+    table_names, ascents, point, schedules = axis.setup(config)
     values = config.sweep_grid().tolist()
     kind = config.objective_kind
     plans: list = []
@@ -566,27 +563,27 @@ def run_sweep(config: ScenarioConfig) -> RunRecord:
             runs = [(problem, next(reports)) for problem, _ in plan]
             metrics, point_schedules = point(index, value, runs)
         except QGrapeError as exc:
-            flagged.append(f"{label}={value:.6g}: {type(exc).__name__}: {exc}")
+            flagged.append(f"{axis.name}={value:.6g}: {type(exc).__name__}: {exc}")
             metrics, point_schedules = dict.fromkeys(table_names, {}), {}
-        horizon = value if config.sweep_axis == "horizon" else config.horizon
         for name in table_names:
-            row = _metric_row(value, horizon, **metrics[name])
-            tables[name].append(row)
+            row = {col: float(metrics[name].get(col, math.nan)) for col in axis.columns}
+            tables[name].append({"axis": value, **row})
             # a point that climbed should not end below free evolution in the
             # metric that its ascent climbed
             free = metrics[name].get(f"uncontrolled_{kind}", math.nan)
             if plan and row[kind] < free:
-                where = label if len(table_names) == 1 else f"{name} {label}"
+                where = axis.name if len(table_names) == 1 else f"{name} {axis.name}"
                 text = f"{kind} {row[kind]:.6g} < uncontrolled_{kind} {free:.6g}"
                 below.append(f"{where}={value:.6g}: {text}")
         schedules.update(point_schedules)
     return RunRecord(
-        axis_name=AXIS_NAMES[config.sweep_axis],
+        axis=config.sweep_axis,
         tables=tables,
         config_snapshot=config_snapshot(config),
         seed=config.ascent.seed,
         wall_clock=time.perf_counter() - start,
-        versions=_versions(),
+        versions={"qgrape": _pkg_version, "numpy": np.__version__,
+                  "python": platform.python_version()},
         schedules=schedules,
         flagged=flagged,
         below_uncontrolled=below,
@@ -654,14 +651,14 @@ def _read_table(path: str | Path) -> tuple[list[str], list[list[float]]]:
 def write_run(record: RunRecord, out_dir: str | Path) -> list[Path]:
     """Write all tables, schedules, and the manifest; returns written paths."""
     out = Path(out_dir)
-    header = (record.axis_name,) + METRIC_COLUMNS
+    axis = _SWEEP_AXES[record.axis]
+    header = (axis.name, *axis.columns)
     written = []
     for name, rows in record.tables.items():
-        cells = ([row["axis"], *(row[col] for col in METRIC_COLUMNS)] for row in rows)
+        cells = ([row["axis"], *(row[col] for col in axis.columns)] for row in rows)
         written.append(_write_lines(out / f"{name}.csv", _table_lines(header, cells)))
     for name, grid in record.schedules.items():
-        write_schedule(out / f"{name}.csv", grid)
-        written.append(out / f"{name}.csv")
+        written.append(write_schedule(out / f"{name}.csv", grid))
     body = [
         "[versions]",
         *(f"{k} = {v}" for k, v in record.versions.items()),
@@ -669,7 +666,7 @@ def write_run(record: RunRecord, out_dir: str | Path) -> list[Path]:
         "[run]",
         f"seed = {record.seed}",
         f"wall_clock_seconds = {record.wall_clock:.3f}",
-        f"axis = {record.axis_name}",
+        f"axis = {axis.name}",
     ]
     if record.flagged:
         body += ["", "[flagged_points]", *record.flagged]
@@ -680,11 +677,11 @@ def write_run(record: RunRecord, out_dir: str | Path) -> list[Path]:
     return written
 
 
-def write_schedule(path: str | Path, grid: ControlGrid) -> None:
-    """Schedule CSV: ``step_index, t_start, V_1..V_p``."""
+def write_schedule(path: str | Path, grid: ControlGrid) -> Path:
+    """Schedule CSV: ``step_index, t_start, V_1..V_p``; returns the path."""
     header = ["step_index", "t_start"] + [f"V_{k + 1}" for k in range(grid.n_controls)]
     rows = ([j, j * grid.dt, *v] for j, v in enumerate(grid.amplitudes.tolist()))
-    _write_lines(path, _table_lines(header, rows))
+    return _write_lines(path, _table_lines(header, rows))
 
 
 def read_schedule(path: str | Path) -> ControlGrid:
@@ -714,9 +711,11 @@ def read_schedule(path: str | Path) -> ControlGrid:
 
 
 def check_output_schema(path: str | Path) -> None:
-    """Validate a sweep CSV: header columns, row widths, parseable decimals."""
+    """Validate a sweep CSV: the axis named by its first header cell, that
+    axis's metric columns, row widths, parseable decimals."""
     header, _ = _read_table(path)
-    if tuple(header[1:]) != METRIC_COLUMNS:
-        raise ConfigError(f"{path}:1: malformed header {','.join(header)!r}")
-    if header[0] not in AXIS_NAMES.values():
+    axis = next((axis for axis in _SWEEP_AXES.values() if axis.name == header[0]), None)
+    if axis is None:
         raise ConfigError(f"{path}:1: unknown sweep axis column {header[0]!r}")
+    if tuple(header[1:]) != axis.columns:
+        raise ConfigError(f"{path}:1: malformed header {','.join(header)!r}")

@@ -33,8 +33,10 @@ sweep.points = 3
 
 # one tiny sweep per axis, and the table each one writes
 AXIS_SWEEPS = {
+    # a theta sweep sets no noise.theta: the swept angle replaces it
     "theta": (
-        SWEEP_CONFIG.replace("sweep = omega_hat", "sweep = theta")
+        SWEEP_CONFIG.replace("noise.theta = 1.5707963267948966\n", "")
+        .replace("sweep = omega_hat", "sweep = theta")
         .replace("sweep.stop = 1.05", "sweep.stop = 3.0"),
         ("theta_probe_plus.csv", "theta_probe_zero.csv"),
     ),
@@ -45,8 +47,12 @@ AXIS_SWEEPS = {
         ("horizon_scan.csv",),
     ),
     "omega_hat": (SWEEP_CONFIG, ("robustness_scan.csv",)),
+    # a t0 sweep runs no ascent, so it sets no dt and no ascent.* key
     "t0": (
         SWEEP_CONFIG.replace("noise.theta = 1.5707963267948966", "noise.theta = 0.0")
+        .replace("dt = 0.1\n", "")
+        .replace("ascent.step_size = 0.1\nascent.max_iterations = 20\n"
+                 "ascent.seed = 5\nascent.init_mode = zero\n", "")
         .replace("sweep = omega_hat", "sweep = t0")
         .replace("sweep.start = 0.95", "sweep.start = 0.0")
         .replace("sweep.stop = 1.05", "sweep.stop = 2.0"),
@@ -194,6 +200,20 @@ def test_optimize_writes_schedule_and_history(tmp_path, capsys):
     history = (out_dir / "history.csv").read_text().splitlines()
     assert history[0] == "iteration,objective"
     assert len(history) == 12  # header + initial + 10 iterations
+
+
+def test_one_step_schedule_is_not_read_back(tmp_path, capsys):
+    # one row states no step width: reading it back is a config error
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("omega0_true = 1.0\nT = 0.1\ndt = 0.1\nascent.max_iterations = 2\n")
+    out_dir = tmp_path / "run"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    assert len((out_dir / "schedule.csv").read_text().splitlines()) == 2
+    capsys.readouterr()
+    schedule = ["--schedule", str(out_dir / "schedule.csv")]
+    for command in (["energy"], ["simulate", "--config", str(cfg)]):
+        assert main([*command, *schedule]) == 1
+        assert "schedule needs at least two rows to infer dt" in capsys.readouterr().err
 
 
 def test_dt_override_sets_the_one_step_width(tmp_path):
@@ -404,7 +424,7 @@ def test_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--config", str(swept), "--out", str(tmp_path / "run")]) == 0
     assert "2 point(s) flagged; see manifest" in capsys.readouterr().err
     manifest = (tmp_path / "run" / "manifest.txt").read_text()
-    assert "T=0.5: NumericalStabilityError: state lost positivity at step 3" in manifest
+    assert "horizon=0.5: NumericalStabilityError: state lost positivity at step 3" in manifest
 
     # an ascent whose gradient raises ends optimize with its iteration
     monkeypatch.setattr(grape, "_gradients", blow_up)

@@ -96,7 +96,11 @@ class TestConfigParsing:
             exp.parse_config_text(base.format("left")).probe_state()
 
 
-# every key of the format that dephasing noise reads, each away from its default
+# the head of a t0 sweep: a pulse scan under parallel dephasing
+PULSE = "noise = dephasing\nnoise.theta = 0\nsweep = t0\n"
+
+# every key of the format that dephasing noise reads, each away from its default,
+# in a horizon sweep, which reads every key
 ALL_KEYS_CONFIG = """
 noise = dephasing
 noise.theta = 0.3
@@ -115,7 +119,7 @@ ascent.convergence_tolerance = 1e-9
 ascent.seed = 13
 ascent.init_mode = zero
 ascent.momentum = 0.6
-sweep = theta
+sweep = horizon
 sweep.start = 0.5
 sweep.stop = 2.5
 sweep.points = 5
@@ -201,20 +205,33 @@ class TestSnapshotFormat:
             ("sweep.start = 0.5\n", "sweep.start", 1),
             ("sweep.stop = 3.0\n", "sweep.stop", 1),
             ("omega0_true = 1\nsweep.points = 1\n", "sweep.points", 2),
+            # a t0 sweep reads the closed forms' keys alone: no design key
+            (f"{PULSE}probe = zero\n", "probe", 4),
+            (f"{PULSE}dt = 0.1\n", "dt", 4),
+            (f"{PULSE}objective = cfi\n", "objective", 4),
+            (f"{PULSE}ascent.seed = 3\n", "ascent.seed", 4),
+            (f"{PULSE}omega0_hat = 1.1\n", "omega0_hat", 4),
+            # a theta sweep climbs both probes, and its angle replaces noise.theta
+            ("noise = dephasing\nsweep = theta\nprobe = zero\n", "probe", 3),
+            ("noise = dephasing\nnoise.theta = 0.3\nsweep = theta\n", "noise.theta", 2),
         ],
         ids=["emission_gamma", "emission_phi", "dephasing_gamma_minus", "no_noise_gamma",
-             "no_sweep_start", "no_sweep_stop", "no_sweep_points"],
+             "no_sweep_start", "no_sweep_stop", "no_sweep_points", "t0_probe", "t0_dt",
+             "t0_objective", "t0_ascent_seed", "t0_omega0_hat", "theta_probe",
+             "theta_noise_theta"],
     )
     def test_noise_keys_the_selected_kind_does_not_read_rejected(self, tmp_path, capsys,
                                                                  noise, key, line):
         # such a key would otherwise be accepted and never read
+        sweep = re.search(r"^sweep = \w+$", noise, re.MULTILINE)
         if key.startswith("sweep."):
             text = noise + "T = 1\n" + ("" if "omega0_true" in noise else "omega0_true = 1\n")
             setting = "sweep = none"
             command = ["simulate"]
         else:
-            text = noise + "omega0_true = 1\nT = 1\nsweep = horizon\nsweep.start = 0.5\n"
-            setting = "noise = .*"
+            text = noise + "omega0_true = 1\nT = 1\n" + ("" if sweep else "sweep = horizon\n")
+            text += "sweep.start = 0.5\n"
+            setting = sweep.group() if sweep else "noise = .*"
             command = ["sweep", "--out", str(tmp_path / "run")]
         with pytest.raises(ConfigError, match=f"<config>:{line}: {setting} does not read '{key}'"):
             exp.parse_config_text(text)
@@ -422,7 +439,7 @@ class TestTimeScan:
         monkeypatch.setattr(grape, "_gradients", infinite_for_one)
         record = exp.run_sweep(config)
         assert record.flagged == [
-            "T=2: QGrapeError: ascent failed at iteration 1: ValidationError: control "
+            "horizon=2: QGrapeError: ascent failed at iteration 1: ValidationError: control "
             "amplitudes must be finite"
         ]
         rows, clean_rows = record.tables["horizon_scan"], clean.tables["horizon_scan"]
@@ -663,7 +680,9 @@ class TestOutputFiles:
         exp.write_run(exp.run_sweep(config), tmp_path)
         raw = (tmp_path / "pulse_scan.csv").read_bytes()
         assert b"\r" not in raw
-        first_oracle_cell = raw.decode().splitlines()[1].split(",")[5]
+        header, first_row = raw.decode().splitlines()[:2]
+        assert header == "t0,oracle_qfi,uncontrolled_qfi"
+        first_oracle_cell = first_row.split(",")[1]
         mantissa = first_oracle_cell.split("e")[0].replace("-", "").replace(".", "")
         assert len(mantissa) == 12
 
@@ -688,8 +707,11 @@ class TestOutputFiles:
              "schedule needs at least two rows"),
             (exp.check_output_schema, "bogus," + ",".join(exp.METRIC_COLUMNS) + "\n1,2,3,4,5,6,7\n",
              "unknown sweep axis column 'bogus'"),
+            # a pulse scan writes no optimized metric columns
+            (exp.check_output_schema, "t0," + ",".join(exp.METRIC_COLUMNS) + "\n1,2,3,4,5,6,7\n",
+             "malformed header"),
         ],
-        ids=["one_row_schedule", "unknown_axis_column"],
+        ids=["one_row_schedule", "unknown_axis_column", "t0_metric_columns"],
     )
     def test_readers_reject_malformed_files(self, tmp_path, reader, text, message):
         path = tmp_path / "bad.csv"
@@ -759,15 +781,15 @@ class TestOutputFiles:
         record = exp.run_sweep(config)
         rows = record.tables["horizon_scan"]
         assert all(row["qfi"] < row["uncontrolled_qfi"] for row in rows)
-        assert [line.split(":")[0] for line in record.below_uncontrolled] == ["T=1", "T=2"]
+        assert [line.split(":")[0] for line in record.below_uncontrolled] == ["horizon=1", "horizon=2"]
         assert "< uncontrolled_qfi" in record.below_uncontrolled[0]
-        record.flagged.append("T=3: QGrapeError: synthetic")
+        record.flagged.append("horizon=3: QGrapeError: synthetic")
         exp.write_run(record, tmp_path)
         manifest = (tmp_path / "manifest.txt").read_text()
         sections = {
             block.splitlines()[0]: block.splitlines()[1:] for block in manifest.split("\n\n")
         }
-        assert sections["[flagged_points]"] == ["T=3: QGrapeError: synthetic"]
+        assert sections["[flagged_points]"] == ["horizon=3: QGrapeError: synthetic"]
         assert sections["[below_uncontrolled]"] == record.below_uncontrolled
 
     def test_points_are_judged_by_the_metric_their_ascent_climbed(self, monkeypatch):
@@ -791,7 +813,7 @@ class TestOutputFiles:
 
         monkeypatch.setattr(exp, "_qfi_cfi_of_grid", lowered)
         below = exp.run_sweep(config).below_uncontrolled
-        assert [line.split(":")[0] for line in below] == ["T=1", "T=2", "T=3"]
+        assert [line.split(":")[0] for line in below] == ["horizon=1", "horizon=2", "horizon=3"]
         assert all(" < uncontrolled_cfi 0" in line for line in below)
 
 
