@@ -16,14 +16,13 @@ from .dynamics import (
     EstimationProblem,
     SpontaneousEmission,
     Trajectory,
-    bloch_from_density,
     density_from_bloch,
     frequency_estimation_problem,
     plus_state,
     propagate,
     zero_state,
 )
-from .fisher import Povm, cfi, qfi, qfi_bloch, sld
+from .fisher import Povm, cfi, qfi
 from .grape import (
     AscentConfig,
     AscentReport,

@@ -97,8 +97,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each override flag and the config key whose value it replaces
+_OVERRIDES = {"seed": "ascent.seed", "dt": "dt"}
+
+
 def _apply_overrides(config: experiments.ScenarioConfig, args) -> experiments.ScenarioConfig:
-    changes = {k: v for k in ("seed", "dt") if (v := getattr(args, k, None)) is not None}
+    changes = {k: v for k in _OVERRIDES if (v := getattr(args, k, None)) is not None}
     return replace(config, ascent=replace(config.ascent, **changes))
 
 
@@ -142,8 +146,12 @@ def _cmd_optimize(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.out is None:
         raise ConfigError("sweep requires --out DIR")
-    config = _apply_overrides(experiments.load_config(args.config), args)
-    record = experiments.run_sweep(config)
+    config = experiments.load_config(args.config)
+    read = experiments._keys_read(config.noise, config.sweep_axis)
+    for flag, key in _OVERRIDES.items():
+        if getattr(args, flag) is not None and key not in read:
+            raise ConfigError(f"sweep = {config.sweep_axis} does not read '--{flag}'")
+    record = experiments.run_sweep(_apply_overrides(config, args))
     written = experiments.write_run(record, args.out)
     for path in written:
         print(f"wrote {path}")

@@ -58,14 +58,10 @@ __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
-    "SIGMA_PLUS",
-    "SIGMA_MINUS",
     "PAULIS",
     "zero_state",
-    "one_state",
     "plus_state",
     "validate_density",
-    "bloch_from_density",
     "density_from_bloch",
     "Dephasing",
     "SpontaneousEmission",
@@ -74,7 +70,6 @@ __all__ = [
     "frequency_estimation_problem",
     "ControlGrid",
     "step_count",
-    "step_propagator",
     "Trajectory",
     "propagate",
 ]
@@ -83,8 +78,6 @@ IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # (I, sigma_x, sigma_y, sigma_z): Pauli coordinate mu of m is Tr(m sigma_mu)
 _PAULI_FRAME = np.array([IDENTITY, *PAULIS])
@@ -98,11 +91,6 @@ POSITIVITY_HARD_FLOOR = 1e-6
 def zero_state() -> np.ndarray:
     """Density matrix of ``|0>``, the +1 eigenstate of ``sigma_z``."""
     return np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-
-
-def one_state() -> np.ndarray:
-    """Density matrix of ``|1>``, the -1 eigenstate of ``sigma_z``."""
-    return np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
 def plus_state() -> np.ndarray:
@@ -159,12 +147,6 @@ def _bloch(mat: np.ndarray) -> np.ndarray:
     """Pauli coordinates ``(Tr m, Tr(m sigma_x), Tr(m sigma_y), Tr(m sigma_z))``
     of a Hermitian 2x2 ``m``, or of each matrix in a stack."""
     return np.einsum("...ab,iba->...i", mat, _PAULI_FRAME).real
-
-
-def bloch_from_density(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector ``r_i = Tr(rho sigma_i)`` of a valid density matrix."""
-    validate_density(rho)
-    return _bloch(rho)[1:]
 
 
 def density_from_bloch(r: Sequence[float]) -> np.ndarray:
@@ -365,11 +347,6 @@ class ControlGrid:
     def zeros(n_steps: int, n_controls: int, dt: float) -> "ControlGrid":
         return ControlGrid(np.zeros((n_steps, n_controls)), dt)
 
-    @staticmethod
-    def constant(values: Sequence[float], n_steps: int, dt: float) -> "ControlGrid":
-        row = np.asarray(values, dtype=float)
-        return ControlGrid(np.tile(row, (n_steps, 1)), dt)
-
 
 def _generators(
     problem: EstimationProblem, amplitudes: np.ndarray, free: np.ndarray | None = None
@@ -466,15 +443,6 @@ def _expm(generators: np.ndarray, dt: float) -> np.ndarray:
     return x.reshape(shape)
 
 
-def step_propagator(generator: np.ndarray, dt: float) -> np.ndarray:
-    """Matrix exponential ``exp(dt * R)`` of one 4x4 generator, or of every
-    generator in an (m, 4, 4) stack, in the generator's own dtype, as an
-    array of its own (``_expm`` returns a view of its work array)."""
-    if dt <= 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    return _expm(generator, dt).copy()
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Propagation products, real and in Pauli coordinates.
@@ -508,13 +476,6 @@ class Trajectory:
     def sensitivity(self) -> np.ndarray:
         """View (m+1, 4) of the sensitivities in ``rows``."""
         return self.rows[:, 4:]
-
-    @property
-    def step_propagators(self) -> np.ndarray:
-        """Read-only view (m, 4, 4) of the propagators ``E_j`` in ``steps``."""
-        props = self.steps[:, :4, :4]
-        props.flags.writeable = False
-        return props
 
     @property
     def final_state(self) -> np.ndarray:

@@ -22,11 +22,6 @@ class SingularOutcomeError(QGrapeError, RuntimeError):
     so the classical Fisher information diverges."""
 
 
-class InconsistentInputError(QGrapeError, ValueError):
-    """Inputs are individually valid but mutually contradictory
-    (e.g. a pure Bloch vector with a non-tangent derivative)."""
-
-
 class UndefinedRotationError(QGrapeError, ValueError):
     """A single-pulse rotation cannot be constructed from the given state."""
 

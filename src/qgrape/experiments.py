@@ -17,9 +17,10 @@ rows of index cells (``step_index``, ``iteration``) as integers and every
 other cell at 12 significant digits (``nan`` where a metric does not apply).
 A sweep writes tables ``<axis>, <metric columns>``, as its ``_SWEEP_AXES``
 entry names them, schedules ``step_index, t_start, V_1..V_p`` and a
-``manifest.txt`` (config snapshot, seed, versions, wall clock); ``qgrape
-optimize`` writes ``history.csv`` and ``config.cfg``, ``qgrape energy`` a
-``t, energy`` table.  Identical configs and seeds reproduce identical bytes.
+``manifest.txt`` (config snapshot, the ascents' seed if the axis reads one,
+versions, wall clock); ``qgrape optimize`` writes ``history.csv`` and
+``config.cfg``, ``qgrape energy`` a ``t, energy`` table.  Identical configs
+and seeds reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -299,7 +300,7 @@ class RunRecord:
     axis: str  # the sweep axis, a key of ``_SWEEP_AXES``
     tables: dict[str, list[dict]]
     config_snapshot: str
-    seed: int
+    seed: int | None  # the ascents' seed; None for an axis that reads no ascent key
     wall_clock: float
     versions: dict[str, str]
     schedules: dict[str, ControlGrid] = field(default_factory=dict)
@@ -576,11 +577,12 @@ def run_sweep(config: ScenarioConfig) -> RunRecord:
                 text = f"{kind} {row[kind]:.6g} < uncontrolled_{kind} {free:.6g}"
                 below.append(f"{where}={value:.6g}: {text}")
         schedules.update(point_schedules)
+    reads_seed = "ascent.seed" in _keys_read(config.noise, config.sweep_axis)
     return RunRecord(
         axis=config.sweep_axis,
         tables=tables,
         config_snapshot=config_snapshot(config),
-        seed=config.ascent.seed,
+        seed=config.ascent.seed if reads_seed else None,
         wall_clock=time.perf_counter() - start,
         versions={"qgrape": _pkg_version, "numpy": np.__version__,
                   "python": platform.python_version()},
@@ -664,7 +666,7 @@ def write_run(record: RunRecord, out_dir: str | Path) -> list[Path]:
         *(f"{k} = {v}" for k, v in record.versions.items()),
         "",
         "[run]",
-        f"seed = {record.seed}",
+        *([] if record.seed is None else [f"seed = {record.seed}"]),
         f"wall_clock_seconds = {record.wall_clock:.3f}",
         f"axis = {axis.name}",
     ]

@@ -12,8 +12,8 @@ The classical Fisher information of a POVM ``{E_y}`` is
 ``sum_y (d p_y/dx)^2 / p_y`` with ``p_y = Tr(rho E_y)``.
 
 Both are computed one way, by :func:`_information` on the Pauli coordinates
-``(Tr rho, r)`` and ``(Tr d(rho)/dx, dr)``; the 2x2 functions, :func:`qfi_bloch`
-and the single-pulse oracles of :mod:`qgrape.oracles` convert to them.
+``(Tr rho, r)`` and ``(Tr d(rho)/dx, dr)``; the 2x2 functions and the
+single-pulse oracles of :mod:`qgrape.oracles` convert to them.
 It takes an (n, 4) stack of states and derivatives, so that one call serves
 every final state of the finite-difference oracle, of a single-pulse scan or
 of a round of lock-step ascents, and a single state is a one-row stack.
@@ -25,20 +25,18 @@ comes out bitwise as it would alone, in any stack and at any memory alignment.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import IDENTITY, POSITIVITY_SLACK, SIGMA_X, SIGMA_Y, SIGMA_Z, TRACE_TOL, _norm_sq
+from .dynamics import IDENTITY, POSITIVITY_SLACK, SIGMA_X, SIGMA_Z, TRACE_TOL, _norm_sq
 from .dynamics import _bloch, _check_hermitian, _check_state, _density, _first_bad, _min_eigenvalue
-from .errors import InconsistentInputError, SingularOutcomeError, ValidationError
+from .errors import SingularOutcomeError, ValidationError
 
-__all__ = ["sld", "qfi", "qfi_bloch", "Povm", "cfi"]
+__all__ = ["qfi", "Povm", "cfi"]
 
 DERIVATIVE_TOL = 1e-10
 SLD_RANK_TOL = 1e-12
-PURE_TANGENT_TOL = 1e-8
 OUTCOME_PROB_FLOOR = 1e-12
 OUTCOME_DERIV_FLOOR = 1e-9
 # bounds on a valid row's |c0 - 1|, |r| - c0 (minus twice the smaller
@@ -67,10 +65,6 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return products[0] + products[1] + products[2]
 
 
-def _is_pure(norm: np.ndarray) -> np.ndarray:
-    return 1.0 - norm <= SLD_RANK_TOL
-
-
 def _sld_bloch(r: np.ndarray, dr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SLD ``L = a I + b . sigma`` and ``F = Tr(rho L^2)`` as ``(a, b, F)``
     for every row of (n, 3) stacks of Bloch vectors and their derivatives.
@@ -78,7 +72,7 @@ def _sld_bloch(r: np.ndarray, dr: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     ignores those floating-point warnings."""
     norm_sq, radial = _dot(r, r), _dot(r, dr)
     norm = np.sqrt(norm_sq)
-    pure = _is_pure(norm)
+    pure = 1.0 - norm <= SLD_RANK_TOL
     s = radial / norm
     a_pure = s / (2.0 * (1.0 + norm))
     # -radial / (1 - |r|^2), bitwise
@@ -164,28 +158,9 @@ def _information(
     return result
 
 
-def sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
-    """Symmetric logarithmic derivative of rho along drho, as a 2x2 matrix;
-    the minimal-norm solution for a pure rho."""
-    # the Pauli row (a, b) of L = a I + b . sigma is half its coordinates
-    return _density(2.0 * _information(*_coordinates(rho, drho), None)[1][0])
-
-
 def qfi(rho: np.ndarray, drho: np.ndarray) -> float:
     """Quantum Fisher information ``Tr(rho L^2)``; nonnegative."""
     return float(_information(*_coordinates(rho, drho), None)[0][0])
-
-
-def qfi_bloch(r, dr) -> float:
-    """:func:`qfi` from a Bloch vector and its derivative; a pure ``r`` must
-    come with a tangent ``dr`` (``r . dr = 0``)."""
-    r, dr = np.asarray(r, dtype=float), np.asarray(dr, dtype=float)
-    if r.shape != (3,) or dr.shape != (3,) or not (np.isfinite(r).all() and np.isfinite(dr).all()):
-        raise ValidationError("Bloch vectors must have 3 finite components")
-    radial = _dot(r, dr)
-    if _is_pure(np.sqrt(_dot(r, r))) and not abs(radial) <= PURE_TANGENT_TOL:
-        raise InconsistentInputError(f"pure state, non-tangent derivative (r . dr = {radial:.3e})")
-    return float(_information(np.r_[1.0, r][None], np.r_[0.0, dr][None], None)[0][0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,17 +193,6 @@ class Povm:
     def computational() -> "Povm":
         """Projective measurement ``{|0><0|, |1><1|}``."""
         return Povm((0.5 * (IDENTITY + SIGMA_Z), 0.5 * (IDENTITY - SIGMA_Z)))
-
-    @staticmethod
-    def along(axis: np.ndarray) -> "Povm":
-        """Projective measurement along a Bloch axis (normalized internally)."""
-        axis = np.asarray(axis, dtype=float)
-        norm = math.sqrt(axis @ axis) if axis.shape == (3,) else 0.0
-        if not 0.0 < norm < math.inf:
-            raise ValidationError(f"POVM axis must be a finite nonzero 3-vector, got {axis}")
-        axis = axis / norm
-        op = axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z
-        return Povm((0.5 * (IDENTITY + op), 0.5 * (IDENTITY - op)))
 
 
 def cfi(rho: np.ndarray, drho: np.ndarray, povm: Povm) -> float:

@@ -3,7 +3,7 @@
 :func:`propagate_stepwise` is the reference for the stacked
 :func:`qgrape.dynamics.propagate`.  Each step adds its control terms to the
 problem's real Pauli-coordinate generator one at a time, exponentiates it on
-its own with :func:`qgrape.dynamics.step_propagator`, advances the state and
+its own with :func:`qgrape.dynamics._expm`, advances the state and
 its sensitivity together by one 8x8 step, which the trajectory keeps, and
 checks the new state before taking the next step.  The stacked library version performs the
 same floating-point operations, so the suite requires its trajectories to
@@ -19,6 +19,10 @@ generators, and the trajectory that the Liouville-space gradient references
 in ``reference_gradient`` read.  Its constructors (:func:`vectorize`,
 :func:`commutator_superop`, :func:`dissipator` and the change of basis
 ``PAULI_BASIS``) live here and share no code with the library's generators.
+
+The suite's small constructors live here too: the ladder operators
+``SIGMA_PLUS`` and ``SIGMA_MINUS``, :func:`one_state`,
+:func:`bloch_from_density` and :func:`constant_grid`.
 
 :func:`expm_matrix_major` is the Taylor scaling-and-squaring kernel as it was
 before :func:`qgrape.dynamics._expm` stored its powers power-major, formed
@@ -43,8 +47,6 @@ from qgrape.dynamics import (
     IDENTITY,
     PAULIS,
     POSITIVITY_HARD_FLOOR,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -56,9 +58,30 @@ from qgrape.dynamics import (
     Trajectory,
     _bloch,
     _check_hermitian_stack,
-    step_propagator,
+    _expm,
+    validate_density,
 )
 from qgrape.errors import NumericalStabilityError, ValidationError
+
+# sigma_plus maps |1> to |0>, the +1 eigenvector of sigma_z
+SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+
+
+def one_state() -> np.ndarray:
+    """Density matrix of ``|1>``, the -1 eigenstate of ``sigma_z``."""
+    return np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+
+
+def bloch_from_density(rho: np.ndarray) -> np.ndarray:
+    """Bloch vector ``r_i = Tr(rho sigma_i)`` of a valid density matrix."""
+    validate_density(rho)
+    return _bloch(rho)[1:]
+
+
+def constant_grid(values, n_steps: int, dt: float) -> ControlGrid:
+    """``n_steps`` steps of width ``dt`` that all apply the amplitudes ``values``."""
+    return ControlGrid(np.tile(np.asarray(values, dtype=float), (n_steps, 1)), dt)
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -220,7 +243,7 @@ def propagate_stepwise(problem: EstimationProblem, grid: ControlGrid) -> Traject
         gen = problem.free_superop.copy()
         for v, control in zip(grid.amplitudes[j], problem.control_superops):
             gen += v * control
-        prop = step_propagator(gen, grid.dt)
+        prop = _expm(gen, grid.dt)
         # (c, s) -> (E c, E s + G E c) as one 8x8 step
         step = np.zeros((8, 8))
         step[:4, :4] = step[4:, 4:] = prop
@@ -298,7 +321,7 @@ def propagate_liouville(problem: EstimationProblem, grid: ControlGrid) -> Liouvi
         for v, gen in zip(grid.amplitudes[j], gens):
             h += v * gen
         liouvillian = -1j * (np.kron(IDENTITY, h) - np.kron(h.T, IDENTITY)) + gamma_super
-        prop = step_propagator(liouvillian, grid.dt)
+        prop = _expm(liouvillian, grid.dt)
         rho_v = prop @ rho_v
         phi_v = prop @ phi_v + dgen @ rho_v
         props[j] = prop

@@ -13,13 +13,21 @@ SLD_RANK_TOL`` is the same cut, since the smaller eigenvalue is
 was before its validity mask, SLD branches and weight rows were written with
 fewer numpy calls, and with the library's elementwise dot products; the
 library kernel must give the same bits and raise the same errors.
+
+:func:`pauli_sld`, :func:`qfi_bloch` and :func:`povm_along` are the suite's
+2x2 SLD, Bloch-vector QFI and axis measurement, read from the library's own
+kernel and :class:`qgrape.fisher.Povm`.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from qgrape.dynamics import POSITIVITY_SLACK, TRACE_TOL, _check_state, validate_density
+from qgrape import fisher
+from qgrape.dynamics import IDENTITY, POSITIVITY_SLACK, SIGMA_X, SIGMA_Y, SIGMA_Z, TRACE_TOL
+from qgrape.dynamics import _check_state, _density, validate_density
 from qgrape.errors import SingularOutcomeError, ValidationError
 from qgrape.fisher import (
     DERIVATIVE_TOL,
@@ -54,6 +62,27 @@ def qfi(rho: np.ndarray, drho: np.ndarray, tol: float = SLD_RANK_TOL) -> float:
     l_op = sld(rho, drho, tol=tol)
     value = np.trace(rho @ l_op @ l_op).real
     return float(max(value, 0.0))
+
+
+def pauli_sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
+    """The SLD of rho along drho as a 2x2 matrix, from the weight row ``W1``
+    of :func:`qgrape.fisher._information`; the minimal-norm solution for a
+    pure rho."""
+    # the Pauli row (a, b) of L = a I + b . sigma is half its coordinates
+    return _density(2.0 * fisher._information(*fisher._coordinates(rho, drho), None)[1][0])
+
+
+def qfi_bloch(r, dr) -> float:
+    """:func:`qgrape.fisher.qfi` from a Bloch vector and its derivative."""
+    return float(fisher._information(np.r_[1.0, r][None], np.r_[0.0, dr][None], None)[0][0])
+
+
+def povm_along(axis) -> Povm:
+    """Projective measurement along a finite nonzero Bloch axis, normalized here."""
+    axis = np.asarray(axis, dtype=float)
+    axis = axis / math.sqrt(axis @ axis)
+    op = axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z
+    return Povm((0.5 * (IDENTITY + op), 0.5 * (IDENTITY - op)))
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:

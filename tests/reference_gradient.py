@@ -55,6 +55,7 @@ from qgrape.errors import ValidationError
 from qgrape.grape import Objective, _backward_sweep, _final_rows, evaluate_objective
 from reference_dynamics import LiouvilleTrajectory as Trajectory
 from reference_dynamics import commutator_superop, expm_matrix_major, unvectorize, vectorize
+from reference_fisher import pauli_sld
 
 logger = logging.getLogger(__name__)
 
@@ -77,7 +78,7 @@ def objective_weights(traj: Trajectory, objective: Objective) -> tuple[np.ndarra
     rho = traj.final_state
     drho = traj.final_state_derivative
     if objective.kind == "qfi":
-        l_op = fisher.sld(rho, drho)
+        l_op = pauli_sld(rho, drho)
         return l_op, l_op @ l_op
     w1 = np.zeros((2, 2), dtype=complex)
     w2 = np.zeros((2, 2), dtype=complex)
@@ -186,7 +187,7 @@ def backward_rows(
     ``q_{j-1} = q_j E_j + lam_{j-1} G``, on the real Pauli trajectory and
     with the library's weight rows."""
     _, w1, w2 = _final_rows([traj], objective)[0]
-    m, props = traj.n_steps, traj.step_propagators
+    m, props = traj.n_steps, traj.steps[:, :4, :4]
     dgen = problem.sensitivity_superop
     rows = np.empty((m + 1, 3, 4))
     rows[m] = w1, w2, w1 @ dgen

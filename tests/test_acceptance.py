@@ -12,6 +12,8 @@ import numpy as np
 from qgrape import dynamics as dyn
 from qgrape import experiments as exp
 from qgrape import fisher, grape, oracles
+from reference_dynamics import constant_grid
+from reference_fisher import povm_along
 
 OMEGA = 1.0
 # controls built from an estimate infinitesimally off the true frequency:
@@ -51,7 +53,7 @@ def emission_problem(gamma_minus, horizon, omega=OMEGA):
 
 
 def held_at_plus_controls(n_steps, dt, design_omega):
-    return dyn.ControlGrid.constant([0.0, 0.0, -0.5 * design_omega], n_steps, dt)
+    return constant_grid([0.0, 0.0, -0.5 * design_omega], n_steps, dt)
 
 
 def pipeline_qfi(problem, grid):
@@ -249,7 +251,7 @@ def test_criterion_09_cfi_bounded_and_saturating():
         dr = rng.normal(size=3) * 0.5
         drho = 0.5 * (dr[0] * dyn.SIGMA_X + dr[1] * dyn.SIGMA_Y + dr[2] * dyn.SIGMA_Z)
         axis = rng.normal(size=3)
-        povm = fisher.Povm.along(axis)
+        povm = povm_along(axis)
         if fisher.cfi(rho, drho, povm) > fisher.qfi(rho, drho) + 1e-9:
             violations += 1
 

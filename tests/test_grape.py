@@ -17,7 +17,8 @@ from qgrape.errors import (
 )
 
 import reference_gradient as ref
-from reference_dynamics import propagate_liouville, unvectorize, vectorize
+from reference_dynamics import constant_grid, propagate_liouville, unvectorize, vectorize
+from reference_fisher import povm_along
 
 
 def make_problem(noise, horizon=2.0, omega=1.0, probe=None):
@@ -294,13 +295,13 @@ class TestGradientPaths:
         omega, gamma, dt = 1.0, 0.2, 0.05
         problem = make_problem(dyn.Dephasing(theta=0.0, phi=0.0, gamma=gamma), horizon=5.0,
                                omega=omega)
-        grid = dyn.ControlGrid.constant([0.05 + offset, 0.0, -omega / 2], 100, dt)
+        grid = constant_grid([0.05 + offset, 0.0, -omega / 2], 100, dt)
         if offset == 0.0:
             eigenvalues = np.linalg.eigvals(dyn._generators(problem, grid.amplitudes[:1])[0])
             gaps = np.abs(eigenvalues[:, None] - eigenvalues[None, :]) + np.eye(4)
             assert gaps.min() < 1e-4
         traj = dyn.propagate(problem, grid)
-        for objective in (grape.qfi_objective(), grape.cfi_objective(fisher.Povm.along([0, 1, 0]))):
+        for objective in (grape.qfi_objective(), grape.cfi_objective(povm_along([0, 1, 0]))):
             analytic = grape.gradient(traj, problem, objective)
             numeric = grape.finite_difference_gradient(problem, grid, objective, 1e-5)
             diff = np.abs(analytic - numeric)
@@ -373,7 +374,7 @@ class TestGradientPaths:
         gamma, horizon = 0.1, 5.0
         prob = make_problem(dyn.Dephasing(math.pi / 2, 0.0, gamma), horizon=horizon)
         m = 100
-        grid = dyn.ControlGrid.constant([0.0, 0.0, -0.5 * (1 + 1e-4)], m, horizon / m)
+        grid = constant_grid([0.0, 0.0, -0.5 * (1 + 1e-4)], m, horizon / m)
         traj = dyn.propagate(prob, grid)
         analytic = grape.gradient(traj, prob, grape.qfi_objective())
         numeric = grape.finite_difference_gradient(prob, grid, grape.qfi_objective(), delta=1e-5)
@@ -636,7 +637,7 @@ class TestAscend:
         gamma, horizon = 0.1, 5.0
         prob = make_problem(dyn.Dephasing(math.pi / 2, 0.0, gamma), horizon=horizon)
         m = 100
-        start = dyn.ControlGrid.constant([0.0, 0.0, -0.5 * (1 + 1e-4)], m, horizon / m)
+        start = constant_grid([0.0, 0.0, -0.5 * (1 + 1e-4)], m, horizon / m)
         config = grape.AscentConfig(dt=horizon / m, step_size=0.05, max_iterations=60)
         report = grape.ascend(prob, config, grape.qfi_objective(), start=start)
         assert report.converged
@@ -918,7 +919,7 @@ class TestAscendBatch:
         # a random start keeps climbing to its iteration cap
         gamma, horizon, m = 0.1, 5.0, 100
         problem = make_problem(dyn.Dephasing(math.pi / 2, 0.0, gamma), horizon=horizon)
-        held = dyn.ControlGrid.constant([0.0, 0.0, -0.5 * (1 + 1e-4)], m, horizon / m)
+        held = constant_grid([0.0, 0.0, -0.5 * (1 + 1e-4)], m, horizon / m)
         config = grape.AscentConfig(dt=horizon / m, step_size=0.05, max_iterations=60)
         climbing = grape.AscentConfig(dt=horizon / m, max_iterations=60, seed=4, momentum=0.9)
         reports = self.check(

@@ -7,6 +7,8 @@ from qgrape import dynamics as dyn
 from qgrape import fisher, oracles
 from qgrape.errors import UndefinedRotationError, ValidationError
 
+from reference_dynamics import bloch_from_density, constant_grid
+from reference_fisher import qfi_bloch
 from reference_oracles import spontaneous_free_bloch, transverse_bloch
 
 
@@ -85,10 +87,10 @@ class TestTransverseBloch:
         for t in (1.0, 4.0):
             m = int(round(t / 1e-3))
             prob = dyn.frequency_estimation_problem(omega, noise, dyn.plus_state(), t)
-            grid = dyn.ControlGrid.constant([0.0, 0.0, -omega], m, 1e-3)
+            grid = constant_grid([0.0, 0.0, -omega], m, 1e-3)
             traj = dyn.propagate(prob, grid)
             np.testing.assert_allclose(
-                dyn.bloch_from_density(traj.final_state),
+                bloch_from_density(traj.final_state),
                 transverse_bloch(gamma, omega, t),
                 atol=1e-6,
             )
@@ -162,19 +164,19 @@ class TestParallelSinglePulse:
         def final_bloch(x):
             prob = dyn.frequency_estimation_problem(x, noise, dyn.plus_state(), t0)
             traj = dyn.propagate(prob, dyn.ControlGrid.zeros(int(t0 / 1e-3), 3, 1e-3))
-            r_mid = rot @ dyn.bloch_from_density(traj.final_state)
+            r_mid = rot @ bloch_from_density(traj.final_state)
             prob2 = dyn.frequency_estimation_problem(
                 x, noise, dyn.density_from_bloch(r_mid), horizon - t0
             )
             traj2 = dyn.propagate(
                 prob2, dyn.ControlGrid.zeros(int((horizon - t0) / 1e-3), 3, 1e-3)
             )
-            return dyn.bloch_from_density(traj2.final_state)
+            return bloch_from_density(traj2.final_state)
 
         delta = 1e-5
         r = final_bloch(1.0)
         dr = (final_bloch(1.0 + delta) - final_bloch(1.0 - delta)) / (2 * delta)
-        numeric = fisher.qfi_bloch(r, dr)
+        numeric = qfi_bloch(r, dr)
         value = oracles.parallel_single_pulse_qfi(gamma, 1.0, horizon, t0)
         assert value == pytest.approx(numeric, abs=1e-4)
 
@@ -243,7 +245,7 @@ class TestSpontaneousFree:
             )
             traj = dyn.propagate(prob, dyn.ControlGrid.zeros(int(t / 1e-3), 3, 1e-3))
             np.testing.assert_allclose(
-                dyn.bloch_from_density(traj.final_state),
+                bloch_from_density(traj.final_state),
                 spontaneous_free_bloch(gamma_plus, gamma_minus, w, t, r0),
                 atol=1e-6,
             )
@@ -300,18 +302,18 @@ class TestSpontaneousSinglePulse:
         def final_bloch(x):
             prob = dyn.frequency_estimation_problem(x, noise, dyn.plus_state(), t0)
             traj = dyn.propagate(prob, dyn.ControlGrid.zeros(int(t0 / 1e-3), 3, 1e-3))
-            r_mid = rot @ dyn.bloch_from_density(traj.final_state)
+            r_mid = rot @ bloch_from_density(traj.final_state)
             prob2 = dyn.frequency_estimation_problem(
                 x, noise, dyn.density_from_bloch(r_mid), horizon - t0
             )
             traj2 = dyn.propagate(
                 prob2, dyn.ControlGrid.zeros(int((horizon - t0) / 1e-3), 3, 1e-3)
             )
-            return dyn.bloch_from_density(traj2.final_state)
+            return bloch_from_density(traj2.final_state)
 
         delta = 1e-5
         r = final_bloch(w_ref)
         dr = (final_bloch(w_ref + delta) - final_bloch(w_ref - delta)) / (2 * delta)
-        numeric = fisher.qfi_bloch(r, dr)
+        numeric = qfi_bloch(r, dr)
         value = oracles.spontaneous_single_pulse_qfi(gamma, w_ref, horizon, t0)
         assert value == pytest.approx(numeric, abs=1e-4)
