@@ -86,6 +86,10 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_SLACK = 1e-10
 POSITIVITY_HARD_FLOOR = 1e-6
+PROPAGATION_TRACE_TOL = 1e-8
+# bounds on the two deviations of _state_deviations: a state's, a propagated state's
+_STATE_BOUNDS = (TRACE_TOL, 2 * POSITIVITY_SLACK)
+_PROPAGATION_BOUNDS = (PROPAGATION_TRACE_TOL, 2 * POSITIVITY_HARD_FLOOR)
 
 
 def zero_state() -> np.ndarray:
@@ -113,28 +117,42 @@ def _check_hermitian_stack(mat: np.ndarray, name: str, tol: float = HERMITICITY_
         raise ValidationError(f"{name} is not Hermitian (deviation {dev:.3e} > {tol:.0e})")
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products ``u0 v0 + u1 v1 + u2 v2`` of the 3-vectors on the last axis
+    of ``u`` and ``v``, broadcast, elementwise, so that a row rounds the same
+    alone, in any stack and at any alignment: (n, 3) stacks give (n,), an
+    (n, 1, 3) and a (p, 3) stack give (n, p)."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+
 def _norm_sq(coords: np.ndarray) -> np.ndarray:
-    """``|r|^2 = c1 c1 + c2 c2 + c3 c3`` of Pauli coordinates over any leading
-    axes, added left to right: numpy's sum over the 3-wide axis, bitwise, cheaper."""
-    c1, c2, c3 = coords[..., 1], coords[..., 2], coords[..., 3]
-    return c1 * c1 + c2 * c2 + c3 * c3
+    """``|r|^2`` of Pauli coordinates over any leading axes, by :func:`_dot`:
+    numpy's sum over the 3-wide axis, bitwise, cheaper."""
+    return _dot(coords[..., 1:], coords[..., 1:])
 
 
-def _min_eigenvalue(coords: np.ndarray) -> np.ndarray:
-    """Smaller eigenvalue ``(c0 - |r|)/2`` of the Hermitian 2x2 matrix with
-    Pauli coordinates ``c``, over any leading axes."""
-    return (coords[..., 0] - np.sqrt(_norm_sq(coords))) / 2.0
+def _state_deviations(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``|c0 - 1|`` and ``|r| - c0``, twice the negative smaller eigenvalue, of
+    Pauli coordinates over any leading axes; the second as ``-(c0 - |r|)``, so
+    that its negative half is the eigenvalue ``(c0 - |r|)/2`` bit for bit."""
+    c0 = coords[..., 0]
+    return np.abs(c0 - 1.0), -(c0 - np.sqrt(_norm_sq(coords)))
+
+
+def _within(coords: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
+    """Mask of the states whose deviations are within ``bounds``; a NaN one is not."""
+    trace, eigen = _state_deviations(coords)
+    return (trace <= bounds[0]) & (eigen <= bounds[1])
 
 
 def _check_state(coords: np.ndarray) -> None:
     """Reject Pauli coordinates of a state whose trace deviates from 1 by more
     than ``TRACE_TOL`` or whose eigenvalue is below ``-POSITIVITY_SLACK``."""
-    # written as "not good" so that NaN is rejected too
-    if not abs(coords[0] - 1.0) <= TRACE_TOL:
+    trace, eigen = _state_deviations(coords)
+    if not trace <= _STATE_BOUNDS[0]:
         raise ValidationError(f"density matrix trace {coords[0]} deviates from 1")
-    lo = _min_eigenvalue(coords)
-    if not lo >= -POSITIVITY_SLACK:
-        raise ValidationError(f"density matrix has negative eigenvalue {lo:.3e}")
+    if not eigen <= _STATE_BOUNDS[1]:
+        raise ValidationError(f"density matrix has negative eigenvalue {-eigen / 2.0:.3e}")
 
 
 def validate_density(rho: np.ndarray) -> None:
@@ -497,11 +515,7 @@ def _stability(coords: np.ndarray) -> np.ndarray:
     positivity beyond the hard floor, their trace, or finiteness.  Past a bad
     step a state may have overflowed, so the caller runs this under
     ``np.errstate(over="ignore", invalid="ignore")``."""
-    # twice the smaller eigenvalue, exactly, from the elementwise |r|^2 of
-    # _norm_sq; written as "not good" so that a NaN state counts as bad
-    c0 = coords[..., 0]
-    twice_lo = c0 - np.sqrt(_norm_sq(coords))
-    return ~((twice_lo >= -2.0 * POSITIVITY_HARD_FLOOR) & (np.abs(c0 - 1.0) <= 1e-8))
+    return ~_within(coords, _PROPAGATION_BOUNDS)
 
 
 def _forward_steps(props: np.ndarray, dgen: np.ndarray) -> np.ndarray:
@@ -598,7 +612,7 @@ def _propagate_each(
     for m in counts:
         step = _first_bad(bad[r + 1 : r + m + 1]) + 1
         if step <= m:
-            lo = _min_eigenvalue(ys[r + step, :4])
+            lo = -_state_deviations(ys[r + step, :4])[1] / 2.0
             raise NumericalStabilityError(f"state lost positivity/trace at step {step} "
                                           f"(min eigenvalue {lo:.3e})", step=step)
         trajs.append(Trajectory(ys[r : r + m + 1], steps[o : o + m], gens[o : o + m], dt))

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import IDENTITY, POSITIVITY_SLACK, SIGMA_X, SIGMA_Z, TRACE_TOL, _norm_sq
-from .dynamics import _bloch, _check_hermitian, _check_state, _density, _first_bad, _min_eigenvalue
+from .dynamics import IDENTITY, SIGMA_X, SIGMA_Z, _STATE_BOUNDS, _bloch, _check_hermitian
+from .dynamics import _check_state, _density, _dot, _first_bad, _state_deviations, _within
 from .errors import SingularOutcomeError, ValidationError
 
 __all__ = ["qfi", "Povm", "cfi"]
@@ -39,10 +39,8 @@ DERIVATIVE_TOL = 1e-10
 SLD_RANK_TOL = 1e-12
 OUTCOME_PROB_FLOOR = 1e-12
 OUTCOME_DERIV_FLOOR = 1e-9
-# bounds on a valid row's |c0 - 1|, |r| - c0 (minus twice the smaller
-# eigenvalue) and |d|, which is traceless within DERIVATIVE_TOL and finite
-_ROW_BOUNDS = np.array(
-    [TRACE_TOL, 2 * POSITIVITY_SLACK, DERIVATIVE_TOL, *3 * [np.finfo(float).max]])[:, None]
+# bounds on a valid row's |d|, which is traceless within DERIVATIVE_TOL and finite
+_ROW_BOUNDS = np.array([DERIVATIVE_TOL, *3 * [np.finfo(float).max]])[:, None]
 
 
 def _coordinates(rho: np.ndarray, drho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -53,16 +51,6 @@ def _coordinates(rho: np.ndarray, drho: np.ndarray) -> tuple[np.ndarray, np.ndar
     _check_hermitian(rho, "density matrix")
     _check_hermitian(drho, "state derivative", DERIVATIVE_TOL)
     return _bloch(rho)[None], _bloch(drho)[None]
-
-
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dot products of the 3-vectors on the last axis of ``u`` and ``v``,
-    broadcast, as ``u0 v0 + u1 v1 + u2 v2`` elementwise, so that a row rounds
-    the same alone, in any stack and at any alignment, as a BLAS dot, einsum
-    or a sum reduction need not.  The other axes come out reversed: (n, 3)
-    stacks give (n,), an (n, 1, 3) and a (p, 3) stack give (p, n)."""
-    products = (u * v).T
-    return products[0] + products[1] + products[2]
 
 
 def _sld_bloch(r: np.ndarray, dr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,14 +126,10 @@ def _information(
     # mixed branch, or skip an outcome, with np.where, so the rows or
     # branches not used may divide by zero or meet non-finite numbers
     with np.errstate(divide="ignore", invalid="ignore"):
-        # each row's deviations against _ROW_BOUNDS in one comparison, written
-        # as "good" so that NaN is rejected too; |d_i| <= the largest double
-        # says d_i is finite; one deviation per row, so no call reduces a short axis
-        dev = np.empty((6, len(c)))
-        np.abs(c[:, 0] - 1.0, out=dev[0])
-        np.subtract(np.sqrt(_norm_sq(c)), c[:, 0], out=dev[1])
-        np.abs(d.T, out=dev[2:])
-        stop = _first_bad(~(dev <= _ROW_BOUNDS).all(axis=0))
+        # the state rule of _check_state and |d| <= _ROW_BOUNDS on every row,
+        # which rejects NaN; |d_i| <= the largest double says d_i is finite
+        good = _within(c, _STATE_BOUNDS) & (np.abs(d.T) <= _ROW_BOUNDS).all(axis=0)
+        stop = _first_bad(~good)
         if povm is None:
             result = _qfi_rows(c[:stop], d[:stop])
         else:
@@ -176,7 +160,7 @@ class Povm:
         effects = tuple(np.asarray(e, dtype=complex) for e in self.effects)
         for idx, effect in enumerate(effects):
             _check_hermitian(effect, f"effect {idx}", 1e-10)
-            if _min_eigenvalue(_bloch(effect)) < -1e-10:
+            if -_state_deviations(_bloch(effect))[1] / 2.0 < -1e-10:
                 raise ValidationError(f"effect {idx} is not positive semidefinite")
         coords = np.array([_bloch(e) for e in effects]).reshape(-1, 4)
         if np.abs(_density(coords.sum(axis=0)) - IDENTITY).max() > 1e-10:

@@ -56,6 +56,7 @@ from .dynamics import (
     ControlGrid,
     EstimationProblem,
     Trajectory,
+    _dot,
     _expm,
     _first_bad,
     _forward_steps,
@@ -67,7 +68,7 @@ from .dynamics import (
     step_count,
 )
 from .errors import QGrapeError, ValidationError
-from .fisher import Povm, _dot, _information
+from .fisher import Povm, _information
 
 __all__ = [
     "Objective",
@@ -253,7 +254,7 @@ def _gradients(evaluated: list[tuple], problem: EstimationProblem) -> list[np.nd
     # X12 - X21) and v_k = (P_k32, P_k13, P_k21)
     pairs = _expm(block, trajs[0].dt).reshape(n, 64)[:, _AXIAL_BLOCK]
     axial = pairs[:, 0] - pairs[:, 1]
-    table = _dot(axial[:, None], problem.control_superops.reshape(-1, 16)[:, _AXIAL_GENERATOR]).T
+    table = _dot(axial, problem.control_superops.reshape(-1, 16)[:, None, _AXIAL_GENERATOR]).T
     np.ldexp(table, scale, out=table)
     return [table[o : o + m] for o, m in zip(offsets, counts)]
 

@@ -271,6 +271,17 @@ class TestPovm:
         with pytest.raises(ValidationError):
             fisher.Povm((bad, np.eye(2) - bad))
 
+    def test_effect_positivity_bound(self):
+        # E0 = (I + a sigma_z)/2 has the smaller eigenvalue (1 - a)/2: at
+        # -0.95e-10 it is accepted, at -1.05e-10 rejected, beyond the 1e-10 slack
+        def effects(a):
+            e0 = 0.5 * (np.eye(2) + a * dyn.SIGMA_Z)
+            return (e0, np.eye(2) - e0)
+
+        assert len(fisher.Povm(effects(1.0 + 1.9e-10)).effects) == 2
+        with pytest.raises(ValidationError, match="effect 0 is not positive semidefinite"):
+            fisher.Povm(effects(1.0 + 2.1e-10))
+
 
 class TestCfi:
     def test_trivial_povm_gives_zero(self):

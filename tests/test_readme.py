@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from qgrape import dynamics, fisher
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -27,3 +29,13 @@ def test_code_built_config_example_runs():
     done = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert "noise = dephasing\nnoise.theta = 1.5707963267948966\n" in done.stdout
+
+
+def test_listed_bounds_are_the_library_values():
+    # each `module.NAME = value` of the README's bounds list is the constant's value
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.findall(r"`(dynamics|fisher)\.([A-Z_]+) = ([0-9.e+-]+)`", readme)
+    assert len(listed) == 7
+    modules = {"dynamics": dynamics, "fisher": fisher}
+    for module, name, value in listed:
+        assert getattr(modules[module], name) == float(value), name
