@@ -23,14 +23,19 @@ Propagation works on stacks over the time axis: :func:`propagate` adds the
 control terms of all m steps to the problem's free generator at once,
 exponentiates the real (m, 4, 4) stack in one batched call of a Taylor
 scaling-and-squaring kernel, and loops only over one real 8-vector that
-carries the state and its sensitivity, one product per step.  The (m, 8, 8)
-step matrices of that loop stay in the :class:`Trajectory`, where the
-gradient and the finite-difference oracle read them.  The time axis may be
-flat over several schedules: ``_propagate_each`` lays the m_1 + m_2 + ...
-steps of many (problem, grid) pairs end to end and builds, exponentiates and
-checks them in one call each, as the lock-step ascents of
-:mod:`qgrape.grape` do; only the 8-vector loop runs per schedule.  Every
-kernel on that axis gives each step bitwise what it gives the step alone.
+carries the state and its sensitivity, one product per step.  The 8-vector
+is column 0 of an (8, 2) block whose column 1 stays zero, so that each
+product is a BLAS gemm: a gemm column rounds the same in a block of any
+width, so the finite-difference oracle advances all its trajectories as the
+columns of one block and still rounds each as this loop does, where a
+one-column product, a gemv, would round otherwise.  The (m, 8, 8) step
+matrices of that loop stay in the :class:`Trajectory`, where the gradient
+and the finite-difference oracle read them.  The time axis may be flat over
+several schedules: ``_propagate_each`` lays the m_1 + m_2 + ... steps of
+many (problem, grid) pairs end to end and builds, exponentiates and checks
+them in one call each, as the lock-step ascents of :mod:`qgrape.grape` do;
+only the 8-vector loop runs per schedule.  Every kernel on that axis gives
+each step bitwise what it gives the step alone.
 
 Conventions (fixed once, asserted by tests):
 
@@ -131,17 +136,26 @@ def _norm_sq(coords: np.ndarray) -> np.ndarray:
     return _dot(coords[..., 1:], coords[..., 1:])
 
 
-def _state_deviations(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _state_deviations(
+    coords: np.ndarray, norm_sq: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """``|c0 - 1|`` and ``|r| - c0``, twice the negative smaller eigenvalue, of
     Pauli coordinates over any leading axes; the second as ``-(c0 - |r|)``, so
-    that its negative half is the eigenvalue ``(c0 - |r|)/2`` bit for bit."""
+    that its negative half is the eigenvalue ``(c0 - |r|)/2`` bit for bit.
+    ``norm_sq`` is the coordinates' :func:`_norm_sq`, computed here unless a
+    caller that needs it too passes it."""
     c0 = coords[..., 0]
-    return np.abs(c0 - 1.0), -(c0 - np.sqrt(_norm_sq(coords)))
+    if norm_sq is None:
+        norm_sq = _norm_sq(coords)
+    return np.abs(c0 - 1.0), -(c0 - np.sqrt(norm_sq))
 
 
-def _within(coords: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
-    """Mask of the states whose deviations are within ``bounds``; a NaN one is not."""
-    trace, eigen = _state_deviations(coords)
+def _within(
+    coords: np.ndarray, bounds: tuple[float, float], norm_sq: np.ndarray | None = None
+) -> np.ndarray:
+    """Mask of the states whose deviations are within ``bounds``; a NaN one is
+    not.  ``norm_sq`` is passed on to :func:`_state_deviations`."""
+    trace, eigen = _state_deviations(coords, norm_sq)
     return (trace <= bounds[0]) & (eigen <= bounds[1])
 
 
@@ -473,7 +487,9 @@ class Trajectory:
     ``steps[j-1]`` is the 8x8 step ``B_j = [[E_j, 0], [G E_j, E_j]]`` with
     ``E_j = exp(dt R_j)`` that advances ``y`` over step j.  The final state
     and its derivative are also given as 2x2 matrices.  The trajectories of
-    one ``_propagate_each`` call are views of its flat arrays.
+    one ``_propagate_each`` call are views of its flat arrays; there ``rows``
+    is the strided view of column 0 of the (8, 2) blocks that the recursion
+    advances.
     """
 
     rows: np.ndarray
@@ -592,29 +608,32 @@ def _propagate_each(
     gens = _generators(first, amplitudes, free)
     steps = _forward_steps(_expm(gens, dt), first.sensitivity_superop)
 
-    # pair i's rows y_0..y_m lie at ys[r:r + m + 1], its steps at steps[o:o + m]
-    ys = np.zeros((len(gens) + len(grids), 8))
-    rows = list(ys)
+    # pair i's rows y_0..y_m lie at ys[r:r + m + 1, :, 0], its steps at
+    # steps[o:o + m]: each row is column 0 of an (8, 2) block whose column 1
+    # stays zero, so that every step is a gemm (see the module docstring)
+    ys = np.zeros((len(gens) + len(grids), 8, 2))
+    blocks = list(ys)
     # past a bad step the recursion may overflow; the check below reports the
     # first bad step, so the floating-point warnings of later ones are noise.
-    # ndarray.dot into the next row is the cheapest call of the same 8x8
-    # product as @.
+    # ndarray.dot into the next block is the cheapest call of the gemm
     with np.errstate(over="ignore", invalid="ignore"):
         r = o = 0
         for problem, m in zip(problems, counts):
-            ys[r, :4] = problem.probe_coords
-            for step, prev, nxt in zip(steps[o : o + m], rows[r : r + m], rows[r + 1 : r + m + 1]):
+            ys[r, :4, 0] = problem.probe_coords
+            for step, prev, nxt in zip(
+                steps[o : o + m], blocks[r : r + m], blocks[r + 1 : r + m + 1]
+            ):
                 step.dot(prev, out=nxt)
             r, o = r + m + 1, o + m
-        bad = _stability(ys[:, :4])
+        bad = _stability(ys[:, :4, 0])
     trajs = []
     r = o = 0
     for m in counts:
         step = _first_bad(bad[r + 1 : r + m + 1]) + 1
         if step <= m:
-            lo = -_state_deviations(ys[r + step, :4])[1] / 2.0
+            lo = -_state_deviations(ys[r + step, :4, 0])[1] / 2.0
             raise NumericalStabilityError(f"state lost positivity/trace at step {step} "
                                           f"(min eigenvalue {lo:.3e})", step=step)
-        trajs.append(Trajectory(ys[r : r + m + 1], steps[o : o + m], gens[o : o + m], dt))
+        trajs.append(Trajectory(ys[r : r + m + 1, :, 0], steps[o : o + m], gens[o : o + m], dt))
         r, o = r + m + 1, o + m
     return trajs

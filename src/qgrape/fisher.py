@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import IDENTITY, SIGMA_X, SIGMA_Z, _STATE_BOUNDS, _bloch, _check_hermitian
-from .dynamics import _check_state, _density, _dot, _first_bad, _state_deviations, _within
+from .dynamics import _check_state, _density, _dot, _first_bad, _norm_sq, _state_deviations
+from .dynamics import _within
 from .errors import SingularOutcomeError, ValidationError
 
 __all__ = ["qfi", "Povm", "cfi"]
@@ -39,6 +40,9 @@ DERIVATIVE_TOL = 1e-10
 SLD_RANK_TOL = 1e-12
 OUTCOME_PROB_FLOOR = 1e-12
 OUTCOME_DERIV_FLOOR = 1e-9
+# bounds a POVM effect's Hermiticity deviation, how far below 0 its smaller
+# eigenvalue may go, and how far the effects' sum may deviate from the identity
+EFFECT_TOL = 1e-10
 # bounds on a valid row's |d|, which is traceless within DERIVATIVE_TOL and finite
 _ROW_BOUNDS = np.array([DERIVATIVE_TOL, *3 * [np.finfo(float).max]])[:, None]
 
@@ -53,12 +57,14 @@ def _coordinates(rho: np.ndarray, drho: np.ndarray) -> tuple[np.ndarray, np.ndar
     return _bloch(rho)[None], _bloch(drho)[None]
 
 
-def _sld_bloch(r: np.ndarray, dr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sld_bloch(
+    r: np.ndarray, dr: np.ndarray, norm_sq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SLD ``L = a I + b . sigma`` and ``F = Tr(rho L^2)`` as ``(a, b, F)``
-    for every row of (n, 3) stacks of Bloch vectors and their derivatives.
-    Each branch divides by zero where the other one applies, so the caller
-    ignores those floating-point warnings."""
-    norm_sq, radial = _dot(r, r), _dot(r, dr)
+    for every row of (n, 3) stacks of Bloch vectors, their derivatives and
+    their ``|r|^2``.  Each branch divides by zero where the other one applies,
+    so the caller ignores those floating-point warnings."""
+    radial = _dot(r, dr)
     norm = np.sqrt(norm_sq)
     pure = 1.0 - norm <= SLD_RANK_TOL
     s = radial / norm
@@ -71,8 +77,10 @@ def _sld_bloch(r: np.ndarray, dr: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return a, b, np.maximum(_dot(dr, b), 0.0)
 
 
-def _qfi_rows(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    a, b, value = _sld_bloch(c[:, 1:], d[:, 1:])
+def _qfi_rows(
+    c: np.ndarray, d: np.ndarray, norm_sq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    a, b, value = _sld_bloch(c[:, 1:], d[:, 1:], norm_sq)
     # L = a I + b . sigma and L^2 = (a^2 + |b|^2) I + 2 a b . sigma
     w1, w2 = np.empty(c.shape), np.empty(c.shape)
     w1[:, 0], w1[:, 1:] = a, b
@@ -127,11 +135,13 @@ def _information(
     # branches not used may divide by zero or meet non-finite numbers
     with np.errstate(divide="ignore", invalid="ignore"):
         # the state rule of _check_state and |d| <= _ROW_BOUNDS on every row,
-        # which rejects NaN; |d_i| <= the largest double says d_i is finite
-        good = _within(c, _STATE_BOUNDS) & (np.abs(d.T) <= _ROW_BOUNDS).all(axis=0)
+        # which rejects NaN; |d_i| <= the largest double says d_i is finite.
+        # The rule's |r|^2 is the one that the SLD takes
+        norm_sq = _norm_sq(c)
+        good = _within(c, _STATE_BOUNDS, norm_sq) & (np.abs(d.T) <= _ROW_BOUNDS).all(axis=0)
         stop = _first_bad(~good)
         if povm is None:
-            result = _qfi_rows(c[:stop], d[:stop])
+            result = _qfi_rows(c[:stop], d[:stop], norm_sq[:stop])
         else:
             result = _cfi_rows(c[:stop], d[:stop], povm)
     if stop < len(c):
@@ -158,12 +168,13 @@ class Povm:
 
     def __post_init__(self):
         effects = tuple(np.asarray(e, dtype=complex) for e in self.effects)
+        coords = np.empty((len(effects), 4))
         for idx, effect in enumerate(effects):
-            _check_hermitian(effect, f"effect {idx}", 1e-10)
-            if -_state_deviations(_bloch(effect))[1] / 2.0 < -1e-10:
+            _check_hermitian(effect, f"effect {idx}", EFFECT_TOL)
+            coords[idx] = _bloch(effect)
+            if -_state_deviations(coords[idx])[1] / 2.0 < -EFFECT_TOL:
                 raise ValidationError(f"effect {idx} is not positive semidefinite")
-        coords = np.array([_bloch(e) for e in effects]).reshape(-1, 4)
-        if np.abs(_density(coords.sum(axis=0)) - IDENTITY).max() > 1e-10:
+        if np.abs(_density(coords.sum(axis=0)) - IDENTITY).max() > EFFECT_TOL:
             raise ValidationError("POVM effects do not sum to the identity")
         object.__setattr__(self, "effects", effects)
         object.__setattr__(self, "rows", coords / 2.0)

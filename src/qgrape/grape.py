@@ -95,7 +95,10 @@ MAX_BACKTRACK_HALVINGS = 20
 # and 30 MB one member at a time.  Each took 1.9-2.6 s, against 3.7-3.9 s on
 # one core; a child's peak counts the pages it shares with the calling process
 _BATCH_STEPS = 1024
-# steps of the finite-difference oracle whose states are checked together
+# steps of the finite-difference oracle whose states are checked together.
+# The oracle keeps the states of one block and the one before it, as
+# (_STABILITY_BLOCK + 1, 8, 2 m p) doubles: 261 kB at m = 40 and p = 3,
+# 2.6 MB at m = 400
 _STABILITY_BLOCK = 16
 # flat indices of X23, X31, X12 over X32, X13, X21 in an (8, 8) exponential
 # of top-right block X (X_ab at 8 a + 4 + b), and of P32, P13, P21 in a 4x4 P
@@ -275,13 +278,14 @@ def finite_difference_gradient(
     Each perturbed trajectory starts from the state of one unperturbed
     :func:`propagate` before its bumped step and takes that run's 8x8 steps
     after it.  It equals, bit for bit, what a full re-propagation would
-    compute, since the stacked information kernel rounds every final state as
-    it rounds that state alone.  Only the 2 m p bumped steps are exponentiated
-    anew, as one stack, and take their trajectories' first states in one
-    stacked product.  From there all 2 m p trajectories advance together in
-    one loop over the steps, one product per step, every state passing the
-    check of :func:`propagate` in blocks of ``_STABILITY_BLOCK`` steps, and
-    their final states are evaluated in one stacked call.  Errors follow
+    compute, since every product is a gemm, whose columns round alike in
+    blocks of any width, and the stacked information kernel rounds every final
+    state as it rounds that state alone.  Only the 2 m p bumped steps are
+    exponentiated anew, as one stack, and take their trajectories' first
+    states in one stacked product.  From there all 2 m p trajectories advance
+    together as the columns of one block, one product per step, every state
+    passing the check of :func:`propagate` in blocks of ``_STABILITY_BLOCK``
+    steps, and their final states are evaluated in one stacked call.  Errors follow
     entry order ``(j, k, sign)``: the first entry that fails raises, an
     unstable one with the error that :func:`propagate` raises for its bumped
     schedule, one whose final state fails the evaluation with that error.
@@ -305,32 +309,37 @@ def finite_difference_gradient(
         problem.sensitivity_superop,
     )
 
-    # the trajectories in entry order, so that those bumped at or before
-    # step i are the first 2 p (i + 1); each step is one (8, 8) @ (8, 1)
-    # product per trajectory, as in propagate (an (8, 8) @ (8, n) block
-    # would round differently).  The states of a block of steps are kept, slot
-    # 0 holding those before it, and checked together.  A trajectory's slots
-    # hold the maximally mixed state, which passes the check, until its first
-    # state enters at its bumped step
+    # the trajectories in entry order, as the columns of (8, n) blocks, so
+    # that those bumped at or before step i are the first 2 p (i + 1).  Each
+    # step is one gemm on the columns of the trajectories that have started,
+    # at least two, and a gemm column rounds as in propagate's two-column
+    # blocks; the first states are column 0 of the same (8, 8) @ (8, 2)
+    # product, one per bumped step.  The states of a block of steps are kept,
+    # slot 0 holding those before it, and checked together.  A trajectory's
+    # slots hold the maximally mixed state, which passes the check, until its
+    # first state enters at its bumped step
     n, length = 2 * m * p, min(m, _STABILITY_BLOCK)
-    states = np.zeros((length + 1, n, 8, 1))
-    states[:, :, 0] = 1.0
+    states = np.zeros((length + 1, 8, n))
+    states[:, 0] = 1.0
+    before = np.zeros((m, 1, 8, 2))
+    before[:, 0, :, 0] = base.rows[:m]
     unstable = np.zeros(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        firsts = np.matmul(bumped_steps, base.rows[:m, None, :, None]).reshape(n, 8, 1)
+        firsts = np.matmul(bumped_steps, before)[..., 0].reshape(n, 8).T
         for start in range(0, m, length):
             end = min(start + length, m)
             for i in range(start, end):
                 done, active = 2 * p * i, 2 * p * (i + 1)
                 prev, cur = states[i - start], states[i - start + 1]
-                np.matmul(base.steps[i], prev[:done], out=cur[:done])
-                cur[done:active] = firsts[done:active]
-            unstable[:active] |= _stability(states[1 : end - start + 1, :active, :4, 0]).any(axis=0)
+                np.matmul(base.steps[i], prev[:, :done], out=cur[:, :done])
+                cur[:, done:active] = firsts[:, done:active]
+            checked = states[1 : end - start + 1, :4, :active].swapaxes(1, 2)
+            unstable[:active] |= _stability(checked).any(axis=0)
             states[0] = states[end - start]
     ys = states[0]
 
     stop = _first_bad(unstable)
-    values = _information(ys[:stop, :4, 0], dt * ys[:stop, 4:, 0], objective.povm)[0]
+    values = _information(ys[:4, :stop].T, dt * ys[4:, :stop].T, objective.povm)[0]
     if stop < n:
         amplitudes = grid.amplitudes.copy()
         amplitudes[stop // (2 * p)] = bumped.reshape(n, p)[stop]

@@ -248,7 +248,9 @@ def propagate_stepwise(problem: EstimationProblem, grid: ControlGrid) -> Traject
         step = np.zeros((8, 8))
         step[:4, :4] = step[4:, 4:] = prop
         step[4:, :4] = dgen @ prop
-        y = step @ y
+        # as column 0 of a two-column block: a gemm, which rounds a column
+        # the same in a block of any width, where one column would be a gemv
+        y = (step @ np.column_stack((y, np.zeros(8))))[:, 0]
         c, s = y[:4], y[4:]
 
         lo = (c[0] - np.sqrt((c[1:] ** 2).sum())) / 2.0

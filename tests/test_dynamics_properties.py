@@ -100,12 +100,13 @@ state_stacks = st.lists(
 
 def _block_views(rows: np.ndarray, length: int):
     """The rows laid out as the finite-difference oracle keeps its states, an
-    (length + 1, n, 8, 1) array with the checked block at ``[1:, :, :4, 0]``:
-    that view, and the view of its first half of trajectories."""
+    (length + 1, 8, n) array of columns with the checked block at
+    ``[1:, :4].swapaxes(1, 2)``: that view, and the view of its first half of
+    trajectories."""
     width = -(-len(rows) // length)
-    states = np.zeros((length + 1, width, 8, 1))
-    states[1:, :, :4, 0] = np.resize(rows, (length, width, 4))
-    return states[1:, :, :4, 0], states[1:, : -(-width // 2), :4, 0]
+    states = np.zeros((length + 1, 8, width))
+    states[1:, :4] = np.resize(rows, (length, width, 4)).swapaxes(1, 2)
+    return states[1:, :4].swapaxes(1, 2), states[1:, :4, : -(-width // 2)].swapaxes(1, 2)
 
 
 @SETTINGS
@@ -138,3 +139,30 @@ def test_norm_sq_adds_as_numpy_sums_a_3_wide_axis(rows, length):
             np.testing.assert_array_equal(x.sum(axis=-1), (x[..., 0] + x[..., 1]) + x[..., 2])
             want = (x**2).sum(axis=-1)
             assert dyn._norm_sq(coords).tobytes() == want.tobytes()
+
+
+step_matrices = st.lists(
+    st.floats(-2.0, 2.0, allow_nan=False), min_size=64, max_size=64
+).map(lambda v: np.reshape(v, (8, 8)))
+
+
+@SETTINGS
+@given(step_matrices, st.integers(0, 2**32 - 1))
+def test_a_gemm_column_rounds_alike_in_blocks_of_any_width(step, seed):
+    # the assumption of the forward recursion: propagate advances each
+    # trajectory as column 0 of an (8, 2) block and the finite-difference
+    # oracle advances all its trajectories as the columns of one (8, n) block,
+    # each step one BLAS gemm, so a column must round the same in a block of
+    # any width.  240 and 2,400 columns reach OpenBLAS's non-small gemm path,
+    # and the wide blocks are row-strided slices, as the oracle's are.  A
+    # one-column product would be a gemv, which rounds otherwise
+    cols = np.random.default_rng(seed).normal(size=(8, 2401))
+    pairs = np.zeros((2400, 8, 2))
+    pairs[:, :, 0] = cols[:, :2400].T
+    want = np.empty((2400, 8, 2))
+    for pair, out in zip(pairs, want):
+        step.dot(pair, out=out)
+    wide = np.empty((8, 2401))
+    for width in (3, 17, 240, 2400):
+        np.matmul(step, cols[:, :width], out=wide[:, :width])
+        assert wide[:, :width].T.tobytes() == want[:width, :, 0].tobytes(), width

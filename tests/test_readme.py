@@ -35,7 +35,7 @@ def test_listed_bounds_are_the_library_values():
     # each `module.NAME = value` of the README's bounds list is the constant's value
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     listed = re.findall(r"`(dynamics|fisher)\.([A-Z_]+) = ([0-9.e+-]+)`", readme)
-    assert len(listed) == 7
+    assert len(listed) == 8
     modules = {"dynamics": dynamics, "fisher": fisher}
     for module, name, value in listed:
         assert getattr(modules[module], name) == float(value), name
