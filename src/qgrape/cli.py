@@ -102,7 +102,12 @@ _OVERRIDES = {"seed": "ascent.seed", "dt": "dt"}
 
 
 def _apply_overrides(config: experiments.ScenarioConfig, args) -> experiments.ScenarioConfig:
+    """``config`` with the flags given; a flag of a key it does not read is a config error."""
     changes = {k: v for k in _OVERRIDES if (v := getattr(args, k, None)) is not None}
+    read = experiments._keys_read(config.noise, config.sweep_axis)
+    for flag in changes:
+        if _OVERRIDES[flag] not in read:
+            raise ConfigError(f"sweep = {config.sweep_axis} does not read '--{flag}'")
     return replace(config, ascent=replace(config.ascent, **changes))
 
 
@@ -146,12 +151,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.out is None:
         raise ConfigError("sweep requires --out DIR")
-    config = experiments.load_config(args.config)
-    read = experiments._keys_read(config.noise, config.sweep_axis)
-    for flag, key in _OVERRIDES.items():
-        if getattr(args, flag) is not None and key not in read:
-            raise ConfigError(f"sweep = {config.sweep_axis} does not read '--{flag}'")
-    record = experiments.run_sweep(_apply_overrides(config, args))
+    record = experiments.run_sweep(_apply_overrides(experiments.load_config(args.config), args))
     written = experiments.write_run(record, args.out)
     for path in written:
         print(f"wrote {path}")

@@ -172,6 +172,34 @@ def test_simulate_reports_information(tmp_path, capsys):
     assert "qfi = " in out and "cfi = " in out
 
 
+@pytest.mark.parametrize(
+    "noise",
+    ["", "noise = dephasing\nnoise.theta = 1.1\nnoise.phi = 0.4\nnoise.gamma = 0.2\n",
+     "noise = spontaneous\nnoise.gamma_plus = 0.05\nnoise.gamma_minus = 0.1\n"],
+    ids=["noiseless", "oblique_dephasing", "emission"],
+)
+def test_simulate_free_evolution_reaches_t_squared_noiseless_alone(tmp_path, capsys, noise):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(noise + "omega0_true = 1.0\nT = 1.0\n")
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    qfi = capsys.readouterr().out.splitlines()[0]
+    if noise:
+        assert 0 < float(qfi.removeprefix("qfi = ")) < 1
+    else:
+        assert qfi == "qfi = 1"
+
+
+def test_probe_is_checked_against_the_positivity_slack(tmp_path, capsys):
+    # |r| = 1 + 1e-10 is within dynamics.POSITIVITY_SLACK; |r| = 1 + 1e-9 is not
+    cfg = tmp_path / "scenario.cfg"
+    for r1, status in (("1.0000000001", 0), ("1.000000001", 1)):
+        cfg.write_text(f"probe = {r1},0,0\nomega0_true = 1.0\nT = 1.0\n")
+        assert main(["simulate", "--config", str(cfg)]) == status
+    assert capsys.readouterr().err == (
+        "config error: bad probe Bloch vector '1.000000001,0,0': "
+        "density matrix has negative eigenvalue -5.000e-10\n")
+
+
 def test_simulate_reports_the_fisher_functions_of_the_2x2_state(tmp_path, capsys):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text("noise = spontaneous\nnoise.gamma_minus = 0.1\nomega0_true = 1.0\nT = 2.0\n"
@@ -203,6 +231,20 @@ def test_optimize_writes_schedule_and_history(tmp_path, capsys):
     assert len(history) == 12  # header + initial + 10 iterations
 
 
+def test_optimize_snapshot_reruns_to_the_same_schedule(tmp_path):
+    # a heavy-ball ascent set from a file and a --seed: config.cfg keeps both
+    # keys, and a run of it writes the same schedule, byte for byte
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("omega0_true = 1.0\nT = 1.0\nascent.max_iterations = 3\n"
+                   "ascent.momentum = 0.9\n")
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["optimize", "--config", str(cfg), "--seed", "3", "--out", str(first)]) == 0
+    snapshot = (first / "config.cfg").read_text().splitlines()
+    assert {"ascent.momentum = 0.9", "ascent.seed = 3"} <= set(snapshot)
+    assert main(["optimize", "--config", str(first / "config.cfg"), "--out", str(again)]) == 0
+    assert (first / "schedule.csv").read_bytes() == (again / "schedule.csv").read_bytes()
+
+
 def test_one_step_schedule_is_not_read_back(tmp_path, capsys):
     # one row states no step width: reading it back is a config error
     cfg = tmp_path / "scenario.cfg"
@@ -231,25 +273,48 @@ def test_dt_override_sets_the_one_step_width(tmp_path):
     assert "dt = 0.05" in (out_dir / "config.cfg").read_text().splitlines()
 
 
-def test_runs_without_scipy(tmp_path):
-    # the oracle and a two-iteration horizon sweep, with scipy unimportable
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(AXIS_SWEEPS["horizon"][0].replace("max_iterations = 20", "max_iterations = 2"))
-    sweep = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]
-    script = (
-        "import sys\n"
-        "sys.modules['scipy'] = None\n"
-        "from qgrape.cli import main\n"
-        "assert main(['oracle', 'transverse', '--horizon', '5']) == 0\n"
-        f"assert main({sweep!r}) == 0\n"
-    )
+def _src_env() -> dict[str, str]:
+    """The environment of a child Python that imports this checkout's qgrape."""
     src = str(Path(qgrape.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_runs_without_scipy(tmp_path):
+    # every command, and a two-iteration sweep on each axis, with scipy
+    # unimportable and a floating-point warning an error, as in the suite
+    cfg = tmp_path / "free.cfg"
+    cfg.write_text("omega0_true = 1.0\nT = 1.0\nascent.max_iterations = 2\n")
+    runs = [
+        ["oracle", "transverse", "--horizon", "5"],
+        # the single-pulse closed form, through the stacked Fisher kernel
+        ["oracle", "parallel-pulse", "--gamma", "0.1", "--horizon", "15", "--t0", "4"],
+        ["simulate", "--config", str(cfg)],
+        ["optimize", "--config", str(cfg), "--out", str(tmp_path / "opt")],
+        ["energy", "--schedule", str(tmp_path / "opt" / "schedule.csv")],
+    ]
+    for axis, (text, _) in AXIS_SWEEPS.items():
+        swept = tmp_path / f"{axis}.cfg"
+        swept.write_text(text.replace("max_iterations = 20", "max_iterations = 2"))
+        runs.append(["sweep", "--config", str(swept), "--out", str(tmp_path / axis)])
+    script = "import sys\nsys.modules['scipy'] = None\nfrom qgrape.cli import main\n" + "".join(
+        f"assert main({argv!r}) == 0, {argv[0]!r}\n" for argv in runs)
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+                          env=_src_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[0] == "21.3061"
-    assert (tmp_path / "run" / "horizon_scan.csv").exists()
+    assert done.stdout.splitlines()[:3] == ["21.3061", "8.71018", "qfi = 1"]
+    for axis, (_, tables) in AXIS_SWEEPS.items():
+        assert all((tmp_path / axis / name).exists() for name in tables)
+
+
+@pytest.mark.parametrize("args, status", [([], 0), (["--omega0", "2"], 1)],
+                         ids=["value", "usage_error"])
+def test_module_exits_with_the_status_of_main(args, status):
+    # `sys.exit(main())`, and the parser's usage error, as process exit codes
+    argv = [sys.executable, "-m", "qgrape.cli", "oracle", "transverse", *args, "--horizon", "5"]
+    done = subprocess.run(argv, env=_src_env(), capture_output=True, text=True)
+    assert done.returncode == status, done.stderr
+    assert done.stdout == ("21.3061\n" if status == 0 else "")
 
 
 @pytest.mark.parametrize("axis", sorted(AXIS_SWEEPS))
@@ -270,6 +335,33 @@ def test_sweep_writes_deterministic_outputs(tmp_path, axis):
     assert (out1 / "manifest.txt").read_text().startswith("[versions]")
 
 
+def test_sweep_bytes_do_not_depend_on_the_cores(tmp_path, monkeypatch):
+    # a theta sweep's four heavy-ball ascents (two probes at each of two
+    # angles) climb as one share in this process on one core, and as two
+    # shares, one in a forked child, on two
+    cfg = tmp_path / "theta.cfg"
+    cfg.write_text("noise = dephasing\nnoise.gamma = 0.1\nomega0_true = 1.0\nT = 1.0\n"
+                   "sweep = theta\nsweep.start = 0.5\nsweep.stop = 1.5\nsweep.points = 2\n"
+                   "ascent.max_iterations = 3\nascent.momentum = 0.9\n")
+    forks, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    files = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        out = tmp_path / f"cores{cores}"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        files[cores] = {path.name: path.read_bytes() for path in out.glob("*.csv")}
+        assert len(forks) == cores - 1
+    assert len(files[1]) == 6 and files[1] == files[2]
+
+
 @pytest.mark.parametrize("flag", [["--seed", "5"], ["--dt", "0.3"]])
 def test_sweep_rejects_a_flag_its_axis_does_not_read(tmp_path, capsys, flag):
     cfg = tmp_path / "sweep.cfg"
@@ -278,6 +370,19 @@ def test_sweep_rejects_a_flag_its_axis_does_not_read(tmp_path, capsys, flag):
     assert main(["sweep", "--config", str(cfg), "--out", str(out), *flag]) == 1
     assert capsys.readouterr().err == f"config error: sweep = t0 does not read '{flag[0]}'\n"
     assert not out.exists()
+
+
+def test_optimize_and_simulate_reject_a_flag_the_axis_does_not_read(tmp_path, capsys):
+    # optimize's config.cfg would leave the flag's key out, so a run of that
+    # snapshot would climb another ascent
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(AXIS_SWEEPS["t0"][0])
+    out = ["--out", str(tmp_path / "run")]
+    for argv in (["optimize", *out, "--seed", "3"], ["optimize", *out, "--dt", "0.3"],
+                 ["simulate", "--dt", "0.3"]):
+        assert main([*argv, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"config error: sweep = t0 does not read '{argv[-2]}'\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_manifest_records_a_seed_where_the_axis_reads_one(tmp_path):
